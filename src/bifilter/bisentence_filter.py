@@ -62,7 +62,12 @@ class FilterConfig:
 @dataclass(frozen=True)
 class FilterResult:
     """accepted rows are (src_idx, tgt_idx, score, tier); dropped_src rows
-    are (src_idx, best score seen for that line)."""
+    are (src_idx, best score seen for that line).
+
+    Accepted scores are exact. A dropped line's best score is exact when it
+    is at least the chain's floor (ComparatorChain.floor); below the floor
+    it may be an upper bound on the exact best score, still below the floor.
+    """
 
     accepted: tuple[tuple[int, int, float, int], ...]
     dropped_src: tuple[tuple[int, float], ...]
@@ -83,6 +88,10 @@ def resolve_conflict(i: int, j: int, scores, lookahead: int) -> int:
     Returns the argmax over k in {i, ..., i+lookahead} of score(k, j); ties
     go to the smallest k, so the earliest line keeps the target. scores may
     be a callable (k, j) -> float or a mapping keyed by (k, j).
+
+    Scores are compared as plain numbers, whichever chain tier produced
+    them: an incumbent accepted at the overlap tier can lose to a contender
+    whose ratio-tier score is strictly higher.
     """
     lookup: Callable[[int, int], float]
     if callable(scores):
@@ -106,8 +115,12 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     (unless allow_reuse). The best-scoring chain-accepted candidate wins,
     except that a later line within the lookahead that scores strictly
     higher on that candidate defers it (i then tries its next-best).
-    Source lines left without a surviving candidate are dropped with the
-    best score they saw; never-accepted target lines are dropped too.
+    Contests compare scores from different tiers as plain numbers (see
+    resolve_conflict). The incumbent's score is an accepted one, so at
+    least the chain's floor, and a contender scoring below the floor never
+    wins. Source lines left without a surviving candidate are dropped with
+    the best score they saw (see FilterResult); never-accepted target lines
+    are dropped too.
     """
     if bitext.trans is None:
         raise DataError(

@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synonym lexicon file for the synonym matching pass")
     p.add_argument("--report", required=True, help="metric report JSON output")
     p.add_argument("--jobs", type=int, default=d.get("jobs", 1),
-                   help="worker threads for segment metrics")
+                   help="accepted and ignored; evaluate runs sequentially")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", formatter_class=fmt,

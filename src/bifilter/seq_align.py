@@ -174,10 +174,12 @@ def lexicon_scorer(
 
 def chain_scorer(chain: ComparatorChain, context: ChainContext) -> PairScorer:
     """Adapter exposing a comparator chain's score as a pair scorer (for
-    same-language document pairs, e.g. through a translation layer)."""
+    same-language document pairs, e.g. through a translation layer).
+    Scores are exact, rejected ones included, because the alignment
+    objective adds them up."""
 
     def score(a: str, b: str) -> float:
-        return chain_evaluate(a, b, chain, context).score
+        return chain_evaluate(a, b, chain, context, exact=True).score
 
     return score
 

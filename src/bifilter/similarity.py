@@ -81,20 +81,42 @@ def _longest_match(a, b2j, alo: int, ahi: int, blo: int, bhi: int):
     return besti, bestj, bestsize
 
 
-def _decompose(a, b2j, alen: int, blen: int) -> list[MatchingBlock]:
+def _decompose(a, b2j, alen: int, blen: int, floor: float = 0.0):
+    """Blocks of a[:alen] against the sequence indexed by b2j, and the ratio.
+
+    Returns (blocks, score): the blocks sorted by position and
+    score = 2.0 * matches / (alen + blen), 1.0 when both are empty. A window
+    still on the stack can add at most min(its two widths) matches, so
+    2.0 * (matches + that sum) / total bounds the final score from above.
+    Once the bound falls below floor the loop stops and returns the blocks
+    found so far with the bound as the score. It is tested with the same
+    float expression as the score, so an exact score equal to floor is
+    never cut short. floor 0 never stops.
+    """
+    t = alen + blen
+    if t == 0:
+        return [], 1.0
     blocks: list[MatchingBlock] = []
+    m = 0
+    rem = min(alen, blen)
     stack = [(0, alen, 0, blen)]
     while stack:
+        if 2.0 * (m + rem) / t < floor:
+            return blocks, 2.0 * (m + rem) / t
         alo, ahi, blo, bhi = stack.pop()
-        if alo >= ahi or blo >= bhi:
-            continue
+        rem -= min(ahi - alo, bhi - blo)
         i, j, k = _longest_match(a, b2j, alo, ahi, blo, bhi)
         if k:
+            m += k
             blocks.append(MatchingBlock(i, j, k))
-            stack.append((alo, i, blo, j))
-            stack.append((i + k, ahi, j + k, bhi))
+            if alo < i and blo < j:
+                stack.append((alo, i, blo, j))
+                rem += min(i - alo, j - blo)
+            if i + k < ahi and j + k < bhi:
+                stack.append((i + k, ahi, j + k, bhi))
+                rem += min(ahi - i - k, bhi - j - k)
     blocks.sort()
-    return blocks
+    return blocks, 2.0 * m / t
 
 
 def matching_blocks(a, b) -> list[MatchingBlock]:
@@ -107,7 +129,7 @@ def matching_blocks(a, b) -> list[MatchingBlock]:
     and never overlap.
     """
     ea, eb = _elements(a), _elements(b)
-    return _decompose(ea, _build_index(eb), len(ea), len(eb))
+    return _decompose(ea, _build_index(eb), len(ea), len(eb))[0]
 
 
 @dataclass(frozen=True)
@@ -130,9 +152,9 @@ def ratio(a, b) -> RatioBreakdown:
     ea, eb = _elements(a), _elements(b)
     if eb < ea:
         ea, eb = eb, ea
-    m = sum(blk.length for blk in matching_blocks(ea, eb))
-    t = len(ea) + len(eb)
-    return RatioBreakdown(matches=m, total=t, score=2.0 * m / t if t else 1.0)
+    blocks, score = _decompose(ea, _build_index(eb), len(ea), len(eb))
+    m = sum(blk.length for blk in blocks)
+    return RatioBreakdown(matches=m, total=len(ea) + len(eb), score=score)
 
 
 def token_overlap(a: TokenSeq, b: TokenSeq, stoplist: StopList) -> float:
@@ -197,9 +219,25 @@ class PreparedSentence:
         return self._b2j
 
 
+class _PairScratch:
+    """The pair chain_evaluate is scoring: its two prepared sentences, the
+    floor below which scores may be upper bounds, and the base ratio once a
+    comparator has computed it."""
+
+    __slots__ = ("pa", "pb", "floor", "base")
+
+    def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
+        self.pa = pa
+        self.pb = pb
+        self.floor = floor
+        self.base: float | None = None
+
+
 class ChainContext:
-    """Shared comparator state: stoplist, synonym lexicon, variant cap, and
-    a cache of prepared sentences keyed by raw text."""
+    """Shared comparator state: stoplist, synonym lexicon, variant cap, a
+    cache of prepared sentences keyed by raw text, and the scratch record
+    of the pair chain_evaluate is scoring. That record makes a context
+    unsafe for concurrent chain_evaluate calls."""
 
     def __init__(
         self,
@@ -211,6 +249,7 @@ class ChainContext:
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon()
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
+        self._pair: _PairScratch | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -259,9 +298,20 @@ class ComparatorChain:
                 f"granularity must be 'chars' or 'tokens', got {self.granularity!r}"
             )
 
+    @property
+    def floor(self) -> float:
+        """min(final_threshold, every tier threshold). Every accepted score
+        is at least this, so a score below it decides nothing by its value."""
+        return min(self.final_threshold, *(thr for _, thr in self.tiers))
+
 
 @dataclass(frozen=True)
 class ChainDecision:
+    """Outcome of chain_evaluate. score is the deciding tier's score; it is
+    exact when it is at least the chain's floor. Below the floor it may be
+    an upper bound that is itself below the floor, unless chain_evaluate
+    ran with exact=True."""
+
     accepted: bool
     score: float
     tier: int
@@ -287,19 +337,30 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
 
 
 def _ratio_prepared(
-    pa: PreparedSentence, pb: PreparedSentence, granularity: str
+    pa: PreparedSentence, pb: PreparedSentence, granularity: str, floor: float = 0.0
 ) -> float:
     if granularity == "tokens":
-        return ratio(pa.content.tokens, pb.content.tokens).score
+        ea, eb = pa.content.tokens, pb.content.tokens
+        if eb < ea:
+            ea, eb = eb, ea
+        return _decompose(ea, _build_index(eb), len(ea), len(eb), floor)[1]
     sa, sb = pa.joined, pb.joined
     if sb < sa:
         pa, pb = pb, pa
         sa, sb = sb, sa
-    t = len(sa) + len(sb)
-    if t == 0:
-        return 1.0
-    m = sum(blk.length for blk in _decompose(sa, pb.char_index(), len(sa), len(sb)))
-    return 2.0 * m / t
+    return _decompose(sa, pb.char_index(), len(sa), len(sb), floor)[1]
+
+
+def _base_ratio(pa, pb, ctx, chain) -> float:
+    """The pair's ratio at the chain's granularity, shared by the
+    ratio-family comparators. Inside chain_evaluate it is computed once per
+    pair, cut short below the floor; any other caller gets the exact value."""
+    rec = ctx._pair
+    if rec is None or rec.pa is not pa or rec.pb is not pb:
+        return _ratio_prepared(pa, pb, chain.granularity)
+    if rec.base is None:
+        rec.base = _ratio_prepared(pa, pb, chain.granularity, rec.floor)
+    return rec.base
 
 
 def _cmp_overlap(pa, pb, ctx, chain) -> float:
@@ -313,11 +374,11 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
 
 
 def _cmp_ratio(pa, pb, ctx, chain) -> float:
-    return _ratio_prepared(pa, pb, chain.granularity)
+    return _base_ratio(pa, pb, ctx, chain)
 
 
 def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
-    best = _ratio_prepared(pa, pb, chain.granularity)
+    best = _base_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
     for variant in expand_variants(pa.content, ctx.lexicon, ctx.variant_cap)[1:]:
@@ -344,7 +405,8 @@ DEFAULT_CHAIN = ComparatorChain(
 
 
 def chain_evaluate(
-    a: str, b: str, chain: ComparatorChain, context: ChainContext
+    a: str, b: str, chain: ComparatorChain, context: ChainContext,
+    *, exact: bool = False,
 ) -> ChainDecision:
     """Score a sentence pair through the chain, stopping at the first tier
     whose score reaches its threshold.
@@ -352,17 +414,27 @@ def chain_evaluate(
     When no tier accepts outright, the last tier's score is judged against
     final_threshold as the last resort. The decision carries the score and
     index of whichever tier decided.
+
+    The ratio-family tiers share one base ratio per pair, and its block
+    decomposition stops once it cannot reach chain.floor. Decisions are the
+    same either way; a score below the floor may then be an upper bound
+    (still below the floor). exact=True computes every score in full, for
+    callers that use rejected scores, such as an alignment objective.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)
-    score = 0.0
-    comp_id = chain.tiers[-1][0]
-    for idx, (comp_id, threshold) in enumerate(chain.tiers):
-        score = COMPARATORS[comp_id](pa, pb, context, chain)
-        if score >= threshold:
-            return ChainDecision(True, score, idx, comp_id)
-    last = len(chain.tiers) - 1
-    return ChainDecision(score >= chain.final_threshold, score, last, comp_id)
+    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor)
+    try:
+        score = 0.0
+        comp_id = chain.tiers[-1][0]
+        for idx, (comp_id, threshold) in enumerate(chain.tiers):
+            score = COMPARATORS[comp_id](pa, pb, context, chain)
+            if score >= threshold:
+                return ChainDecision(True, score, idx, comp_id)
+        last = len(chain.tiers) - 1
+        return ChainDecision(score >= chain.final_threshold, score, last, comp_id)
+    finally:
+        context._pair = None
 
 
 def _parse_fraction(text: str, path, lineno: int) -> float:

@@ -18,6 +18,7 @@ from bifilter.similarity import (
     ChainContext,
     ComparatorChain,
     DEFAULT_CHAIN,
+    chain_evaluate,
     register_comparator,
 )
 from bifilter.textnorm import StopList
@@ -94,6 +95,26 @@ class TestLookaheadRule:
         # without the veto, line 0 grabs its best candidate first
         pairs = {(i, j) for i, j, _, _ in res.accepted}
         assert (0, 1) in pairs
+
+    @pytest.mark.parametrize("contender_changes, winner", [
+        ((10, 20), 1),  # ratio tier 0.996 beats overlap tier 0.99
+        (tuple(range(3, 100, 10)), 0),  # ratio tier 0.980 does not
+    ])
+    def test_contest_compares_scores_across_tiers(self, contender_changes, winner):
+        words = [f"w{n:03d}" for n in range(100)]
+        target = " ".join(words)
+        incumbent = " ".join("zzzz" if n == 50 else w for n, w in enumerate(words))
+        contender = " ".join(w.replace("w", "x") if n in contender_changes else w
+                             for n, w in enumerate(words))
+        ctx = empty_ctx()
+        held = chain_evaluate(incumbent, target, DEFAULT_CHAIN, ctx)
+        bid = chain_evaluate(contender, target, DEFAULT_CHAIN, ctx)
+        assert (held.accepted, held.comparator, held.score) == (True, "overlap", 0.99)
+        assert bid.accepted and bid.comparator == "ratio"
+        cfg = FilterConfig(chain=DEFAULT_CHAIN, window=None, lookahead=1, context=ctx)
+        res = align_filter(make_bitext([incumbent, contender], [target, "q r s"]), cfg)
+        kept = bid if winner else held
+        assert res.accepted == ((winner, 0, kept.score, kept.tier),)
 
     def test_identical_corpora_all_diagonal(self):
         lines = ["alpha beta", "gamma delta", "epsilon zeta"]

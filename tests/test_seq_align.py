@@ -95,12 +95,17 @@ class TestScorers:
         assert equality_scorer("x", "y") == 0.0
 
     def test_chain_scorer_bridges_similarity(self):
-        from bifilter.similarity import ChainContext, DEFAULT_CHAIN
+        from bifilter.similarity import ChainContext, DEFAULT_CHAIN, chain_evaluate, ratio
         from bifilter.textnorm import StopList
 
         ctx = ChainContext(stoplist=StopList.from_words([]))
         scorer = chain_scorer(DEFAULT_CHAIN, ctx)
         assert scorer("same text", "same text") == 1.0
+        # a rejected pair still scores its exact last-tier value, because
+        # the alignment objective adds rejected scores up
+        a, b = "the quick brown fox jumps", "a lazy dog sleeps all day"
+        assert not chain_evaluate(a, b, DEFAULT_CHAIN, ctx).accepted
+        assert scorer(a, b) == ratio(ctx.prepare(a).joined, ctx.prepare(b).joined).score
 
     def test_counting_scorer_counts(self):
         cs = CountingScorer(equality_scorer)

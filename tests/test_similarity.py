@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from bifilter import similarity
 from bifilter.errors import ConfigError
 from bifilter.similarity import (
     COMPARATORS,
@@ -22,6 +23,8 @@ from bifilter.similarity import (
 from bifilter.textnorm import StopList, SynonymLexicon, tokenize
 
 short_text = st.text(alphabet="abc", max_size=6)
+WORDS = ["cat", "cats", "sat", "mat", "the", "a", "dog", "game", "sport", "play"]
+THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1.0]) | st.floats(0.0, 1.0)
 
 
 class TestMatchingBlocks:
@@ -250,6 +253,88 @@ class TestChainEvaluate:
                 else:
                     floor = DEFAULT_CHAIN.tiers[got.tier][1]
                 assert got.score >= floor
+
+
+class TestChainFloor:
+    """Inside chain_evaluate the block decomposition stops once it cannot
+    reach the chain's floor; decisions and scores at or above the floor
+    stay those of the exact evaluation."""
+
+    def make_ctx(self, lexicon=None):
+        return ChainContext(stoplist=StopList.from_words(["the", "a"]),
+                            lexicon=lexicon or SynonymLexicon())
+
+    def test_default_floor(self):
+        assert DEFAULT_CHAIN.floor == 0.55
+        chain = ComparatorChain(tiers=(("ratio", 0.4), ("overlap", 0.9)))
+        assert chain.floor == 0.4
+
+    def test_score_exactly_at_floor_is_accepted(self):
+        # 2.0 * 55 / 200 == 0.55 exactly (0.55 * 200 / 2 == 55.00000000000001),
+        # so the score sits on the default floor
+        a = "a" * 55 + "b" * 45
+        b = "a" * 55 + "c" * 45
+        assert ratio(a, b).matches == 55 and 0.55 * 200 / 2 > 55
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx())
+        assert got.accepted and got.score == 0.55 and got.tier == 2
+
+    def test_bound_at_floor_is_not_taken_as_score(self):
+        # after the 50-character block the bound is 2.0 * 55 / 200 == 0.55,
+        # but only 4 of the 5 remaining characters match; the bound tested in
+        # integer form (55 < 0.55 * 200 / 2) would stop there and report 0.55
+        a = "abcde" + "x" * 50 + "n" * 45
+        b = "abcd" + "z" * 46 + "x" * 50
+        assert ratio(a, b).matches == 54
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx())
+        assert not got.accepted and got.score == 0.54
+
+    def test_rejected_pair_decomposes_once(self, monkeypatch):
+        calls = []
+        decompose = similarity._decompose
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(similarity, "_decompose", counting)
+        got = chain_evaluate("quick brown fox jumps", "lazy dog sleeps all day",
+                             DEFAULT_CHAIN, self.make_ctx())
+        assert not got.accepted and got.comparator == "synonym_ratio"
+        assert len(calls) == 1
+
+    def test_comparator_outside_the_chain_is_exact(self):
+        ctx = self.make_ctx()
+        a, b = "quick brown fox jumps", "lazy dog sleeps all day"
+        chain_evaluate(a, b, DEFAULT_CHAIN, ctx)
+        pa, pb = ctx.prepare(a), ctx.prepare(b)
+        want = ratio(pa.joined, pb.joined).score
+        assert COMPARATORS["ratio"](pa, pb, ctx, DEFAULT_CHAIN) == want
+        assert COMPARATORS["synonym_ratio"](pa, pb, ctx, DEFAULT_CHAIN) == want
+
+    @given(
+        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+        st.lists(st.tuples(st.sampled_from(["overlap", "ratio", "synonym_ratio"]),
+                           THRESHOLDS), min_size=1, max_size=4).map(tuple),
+        THRESHOLDS,
+        st.sampled_from(["chars", "tokens"]),
+    )
+    @settings(max_examples=300)
+    def test_same_decisions_as_exact(self, a, b, tiers, final, granularity):
+        lex = SynonymLexicon()
+        lex.add("game", ["sport", "play"])
+        lex.add("cat", ["dog", "cats"])
+        chain = ComparatorChain(tiers=tiers, final_threshold=final,
+                                granularity=granularity)
+        ctx = self.make_ctx(lex)
+        fast = chain_evaluate(a, b, chain, ctx)
+        full = chain_evaluate(a, b, chain, ctx, exact=True)
+        assert (fast.accepted, fast.tier, fast.comparator) == (
+            full.accepted, full.tier, full.comparator)
+        if full.score >= chain.floor:
+            assert fast.score == full.score
+        else:
+            assert full.score <= fast.score < chain.floor
 
 
 class TestChainConfig:
