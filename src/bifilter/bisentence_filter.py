@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
+from ._records import read_records
 from .corpus_io import Bitext
 from .errors import ConfigError, DataError
 from .similarity import ChainContext, ChainDecision, ComparatorChain, chain_evaluate
@@ -231,13 +232,15 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     )
 
 
-def evaluate_filtering(result: FilterResult, gold_poor, gold_good) -> FilterQuality:
+def evaluate_filtering(accepted, gold_poor, gold_good) -> FilterQuality:
     """Count filtering quality against gold pair labels.
 
-    gold_poor and gold_good are the (src_idx, tgt_idx) pairs labeled poor
-    and good; together they must cover every pair the filter accepted.
-    poor_filtered counts poor pairs the filter removed, good_filtered counts
-    good pairs it lost.
+    accepted holds the filter's accepted rows (src_idx, tgt_idx, score,
+    tier): FilterResult.accepted, or the rows of a report read back with
+    load_filter_report. gold_poor and gold_good are the (src_idx, tgt_idx)
+    pairs labeled poor and good; together they must cover every pair the
+    filter accepted. poor_filtered counts poor pairs the filter removed,
+    good_filtered counts good pairs it lost.
     """
     poor = {(int(i), int(j)) for i, j in gold_poor}
     good = {(int(i), int(j)) for i, j in gold_good}
@@ -245,8 +248,8 @@ def evaluate_filtering(result: FilterResult, gold_poor, gold_good) -> FilterQual
     if both:
         i, j = sorted(both)[0]
         raise ConfigError(f"pair ({i}, {j}) is labeled both poor and good")
-    accepted = {(i, j) for i, j, _score, _tier in result.accepted}
-    unlabeled = accepted - poor - good
+    kept = {(i, j) for i, j, _score, _tier in accepted}
+    unlabeled = kept - poor - good
     if unlabeled:
         i, j = sorted(unlabeled)[0]
         raise ConfigError(
@@ -256,8 +259,8 @@ def evaluate_filtering(result: FilterResult, gold_poor, gold_good) -> FilterQual
     return FilterQuality(
         total=len(poor) + len(good),
         poor_in_test=len(poor),
-        poor_filtered=len(poor - accepted),
-        good_filtered=len(good - accepted),
+        poor_filtered=len(poor - kept),
+        good_filtered=len(good - kept),
     )
 
 
@@ -266,17 +269,9 @@ def load_gold_labels(
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Read gold pair labels: TSV rows `src_idx<TAB>tgt_idx<TAB>poor|good`
     ('#' starts a comment). Returns the (poor, good) pair sets."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read gold labels {path}: {exc}") from exc
     poor: set[tuple[int, int]] = set()
     good: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_records(path, "gold labels"):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from ._records import read_records
 from .bisentence_filter import (
     FilterConfig,
     align_filter,
@@ -58,16 +59,9 @@ def _env_config() -> dict[str, str]:
     path = os.environ.get("BIFILTER_CONFIG")
     if not path:
         return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read BIFILTER_CONFIG file {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
+    for lineno, line in read_records(path, "BIFILTER_CONFIG file", ConfigError):
+        parts = line.split("#", 1)[0].split(None, 1)
         if len(parts) != 2:
             raise ConfigError(f"{path}:{lineno}: expected 'key value'")
         out[parts[0].replace("-", "_")] = parts[1].strip()
@@ -303,11 +297,7 @@ def cmd_eval_filter(args) -> int:
     started = time.monotonic()
     rows = load_filter_report(args.report)
     poor, good = load_gold_labels(args.gold)
-
-    class _Rows:
-        accepted = tuple((s, t, sc, tier) for s, t, sc, tier in rows)
-
-    quality = evaluate_filtering(_Rows(), poor, good)
+    quality = evaluate_filtering(rows, poor, good)
     print(f"total\t{quality.total}")
     print(f"poor_in_test\t{quality.poor_in_test}")
     print(f"poor_filtered\t{quality.poor_filtered}")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
+from ._records import _split_lines, read_lines, read_records
 from .errors import ConfigError, DataError
 from .textnorm import is_punct_token, tokenize
 
@@ -75,36 +76,9 @@ class VocabStats:
     target_vocab: int
 
 
-def _decode_utf8(data: bytes, path) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise DataError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start} "
-            f"(line {line}): {exc.reason}"
-        ) from exc
-
-
-def _split_lines(text: str) -> list[str]:
-    """Split file text into lines: the trailing newline does not create an
-    empty final line, and a trailing CR (foreign CRLF input) is dropped."""
-    if not text:
-        return []
-    chunks = text.split("\n")
-    if chunks[-1] == "":
-        chunks.pop()
-    return [c[:-1] if c.endswith("\r") else c for c in chunks]
-
-
 def load_corpus(path: str | Path, lang: str = "") -> Corpus:
     """Read a corpus file; interior empty lines survive as empty strings."""
-    p = Path(path)
-    try:
-        data = p.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    return Corpus(lines=tuple(_split_lines(_decode_utf8(data, p))), lang=lang)
+    return Corpus(lines=tuple(read_lines(path, "corpus")), lang=lang)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -156,8 +130,6 @@ class FileProvider:
     """Provider backed by a pre-translated file whose line i translates
     source line i."""
 
-    kind = "file-backed"
-
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lines: tuple[str, ...] | None = None
@@ -182,8 +154,6 @@ class CommandProvider:
 
     The command is a shell string run once per batch.
     """
-
-    kind = "command-template"
 
     def __init__(self, command: str, batch_size: int = 100):
         if batch_size < 1:
@@ -302,19 +272,13 @@ def write_filter_report(rows, path: str | Path) -> None:
 
 
 def load_filter_report(path: str | Path) -> list[tuple[int, int, float, int]]:
-    """Read back a report TSV written by write_filter_report."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
-    rows: list[tuple[int, int, float, int]] = []
-    lines = text.splitlines()
-    if not lines or lines[0] != REPORT_HEADER:
+    """Read back a report TSV written by write_filter_report. The header
+    must be the file's first line."""
+    records = read_records(path, "report")
+    if not records or records[0] != (1, REPORT_HEADER):
         raise DataError(f"{path}: missing report header {REPORT_HEADER!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    rows: list[tuple[int, int, float, int]] = []
+    for lineno, line in records[1:]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated columns")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .textnorm import Stemmer, SynonymLexicon, TokenSeq
+from .textnorm import Stemmer, SynonymLexicon, TokenSeq, stem
 
 __all__ = [
     "BleuParams",
@@ -424,7 +424,27 @@ def _stage_assignment(
     return best[1]
 
 
-_DEFAULT_STEMMER = Stemmer()
+def _meteor_breakdown(
+    matches: int, chunks: int, cand_len: int, ref_len: int, penalty_exponent: int
+) -> MeteorBreakdown:
+    """The METEOR formula over match, chunk and token counts; all zero when
+    nothing matches."""
+    if matches == 0:
+        return MeteorBreakdown(
+            matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0
+        )
+    precision = matches / cand_len
+    recall = matches / ref_len
+    penalty = 0.5 * (chunks / matches) ** penalty_exponent
+    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    return MeteorBreakdown(
+        matches=matches,
+        chunks=chunks,
+        precision=precision,
+        recall=recall,
+        penalty=penalty,
+        score=fmean * (1.0 - penalty),
+    )
 
 
 def meteor(
@@ -445,12 +465,12 @@ def meteor(
     ct = _tokens(cand)
     rt = _tokens(ref)
     lex = lexicon if lexicon is not None else SynonymLexicon()
-    stemmer = stemmer if stemmer is not None else _DEFAULT_STEMMER
+    stem_of = stemmer.stem if stemmer is not None else stem
     matched: list[tuple[int, int]] = []
 
     def relations():
         yield lambda a, b: a == b
-        yield lambda a, b: stemmer.stem(a) == stemmer.stem(b)
+        yield lambda a, b: stem_of(a) == stem_of(b)
         yield lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)
 
     for related in relations():
@@ -466,23 +486,8 @@ def meteor(
             if ci not in done_c
         }
         matched.extend(_stage_assignment(adj, matched))
-    m_u = len(matched)
-    if m_u == 0:
-        return MeteorBreakdown(
-            matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0
-        )
-    precision = m_u / len(ct)
-    recall = m_u / len(rt)
-    chunks = _chunk_count(matched)
-    penalty = 0.5 * (chunks / m_u) ** penalty_exponent
-    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
-    return MeteorBreakdown(
-        matches=m_u,
-        chunks=chunks,
-        precision=precision,
-        recall=recall,
-        penalty=penalty,
-        score=fmean * (1.0 - penalty),
+    return _meteor_breakdown(
+        len(matched), _chunk_count(matched), len(ct), len(rt), penalty_exponent
     )
 
 
@@ -507,22 +512,7 @@ def meteor_corpus(
         chunks += seg.chunks
         cand_total += len(cand)
         ref_total += len(group[0])
-    if m_u == 0 or cand_total == 0 or ref_total == 0:
-        return MeteorBreakdown(
-            matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0
-        )
-    precision = m_u / cand_total
-    recall = m_u / ref_total
-    penalty = 0.5 * (chunks / m_u) ** penalty_exponent
-    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
-    return MeteorBreakdown(
-        matches=m_u,
-        chunks=chunks,
-        precision=precision,
-        recall=recall,
-        penalty=penalty,
-        score=fmean * (1.0 - penalty),
-    )
+    return _meteor_breakdown(m_u, chunks, cand_total, ref_total, penalty_exponent)
 
 
 def metric_report(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from ._records import read_records
 from .errors import ConfigError, DataError
 from .similarity import ChainContext, ComparatorChain, chain_evaluate
 from .textnorm import StopList, remove_stopwords, tokenize
@@ -117,16 +118,8 @@ def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
     starts a comment, later duplicate rows override earlier ones. Keys are
     case-folded.
     """
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dictionary {path}: {exc}") from exc
     table: dict[str, dict[str, float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_records(path, "dictionary"):
         parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(
@@ -198,6 +191,33 @@ _PRI_GAP_B = 1
 _PRI_MATCH_ZERO = 0
 
 
+def _backtrace(n: int, m: int, kind_at, score_at) -> Alignment:
+    """Walk back from (n, m) to (0, 0). kind_at(i, j) is the move that
+    entered node (i, j): "m" from (i-1, j-1), pairing A[i-1] with B[j-1];
+    "a" from (i-1, j), leaving A[i-1] unaligned; "b" from (i, j-1), leaving
+    B[j-1] unaligned. score_at(i, j) is the likelihood of pair (i, j)."""
+    pairs: list[tuple[int, int, float]] = []
+    gaps_a: list[int] = []
+    gaps_b: list[int] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        kind = kind_at(i, j)
+        if kind == "m":
+            i, j = i - 1, j - 1
+            pairs.append((i, j, score_at(i, j)))
+        elif kind == "a":
+            i -= 1
+            gaps_a.append(i)
+        else:
+            j -= 1
+            gaps_b.append(j)
+    return Alignment(
+        pairs=tuple(reversed(pairs)),
+        gaps_a=tuple(reversed(gaps_a)),
+        gaps_b=tuple(reversed(gaps_b)),
+    )
+
+
 def nw_align(
     doc_a: list[str], doc_b: list[str], scorer: PairScorer, cfg: AlignConfig
 ) -> Alignment:
@@ -237,26 +257,7 @@ def nw_align(
                 best = cand
             row_val[j] = best[0]
             row_move[j] = best[2]
-    pairs: list[tuple[int, int, float]] = []
-    gaps_a: list[int] = []
-    gaps_b: list[int] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        step = move[i][j]
-        if step == "m":
-            pairs.append((i - 1, j - 1, likes[i - 1][j - 1]))
-            i, j = i - 1, j - 1
-        elif step == "a":
-            gaps_a.append(i - 1)
-            i -= 1
-        else:
-            gaps_b.append(j - 1)
-            j -= 1
-    return Alignment(
-        pairs=tuple(reversed(pairs)),
-        gaps_a=tuple(reversed(gaps_a)),
-        gaps_b=tuple(reversed(gaps_b)),
-    )
+    return _backtrace(n, m, lambda i, j: move[i][j], lambda i, j: likes[i][j])
 
 
 def astar_align(
@@ -290,7 +291,7 @@ def astar_align(
         return float(min(n - i, m - j))
 
     best_g: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    parent: dict[tuple[int, int], tuple[int, int, str]] = {}
+    parent: dict[tuple[int, int], str] = {}
     counter = 0
     heap = [(-heuristic(0, 0), 0, 0.0, 0, 0)]
     expanded = 0
@@ -311,7 +312,7 @@ def astar_align(
         for si, sj, sg, kind in succs:
             if sg > best_g.get((si, sj), float("-inf")):
                 best_g[(si, sj)] = sg
-                parent[(si, sj)] = (i, j, kind)
+                parent[(si, sj)] = kind
                 counter += 1
                 heapq.heappush(
                     heap, (-(sg + heuristic(si, sj)), counter, sg, si, sj)
@@ -321,24 +322,7 @@ def astar_align(
     if stats is not None:
         stats["scorer_calls"] = len(cache)
         stats["expanded"] = expanded
-    pairs: list[tuple[int, int, float]] = []
-    gaps_a: list[int] = []
-    gaps_b: list[int] = []
-    node = (n, m)
-    while node != (0, 0):
-        pi, pj, kind = parent[node]
-        if kind == "m":
-            pairs.append((pi, pj, cache[(pi, pj)]))
-        elif kind == "a":
-            gaps_a.append(pi)
-        else:
-            gaps_b.append(pj)
-        node = (pi, pj)
-    return Alignment(
-        pairs=tuple(reversed(pairs)),
-        gaps_a=tuple(reversed(gaps_a)),
-        gaps_b=tuple(reversed(gaps_b)),
-    )
+    return _backtrace(n, m, lambda i, j: parent[(i, j)], lambda i, j: cache[(i, j)])
 
 
 def align_documents(

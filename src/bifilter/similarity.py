@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from ._records import read_records
 from .errors import ConfigError
 from .textnorm import (
     StopList,
@@ -245,6 +246,8 @@ class ChainContext:
         lexicon: SynonymLexicon | None = None,
         variant_cap: int = 64,
     ):
+        if variant_cap < 1:
+            raise ConfigError(f"variant cap must be >= 1, got {variant_cap}")
         self.stoplist = stoplist if stoplist is not None else StopList(frozenset())
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon()
         self.variant_cap = variant_cap
@@ -453,18 +456,11 @@ def load_chain_file(path: str | Path) -> ComparatorChain:
         final_threshold <x>               # optional, default 0.55
         granularity chars|tokens          # optional, default chars
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read chain config {path}: {exc}") from exc
     tiers: list[tuple[str, float]] = []
     final_threshold = 0.55
     granularity = "chars"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, line in read_records(path, "chain config", ConfigError):
+        parts = line.split("#", 1)[0].split()
         key = parts[0]
         if key == "tier":
             if len(parts) != 3:

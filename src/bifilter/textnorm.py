@@ -8,10 +8,11 @@ shared freely between workers.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from ._records import read_records
 from .errors import DataError
 
 __all__ = [
@@ -101,15 +102,7 @@ class StopList:
     @classmethod
     def load(cls, path: str | Path, lang: str = "") -> "StopList":
         """Load a stoplist file: one word per line, '#' starts a comment."""
-        words = []
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read stoplist {path}: {exc}") from exc
-        for line in text.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.append(line)
+        words = [line for _, line in read_records(path, "stoplist")]
         return cls.from_words(words, lang=lang)
 
 
@@ -124,12 +117,8 @@ def default_stoplist(lang: str) -> StopList:
     candidate = pkg_files.joinpath(name)
     if not candidate.is_file():
         return StopList(words=frozenset(), lang=lang)
-    words = []
-    for line in candidate.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return StopList.from_words(words, lang=lang)
+    with resources.as_file(candidate) as path:
+        return StopList.load(path, lang=lang)
 
 
 def remove_stopwords(seq: TokenSeq, stoplist: StopList) -> TokenSeq:
@@ -182,14 +171,7 @@ class SynonymLexicon:
         Duplicate head-words merge their synonym lists; '#' starts a comment.
         """
         lex = cls()
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read synonym lexicon {path}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in read_records(path, "synonym lexicon"):
             if "\t" not in line:
                 raise DataError(
                     f"{path}:{lineno}: expected 'word<TAB>syn1,syn2,...'"

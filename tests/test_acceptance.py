@@ -71,7 +71,7 @@ def test_criterion_1_noise_removal(synth, synth_bitext):
 
     accepted = {(i, j) for i, j, _, _ in res.accepted}
     poor, good = synth.labels_covering(accepted)
-    quality = evaluate_filtering(res, poor, good)
+    quality = evaluate_filtering(res.accepted, poor, good)
     n_noisy = len(synth.noisy_indices)
     n_good = len(synth.source) - n_noisy
     removed = len(synth.gold_poor - accepted)

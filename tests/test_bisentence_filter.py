@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from bifilter.bisentence_filter import (
     FilterConfig,
-    FilterResult,
     align_filter,
     evaluate_filtering,
     load_gold_labels,
@@ -278,24 +277,20 @@ class TestStructuralInvariants:
 
 
 class TestEvaluateFiltering:
-    def res(self, pairs):
-        return FilterResult(
-            accepted=tuple((i, j, 1.0, 0) for i, j in pairs),
-            dropped_src=(),
-            dropped_tgt=(),
-        )
+    def rows(self, pairs):
+        return tuple((i, j, 1.0, 0) for i, j in pairs)
 
     def test_perfect_filter(self):
         poor = {(0, 0), (1, 1)}
         good = {(2, 2), (3, 3)}
-        q = evaluate_filtering(self.res([(2, 2), (3, 3)]), poor, good)
+        q = evaluate_filtering(self.rows([(2, 2), (3, 3)]), poor, good)
         assert q.poor_filtered == 2 and q.good_filtered == 0
         assert q.total == 4 and q.poor_in_test == 2
 
     def test_nothing_dropped(self):
         poor = {(0, 0)}
         good = {(1, 1)}
-        q = evaluate_filtering(self.res([(0, 0), (1, 1)]), poor, good)
+        q = evaluate_filtering(self.rows([(0, 0), (1, 1)]), poor, good)
         assert q.poor_filtered == 0 and q.good_filtered == 0
 
     def test_reference_outcome_shape(self):
@@ -304,7 +299,7 @@ class TestEvaluateFiltering:
         good = {(i, i) for i in range(182, 1000)}
         kept = [(i, i) for i in range(154, 182)]          # 28 poor slip through
         kept += [(i, i) for i in range(182, 1000) if i >= 194]  # 12 good lost
-        q = evaluate_filtering(self.res(kept), poor, good)
+        q = evaluate_filtering(self.rows(kept), poor, good)
         assert q.total == 1000
         assert q.poor_in_test == 182
         assert q.poor_filtered == 154
@@ -312,11 +307,11 @@ class TestEvaluateFiltering:
 
     def test_double_label_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_filtering(self.res([]), {(0, 0)}, {(0, 0)})
+            evaluate_filtering(self.rows([]), {(0, 0)}, {(0, 0)})
 
     def test_unlabeled_accepted_pair_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate_filtering(self.res([(5, 5)]), {(0, 0)}, {(1, 1)})
+            evaluate_filtering(self.rows([(5, 5)]), {(0, 0)}, {(1, 1)})
 
 
 class TestGoldLabels:

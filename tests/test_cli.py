@@ -90,6 +90,40 @@ class TestFilterCommand:
         ], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("with_synonyms", [False, True])
+    def test_variant_cap_below_one_exits_2(
+        self, write_lines, tmp_path, capsys, with_synonyms
+    ):
+        paths = self.files(write_lines, trans=GOOD_LINES)
+        lexicon = []
+        if with_synonyms:
+            lexicon = ["--synonyms", str(write_lines("lex.txt", ["cat\tfeline"]))]
+        code, _, err = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--trans", str(paths["trans"]), "--variant-cap", "0", *lexicon,
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2
+        assert err.startswith("error: variant cap must be >= 1")
+
+    def test_chain_file_not_utf8_exits_2(self, write_lines, tmp_path, capsys):
+        paths = self.files(write_lines, trans=GOOD_LINES)
+        chain = tmp_path / "chain.cfg"
+        chain.write_bytes(b"tier ratio 0.9\n# caf\xe9\n")
+        code, _, err = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--trans", str(paths["trans"]), "--chain", str(chain),
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {chain}: invalid UTF-8 at byte offset 20 (line 2)")
+
     def test_both_providers_rejected(self, write_lines, tmp_path, capsys):
         paths = self.files(write_lines)
         trans = write_lines("prov.txt", GOOD_LINES)
@@ -170,6 +204,18 @@ class TestAlignCommand:
         ], capsys)
         assert code == 0
         assert out.read_text().splitlines()[1] == "0\t0\t1.0000"
+
+    def test_dictionary_not_utf8_exits_1(self, write_lines, tmp_path, capsys):
+        a = write_lines("a.txt", ["kot"])
+        b = write_lines("b.txt", ["cat"])
+        d = tmp_path / "dict.tsv"
+        d.write_bytes(b"k\xf3t\tcat\t1.0\n")
+        code, _, err = run([
+            "align", "--doc-a", str(a), "--doc-b", str(b),
+            "--dict", str(d), "--out", str(tmp_path / "pairs.tsv"),
+        ], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {d}: invalid UTF-8 at byte offset 1 (line 1)")
 
 
 class TestEvaluateCommand:

@@ -230,6 +230,17 @@ class TestFilterReportIO:
         with pytest.raises(DataError):
             load_filter_report(p)
 
+    # the header must be the first line, not the first record
+    @pytest.mark.parametrize("text", [
+        "# note\n" + REPORT_HEADER + "\n0\t1\t0.5\t0\n",
+        "\n" + REPORT_HEADER + "\n0\t1\t0.5\t0\n",
+    ])
+    def test_rejects_header_not_on_first_line(self, tmp_path, text):
+        p = tmp_path / "rep.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError):
+            load_filter_report(p)
+
     def test_rejects_short_row(self, tmp_path):
         p = tmp_path / "rep.tsv"
         p.write_text(REPORT_HEADER + "\n0\t1\t0.5\n", encoding="utf-8")
