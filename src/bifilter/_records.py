@@ -1,10 +1,10 @@
-"""Reading the package's line-oriented files.
+"""Reading and writing the package's files.
 
 Corpora and the line-record files (stoplists, synonym lexicons,
 dictionaries, gold labels, filter reports, chain and BIFILTER_CONFIG
 files) agree on what a line is: the file is UTF-8, lines end in LF, and
 a trailing CR (foreign CRLF input) is dropped. Nothing else splits a
-line.
+line. Every output file is written through write_text.
 """
 
 from __future__ import annotations
@@ -55,3 +55,12 @@ def read_records(path, what: str, error=DataError) -> list[tuple[int, str]]:
         if line and not line.startswith("#"):
             records.append((lineno, line))
     return records
+
+
+def write_text(path, text: str, what: str) -> None:
+    """Write text to path as UTF-8. A write failure raises DataError
+    naming the path; what says which kind of file it is."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc

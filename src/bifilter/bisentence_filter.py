@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from ._records import read_records
 from .corpus_io import Bitext
@@ -83,26 +83,21 @@ class FilterQuality:
     good_filtered: int
 
 
-def resolve_conflict(i: int, j: int, scores, lookahead: int) -> int:
+def resolve_conflict(
+    i: int, j: int, scores: Callable[[int, int], float], lookahead: int
+) -> int:
     """Decide which source line keeps target line j.
 
-    Returns the argmax over k in {i, ..., i+lookahead} of score(k, j); ties
-    go to the smallest k, so the earliest line keeps the target. scores may
-    be a callable (k, j) -> float or a mapping keyed by (k, j).
+    Returns the argmax over k in {i, ..., i+lookahead} of scores(k, j); ties
+    go to the smallest k, so the earliest line keeps the target.
 
     Scores are compared as plain numbers, whichever chain tier produced
     them: an incumbent accepted at the overlap tier can lose to a contender
     whose ratio-tier score is strictly higher.
     """
-    lookup: Callable[[int, int], float]
-    if callable(scores):
-        lookup = scores
-    else:
-        mapping: Mapping = scores
-        lookup = lambda k, jj: mapping[(k, jj)]
-    best_k, best_s = i, lookup(i, j)
+    best_k, best_s = i, scores(i, j)
     for k in range(i + 1, i + lookahead + 1):
-        s = lookup(k, j)
+        s = scores(k, j)
         if s > best_s:
             best_k, best_s = k, s
     return best_k

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from ._records import read_records
+from ._records import read_records, write_text
 from .bisentence_filter import (
     FilterConfig,
     align_filter,
@@ -84,16 +84,28 @@ def _cast_like(builtin, raw: str, key: str):
 
 
 class _Defaults:
-    """Flag defaults: built-in values, overridable via BIFILTER_CONFIG."""
+    """Flag defaults: built-in values, overridable via BIFILTER_CONFIG.
+    Records every key a flag asked for, so check_used can reject the
+    config keys no flag reads."""
 
     def __init__(self):
         self.env = _env_config()
+        self.asked: set[str] = set()
 
     def get(self, key: str, builtin):
+        self.asked.add(key)
         raw = self.env.get(key)
         if raw is None:
             return builtin
         return _cast_like(builtin, raw, key)
+
+    def check_used(self) -> None:
+        unknown = sorted(set(self.env) - self.asked)
+        if unknown:
+            raise ConfigError(
+                f"{os.environ['BIFILTER_CONFIG']}: unknown key(s) "
+                f"{', '.join(unknown)}: no flag takes its default from them"
+            )
 
 
 def _sha256(path: Path) -> str:
@@ -102,6 +114,10 @@ def _sha256(path: Path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
     return h.hexdigest()
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
@@ -119,9 +135,7 @@ def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    out = Path(str(report_path) + ".manifest.json")
-    out.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    write_text(f"{report_path}.manifest.json", _json(manifest), "manifest")
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -224,9 +238,7 @@ def cmd_align(args) -> int:
     kept = threshold_filter(alignment, cfg.threshold)
     lines = [PAIRS_HEADER]
     lines += [f"{i}\t{j}\t{s:.4f}" for i, j, s in kept]
-    Path(args.out).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    write_text(args.out, "".join(line + "\n" for line in lines), "pairs")
     _write_manifest(args.out, "align", args,
                     [args.doc_a, args.doc_b, args.dict], started)
     print(f"aligned {len(alignment.pairs)} pairs, kept {len(kept)} "
@@ -263,9 +275,7 @@ def cmd_evaluate(args) -> int:
         lexicon=lexicon,
         meteor_penalty_exponent=args.meteor_penalty_exponent,
     )
-    Path(args.report).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(args.report, _json(report), "report")
     _write_manifest(args.report, "evaluate", args,
                     [args.cand, *args.ref, args.synonyms], started)
     for name in metrics:
@@ -286,9 +296,7 @@ def cmd_stats(args) -> int:
             "source_vocab": stats.source_vocab,
             "target_vocab": stats.target_vocab,
         }
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text(args.report, _json(payload), "report")
         _write_manifest(args.report, "stats", args, [args.src, args.tgt], started)
     return 0
 
@@ -309,9 +317,7 @@ def cmd_eval_filter(args) -> int:
             "poor_filtered": quality.poor_filtered,
             "good_filtered": quality.good_filtered,
         }
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text(args.out, _json(payload), "report")
         _write_manifest(args.out, "eval-filter", args,
                         [args.report, args.gold], started)
     return 0
@@ -419,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gold labels TSV (src_idx, tgt_idx, poor|good)")
     p.add_argument("--out", default=None, help="optional JSON output")
     p.set_defaults(func=cmd_eval_filter)
+    d.check_used()
     return parser
 
 

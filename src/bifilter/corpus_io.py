@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from ._records import _split_lines, read_lines, read_records
+from ._records import _split_lines, read_lines, read_records, write_text
 from .errors import ConfigError, DataError
 from .textnorm import is_punct_token, tokenize
 
@@ -89,11 +89,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             raise DataError(
                 f"{path}: line {idx + 1} contains an embedded line terminator"
             )
-    text = "".join(line + "\n" for line in corpus.lines)
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write corpus {path}: {exc}") from exc
+    write_text(path, "".join(line + "\n" for line in corpus.lines), "corpus")
 
 
 def load_bitext(
@@ -263,12 +259,7 @@ def write_filter_report(rows, path: str | Path) -> None:
     lines = [REPORT_HEADER]
     for src_idx, tgt_idx, score, tier in rows:
         lines.append(f"{src_idx}\t{tgt_idx}\t{score:.4f}\t{tier}")
-    try:
-        Path(path).write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
-    except OSError as exc:
-        raise DataError(f"cannot write report {path}: {exc}") from exc
+    write_text(path, "".join(line + "\n" for line in lines), "report")
 
 
 def load_filter_report(path: str | Path) -> list[tuple[int, int, float, int]]:

@@ -131,6 +131,19 @@ def _normalize_corpus(cands, refs):
     return cand_toks, ref_toks
 
 
+def _clipped_ngrams(cand: tuple, group, n: int) -> tuple[Counter, Counter]:
+    """The candidate's order-n counts, and those counts clipped by the
+    references: each n-gram at most as often as in any one reference. The
+    clipped counts keep the candidate's n-gram order."""
+    counts = ngram_counts(cand, n)
+    if not counts:
+        return counts, counts
+    best: Counter = Counter()
+    for rt in group:
+        best |= ngram_counts(rt, n)
+    return counts, counts & best
+
+
 def bleu(cands, refs, params: Optional[BleuParams] = None) -> BleuBreakdown:
     """Corpus BLEU.
 
@@ -149,13 +162,8 @@ def bleu(cands, refs, params: Optional[BleuParams] = None) -> BleuBreakdown:
         c += len(cand)
         r += min((abs(len(rt) - len(cand)), len(rt)) for rt in group)[1]
         for n in range(1, order + 1):
-            counts = ngram_counts(cand, n)
-            if not counts:
-                continue
-            best: Counter = Counter()
-            for rt in group:
-                best |= ngram_counts(rt, n)
-            matched[n] += sum((counts & best).values())
+            counts, clipped = _clipped_ngrams(cand, group, n)
+            matched[n] += sum(clipped.values())
             total[n] += sum(counts.values())
     precisions = tuple(
         matched[n] / total[n] if total[n] else 0.0 for n in range(1, order + 1)
@@ -211,17 +219,10 @@ def nist(cands, refs, order: int = 5) -> float:
         c += len(cand)
         r_mean += sum(len(rt) for rt in group) / len(group)
         for n in range(1, order + 1):
-            counts = ngram_counts(cand, n)
+            counts, clipped = _clipped_ngrams(cand, group, n)
             total[n] += sum(counts.values())
-            if not counts:
-                continue
-            best: Counter = Counter()
-            for rt in group:
-                best |= ngram_counts(rt, n)
-            for gram, k in counts.items():
-                hits = min(k, best[gram])
-                if hits:
-                    gained[n] += hits * info(gram)
+            for gram, hits in clipped.items():
+                gained[n] += hits * info(gram)
     if c == 0 or r_mean == 0:
         return 0.0
     score = sum(gained[n] / total[n] for n in range(1, order + 1) if total[n])

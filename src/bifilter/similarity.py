@@ -1,8 +1,13 @@
 """Sentence-pair similarity scoring.
 
-Provides the matching-block ratio, a multiset token-overlap measure, a
-synonym-expanded ratio, and the tiered comparator chain that runs them
-fast-first with per-tier acceptance thresholds.
+The comparator chain scores a pair tier by tier, fast-first, each tier with
+its own acceptance threshold. Three comparators are registered: "overlap"
+(multiset overlap of the stopword-filtered tokens), "ratio" (the
+matching-block ratio of the filtered sentences) and "synonym_ratio" (the
+best ratio over single-substitution synonym variants). Each works on
+PreparedSentence objects and is reached through chain_evaluate or the
+COMPARATORS registry. ratio(a, b) is the block-matching measure on two
+plain sequences (strings or token tuples).
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ._records import read_records
 from .errors import ConfigError
@@ -24,32 +29,18 @@ from .textnorm import (
 )
 
 __all__ = [
-    "MatchingBlock",
     "RatioBreakdown",
     "ComparatorChain",
     "ChainDecision",
     "ChainContext",
     "PreparedSentence",
-    "matching_blocks",
     "ratio",
-    "token_overlap",
-    "synonym_ratio",
     "chain_evaluate",
     "load_chain_file",
     "register_comparator",
     "COMPARATORS",
     "DEFAULT_CHAIN",
 ]
-
-
-class MatchingBlock(NamedTuple):
-    a_start: int
-    b_start: int
-    length: int
-
-
-def _elements(x):
-    return x.tokens if isinstance(x, TokenSeq) else x
 
 
 def _build_index(b) -> dict:
@@ -83,54 +74,41 @@ def _longest_match(a, b2j, alo: int, ahi: int, blo: int, bhi: int):
 
 
 def _decompose(a, b2j, alen: int, blen: int, floor: float = 0.0):
-    """Blocks of a[:alen] against the sequence indexed by b2j, and the ratio.
+    """Recursive longest-common-block decomposition of a[:alen] against the
+    sequence indexed by b2j.
 
-    Returns (blocks, score): the blocks sorted by position and
+    The longest common block is taken (ties as in _longest_match), then the
+    regions to its left and right are decomposed the same way. Returns
+    (matches, score): the summed block lengths and
     score = 2.0 * matches / (alen + blen), 1.0 when both are empty. A window
     still on the stack can add at most min(its two widths) matches, so
     2.0 * (matches + that sum) / total bounds the final score from above.
-    Once the bound falls below floor the loop stops and returns the blocks
+    Once the bound falls below floor the loop stops and returns the matches
     found so far with the bound as the score. It is tested with the same
     float expression as the score, so an exact score equal to floor is
     never cut short. floor 0 never stops.
     """
     t = alen + blen
     if t == 0:
-        return [], 1.0
-    blocks: list[MatchingBlock] = []
+        return 0, 1.0
     m = 0
     rem = min(alen, blen)
     stack = [(0, alen, 0, blen)]
     while stack:
         if 2.0 * (m + rem) / t < floor:
-            return blocks, 2.0 * (m + rem) / t
+            return m, 2.0 * (m + rem) / t
         alo, ahi, blo, bhi = stack.pop()
         rem -= min(ahi - alo, bhi - blo)
         i, j, k = _longest_match(a, b2j, alo, ahi, blo, bhi)
         if k:
             m += k
-            blocks.append(MatchingBlock(i, j, k))
             if alo < i and blo < j:
                 stack.append((alo, i, blo, j))
                 rem += min(i - alo, j - blo)
             if i + k < ahi and j + k < bhi:
                 stack.append((i + k, ahi, j + k, bhi))
                 rem += min(ahi - i - k, bhi - j - k)
-    blocks.sort()
-    return blocks, 2.0 * m / t
-
-
-def matching_blocks(a, b) -> list[MatchingBlock]:
-    """Recursive longest-common-block decomposition of two sequences.
-
-    Accepts two strings (character elements) or two token sequences. The
-    longest common contiguous block is located (ties: smallest start in
-    ``a``, then smallest start in ``b``), then the regions to its left and
-    right are decomposed the same way. Blocks come back sorted by position
-    and never overlap.
-    """
-    ea, eb = _elements(a), _elements(b)
-    return _decompose(ea, _build_index(eb), len(ea), len(eb))[0]
+    return m, 2.0 * m / t
 
 
 @dataclass(frozen=True)
@@ -143,58 +121,18 @@ class RatioBreakdown:
 
 
 def ratio(a, b) -> RatioBreakdown:
-    """Matching-block similarity: 2.0 * matches / total.
+    """Matching-block similarity of two sequences: 2.0 * matches / total.
 
-    1.0 for identical sequences (two empty sequences count as identical),
-    0.0 when nothing matches. Arguments are compared in canonical
-    (lexicographically sorted) order, which makes the score symmetric even
-    though the block tie-break is order-sensitive.
+    Accepts two strings (character elements) or two token tuples. 1.0 for
+    identical sequences (two empty sequences count as identical), 0.0 when
+    nothing matches. Arguments are compared in canonical (sorted) order,
+    which makes the score symmetric even though the block tie-break is
+    order-sensitive.
     """
-    ea, eb = _elements(a), _elements(b)
-    if eb < ea:
-        ea, eb = eb, ea
-    blocks, score = _decompose(ea, _build_index(eb), len(ea), len(eb))
-    m = sum(blk.length for blk in blocks)
-    return RatioBreakdown(matches=m, total=len(ea) + len(eb), score=score)
-
-
-def token_overlap(a: TokenSeq, b: TokenSeq, stoplist: StopList) -> float:
-    """Multiset token overlap after stopword removal.
-
-    score = 2 * |intersection| / (|a'| + |b'|). The intersection is a
-    multiset one, so a word repeated on one side only counts as often as it
-    appears on both. Both sides empty after filtering scores 1.0, exactly
-    one side empty scores 0.0.
-    """
-    fa = remove_stopwords(a, stoplist)
-    fb = remove_stopwords(b, stoplist)
-    na, nb = len(fa.tokens), len(fb.tokens)
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    common = Counter(fa.tokens) & Counter(fb.tokens)
-    return 2.0 * sum(common.values()) / (na + nb)
-
-
-def synonym_ratio(
-    a: TokenSeq, b: TokenSeq, lexicon: SynonymLexicon, cap: int = 64
-) -> float:
-    """Best ratio over single-substitution synonym variants of ``a``.
-
-    Variants are compared against ``b`` as space-joined strings. The
-    original sentence is variant zero, so the result is never below
-    ratio(a, b) on the same joined strings.
-    """
-    target = " ".join(b.tokens)
-    best = 0.0
-    for variant in expand_variants(a, lexicon, cap):
-        score = ratio(" ".join(variant.tokens), target).score
-        if score > best:
-            best = score
-            if best >= 1.0:
-                break
-    return best
+    if b < a:
+        a, b = b, a
+    m, score = _decompose(a, _build_index(b), len(a), len(b))
+    return RatioBreakdown(matches=m, total=len(a) + len(b), score=score)
 
 
 class PreparedSentence:
@@ -342,31 +280,24 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
 def _ratio_prepared(
     pa: PreparedSentence, pb: PreparedSentence, granularity: str, floor: float = 0.0
 ) -> float:
-    if granularity == "tokens":
-        ea, eb = pa.content.tokens, pb.content.tokens
-        if eb < ea:
-            ea, eb = eb, ea
-        return _decompose(ea, _build_index(eb), len(ea), len(eb), floor)[1]
-    sa, sb = pa.joined, pb.joined
-    if sb < sa:
-        pa, pb = pb, pa
-        sa, sb = sb, sa
-    return _decompose(sa, pb.char_index(), len(sa), len(sb), floor)[1]
-
-
-def _base_ratio(pa, pb, ctx, chain) -> float:
-    """The pair's ratio at the chain's granularity, shared by the
-    ratio-family comparators. Inside chain_evaluate it is computed once per
-    pair, cut short below the floor; any other caller gets the exact value."""
-    rec = ctx._pair
-    if rec is None or rec.pa is not pa or rec.pb is not pb:
-        return _ratio_prepared(pa, pb, chain.granularity)
-    if rec.base is None:
-        rec.base = _ratio_prepared(pa, pb, chain.granularity, rec.floor)
-    return rec.base
+    """ratio of the two sentences' units at the granularity: the joined
+    content string (chars) or the content tokens. The larger one in
+    canonical order is indexed: its cached char_index for chars, a fresh
+    index for tokens."""
+    if granularity == "chars":
+        ua, ub = pa.joined, pb.joined
+    else:
+        ua, ub = pa.content.tokens, pb.content.tokens
+    if ub < ua:
+        pa, pb, ua, ub = pb, pa, ub, ua
+    b2j = pb.char_index() if granularity == "chars" else _build_index(ub)
+    return _decompose(ua, b2j, len(ua), len(ub), floor)[1]
 
 
 def _cmp_overlap(pa, pb, ctx, chain) -> float:
+    """Multiset overlap of the content tokens: 2 * |common| / (|a| + |b|).
+    A word repeated on one side counts only as often as it appears on both.
+    Both sides empty scores 1.0, exactly one side empty 0.0."""
     na, nb = len(pa.content.tokens), len(pb.content.tokens)
     if na == 0 and nb == 0:
         return 1.0
@@ -377,18 +308,28 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
 
 
 def _cmp_ratio(pa, pb, ctx, chain) -> float:
-    return _base_ratio(pa, pb, ctx, chain)
+    """The pair's ratio at the chain's granularity. Inside chain_evaluate it
+    is computed once per pair, cut short below the floor, and the synonym
+    tier reuses it; any other caller gets the exact value."""
+    rec = ctx._pair
+    if rec is None or rec.pa is not pa or rec.pb is not pb:
+        return _ratio_prepared(pa, pb, chain.granularity)
+    if rec.base is None:
+        rec.base = _ratio_prepared(pa, pb, chain.granularity, rec.floor)
+    return rec.base
 
 
 def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
-    best = _base_ratio(pa, pb, ctx, chain)
+    """Best ratio over the single-substitution synonym variants of a's
+    content tokens. The unchanged sentence is variant zero, so the score
+    is never below the ratio tier's."""
+    best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
     for variant in expand_variants(pa.content, ctx.lexicon, ctx.variant_cap)[1:]:
-        if chain.granularity == "tokens":
-            score = ratio(variant.tokens, pb.content.tokens).score
-        else:
-            score = ratio(" ".join(variant.tokens), pb.joined).score
+        score = _ratio_prepared(
+            PreparedSentence(pa.seq, variant), pb, chain.granularity
+        )
         if score > best:
             best = score
             if best >= 1.0:

@@ -51,9 +51,6 @@ class TokenSeq:
     def __iter__(self):
         return iter(self.tokens)
 
-    def joined(self) -> str:
-        return " ".join(self.tokens)
-
 
 def tokenize(sentence: str, fold: bool = True) -> TokenSeq:
     """Split a sentence into tokens.

@@ -176,15 +176,15 @@ class TestConfigValidation:
 class TestResolveConflict:
     def test_the_worked_scores(self):
         scores = {(1, 2): 0.70, (2, 2): 0.95}
-        assert resolve_conflict(1, 2, scores, lookahead=1) == 2
+        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=1) == 2
 
     def test_equal_scores_earlier_wins(self):
         scores = {(1, 2): 0.70, (2, 2): 0.70}
-        assert resolve_conflict(1, 2, scores, lookahead=1) == 1
+        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=1) == 1
 
     def test_lookahead_zero_returns_i(self):
         scores = {(1, 2): 0.1, (2, 2): 0.99}
-        assert resolve_conflict(1, 2, scores, lookahead=0) == 1
+        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=0) == 1
 
     def test_callable_lookup(self):
         assert resolve_conflict(0, 0, lambda i, j: [0.5, 0.9][i], lookahead=1) == 1

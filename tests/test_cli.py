@@ -402,6 +402,44 @@ class TestEnvConfig:
         code, _, _ = run(["stats", "--src", "x", "--tgt", "y"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("line,key", [
+        ("windw 7", "windw"),                  # a misspelt flag
+        ("stoplist nothere.txt", "stoplist"),  # a flag the file does not cover
+    ])
+    def test_unknown_key_exits_2(self, line, key, write_lines, tmp_path, capsys,
+                                 monkeypatch):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(f"window 7\n{line}\n", encoding="utf-8")
+        monkeypatch.setenv("BIFILTER_CONFIG", str(cfg))
+        src = write_lines("src.txt", GOOD_LINES)
+        code, _, err = run(["stats", "--src", str(src), "--tgt", str(src)], capsys)
+        assert code == 2
+        assert str(cfg) in err and key in err and "window" not in err
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("sub", ["filter", "align", "evaluate", "stats",
+                                     "eval-filter"])
+    def test_output_in_missing_directory_exits_1(self, sub, write_lines,
+                                                 tmp_path, capsys):
+        lines = write_lines("lines.txt", GOOD_LINES)
+        rep = tmp_path / "rep.tsv"
+        rep.write_text(f"{REPORT_HEADER}\n0\t0\t1.0000\t0\n", encoding="utf-8")
+        gold = write_lines("gold.tsv", ["0\t0\tgood"])
+        out = str(tmp_path / "nodir" / "out")
+        argv = {
+            "filter": ["--src", lines, "--tgt", lines, "--trans", lines,
+                       "--out-src", out, "--out-tgt", out, "--report", out],
+            "align": ["--doc-a", lines, "--doc-b", lines, "--out", out],
+            "evaluate": ["--cand", lines, "--ref", lines, "--report", out],
+            "stats": ["--src", lines, "--tgt", lines, "--report", out],
+            "eval-filter": ["--report", rep, "--gold", gold, "--out", out],
+        }[sub]
+        code, _, err = run([sub, *map(str, argv)], capsys)
+        assert code == 1
+        assert "error: cannot write" in err and out in err
+        assert "Traceback" not in err
+
 
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [

@@ -1,7 +1,7 @@
 import difflib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bifilter import similarity
@@ -11,14 +11,10 @@ from bifilter.similarity import (
     ChainContext,
     ComparatorChain,
     DEFAULT_CHAIN,
-    MatchingBlock,
     chain_evaluate,
     load_chain_file,
-    matching_blocks,
     ratio,
     register_comparator,
-    synonym_ratio,
-    token_overlap,
 )
 from bifilter.textnorm import StopList, SynonymLexicon, tokenize
 
@@ -28,43 +24,24 @@ THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1.0]) | st.fl
 
 
 class TestMatchingBlocks:
-    def test_abxcd(self):
-        assert matching_blocks("abxcd", "abcd") == [
-            MatchingBlock(0, 0, 2),
-            MatchingBlock(3, 2, 2),
-        ]
-
-    def test_identical(self):
-        assert matching_blocks("same", "same") == [MatchingBlock(0, 0, 4)]
-
-    def test_disjoint(self):
-        assert matching_blocks("abc", "xyz") == []
+    """The matched count behind ratio: the block decomposition of the two
+    sequences in canonical order."""
 
     def test_token_sequences(self):
-        a = tokenize("the cat sat")
-        b = tokenize("the cat ran")
-        assert matching_blocks(a, b) == [MatchingBlock(0, 0, 2)]
-
-    @given(short_text, short_text)
-    def test_blocks_monotone_and_disjoint(self, a, b):
-        blocks = matching_blocks(a, b)
-        prev_a = prev_b = 0
-        for ia, ib, size in blocks:
-            assert size >= 1
-            assert ia >= prev_a and ib >= prev_b
-            assert a[ia:ia + size] == b[ib:ib + size]
-            prev_a, prev_b = ia + size, ib + size
+        a = tokenize("the cat sat").tokens
+        b = tokenize("the cat ran").tokens
+        assert ratio(a, b).matches == 2
 
     @given(short_text, short_text)
     def test_m_matches_independent_leftmost_recursion(self, a, b):
-        mine = sum(bl.length for bl in matching_blocks(a, b))
-        assert mine == oracles.leftmost_longest_m(a, b)
+        lo, hi = sorted((a, b))
+        assert ratio(a, b).matches == oracles.leftmost_longest_m(lo, hi)
 
     @given(short_text, short_text)
     @settings(max_examples=60)
     def test_m_reachable_by_some_longest_first_recursion(self, a, b):
-        mine = sum(bl.length for bl in matching_blocks(a, b))
-        reachable = oracles.tie_choice_m_set(a, b)
+        mine = ratio(a, b).matches
+        reachable = oracles.tie_choice_m_set(*sorted((a, b)))
         assert mine in reachable
         assert mine <= max(reachable)
 
@@ -111,70 +88,90 @@ class TestRatio:
         assert ratio(a, b).score == want
 
 
+def comparator(name, a, b, stoplist=(), lexicon=None, granularity="chars"):
+    """The registered comparator name on two sentences, outside the chain."""
+    ctx = ChainContext(stoplist=StopList.from_words(stoplist),
+                       lexicon=lexicon or SynonymLexicon())
+    chain = ComparatorChain(tiers=((name, 0.5),), granularity=granularity)
+    return COMPARATORS[name](ctx.prepare(a), ctx.prepare(b), ctx, chain)
+
+
+def units(text, granularity):
+    tokens = tokenize(text).tokens
+    return " ".join(tokens) if granularity == "chars" else tokens
+
+
 class TestTokenOverlap:
-    STOP = StopList.from_words(["it", "is", "this"])
+    STOP = ["it", "is", "this"]
 
     def test_origami(self):
-        a = tokenize("It is origami.")
-        b = tokenize("This is origami.")
-        assert token_overlap(a, b, self.STOP) == 1.0
+        assert comparator("overlap", "It is origami.", "This is origami.",
+                          self.STOP) == 1.0
 
     def test_disjoint_content(self):
-        a = tokenize("red fox")
-        b = tokenize("blue whale")
-        assert token_overlap(a, b, self.STOP) == 0.0
+        assert comparator("overlap", "red fox", "blue whale", self.STOP) == 0.0
 
     def test_partial(self):
-        a = tokenize("a b c")
-        b = tokenize("a b")
-        assert token_overlap(a, b, StopList.from_words([])) == pytest.approx(0.8)
+        assert comparator("overlap", "a b c", "a b") == pytest.approx(0.8)
 
     def test_multiset_counts_repeats(self):
-        empty = StopList.from_words([])
-        a = tokenize("go go go")
-        b = tokenize("go stop")
         # one "go" on the small side, not three
-        assert token_overlap(a, b, empty) == pytest.approx(2 * 1 / 5)
+        assert comparator("overlap", "go go go", "go stop") == pytest.approx(2 * 1 / 5)
 
     def test_both_sides_empty_after_filtering(self):
-        a = tokenize("it is")
-        b = tokenize("this is")
-        assert token_overlap(a, b, self.STOP) == 1.0
+        assert comparator("overlap", "it is", "this is", self.STOP) == 1.0
 
     def test_one_side_empty_after_filtering(self):
-        a = tokenize("it is")
-        b = tokenize("whale")
-        assert token_overlap(a, b, self.STOP) == 0.0
+        assert comparator("overlap", "it is", "whale", self.STOP) == 0.0
 
 
 class TestSynonymRatio:
     def test_will_would(self):
         lex = SynonymLexicon()
         lex.add("will", ["would"])
-        a = tokenize("i will call you tomorrow")
-        b = tokenize("i would call you tomorrow")
-        assert synonym_ratio(a, b, lex) == 1.0
+        got = comparator("synonym_ratio", "i will call you tomorrow",
+                         "i would call you tomorrow", lexicon=lex)
+        assert got == 1.0
 
     def test_empty_lexicon_equals_ratio(self):
-        a = tokenize("i will call you")
-        b = tokenize("i would call you")
-        assert synonym_ratio(a, b, SynonymLexicon()) == ratio(a.joined(), b.joined()).score
+        a, b = "i will call you", "i would call you"
+        want = ratio(units(a, "chars"), units(b, "chars")).score
+        assert comparator("synonym_ratio", a, b) == want
 
     def test_game_sport(self):
         lex = SynonymLexicon()
         lex.add("game", ["play", "sport", "fun", "gaming", "action", "skittle"])
-        a = tokenize("i do not like game")
-        b = tokenize("i do not like sport")
-        assert synonym_ratio(a, b, lex) == 1.0
+        got = comparator("synonym_ratio", "i do not like game",
+                         "i do not like sport", lexicon=lex)
+        assert got == 1.0
 
     @given(st.lists(st.sampled_from(["game", "like", "cat", "dog"]), max_size=6),
-           st.lists(st.sampled_from(["sport", "like", "cat", "fish"]), max_size=6))
-    def test_never_below_plain_ratio(self, aw, bw):
+           st.lists(st.sampled_from(["sport", "like", "cat", "fish"]), max_size=6),
+           st.sampled_from(["chars", "tokens"]))
+    def test_never_below_plain_ratio(self, aw, bw, granularity):
         lex = SynonymLexicon()
         lex.add("game", ["sport", "play"])
-        a = tokenize(" ".join(aw))
-        b = tokenize(" ".join(bw))
-        assert synonym_ratio(a, b, lex) >= ratio(a.joined(), b.joined()).score
+        a, b = " ".join(aw), " ".join(bw)
+        want = ratio(units(a, granularity), units(b, granularity)).score
+        got = comparator("synonym_ratio", a, b, lexicon=lex, granularity=granularity)
+        assert got >= want
+
+
+class TestRatioComparator:
+    # short words over a two-letter alphabet make block ties, where the
+    # canonical argument order decides the matched count
+    SENTENCE = st.lists(st.sampled_from(WORDS) | st.text("ab", min_size=1, max_size=3),
+                        max_size=8).map(" ".join)
+
+    @given(SENTENCE, SENTENCE, st.sampled_from(["chars", "tokens"]))
+    @example("cat sat cat", "aa cat cat", "chars")  # 7 matches as given, 8 sorted
+    @settings(max_examples=300)
+    def test_equals_ratio_of_the_units(self, a, b, granularity):
+        stop = ["the", "a"]
+        content = [" ".join(w for w in t.split() if w not in stop) for t in (a, b)]
+        want = ratio(*(units(t, granularity) for t in content)).score
+        got = comparator("ratio", a, b, stop, granularity=granularity)
+        assert got == want
 
 
 def counting_comparator(scores):
