@@ -42,9 +42,9 @@ TARGET = [
 
 def main() -> None:
     bitext = Bitext(
-        source=Corpus(tuple(SOURCE), "pl"),
-        target=Corpus(tuple(TARGET), "en"),
-        trans=Corpus(tuple(TRANS), "en"),
+        source=Corpus(tuple(SOURCE)),
+        target=Corpus(tuple(TARGET)),
+        trans=Corpus(tuple(TRANS)),
     )
 
     before = vocab_stats(bitext)
@@ -66,8 +66,8 @@ def main() -> None:
     print("dropped target lines:", list(result.dropped_tgt))
 
     kept = Bitext(
-        source=Corpus(tuple(SOURCE[i] for i, *_ in result.accepted), "pl"),
-        target=Corpus(tuple(TARGET[j] for _, j, *_ in result.accepted), "en"),
+        source=Corpus(tuple(SOURCE[i] for i, *_ in result.accepted)),
+        target=Corpus(tuple(TARGET[j] for _, j, *_ in result.accepted)),
     )
     after = vocab_stats(kept)
     print(f"\nafter: {after.sentence_pairs} pairs, "

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -69,17 +68,23 @@ def _env_config() -> dict[str, str]:
 
 
 def _cast_like(builtin, raw: str, key: str):
+    where = f"{os.environ['BIFILTER_CONFIG']}: value for {key!r}"
+    if isinstance(builtin, bool):
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(
+            f"{where} is not a boolean (1/true/yes/on or 0/false/no/off): {raw!r}"
+        )
     try:
-        if isinstance(builtin, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
         if isinstance(builtin, int):
             return int(raw)
         if isinstance(builtin, float):
             return float(raw)
     except ValueError:
-        raise ConfigError(
-            f"BIFILTER_CONFIG value for {key!r} is not a number: {raw!r}"
-        ) from None
+        raise ConfigError(f"{where} is not a number: {raw!r}") from None
     return raw
 
 
@@ -138,19 +143,6 @@ def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
     write_text(f"{report_path}.manifest.json", _json(manifest), "manifest")
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _check_jobs(jobs: int) -> int:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _load_context(args) -> ChainContext:
     if getattr(args, "stoplist", None):
         stoplist = StopList.load(args.stoplist)
@@ -167,7 +159,6 @@ def _load_context(args) -> ChainContext:
 
 def cmd_filter(args) -> int:
     started = time.monotonic()
-    jobs = _check_jobs(args.jobs)
     chain = load_chain_file(args.chain) if args.chain else DEFAULT_CHAIN
     if args.provider_file and args.provider_cmd:
         raise ConfigError("give either --provider-file or --provider-cmd, not both")
@@ -182,17 +173,13 @@ def cmd_filter(args) -> int:
         raise ConfigError(
             "no translation layer: give --trans, --provider-file, or --provider-cmd"
         )
-    context = _load_context(args)
-    if jobs > 1:
-        lines = sorted(set(bitext.trans.lines) | set(bitext.target.lines))
-        _parallel_map(context.prepare, lines, jobs)
     cfg = FilterConfig(
         chain=chain,
         window=args.window,
         lookahead=args.lookahead,
         allow_reuse=args.allow_reuse,
         displacement_rounds=args.displacement_rounds,
-        context=context,
+        context=_load_context(args),
     )
     result = align_filter(bitext, cfg)
     write_bitext(result, bitext, args.out_src, args.out_tgt, args.report)
@@ -212,7 +199,6 @@ def cmd_filter(args) -> int:
 
 def cmd_align(args) -> int:
     started = time.monotonic()
-    jobs = _check_jobs(args.jobs)
     cfg = AlignConfig(gap_penalty=args.gap, threshold=args.threshold,
                       engine=args.engine)
     doc_a = list(load_corpus(args.doc_a).lines)
@@ -221,20 +207,7 @@ def cmd_align(args) -> int:
         scorer = lexicon_scorer(load_dictionary(args.dict))
     else:
         scorer = equality_scorer
-    if jobs > 1 and cfg.engine == "dp":
-        # The DP engine scores the full grid anyway, so that work can fan
-        # out; the A* engine stays lazy by design.
-        rows = _parallel_map(
-            lambda a: [scorer(a, b) for b in doc_b], doc_a, jobs
-        )
-        memo = {}
-        for a, row in zip(doc_a, rows):
-            for b, value in zip(doc_b, row):
-                memo[(a, b)] = value
-        run_scorer = lambda a, b: memo[(a, b)]
-    else:
-        run_scorer = scorer
-    alignment = align_documents(doc_a, doc_b, run_scorer, cfg)
+    alignment = align_documents(doc_a, doc_b, scorer, cfg)
     kept = threshold_filter(alignment, cfg.threshold)
     lines = [PAIRS_HEADER]
     lines += [f"{i}\t{j}\t{s:.4f}" for i, j, s in kept]
@@ -248,7 +221,6 @@ def cmd_align(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
-    _check_jobs(args.jobs)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ConfigError("--metrics selected nothing")
@@ -368,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-src", required=True, help="cleaned source output")
     p.add_argument("--out-tgt", required=True, help="cleaned target output")
     p.add_argument("--report", required=True, help="accepted-pairs TSV output")
-    p.add_argument("--jobs", type=int, default=d.get("jobs", 1),
-                   help="worker threads for pair scoring")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("align", formatter_class=fmt,
@@ -386,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("dp", "astar"),
                    default=d.get("engine", "dp"), help="search engine")
     p.add_argument("--out", required=True, help="pairs TSV output")
-    p.add_argument("--jobs", type=int, default=d.get("jobs", 1),
-                   help="worker threads for pair scoring")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("evaluate", formatter_class=fmt,
@@ -407,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synonyms", default=None,
                    help="synonym lexicon file for the synonym matching pass")
     p.add_argument("--report", required=True, help="metric report JSON output")
-    p.add_argument("--jobs", type=int, default=d.get("jobs", 1),
-                   help="accepted and ignored; evaluate runs sequentially")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", formatter_class=fmt,

@@ -40,7 +40,6 @@ class Corpus:
     """Ordered sentence lines; lines[i] corresponds to file line i+1."""
 
     lines: tuple[str, ...]
-    lang: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
@@ -76,9 +75,9 @@ class VocabStats:
     target_vocab: int
 
 
-def load_corpus(path: str | Path, lang: str = "") -> Corpus:
+def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file; interior empty lines survive as empty strings."""
-    return Corpus(lines=tuple(read_lines(path, "corpus")), lang=lang)
+    return Corpus(lines=tuple(read_lines(path, "corpus")))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -96,16 +95,14 @@ def load_bitext(
     src: str | Path,
     tgt: str | Path,
     trans: str | Path | None = None,
-    src_lang: str = "",
-    tgt_lang: str = "",
 ) -> Bitext:
     """Assemble a bitext from corpus files. No alignment between source and
     target is assumed; a translation file must match the source line count."""
-    source = load_corpus(src, src_lang)
-    target = load_corpus(tgt, tgt_lang)
+    source = load_corpus(src)
+    target = load_corpus(tgt)
     trans_corpus = None
     if trans is not None:
-        trans_corpus = load_corpus(trans, tgt_lang)
+        trans_corpus = load_corpus(trans)
         if len(trans_corpus.lines) != len(source.lines):
             raise DataError(
                 f"{trans}: {len(trans_corpus.lines)} lines, but source {src} "
@@ -219,11 +216,10 @@ def ensure_translations(
                     f"provider returned an empty translation for source line {i + 1}"
                 )
             trans_lines[i] = line
-    lang = bitext.trans.lang if bitext.trans is not None else bitext.target.lang
     return Bitext(
         source=bitext.source,
         target=bitext.target,
-        trans=Corpus(lines=tuple(trans_lines), lang=lang),
+        trans=Corpus(lines=tuple(trans_lines)),
     )
 
 
@@ -291,12 +287,6 @@ def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
                 f"accepted pair ({src_idx}, {tgt_idx}) is outside the "
                 f"{n_src}x{n_tgt} corpus bounds"
             )
-    save_corpus(
-        Corpus(tuple(bitext.source.lines[r[0]] for r in rows), bitext.source.lang),
-        out_src,
-    )
-    save_corpus(
-        Corpus(tuple(bitext.target.lines[r[1]] for r in rows), bitext.target.lang),
-        out_tgt,
-    )
+    save_corpus(Corpus(tuple(bitext.source.lines[r[0]] for r in rows)), out_src)
+    save_corpus(Corpus(tuple(bitext.target.lines[r[1]] for r in rows)), out_tgt)
     write_filter_report(rows, report)

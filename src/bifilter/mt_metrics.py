@@ -430,6 +430,11 @@ def _meteor_breakdown(
 ) -> MeteorBreakdown:
     """The METEOR formula over match, chunk and token counts; all zero when
     nothing matches."""
+    if penalty_exponent < 0:
+        # A negative exponent can lift the penalty above 1 and the score below 0.
+        raise ConfigError(
+            f"METEOR penalty exponent must be >= 0, got {penalty_exponent}"
+        )
     if matches == 0:
         return MeteorBreakdown(
             matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0

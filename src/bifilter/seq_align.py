@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ._records import read_records
 from .errors import ConfigError, DataError
 from .similarity import ChainContext, ComparatorChain, chain_evaluate
-from .textnorm import StopList, remove_stopwords, tokenize
+from .textnorm import is_punct_token, tokenize
 
 __all__ = [
     "PairScorer",
@@ -138,23 +138,16 @@ def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
     return table
 
 
-def lexicon_scorer(
-    dictionary: dict[str, dict[str, float]],
-    src_stoplist: Optional[StopList] = None,
-    tgt_stoplist: Optional[StopList] = None,
-) -> PairScorer:
-    """Scorer averaging, over the source content tokens, each token's best
-    translation probability into the target token set. No source content
-    tokens scores 0.0."""
-    empty = StopList(frozenset())
-    src_stop = src_stoplist if src_stoplist is not None else empty
-    tgt_stop = tgt_stoplist if tgt_stoplist is not None else empty
+def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
+    """Scorer averaging, over the source's non-punctuation tokens, each
+    token's best translation probability into the target's non-punctuation
+    token set. A source with no such tokens scores 0.0."""
 
     def score(a: str, b: str) -> float:
-        a_toks = remove_stopwords(tokenize(a), src_stop).tokens
+        a_toks = [t for t in tokenize(a).tokens if not is_punct_token(t)]
         if not a_toks:
             return 0.0
-        b_toks = set(remove_stopwords(tokenize(b), tgt_stop).tokens)
+        b_toks = {t for t in tokenize(b).tokens if not is_punct_token(t)}
         total = 0.0
         for tok in a_toks:
             row = dictionary.get(tok)

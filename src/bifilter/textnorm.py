@@ -1,8 +1,8 @@
 """Text normalization: tokenization, stopword removal, suffix stemming,
 and synonym-lexicon variant expansion.
 
-Everything here is pure and immutable after construction, so values can be
-shared freely between workers.
+The functions are pure. TokenSeq, StopList and Stemmer are immutable;
+a SynonymLexicon grows through add() while it is being built.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class StopList:
     """Case-insensitive stopword set; words are folded at load time."""
 
     words: frozenset[str]
-    lang: str = ""
 
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.words
@@ -93,14 +92,13 @@ class StopList:
         return len(self.words)
 
     @classmethod
-    def from_words(cls, words, lang: str = "") -> "StopList":
-        return cls(words=frozenset(w.lower() for w in words), lang=lang)
+    def from_words(cls, words) -> "StopList":
+        return cls(words=frozenset(w.lower() for w in words))
 
     @classmethod
-    def load(cls, path: str | Path, lang: str = "") -> "StopList":
+    def load(cls, path: str | Path) -> "StopList":
         """Load a stoplist file: one word per line, '#' starts a comment."""
-        words = [line for _, line in read_records(path, "stoplist")]
-        return cls.from_words(words, lang=lang)
+        return cls.from_words(line for _, line in read_records(path, "stoplist"))
 
 
 def default_stoplist(lang: str) -> StopList:
@@ -113,9 +111,9 @@ def default_stoplist(lang: str) -> StopList:
     pkg_files = resources.files("bifilter").joinpath("data")
     candidate = pkg_files.joinpath(name)
     if not candidate.is_file():
-        return StopList(words=frozenset(), lang=lang)
+        return StopList(words=frozenset())
     with resources.as_file(candidate) as path:
-        return StopList.load(path, lang=lang)
+        return StopList.load(path)
 
 
 def remove_stopwords(seq: TokenSeq, stoplist: StopList) -> TokenSeq:

@@ -5,9 +5,15 @@ One test per criterion; each prints a single summary line (visible with
 use the deterministic generator in synthcorpus.py.
 """
 
+import contextlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -56,9 +62,9 @@ def synth():
 @pytest.fixture(scope="module")
 def synth_bitext(synth):
     return Bitext(
-        source=Corpus(synth.source, "pl"),
-        target=Corpus(synth.target, "en"),
-        trans=Corpus(synth.trans, "en"),
+        source=Corpus(synth.source),
+        target=Corpus(synth.target),
+        trans=Corpus(synth.trans),
     )
 
 
@@ -271,7 +277,27 @@ def test_criterion_6_monotonicity(synth, synth_bitext):
            f"{nest_bad} nesting violations in 50 random alignments")
 
 
-def test_criterion_7_jobs_determinism(synth, tmp_path):
+def test_criterion_7_cross_process_determinism(synth, tmp_path):
+    """filter and align write the same bytes in this process and in child
+    processes whose string hashing is seeded differently."""
+    package_root = Path(__file__).resolve().parents[1] / "src"
+    runs = (0, 1, 2)
+
+    def run_cli(run, argv, outputs):
+        # run 0 is in process; runs 1 and 2 are children of this tree's
+        # package under PYTHONHASHSEED=run.
+        if run == 0:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        else:
+            env = dict(os.environ, PYTHONHASHSEED=str(run), PYTHONPATH=str(package_root))
+            proc = subprocess.run(
+                [sys.executable, "-m", "bifilter.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        return tuple(p.read_bytes() for p in outputs)
+
     src = tmp_path / "src.txt"
     tgt = tmp_path / "tgt.txt"
     trn = tmp_path / "trans.txt"
@@ -279,21 +305,18 @@ def test_criterion_7_jobs_determinism(synth, tmp_path):
     tgt.write_text("".join(l + "\n" for l in synth.target), encoding="utf-8")
     trn.write_text("".join(l + "\n" for l in synth.trans), encoding="utf-8")
 
-    filter_outs = {}
-    for jobs in (1, 8):
-        o_src = tmp_path / f"out{jobs}.src"
-        o_tgt = tmp_path / f"out{jobs}.tgt"
-        rep = tmp_path / f"rep{jobs}.tsv"
-        code = main([
+    filter_outs = set()
+    for run in runs:
+        o_src = tmp_path / f"out{run}.src"
+        o_tgt = tmp_path / f"out{run}.tgt"
+        rep = tmp_path / f"rep{run}.tsv"
+        filter_outs.add(run_cli(run, [
             "filter", "--src", str(src), "--tgt", str(tgt), "--trans", str(trn),
-            "--window", "10", "--jobs", str(jobs),
+            "--window", "10",
             "--out-src", str(o_src), "--out-tgt", str(o_tgt),
             "--report", str(rep),
-        ])
-        assert code == 0
-        filter_outs[jobs] = (o_src.read_bytes(), o_tgt.read_bytes(),
-                             rep.read_bytes())
-    filter_ok = filter_outs[1] == filter_outs[8]
+        ], [o_src, o_tgt, rep]))
+    filter_ok = len(filter_outs) == 1
 
     doc_a = tmp_path / "doc_a.txt"
     doc_b = tmp_path / "doc_b.txt"
@@ -301,17 +324,16 @@ def test_criterion_7_jobs_determinism(synth, tmp_path):
     slice_b = synth.target[:150]
     doc_a.write_text("".join(l + "\n" for l in slice_a), encoding="utf-8")
     doc_b.write_text("".join(l + "\n" for l in slice_b), encoding="utf-8")
-    align_outs = {}
-    for jobs in (1, 8):
-        out = tmp_path / f"pairs{jobs}.tsv"
-        code = main([
+    align_outs = set()
+    for run in runs:
+        out = tmp_path / f"pairs{run}.tsv"
+        align_outs.add(run_cli(run, [
             "align", "--doc-a", str(doc_a), "--doc-b", str(doc_b),
-            "--jobs", str(jobs), "--out", str(out),
-        ])
-        assert code == 0
-        align_outs[jobs] = out.read_bytes()
-    align_ok = align_outs[1] == align_outs[8]
+            "--out", str(out),
+        ], [out]))
+    align_ok = len(align_outs) == 1
 
     report(7, filter_ok and align_ok,
+           f"in process and under PYTHONHASHSEED 1 and 2: "
            f"filter outputs byte-identical: {filter_ok}, "
            f"align outputs byte-identical: {align_ok}")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bifilter.cli import main
+from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
 
 GOOD_LINES = [
@@ -123,6 +123,21 @@ class TestFilterCommand:
         ], capsys)
         assert code == 2
         assert err.startswith(f"error: {chain}: invalid UTF-8 at byte offset 20 (line 2)")
+
+    def test_jobs_flag_is_gone(self, write_lines, tmp_path, capsys):
+        paths = self.files(write_lines, trans=GOOD_LINES)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "filter",
+                "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+                "--trans", str(paths["trans"]), "--jobs", "2",
+                "--out-src", str(tmp_path / "o.src"),
+                "--out-tgt", str(tmp_path / "o.tgt"),
+                "--report", str(tmp_path / "rep.tsv"),
+            ])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "rep.tsv").exists()
 
     def test_both_providers_rejected(self, write_lines, tmp_path, capsys):
         paths = self.files(write_lines)
@@ -253,6 +268,19 @@ class TestEvaluateCommand:
         assert code == 2
         assert "rouge" in err
 
+    def test_negative_meteor_penalty_exponent_exits_2(self, write_lines, tmp_path,
+                                                       capsys):
+        cand = write_lines("cand.txt", ["the cat sat down"])
+        ref = write_lines("ref.txt", ["the cat sat here"])
+        rep = tmp_path / "r.json"
+        code, out, err = run([
+            "evaluate", "--cand", str(cand), "--ref", str(ref),
+            "--meteor-penalty-exponent", "-1", "--report", str(rep),
+        ], capsys)
+        assert code == 2
+        assert "exponent" in err and out == ""
+        assert not rep.exists()
+
     def test_line_count_mismatch_exits_1(self, write_lines, tmp_path, capsys):
         cand = write_lines("cand.txt", ["a", "b"])
         ref = write_lines("ref.txt", ["a"])
@@ -360,7 +388,7 @@ class TestEvalFilterCommand:
 class TestEnvConfig:
     def test_env_file_changes_defaults(self, write_lines, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("window 7\njobs 2\n", encoding="utf-8")
+        cfg.write_text("window 7\nlookahead 2\n", encoding="utf-8")
         monkeypatch.setenv("BIFILTER_CONFIG", str(cfg))
         trans = write_lines("trans.txt", GOOD_LINES)
         src = write_lines("src.txt", [f"z {i}" for i in range(4)])
@@ -376,7 +404,7 @@ class TestEnvConfig:
         assert code == 0
         manifest = json.loads((tmp_path / "rep.tsv.manifest.json").read_text())
         assert manifest["config"]["window"] == 7
-        assert manifest["config"]["jobs"] == 2
+        assert manifest["config"]["lookahead"] == 2
 
     def test_explicit_flag_beats_env(self, write_lines, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "defaults.cfg"
@@ -405,6 +433,7 @@ class TestEnvConfig:
     @pytest.mark.parametrize("line,key", [
         ("windw 7", "windw"),                  # a misspelt flag
         ("stoplist nothere.txt", "stoplist"),  # a flag the file does not cover
+        ("jobs 2", "jobs"),                    # a flag that no longer exists
     ])
     def test_unknown_key_exits_2(self, line, key, write_lines, tmp_path, capsys,
                                  monkeypatch):
@@ -415,6 +444,31 @@ class TestEnvConfig:
         code, _, err = run(["stats", "--src", str(src), "--tgt", str(src)], capsys)
         assert code == 2
         assert str(cfg) in err and key in err and "window" not in err
+
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+    ])
+    def test_boolean_words(self, word, value, tmp_path, monkeypatch):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(f"allow_reuse {word}\n", encoding="utf-8")
+        monkeypatch.setenv("BIFILTER_CONFIG", str(cfg))
+        args = build_parser().parse_args([
+            "filter", "--src", "s", "--tgt", "t",
+            "--out-src", "a", "--out-tgt", "b", "--report", "r",
+        ])
+        assert args.allow_reuse is value
+
+    def test_mistyped_boolean_exits_2(self, write_lines, tmp_path, capsys,
+                                      monkeypatch):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("allow_reuse ture\n", encoding="utf-8")
+        monkeypatch.setenv("BIFILTER_CONFIG", str(cfg))
+        src = write_lines("src.txt", GOOD_LINES)
+        code, _, err = run(["stats", "--src", str(src), "--tgt", str(src)], capsys)
+        assert code == 2
+        assert str(cfg) in err and "allow_reuse" in err and "ture" in err
 
 
 class TestOutputErrors:
@@ -444,7 +498,7 @@ class TestOutputErrors:
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [
         ("filter", ["--window", "--lookahead", "--displacement-rounds",
-                    "--variant-cap", "--jobs", "--stoplist-lang"]),
+                    "--variant-cap", "--stoplist-lang"]),
         ("align", ["--gap", "--threshold", "--engine"]),
         ("evaluate", ["--bleu-order", "--nist-order",
                       "--meteor-penalty-exponent"]),

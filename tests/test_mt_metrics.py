@@ -293,6 +293,15 @@ class TestMeteor:
         want = 1.0 * (1 - 0.5 * (2 / 5) ** 3)
         assert got.score == pytest.approx(want, abs=1e-12)
 
+    def test_negative_penalty_exponent_rejected(self):
+        cand = "the cat sat down".split()
+        ref = "the cat sat here".split()
+        assert meteor(cand, ref, penalty_exponent=0).score >= 0.0
+        with pytest.raises(ConfigError, match="exponent"):
+            meteor(cand, ref, penalty_exponent=-1)
+        with pytest.raises(ConfigError, match="exponent"):
+            meteor_corpus([cand], [[ref]], penalty_exponent=-1)
+
     def test_corpus_level_pools_counts(self):
         cands = [["a", "b"], ["c"]]
         refs = [[["a", "b"]], [["z"]]]

@@ -39,7 +39,7 @@ class Loader(NamedTuple):
 
 LOADERS = [
     Loader("BIFILTER_CONFIG", _env_config, ConfigError,
-           ["window 7", "jobs 2  # inline comment", "engine astar"]),
+           ["window 7", "lookahead 2  # inline comment", "engine astar"]),
     Loader("chain.cfg", lambda p, _mp: load_chain_file(p), ConfigError,
            ["tier overlap 0.99", "tier ratio 0.9  # inline comment",
             "final_threshold 0.5"]),

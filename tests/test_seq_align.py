@@ -72,6 +72,15 @@ class TestScorers:
         scorer = lexicon_scorer(load_dictionary(p))
         assert scorer("kot pies", "cat dog") == pytest.approx(0.75)
 
+    def test_lexicon_ignores_punctuation(self, tmp_path):
+        p = tmp_path / "dict.tsv"
+        p.write_text("kot\tcat\t1.0\npies\t!\t1.0\n", encoding="utf-8")
+        scorer = lexicon_scorer(load_dictionary(p))
+        assert scorer("kot !", "cat") == 1.0
+        assert scorer("! ?", "cat") == 0.0
+        # a punctuation token on the target side is no translation either
+        assert scorer("pies", "dog !") == 0.0
+
     def test_dictionary_rejects_bad_probability(self, tmp_path):
         p = tmp_path / "dict.tsv"
         p.write_text("kot\tcat\t1.5\n", encoding="utf-8")
