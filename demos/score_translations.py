@@ -20,8 +20,8 @@ REFERENCES = [
 
 
 def main() -> None:
-    cands = [list(tokenize(c).tokens) for c in CANDIDATES]
-    refs = [[list(tokenize(r).tokens) for r in group] for group in REFERENCES]
+    cands = [tokenize(c) for c in CANDIDATES]
+    refs = [[tokenize(r) for r in group] for group in REFERENCES]
 
     report = metric_report(cands, refs)
     for name in ("bleu", "nist", "ter", "meteor"):

@@ -13,6 +13,7 @@ supplying flag defaults; explicit flags always win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -49,7 +50,13 @@ from .seq_align import (
     threshold_filter,
 )
 from .similarity import DEFAULT_CHAIN, ChainContext, load_chain_file
-from .textnorm import StopList, SynonymLexicon, default_stoplist, tokenize
+from .textnorm import (
+    StopList,
+    SynonymLexicon,
+    default_stoplist,
+    stoplist_langs,
+    tokenize,
+)
 
 PAIRS_HEADER = "i\tj\tlikelihood"
 
@@ -143,12 +150,26 @@ def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
     write_text(f"{report_path}.manifest.json", _json(manifest), "manifest")
 
 
+def _print_fields(record) -> dict:
+    """Print a dataclass record's fields as name<TAB>value lines, in field
+    order, and return them as a dict."""
+    fields = dataclasses.asdict(record)
+    for name, value in fields.items():
+        print(f"{name}\t{value}")
+    return fields
+
+
 def _load_context(args) -> ChainContext:
-    if getattr(args, "stoplist", None):
+    if args.stoplist:
         stoplist = StopList.load(args.stoplist)
-    else:
+    elif args.stoplist_lang.lower() in stoplist_langs():
         stoplist = default_stoplist(args.stoplist_lang)
-    if getattr(args, "synonyms", None):
+    else:
+        raise ConfigError(
+            f"--stoplist-lang {args.stoplist_lang!r}: no packaged stoplist "
+            f"(packaged: {', '.join(stoplist_langs())})"
+        )
+    if args.synonyms:
         lexicon = SynonymLexicon.load(args.synonyms)
     else:
         lexicon = SynonymLexicon()
@@ -162,6 +183,7 @@ def cmd_filter(args) -> int:
     chain = load_chain_file(args.chain) if args.chain else DEFAULT_CHAIN
     if args.provider_file and args.provider_cmd:
         raise ConfigError("give either --provider-file or --provider-cmd, not both")
+    context = _load_context(args)
     bitext = load_bitext(args.src, args.tgt, args.trans)
     if args.provider_file:
         bitext = ensure_translations(bitext, FileProvider(args.provider_file))
@@ -179,7 +201,7 @@ def cmd_filter(args) -> int:
         lookahead=args.lookahead,
         allow_reuse=args.allow_reuse,
         displacement_rounds=args.displacement_rounds,
-        context=_load_context(args),
+        context=context,
     )
     result = align_filter(bitext, cfg)
     write_bitext(result, bitext, args.out_src, args.out_tgt, args.report)
@@ -257,17 +279,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_stats(args) -> int:
     started = time.monotonic()
-    bitext = load_bitext(args.src, args.tgt)
-    stats = vocab_stats(bitext)
-    print(f"sentence_pairs\t{stats.sentence_pairs}")
-    print(f"source_vocab\t{stats.source_vocab}")
-    print(f"target_vocab\t{stats.target_vocab}")
+    payload = _print_fields(vocab_stats(load_bitext(args.src, args.tgt)))
     if args.report:
-        payload = {
-            "sentence_pairs": stats.sentence_pairs,
-            "source_vocab": stats.source_vocab,
-            "target_vocab": stats.target_vocab,
-        }
         write_text(args.report, _json(payload), "report")
         _write_manifest(args.report, "stats", args, [args.src, args.tgt], started)
     return 0
@@ -277,18 +290,8 @@ def cmd_eval_filter(args) -> int:
     started = time.monotonic()
     rows = load_filter_report(args.report)
     poor, good = load_gold_labels(args.gold)
-    quality = evaluate_filtering(rows, poor, good)
-    print(f"total\t{quality.total}")
-    print(f"poor_in_test\t{quality.poor_in_test}")
-    print(f"poor_filtered\t{quality.poor_filtered}")
-    print(f"good_filtered\t{quality.good_filtered}")
+    payload = _print_fields(evaluate_filtering(rows, poor, good))
     if args.out:
-        payload = {
-            "total": quality.total,
-            "poor_in_test": quality.poor_in_test,
-            "poor_filtered": quality.poor_filtered,
-            "good_filtered": quality.good_filtered,
-        }
         write_text(args.out, _json(payload), "report")
         _write_manifest(args.out, "eval-filter", args,
                         [args.report, args.gold], started)

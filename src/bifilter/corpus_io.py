@@ -234,7 +234,7 @@ def vocab_stats(bitext: Bitext) -> VocabStats:
     def vocab(corpus: Corpus) -> int:
         words: set[str] = set()
         for line in corpus.lines:
-            for tok in tokenize(line).tokens:
+            for tok in tokenize(line):
                 if not is_punct_token(tok):
                     words.add(tok)
         return len(words)

@@ -3,7 +3,7 @@
 Corpus BLEU with clipped pooled counts, NIST with information-weighted
 n-gram matches, TER with a greedy block-shift search, and METEOR with
 exact/stem/synonym matching passes. All functions are pure; token input is
-either a TokenSeq or a plain token sequence.
+any sequence of token strings, such as the tuples tokenize returns.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DataError
-from .textnorm import Stemmer, SynonymLexicon, TokenSeq, stem
+from .textnorm import SynonymLexicon, stem
 
 __all__ = [
     "BleuParams",
@@ -36,15 +36,11 @@ __all__ = [
 METRIC_NAMES = ("bleu", "nist", "ter", "meteor")
 
 
-def _tokens(x) -> tuple[str, ...]:
-    return x.tokens if isinstance(x, TokenSeq) else tuple(x)
-
-
 def ngram_counts(tokens, n: int) -> Counter:
     """Multiset of the contiguous n-token windows."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    toks = _tokens(tokens)
+    toks = tuple(tokens)
     return Counter(toks[i : i + n] for i in range(len(toks) - n + 1))
 
 
@@ -116,8 +112,8 @@ def brevity_penalty(c: int, r: int) -> float:
 
 
 def _normalize_corpus(cands, refs):
-    cand_toks = [_tokens(c) for c in cands]
-    ref_toks = [[_tokens(r) for r in group] for group in refs]
+    cand_toks = [tuple(c) for c in cands]
+    ref_toks = [[tuple(r) for r in group] for group in refs]
     if not cand_toks:
         raise DataError("empty candidate corpus")
     if len(cand_toks) != len(ref_toks):
@@ -300,8 +296,8 @@ def ter(cand, refs) -> TerBreakdown:
     shifts); the cheapest reference wins. score = edits / mean reference
     length.
     """
-    cand_t = _tokens(cand)
-    ref_ts = [_tokens(r) for r in refs]
+    cand_t = tuple(cand)
+    ref_ts = [tuple(r) for r in refs]
     if not ref_ts:
         raise DataError("ter needs at least one reference")
     best_edits = None
@@ -458,7 +454,6 @@ def meteor(
     ref,
     lexicon: Optional[SynonymLexicon] = None,
     penalty_exponent: int = 1,
-    stemmer: Optional[Stemmer] = None,
 ) -> MeteorBreakdown:
     """METEOR score of a candidate against a single reference.
 
@@ -468,15 +463,14 @@ def meteor(
     (10PR / (R + 9P)) * (1 - penalty) with penalty =
     0.5 * (chunks/matches)^penalty_exponent, and 0 when nothing matches.
     """
-    ct = _tokens(cand)
-    rt = _tokens(ref)
+    ct = tuple(cand)
+    rt = tuple(ref)
     lex = lexicon if lexicon is not None else SynonymLexicon()
-    stem_of = stemmer.stem if stemmer is not None else stem
     matched: list[tuple[int, int]] = []
 
     def relations():
         yield lambda a, b: a == b
-        yield lambda a, b: stem_of(a) == stem_of(b)
+        yield lambda a, b: stem(a) == stem(b)
         yield lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)
 
     for related in relations():
@@ -502,7 +496,6 @@ def meteor_corpus(
     refs,
     lexicon: Optional[SynonymLexicon] = None,
     penalty_exponent: int = 1,
-    stemmer: Optional[Stemmer] = None,
 ) -> MeteorBreakdown:
     """Corpus METEOR: match counts, token totals, and chunk counts pool
     over segments before the formula applies. Uses each segment's first
@@ -511,8 +504,7 @@ def meteor_corpus(
     m_u = chunks = cand_total = ref_total = 0
     for cand, group in zip(cand_toks, ref_toks):
         seg = meteor(
-            cand, group[0], lexicon=lexicon,
-            penalty_exponent=penalty_exponent, stemmer=stemmer,
+            cand, group[0], lexicon=lexicon, penalty_exponent=penalty_exponent
         )
         m_u += seg.matches
         chunks += seg.chunks

@@ -144,10 +144,10 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     token set. A source with no such tokens scores 0.0."""
 
     def score(a: str, b: str) -> float:
-        a_toks = [t for t in tokenize(a).tokens if not is_punct_token(t)]
+        a_toks = [t for t in tokenize(a) if not is_punct_token(t)]
         if not a_toks:
             return 0.0
-        b_toks = {t for t in tokenize(b).tokens if not is_punct_token(t)}
+        b_toks = {t for t in tokenize(b) if not is_punct_token(t)}
         total = 0.0
         for tok in a_toks:
             row = dictionary.get(tok)

@@ -22,7 +22,6 @@ from .errors import ConfigError
 from .textnorm import (
     StopList,
     SynonymLexicon,
-    TokenSeq,
     expand_variants,
     remove_stopwords,
     tokenize,
@@ -138,18 +137,18 @@ def ratio(a, b) -> RatioBreakdown:
 class PreparedSentence:
     """Per-sentence data the comparators reuse across many pair scorings.
 
-    Holds the folded token sequence, the stopword-filtered content tokens,
+    Holds the raw sentence text, its stopword-filtered content tokens,
     their space-joined string, a token Counter, and a lazily built
     character position index for block matching.
     """
 
-    __slots__ = ("seq", "content", "joined", "counts", "_b2j")
+    __slots__ = ("text", "tokens", "joined", "counts", "_b2j")
 
-    def __init__(self, seq: TokenSeq, content: TokenSeq):
-        self.seq = seq
-        self.content = content
-        self.joined = " ".join(content.tokens)
-        self.counts = Counter(content.tokens)
+    def __init__(self, text: str, tokens: tuple[str, ...]):
+        self.text = text
+        self.tokens = tokens
+        self.joined = " ".join(tokens)
+        self.counts = Counter(tokens)
         self._b2j = None
 
     def char_index(self) -> dict:
@@ -195,8 +194,9 @@ class ChainContext:
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
         if hit is None:
-            seq = tokenize(sentence)
-            hit = PreparedSentence(seq, remove_stopwords(seq, self.stoplist))
+            hit = PreparedSentence(
+                sentence, remove_stopwords(tokenize(sentence), self.stoplist)
+            )
             self._prepared[sentence] = hit
         return hit
 
@@ -287,7 +287,7 @@ def _ratio_prepared(
     if granularity == "chars":
         ua, ub = pa.joined, pb.joined
     else:
-        ua, ub = pa.content.tokens, pb.content.tokens
+        ua, ub = pa.tokens, pb.tokens
     if ub < ua:
         pa, pb, ua, ub = pb, pa, ub, ua
     b2j = pb.char_index() if granularity == "chars" else _build_index(ub)
@@ -298,7 +298,7 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
     """Multiset overlap of the content tokens: 2 * |common| / (|a| + |b|).
     A word repeated on one side counts only as often as it appears on both.
     Both sides empty scores 1.0, exactly one side empty 0.0."""
-    na, nb = len(pa.content.tokens), len(pb.content.tokens)
+    na, nb = len(pa.tokens), len(pb.tokens)
     if na == 0 and nb == 0:
         return 1.0
     if na == 0 or nb == 0:
@@ -322,14 +322,15 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
 def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     """Best ratio over the single-substitution synonym variants of a's
     content tokens. The unchanged sentence is variant zero, so the score
-    is never below the ratio tier's."""
+    is never below the ratio tier's; each other variant's units are scored
+    against b's with ratio."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
-    for variant in expand_variants(pa.content, ctx.lexicon, ctx.variant_cap)[1:]:
-        score = _ratio_prepared(
-            PreparedSentence(pa.seq, variant), pb, chain.granularity
-        )
+    chars = chain.granularity == "chars"
+    ub = pb.joined if chars else pb.tokens
+    for variant in expand_variants(pa.tokens, ctx.lexicon, ctx.variant_cap)[1:]:
+        score = ratio(" ".join(variant) if chars else variant, ub).score
         if score > best:
             best = score
             if best >= 1.0:

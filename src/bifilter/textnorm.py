@@ -1,8 +1,9 @@
 """Text normalization: tokenization, stopword removal, suffix stemming,
 and synonym-lexicon variant expansion.
 
-The functions are pure. TokenSeq, StopList and Stemmer are immutable;
-a SynonymLexicon grows through add() while it is being built.
+Tokens are plain tuples of case-folded strings. The functions are pure
+and a StopList is immutable; a SynonymLexicon grows through add() while
+it is being built.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from ._records import read_records
 from .errors import DataError
 
 __all__ = [
-    "TokenSeq",
     "StopList",
     "SynonymLexicon",
-    "Stemmer",
     "tokenize",
     "remove_stopwords",
     "expand_variants",
     "stem",
     "is_punct_token",
     "default_stoplist",
+    "stoplist_langs",
 ]
 
 
@@ -38,27 +38,11 @@ def is_punct_token(token: str) -> bool:
     return bool(token) and all(_is_punct_char(c) for c in token)
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """An ordered token sequence paired with the raw sentence it came from."""
-
-    tokens: tuple[str, ...]
-    original: str
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-
-def tokenize(sentence: str, fold: bool = True) -> TokenSeq:
-    """Split a sentence into tokens.
+def tokenize(sentence: str) -> tuple[str, ...]:
+    """Split a sentence into lowercased tokens.
 
     Splits on Unicode whitespace, then peels leading and trailing punctuation
-    characters off each token into separate single-character tokens. With
-    ``fold`` (the default, used for similarity scoring) tokens are lowercased;
-    pass ``fold=False`` to keep the original casing for output purposes.
+    characters off each token into separate single-character tokens.
     """
     out: list[str] = []
     for chunk in sentence.split():
@@ -74,9 +58,7 @@ def tokenize(sentence: str, fold: bool = True) -> TokenSeq:
         if chunk:
             out.append(chunk)
         out.extend(reversed(trail))
-    if fold:
-        out = [t.lower() for t in out]
-    return TokenSeq(tokens=tuple(out), original=sentence)
+    return tuple([t.lower() for t in out])
 
 
 @dataclass(frozen=True)
@@ -101,30 +83,39 @@ class StopList:
         return cls.from_words(line for _, line in read_records(path, "stoplist"))
 
 
+def _packaged_stoplists():
+    return resources.files("bifilter").joinpath("data")
+
+
+def stoplist_langs() -> tuple[str, ...]:
+    """Language tags of the stoplists shipped with the package, sorted."""
+    return tuple(sorted(
+        f.name[len("stopwords_"):-len(".txt")]
+        for f in _packaged_stoplists().iterdir()
+        if f.name.startswith("stopwords_") and f.name.endswith(".txt")
+    ))
+
+
 def default_stoplist(lang: str) -> StopList:
-    """Return the stoplist shipped with the package for 'en' or 'pl'.
+    """Return the stoplist shipped with the package for a tag of
+    stoplist_langs(), in any case.
 
     Unknown language tags get an empty stoplist rather than an error, so the
     pipeline degrades to no stopword removal for unsupported languages.
     """
-    name = f"stopwords_{lang.lower()}.txt"
-    pkg_files = resources.files("bifilter").joinpath("data")
-    candidate = pkg_files.joinpath(name)
+    candidate = _packaged_stoplists().joinpath(f"stopwords_{lang.lower()}.txt")
     if not candidate.is_file():
         return StopList(words=frozenset())
     with resources.as_file(candidate) as path:
         return StopList.load(path)
 
 
-def remove_stopwords(seq: TokenSeq, stoplist: StopList) -> TokenSeq:
+def remove_stopwords(tokens: tuple[str, ...], stoplist: StopList) -> tuple[str, ...]:
     """Drop stopwords and punctuation tokens, preserving order.
 
     Idempotent: the surviving tokens are never stopwords or punctuation.
     """
-    kept = tuple(
-        t for t in seq.tokens if t not in stoplist and not is_punct_token(t)
-    )
-    return TokenSeq(tokens=kept, original=seq.original)
+    return tuple([t for t in tokens if t not in stoplist and not is_punct_token(t)])
 
 
 class SynonymLexicon:
@@ -156,9 +147,6 @@ class SynonymLexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._entries
-
     @classmethod
     def load(cls, path: str | Path) -> "SynonymLexicon":
         """Load a lexicon file: ``word<TAB>syn1,syn2,...`` per line.
@@ -178,61 +166,38 @@ class SynonymLexicon:
 
 
 def expand_variants(
-    sentence: TokenSeq, lexicon: SynonymLexicon, cap: int = 64
-) -> list[TokenSeq]:
-    """Generate single-substitution synonym variants of a sentence.
+    tokens: tuple[str, ...], lexicon: SynonymLexicon, cap: int = 64
+) -> list[tuple[str, ...]]:
+    """Generate single-substitution synonym variants of a token tuple.
 
-    The original sequence always comes first. Each variant replaces exactly
+    The original tuple always comes first. Each variant replaces exactly
     one token with one of its synonyms; variants are ordered by token
-    position, then by the lexicon's synonym order. At most ``cap`` sequences
+    position, then by the lexicon's synonym order. At most ``cap`` tuples
     are returned (original included).
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    out = [sentence]
-    for pos, token in enumerate(sentence.tokens):
+    out = [tokens]
+    for pos, token in enumerate(tokens):
         for syn in lexicon.synonyms(token):
             if len(out) >= cap:
                 return out
-            variant = list(sentence.tokens)
-            variant[pos] = syn
-            out.append(TokenSeq(tokens=tuple(variant), original=" ".join(variant)))
+            out.append(tokens[:pos] + (syn,) + tokens[pos + 1:])
     return out
 
 
-_DEFAULT_SUFFIXES = ("ing", "es", "ed", "s")
-
-
-@dataclass(frozen=True)
-class Stemmer:
-    """Deterministic suffix-stripping stemmer.
-
-    Strips suffixes repeatedly (longest first) while the remaining stem keeps
-    at least ``min_stem`` characters, which makes stemming idempotent. The
-    suffix table is configurable per language; the default covers English
-    plural and verb endings.
-    """
-
-    suffixes: tuple[str, ...] = _DEFAULT_SUFFIXES
-    min_stem: int = 3
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.suffixes, key=len, reverse=True))
-        object.__setattr__(self, "suffixes", ordered)
-
-    def stem(self, token: str) -> str:
-        while True:
-            for suffix in self.suffixes:
-                if token.endswith(suffix) and len(token) - len(suffix) >= self.min_stem:
-                    token = token[: -len(suffix)]
-                    break
-            else:
-                return token
-
-
-_DEFAULT_STEMMER = Stemmer()
+# Longest first; stripping repeats while at least _MIN_STEM characters
+# remain, which makes stem idempotent.
+_SUFFIXES = ("ing", "es", "ed", "s")
+_MIN_STEM = 3
 
 
 def stem(token: str) -> str:
-    """Stem a case-folded token with the default English suffix table."""
-    return _DEFAULT_STEMMER.stem(token)
+    """Strip English plural and verb endings from a case-folded token."""
+    while True:
+        for suffix in _SUFFIXES:
+            if token.endswith(suffix) and len(token) - len(suffix) >= _MIN_STEM:
+                token = token[: -len(suffix)]
+                break
+        else:
+            return token

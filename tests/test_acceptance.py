@@ -106,7 +106,7 @@ SCORES = {
 
 def test_criterion_2_conflict_rule():
     def canned(pa, pb, ctx, chain):
-        return SCORES.get((pa.seq.original, pb.seq.original), 0.0)
+        return SCORES.get((pa.text, pb.text), 0.0)
 
     register_comparator("acceptance_canned", canned, replace=True)
     try:

@@ -46,7 +46,7 @@ def mock_chain():
     tables = {}
 
     def cmp(pa, pb, ctx, chain):
-        return tables["scores"].get((pa.seq.original, pb.seq.original), 0.0)
+        return tables["scores"].get((pa.text, pb.text), 0.0)
 
     register_comparator("canned", cmp, replace=True)
 
@@ -232,7 +232,7 @@ class TestStructuralInvariants:
         canned = dict(scores)
 
         def cmp(pa, pb, ctx, chain):
-            return canned.get((pa.seq.original, pb.seq.original), 0.0)
+            return canned.get((pa.text, pb.text), 0.0)
 
         register_comparator("prop_cmp", cmp, replace=True)
         try:

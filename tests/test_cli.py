@@ -124,6 +124,39 @@ class TestFilterCommand:
         assert code == 2
         assert err.startswith(f"error: {chain}: invalid UTF-8 at byte offset 20 (line 2)")
 
+    def test_unknown_stoplist_lang_exits_2(self, write_lines, tmp_path, capsys):
+        paths = self.files(write_lines, trans=GOOD_LINES)
+        code, _, err = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--trans", str(paths["trans"]), "--stoplist-lang", "enn",
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2
+        assert "'enn'" in err and "(packaged: en, pl)" in err
+        assert not (tmp_path / "rep.tsv").exists()
+
+    @pytest.mark.parametrize("lang,with_file", [
+        ("PL", False),  # tags match in any case
+        ("enn", True),  # --stoplist replaces the packaged list, the tag goes unused
+    ])
+    def test_usable_stoplist_runs(self, lang, with_file, write_lines, tmp_path, capsys):
+        paths = self.files(write_lines, trans=GOOD_LINES)
+        stoplist = []
+        if with_file:
+            stoplist = ["--stoplist", str(write_lines("stop.txt", ["the"]))]
+        code, _, _ = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--trans", str(paths["trans"]), "--stoplist-lang", lang, *stoplist,
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 0
+
     def test_jobs_flag_is_gone(self, write_lines, tmp_path, capsys):
         paths = self.files(write_lines, trans=GOOD_LINES)
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +478,22 @@ class TestEnvConfig:
         assert code == 2
         assert str(cfg) in err and key in err and "window" not in err
 
+
+    def test_unknown_stoplist_lang_exits_2(self, write_lines, tmp_path, capsys,
+                                           monkeypatch):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("stoplist-lang enn\n", encoding="utf-8")
+        monkeypatch.setenv("BIFILTER_CONFIG", str(cfg))
+        src = write_lines("src.txt", [f"z {i}" for i in range(4)])
+        tgt = write_lines("tgt.txt", GOOD_LINES)
+        code, _, err = run([
+            "filter", "--src", str(src), "--tgt", str(tgt), "--trans", str(tgt),
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2
+        assert "'enn'" in err and "(packaged: en, pl)" in err
 
     @pytest.mark.parametrize("word,value", [
         ("1", True), ("true", True), ("Yes", True), ("ON", True),

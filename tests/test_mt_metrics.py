@@ -18,7 +18,7 @@ from bifilter.mt_metrics import (
     ter,
     ter_corpus,
 )
-from bifilter.textnorm import Stemmer, SynonymLexicon
+from bifilter.textnorm import SynonymLexicon
 
 words = st.sampled_from(["the", "cat", "sat", "on", "mat", "dog", "ran"])
 segments = st.lists(words, min_size=1, max_size=8)
@@ -261,7 +261,7 @@ class TestMeteor:
             assert got.chunks == want_chunks
 
     def test_stem_pass_extends_matches(self):
-        got = meteor(["boys", "run"], ["boy", "walk"], stemmer=Stemmer())
+        got = meteor(["boys", "run"], ["boy", "walk"])
         assert got.matches == 1
 
     def test_synonym_pass_extends_matches(self):
@@ -275,7 +275,7 @@ class TestMeteor:
 
     def test_passes_do_not_steal_exact_matches(self):
         # "cat" matches exactly; the stem pass only adds "dogs"/"dog"
-        got = meteor(["cat", "dogs"], ["cat", "dog"], stemmer=Stemmer())
+        got = meteor(["cat", "dogs"], ["cat", "dog"])
         assert got.matches == 2
 
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=5))

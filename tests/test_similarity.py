@@ -16,7 +16,13 @@ from bifilter.similarity import (
     ratio,
     register_comparator,
 )
-from bifilter.textnorm import StopList, SynonymLexicon, tokenize
+from bifilter.textnorm import (
+    StopList,
+    SynonymLexicon,
+    expand_variants,
+    remove_stopwords,
+    tokenize,
+)
 
 short_text = st.text(alphabet="abc", max_size=6)
 WORDS = ["cat", "cats", "sat", "mat", "the", "a", "dog", "game", "sport", "play"]
@@ -28,8 +34,8 @@ class TestMatchingBlocks:
     sequences in canonical order."""
 
     def test_token_sequences(self):
-        a = tokenize("the cat sat").tokens
-        b = tokenize("the cat ran").tokens
+        a = tokenize("the cat sat")
+        b = tokenize("the cat ran")
         assert ratio(a, b).matches == 2
 
     @given(short_text, short_text)
@@ -88,16 +94,18 @@ class TestRatio:
         assert ratio(a, b).score == want
 
 
-def comparator(name, a, b, stoplist=(), lexicon=None, granularity="chars"):
+def comparator(name, a, b, stoplist=(), lexicon=None, granularity="chars",
+               variant_cap=64):
     """The registered comparator name on two sentences, outside the chain."""
     ctx = ChainContext(stoplist=StopList.from_words(stoplist),
-                       lexicon=lexicon or SynonymLexicon())
+                       lexicon=lexicon or SynonymLexicon(),
+                       variant_cap=variant_cap)
     chain = ComparatorChain(tiers=((name, 0.5),), granularity=granularity)
     return COMPARATORS[name](ctx.prepare(a), ctx.prepare(b), ctx, chain)
 
 
 def units(text, granularity):
-    tokens = tokenize(text).tokens
+    tokens = tokenize(text)
     return " ".join(tokens) if granularity == "chars" else tokens
 
 
@@ -156,6 +164,32 @@ class TestSynonymRatio:
         got = comparator("synonym_ratio", a, b, lexicon=lex, granularity=granularity)
         assert got >= want
 
+    @given(st.lists(st.sampled_from(["game", "cat", "like", "the", "sport"]),
+                    max_size=6).map(" ".join),
+           st.lists(st.sampled_from(["play", "sport", "fun", "dog", "like", "the"]),
+                    max_size=6).map(" ".join),
+           st.integers(min_value=1, max_value=4),
+           st.sampled_from(["chars", "tokens"]))
+    @example("game", "fun", 3, "chars")  # the third synonym lies past the cap
+    @example("cat like", "cat like", 1, "tokens")  # only variant zero scores 1.0
+    @settings(max_examples=300)
+    def test_best_ratio_over_the_variants(self, a, b, cap, granularity):
+        stop = ["the"]
+        lex = SynonymLexicon()
+        lex.add("game", ["play", "sport", "fun"])
+        lex.add("cat", ["dog"])
+
+        def content(text):
+            return remove_stopwords(tokenize(text), StopList.from_words(stop))
+
+        def units_of(tokens):
+            return " ".join(tokens) if granularity == "chars" else tokens
+
+        want = max(ratio(units_of(v), units_of(content(b))).score
+                   for v in expand_variants(content(a), lex, cap))
+        got = comparator("synonym_ratio", a, b, stop, lex, granularity, cap)
+        assert got == want
+
 
 class TestRatioComparator:
     # short words over a two-letter alphabet make block ties, where the
@@ -180,8 +214,8 @@ def counting_comparator(scores):
     calls = []
 
     def cmp(pa, pb, ctx, chain):
-        calls.append((pa.seq.original, pb.seq.original))
-        return scores[(pa.seq.original, pb.seq.original)]
+        calls.append((pa.text, pb.text))
+        return scores[(pa.text, pb.text)]
 
     return cmp, calls
 
