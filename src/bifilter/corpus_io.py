@@ -7,6 +7,8 @@ source side; translation providers fill in missing layer entries.
 
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,11 +143,17 @@ class FileProvider:
         return out
 
 
+# A batch whose command runs longer than this is taken to hang.
+_BATCH_TIMEOUT_S = 600.0
+
+
 class CommandProvider:
     """Provider that pipes batches of source lines through an external
     command's stdin and reads one translated line back per input line.
 
-    The command is a shell string run once per batch.
+    The command is a shell string run once per batch, in a session of its
+    own. A batch that has not finished after _BATCH_TIMEOUT_S seconds has
+    its whole process group killed and raises DataError.
     """
 
     def __init__(self, command: str, batch_size: int = 100):
@@ -156,26 +164,44 @@ class CommandProvider:
 
     def translate(self, lines: Sequence[str], indices: Sequence[int]) -> list[str]:
         out: list[str] = []
-        for start in range(0, len(lines), self.batch_size):
+        for number, start in enumerate(range(0, len(lines), self.batch_size), 1):
             batch = list(lines[start : start + self.batch_size])
-            proc = subprocess.run(
+            where = (
+                f"translation command, batch {number} (source lines "
+                f"{indices[start] + 1}-{indices[start + len(batch) - 1] + 1})"
+            )
+            proc = subprocess.Popen(
                 self.command,
                 shell=True,
-                input="".join(line + "\n" for line in batch),
-                capture_output=True,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
+                start_new_session=True,
             )
-            if proc.returncode != 0:
-                detail = proc.stderr.strip()
+            try:
+                stdout, stderr = proc.communicate(
+                    "".join(line + "\n" for line in batch), timeout=_BATCH_TIMEOUT_S
+                )
+            except subprocess.TimeoutExpired:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.communicate()
                 raise DataError(
-                    f"translation command exited with {proc.returncode}"
+                    f"{where}: no result after {_BATCH_TIMEOUT_S:g} s; killed"
+                ) from None
+            if proc.returncode != 0:
+                detail = stderr.strip()
+                raise DataError(
+                    f"{where}: exited with {proc.returncode}"
                     + (f": {detail}" if detail else "")
                 )
-            got = _split_lines(proc.stdout)
+            got = _split_lines(stdout)
             if len(got) != len(batch):
                 raise DataError(
-                    f"translation command returned {len(got)} lines "
-                    f"for a {len(batch)}-line batch"
+                    f"{where}: returned {len(got)} lines for {len(batch)}"
                 )
             out.extend(got)
         return out

@@ -72,42 +72,55 @@ def _longest_match(a, b2j, alo: int, ahi: int, blo: int, bhi: int):
     return besti, bestj, bestsize
 
 
-def _decompose(a, b2j, alen: int, blen: int, floor: float = 0.0):
+def _decompose(a, b2j, alen: int, blen: int):
     """Recursive longest-common-block decomposition of a[:alen] against the
     sequence indexed by b2j.
 
     The longest common block is taken (ties as in _longest_match), then the
     regions to its left and right are decomposed the same way. Returns
     (matches, score): the summed block lengths and
-    score = 2.0 * matches / (alen + blen), 1.0 when both are empty. A window
-    still on the stack can add at most min(its two widths) matches, so
-    2.0 * (matches + that sum) / total bounds the final score from above.
-    Once the bound falls below floor the loop stops and returns the matches
-    found so far with the bound as the score. It is tested with the same
-    float expression as the score, so an exact score equal to floor is
-    never cut short. floor 0 never stops.
+    score = 2.0 * matches / (alen + blen), 1.0 when both are empty.
     """
     t = alen + blen
     if t == 0:
         return 0, 1.0
     m = 0
-    rem = min(alen, blen)
     stack = [(0, alen, 0, blen)]
     while stack:
-        if 2.0 * (m + rem) / t < floor:
-            return m, 2.0 * (m + rem) / t
         alo, ahi, blo, bhi = stack.pop()
-        rem -= min(ahi - alo, bhi - blo)
         i, j, k = _longest_match(a, b2j, alo, ahi, blo, bhi)
         if k:
             m += k
             if alo < i and blo < j:
                 stack.append((alo, i, blo, j))
-                rem += min(i - alo, j - blo)
             if i + k < ahi and j + k < bhi:
                 stack.append((i + k, ahi, j + k, bhi))
-                rem += min(ahi - i - k, bhi - j - k)
     return m, 2.0 * m / t
+
+
+def _build_masks(b) -> dict:
+    """Per-symbol bitmasks of b: bit j of masks[x] is set when b[j] == x."""
+    masks: dict = {}
+    for j, elem in enumerate(b):
+        masks[elem] = masks.get(elem, 0) | (1 << j)
+    return masks
+
+
+def _lcs_length(masks: dict, n: int, a) -> int:
+    """Length of the longest common subsequence of a and the n-unit sequence
+    whose bitmasks are masks, computed word-parallel (Allison & Dix 1986;
+    Hyyrö 2004): V starts all ones, each unit x of a applies
+    u = V & masks[x]; V = ((V + u) | (V - u)) & full, and the LCS length is
+    the number of zero bits of V.
+    """
+    full = (1 << n) - 1
+    v = full
+    get = masks.get
+    for x in a:
+        u = v & get(x, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
 
 
 @dataclass(frozen=True)
@@ -138,29 +151,45 @@ class PreparedSentence:
     """Per-sentence data the comparators reuse across many pair scorings.
 
     Holds the raw sentence text, its stopword-filtered content tokens,
-    their space-joined string, a token Counter, and a lazily built
-    character position index for block matching.
+    their space-joined string and a token Counter. The ratio-family units
+    are the joined string (granularity "chars") or the tokens ("tokens");
+    their position index for block matching and their LCS bitmasks are
+    built on first use and cached per granularity.
     """
 
-    __slots__ = ("text", "tokens", "joined", "counts", "_b2j")
+    __slots__ = ("text", "tokens", "joined", "counts", "_tables")
 
     def __init__(self, text: str, tokens: tuple[str, ...]):
         self.text = text
         self.tokens = tokens
         self.joined = " ".join(tokens)
         self.counts = Counter(tokens)
-        self._b2j = None
+        self._tables: dict = {}
 
-    def char_index(self) -> dict:
-        if self._b2j is None:
-            self._b2j = _build_index(self.joined)
-        return self._b2j
+    def units(self, granularity: str):
+        return self.joined if granularity == "chars" else self.tokens
+
+    def index(self, granularity: str) -> dict:
+        """unit -> ascending positions, for _longest_match."""
+        return self._table(_build_index, granularity)
+
+    def masks(self, granularity: str) -> dict:
+        """unit -> bitmask of its positions, for _lcs_length."""
+        return self._table(_build_masks, granularity)
+
+    def _table(self, build, granularity: str) -> dict:
+        key = (build, granularity)
+        hit = self._tables.get(key)
+        if hit is None:
+            hit = self._tables[key] = build(self.units(granularity))
+        return hit
 
 
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
-    floor below which scores may be upper bounds, and the base ratio once a
-    comparator has computed it."""
+    floor below which the ratio-family scores may be LCS upper bounds
+    (0.0 for exact=True), and the base ratio once a comparator has
+    computed it."""
 
     __slots__ = ("pa", "pb", "floor", "base")
 
@@ -277,21 +306,46 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
     COMPARATORS[name] = fn
 
 
+def _lcs_gate(ua, pb: PreparedSentence, granularity: str, floor: float):
+    """The LCS upper bound 2.0 * LCS / total of ua against pb's units at the
+    granularity when it is below floor, else None.
+
+    The blocks of the decomposition form a common subsequence, so their
+    total is at most the LCS length and, with the score's own float
+    expression, the bound is never below the exact score: an exact score
+    equal to floor is never gated. floor 0 never gates.
+    """
+    if floor <= 0.0:
+        return None
+    ub = pb.units(granularity)
+    t = len(ua) + len(ub)
+    if t == 0:
+        return None
+    bound = 2.0 * _lcs_length(pb.masks(granularity), len(ub), ua) / t
+    return bound if bound < floor else None
+
+
 def _ratio_prepared(
     pa: PreparedSentence, pb: PreparedSentence, granularity: str, floor: float = 0.0
 ) -> float:
     """ratio of the two sentences' units at the granularity: the joined
     content string (chars) or the content tokens. The larger one in
-    canonical order is indexed: its cached char_index for chars, a fresh
-    index for tokens."""
-    if granularity == "chars":
-        ua, ub = pa.joined, pb.joined
-    else:
-        ua, ub = pa.tokens, pb.tokens
+    canonical order is indexed, and its cached index and masks are used.
+    With floor > 0 the LCS bound is returned when it is below floor;
+    otherwise the exact decomposition runs."""
+    ua, ub = pa.units(granularity), pb.units(granularity)
     if ub < ua:
         pa, pb, ua, ub = pb, pa, ub, ua
-    b2j = pb.char_index() if granularity == "chars" else _build_index(ub)
-    return _decompose(ua, b2j, len(ua), len(ub), floor)[1]
+    bound = _lcs_gate(ua, pb, granularity, floor)
+    if bound is not None:
+        return bound
+    return _decompose(ua, pb.index(granularity), len(ua), len(ub))[1]
+
+
+def _scratch(ctx: ChainContext, pa, pb) -> _PairScratch | None:
+    """ctx's record of the pair chain_evaluate is scoring, if it is (pa, pb)."""
+    rec = ctx._pair
+    return rec if rec is not None and rec.pa is pa and rec.pb is pb else None
 
 
 def _cmp_overlap(pa, pb, ctx, chain) -> float:
@@ -309,10 +363,11 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
 
 def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The pair's ratio at the chain's granularity. Inside chain_evaluate it
-    is computed once per pair, cut short below the floor, and the synonym
-    tier reuses it; any other caller gets the exact value."""
-    rec = ctx._pair
-    if rec is None or rec.pa is not pa or rec.pb is not pb:
+    is computed once per pair, replaced by its LCS bound when that is below
+    the floor, and the synonym tier reuses it; any other caller gets the
+    exact value."""
+    rec = _scratch(ctx, pa, pb)
+    if rec is None:
         return _ratio_prepared(pa, pb, chain.granularity)
     if rec.base is None:
         rec.base = _ratio_prepared(pa, pb, chain.granularity, rec.floor)
@@ -323,14 +378,20 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     """Best ratio over the single-substitution synonym variants of a's
     content tokens. The unchanged sentence is variant zero, so the score
     is never below the ratio tier's; each other variant's units are scored
-    against b's with ratio."""
+    against b's with ratio. Inside chain_evaluate a variant whose LCS
+    bound against b's cached masks is below the floor scores that bound."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
-    chars = chain.granularity == "chars"
-    ub = pb.joined if chars else pb.tokens
+    rec = _scratch(ctx, pa, pb)
+    floor = rec.floor if rec is not None else 0.0
+    g = chain.granularity
+    ub = pb.units(g)
     for variant in expand_variants(pa.tokens, ctx.lexicon, ctx.variant_cap)[1:]:
-        score = ratio(" ".join(variant) if chars else variant, ub).score
+        uv = " ".join(variant) if g == "chars" else variant
+        score = _lcs_gate(uv, pb, g, floor)
+        if score is None:
+            score = ratio(uv, ub).score
         if score > best:
             best = score
             if best >= 1.0:
@@ -360,11 +421,13 @@ def chain_evaluate(
     final_threshold as the last resort. The decision carries the score and
     index of whichever tier decided.
 
-    The ratio-family tiers share one base ratio per pair, and its block
-    decomposition stops once it cannot reach chain.floor. Decisions are the
-    same either way; a score below the floor may then be an upper bound
-    (still below the floor). exact=True computes every score in full, for
-    callers that use rejected scores, such as an alignment objective.
+    The ratio-family tiers share one base ratio per pair. Each of their
+    scores, the base and every synonym variant, first goes through an LCS
+    gate: when 2.0 * LCS / total is below chain.floor, that bound is the
+    score and the block decomposition does not run. Decisions are the same
+    either way; a score below the floor may then be an upper bound (still
+    below the floor). exact=True computes every score in full, for callers
+    that use rejected scores, such as an alignment objective.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)

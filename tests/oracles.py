@@ -73,6 +73,20 @@ def leftmost_longest_m(a, b) -> int:
         + leftmost_longest_m(a[ia + size:], b[ib + size:])
 
 
+
+def lcs_length(a, b) -> int:
+    """Longest common subsequence length, from the full
+    (len(a) + 1) x (len(b) + 1) table."""
+    n, m = len(a), len(b)
+    d = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if a[i - 1] == b[j - 1]:
+                d[i][j] = d[i - 1][j - 1] + 1
+            else:
+                d[i][j] = max(d[i - 1][j], d[i][j - 1])
+    return d[n][m]
+
 # ------------------------------------------------------------- alignment
 
 def best_alignment_objective(doc_a, doc_b, scorer, gap_penalty) -> float:

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from bifilter import corpus_io
 from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
 
@@ -199,6 +201,25 @@ class TestFilterCommand:
         ], capsys)
         assert code == 0
         assert (tmp_path / "o.tgt").read_text().splitlines() == GOOD_LINES
+
+    def test_hung_provider_cmd_exits_nonzero(self, write_lines, tmp_path, capsys,
+                                             monkeypatch):
+        # the shell forks sleep, which holds the output pipe open: only
+        # killing the whole process group ends the batch
+        monkeypatch.setattr(corpus_io, "_BATCH_TIMEOUT_S", 0.5)
+        paths = self.files(write_lines)
+        started = time.monotonic()
+        code, _, err = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--provider-cmd", "sleep 30; cat",
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code != 0 and time.monotonic() - started < 10
+        assert "batch 1 (source lines 1-4): no result after 0.5 s" in err
+        assert not (tmp_path / "rep.tsv").exists()
 
 
 class TestAlignCommand:

@@ -134,6 +134,17 @@ class TestEnsureTranslations:
         with pytest.raises(DataError):
             ensure_translations(self.bt(["one", "two"]), prov)
 
+    def test_command_provider_failure_names_the_batch(self):
+        # grep exits 1 on the second one-line batch, where it selects nothing
+        prov = CommandProvider("grep -v '^two$'", batch_size=1)
+        with pytest.raises(DataError, match=r"batch 2 \(source lines 2-2\): exited with 1"):
+            ensure_translations(self.bt(["one", "two", "three"]), prov)
+
+    def test_command_provider_wrong_count_names_the_batch(self):
+        prov = CommandProvider("cat; echo extra", batch_size=2)
+        with pytest.raises(DataError, match=r"batch 1 \(source lines 1-2\): returned 3 lines for 2"):
+            ensure_translations(self.bt(["one", "two", "three"]), prov)
+
     def test_missing_without_provider(self):
         with pytest.raises(DataError):
             ensure_translations(self.bt(["a"]))

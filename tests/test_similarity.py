@@ -286,10 +286,40 @@ class TestChainEvaluate:
                 assert got.score >= floor
 
 
+class TestLcsGate:
+    """The bit-parallel LCS length behind the chain's gate, and the bound it
+    gives: the decomposition's matched count never exceeds it."""
+
+    # non-ASCII words; up to 90 tokens, so the masks of either granularity
+    # can span more than one 64-bit word
+    SENTENCE = st.lists(st.sampled_from(["ab", "b", "ża", "ółw", "ß", "naïve", "a"]),
+                        max_size=90).map(" ".join)
+    LONG = " ".join(["ab", "ża", "b", "ółw"] * 20)
+
+    @given(SENTENCE, SENTENCE, st.sampled_from(["chars", "tokens"]))
+    @example(LONG, LONG[::-1], "chars")
+    @example(LONG, " ".join(["ża", "ab"] * 40), "tokens")
+    @settings(max_examples=150, deadline=None)
+    def test_bit_parallel_equals_oracle(self, a, b, granularity):
+        ctx = ChainContext()
+        pa, pb = ctx.prepare(a), ctx.prepare(b)
+        ua, ub = pa.units(granularity), pb.units(granularity)
+        got = similarity._lcs_length(pb.masks(granularity), len(ub), ua)
+        assert got == oracles.lcs_length(ua, ub)
+
+    @given(st.text(alphabet="abż", max_size=20), st.text(alphabet="abż", max_size=20),
+           st.booleans())
+    def test_matches_at_most_lcs(self, a, b, as_tokens):
+        if as_tokens:
+            a, b = tuple(a), tuple(b)
+        assert ratio(a, b).matches <= oracles.lcs_length(a, b)
+
+
 class TestChainFloor:
-    """Inside chain_evaluate the block decomposition stops once it cannot
-    reach the chain's floor; decisions and scores at or above the floor
-    stay those of the exact evaluation."""
+    """Inside chain_evaluate a ratio-family score whose LCS bound is below
+    the chain's floor is that bound, and the block decomposition does not
+    run; decisions and scores at or above the floor stay those of the
+    exact evaluation."""
 
     def make_ctx(self, lexicon=None):
         return ChainContext(stoplist=StopList.from_words(["the", "a"]),
@@ -319,19 +349,38 @@ class TestChainFloor:
         got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx())
         assert not got.accepted and got.score == 0.54
 
-    def test_rejected_pair_decomposes_once(self, monkeypatch):
+    def counting(self, monkeypatch, name):
         calls = []
-        decompose = similarity._decompose
+        fn = getattr(similarity, name)
 
-        def counting(*args):
+        def counted(*args):
             calls.append(args)
-            return decompose(*args)
+            return fn(*args)
 
-        monkeypatch.setattr(similarity, "_decompose", counting)
+        monkeypatch.setattr(similarity, name, counted)
+        return calls
+
+    def test_rejected_pair_scores_base_ratio_once(self, monkeypatch):
+        # the ratio and synonym tiers share one base ratio
+        calls = self.counting(monkeypatch, "_ratio_prepared")
         got = chain_evaluate("quick brown fox jumps", "lazy dog sleeps all day",
                              DEFAULT_CHAIN, self.make_ctx())
         assert not got.accepted and got.comparator == "synonym_ratio"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("a, b, decompositions", [
+        # LCS 5 of 44 units: the gate rejects
+        ("quick brown fox jumps", "lazy dog sleeps all day", 0),
+        # LCS "ba" bounds the score by 4/6, but the first block "a" leaves
+        # nothing on either side of it, so the exact score is 2/6
+        ("aba", "bca", 1),
+    ], ids=["gated", "passes-gate"])
+    def test_decompositions_per_rejected_pair(self, monkeypatch, a, b,
+                                              decompositions):
+        calls = self.counting(monkeypatch, "_decompose")
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx())
+        assert not got.accepted and got.score < DEFAULT_CHAIN.floor
+        assert len(calls) == decompositions
 
     def test_comparator_outside_the_chain_is_exact(self):
         ctx = self.make_ctx()
@@ -342,9 +391,15 @@ class TestChainFloor:
         assert COMPARATORS["ratio"](pa, pb, ctx, DEFAULT_CHAIN) == want
         assert COMPARATORS["synonym_ratio"](pa, pb, ctx, DEFAULT_CHAIN) == want
 
+    # long sentences make the gate fire on the base ratio and on the
+    # synonym variants as well
+    PAIR_SENTENCE = (st.lists(st.sampled_from(WORDS), max_size=6)
+                     | st.lists(st.sampled_from(WORDS + ["fox", "jumps", "over", "lazy"]),
+                                min_size=8, max_size=24)).map(" ".join)
+
     @given(
-        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
-        st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+        PAIR_SENTENCE,
+        PAIR_SENTENCE,
         st.lists(st.tuples(st.sampled_from(["overlap", "ratio", "synonym_ratio"]),
                            THRESHOLDS), min_size=1, max_size=4).map(tuple),
         THRESHOLDS,
