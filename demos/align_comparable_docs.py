@@ -2,7 +2,6 @@
 
 from bifilter.seq_align import (
     AlignConfig,
-    CountingScorer,
     align_documents,
     chain_scorer,
     threshold_filter,
@@ -29,14 +28,14 @@ DOC_B = [
 
 def main() -> None:
     ctx = ChainContext(stoplist=default_stoplist("en"))
-    base = chain_scorer(DEFAULT_CHAIN, ctx)
+    scorer = chain_scorer(DEFAULT_CHAIN, ctx)
 
     for engine in ("dp", "astar"):
-        scorer = CountingScorer(base)
         cfg = AlignConfig(gap_penalty=0.2, engine=engine)
-        alignment = align_documents(DOC_A, DOC_B, scorer, cfg)
+        stats = {}
+        alignment = align_documents(DOC_A, DOC_B, scorer, cfg, stats=stats)
         print(f"{engine}: objective={alignment.objective(0.2):.3f} "
-              f"scorer calls={scorer.calls} "
+              f"scorer calls={stats['scorer_calls']} "
               f"(grid is {len(DOC_A) * len(DOC_B)})")
         for i, j, likelihood in alignment.pairs:
             print(f"  a[{i}] ~ b[{j}]  {likelihood:.3f}")

@@ -1,8 +1,8 @@
 """Reading and writing the package's files.
 
 Corpora and the line-record files (stoplists, synonym lexicons,
-dictionaries, gold labels, filter reports, chain and BIFILTER_CONFIG
-files) agree on what a line is: the file is UTF-8, lines end in LF, and
+dictionaries, gold labels, filter reports and chain files) agree on what
+a line is: the file is UTF-8, lines end in LF, and
 a trailing CR (foreign CRLF input) is dropped. Nothing else splits a
 line. Every output file is written through write_text.
 """

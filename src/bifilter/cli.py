@@ -6,8 +6,9 @@ eval-filter (judge a filter run against gold labels). Every run that writes
 a report also writes a JSON manifest (resolved config, input digests,
 version, wall time) next to it.
 
-The environment variable BIFILTER_CONFIG may point to a key-value file
-supplying flag defaults; explicit flags always win.
+Every setting is a flag with a plain default. The BIFILTER_CONFIG
+defaults file that older versions read is refused: a run with the
+variable set exits 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._records import read_records, write_text
+from ._records import write_text
 from .bisentence_filter import (
     FilterConfig,
     align_filter,
@@ -40,7 +41,7 @@ from .corpus_io import (
     write_bitext,
 )
 from .errors import BifilterError, ConfigError, DataError
-from .mt_metrics import METRIC_NAMES, BleuParams, metric_report
+from .mt_metrics import METRIC_NAMES, metric_report
 from .seq_align import (
     AlignConfig,
     align_documents,
@@ -59,65 +60,6 @@ from .textnorm import (
 )
 
 PAIRS_HEADER = "i\tj\tlikelihood"
-
-
-def _env_config() -> dict[str, str]:
-    path = os.environ.get("BIFILTER_CONFIG")
-    if not path:
-        return {}
-    out: dict[str, str] = {}
-    for lineno, line in read_records(path, "BIFILTER_CONFIG file", ConfigError):
-        parts = line.split("#", 1)[0].split(None, 1)
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'key value'")
-        out[parts[0].replace("-", "_")] = parts[1].strip()
-    return out
-
-
-def _cast_like(builtin, raw: str, key: str):
-    where = f"{os.environ['BIFILTER_CONFIG']}: value for {key!r}"
-    if isinstance(builtin, bool):
-        word = raw.lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(
-            f"{where} is not a boolean (1/true/yes/on or 0/false/no/off): {raw!r}"
-        )
-    try:
-        if isinstance(builtin, int):
-            return int(raw)
-        if isinstance(builtin, float):
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where} is not a number: {raw!r}") from None
-    return raw
-
-
-class _Defaults:
-    """Flag defaults: built-in values, overridable via BIFILTER_CONFIG.
-    Records every key a flag asked for, so check_used can reject the
-    config keys no flag reads."""
-
-    def __init__(self):
-        self.env = _env_config()
-        self.asked: set[str] = set()
-
-    def get(self, key: str, builtin):
-        self.asked.add(key)
-        raw = self.env.get(key)
-        if raw is None:
-            return builtin
-        return _cast_like(builtin, raw, key)
-
-    def check_used(self) -> None:
-        unknown = sorted(set(self.env) - self.asked)
-        if unknown:
-            raise ConfigError(
-                f"{os.environ['BIFILTER_CONFIG']}: unknown key(s) "
-                f"{', '.join(unknown)}: no flag takes its default from them"
-            )
 
 
 def _sha256(path: Path) -> str:
@@ -264,7 +206,7 @@ def cmd_evaluate(args) -> int:
         cands,
         refs,
         metrics=metrics,
-        bleu_params=BleuParams(order=args.bleu_order),
+        bleu_order=args.bleu_order,
         nist_order=args.nist_order,
         lexicon=lexicon,
         meteor_penalty_exponent=args.meteor_penalty_exponent,
@@ -299,7 +241,6 @@ def cmd_eval_filter(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    d = _Defaults()
     parser = argparse.ArgumentParser(
         prog="bifilter",
         description="Bitext filtering, sequence alignment, and MT metrics.",
@@ -319,26 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-translated file filling missing trans lines by index")
     p.add_argument("--provider-cmd", default=None,
                    help="shell command translating stdin lines to stdout lines")
-    p.add_argument("--batch-size", type=int, default=d.get("batch_size", 100),
+    p.add_argument("--batch-size", type=int, default=100,
                    help="lines per provider command invocation")
-    p.add_argument("--chain", default=d.get("chain", None),
+    p.add_argument("--chain", default=None,
                    help="comparator chain config file (default: built-in chain)")
-    p.add_argument("--window", type=int, default=d.get("window", 30),
+    p.add_argument("--window", type=int, default=30,
                    help="candidate search half-width around the diagonal")
-    p.add_argument("--lookahead", type=int, default=d.get("lookahead", 1),
+    p.add_argument("--lookahead", type=int, default=1,
                    help="later lines that may contest a candidate")
-    p.add_argument("--displacement-rounds", type=int,
-                   default=d.get("displacement_rounds", 3),
+    p.add_argument("--displacement-rounds", type=int, default=3,
                    help="bounded veto-and-retry rounds")
     p.add_argument("--allow-reuse", action="store_true",
-                   default=d.get("allow_reuse", False),
                    help="let one target line pair with several source lines")
     p.add_argument("--stoplist", default=None,
                    help="stopword file overriding the shipped list")
-    p.add_argument("--stoplist-lang", default=d.get("stoplist_lang", "en"),
+    p.add_argument("--stoplist-lang", default="en",
                    help="shipped stoplist language tag")
     p.add_argument("--synonyms", default=None, help="synonym lexicon file")
-    p.add_argument("--variant-cap", type=int, default=d.get("variant_cap", 64),
+    p.add_argument("--variant-cap", type=int, default=64,
                    help="max synonym variants per sentence")
     p.add_argument("--out-src", required=True, help="cleaned source output")
     p.add_argument("--out-tgt", required=True, help="cleaned target output")
@@ -349,15 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sequence-align two documents")
     p.add_argument("--doc-a", required=True, help="first document")
     p.add_argument("--doc-b", required=True, help="second document")
-    p.add_argument("--dict", default=d.get("dict", None),
+    p.add_argument("--dict", default=None,
                    help="translation dictionary TSV "
                         "(default: exact-equality scorer)")
-    p.add_argument("--gap", type=float, default=d.get("gap", 0.2),
-                   help="gap penalty")
-    p.add_argument("--threshold", type=float, default=d.get("threshold", 0.0),
+    p.add_argument("--gap", type=float, default=0.2, help="gap penalty")
+    p.add_argument("--threshold", type=float, default=0.0,
                    help="drop pairs below this likelihood")
-    p.add_argument("--engine", choices=("dp", "astar"),
-                   default=d.get("engine", "dp"), help="search engine")
+    p.add_argument("--engine", choices=("dp", "astar"), default="dp",
+                   help="search engine")
     p.add_argument("--out", required=True, help="pairs TSV output")
     p.set_defaults(func=cmd_align)
 
@@ -366,14 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cand", required=True, help="candidate corpus")
     p.add_argument("--ref", required=True, action="append",
                    help="reference corpus (repeat for multiple references)")
-    p.add_argument("--metrics", default=d.get("metrics", ",".join(METRIC_NAMES)),
+    p.add_argument("--metrics", default=",".join(METRIC_NAMES),
                    help="comma-separated metric subset")
-    p.add_argument("--bleu-order", type=int, default=d.get("bleu_order", 4),
+    p.add_argument("--bleu-order", type=int, default=4,
                    help="max BLEU n-gram order")
-    p.add_argument("--nist-order", type=int, default=d.get("nist_order", 5),
+    p.add_argument("--nist-order", type=int, default=5,
                    help="max NIST n-gram order")
-    p.add_argument("--meteor-penalty-exponent", type=int,
-                   default=d.get("meteor_penalty_exponent", 1),
+    p.add_argument("--meteor-penalty-exponent", type=int, default=1,
                    help="exponent on the chunk ratio in the penalty")
     p.add_argument("--synonyms", default=None,
                    help="synonym lexicon file for the synonym matching pass")
@@ -394,21 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gold labels TSV (src_idx, tgt_idx, poor|good)")
     p.add_argument("--out", default=None, help="optional JSON output")
     p.set_defaults(func=cmd_eval_filter)
-    d.check_used()
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        config = os.environ.get("BIFILTER_CONFIG")
+        if config:
+            raise ConfigError(
+                f"BIFILTER_CONFIG={config}: defaults files are no longer "
+                "read; pass the settings as flags and unset the variable"
+            )
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BifilterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

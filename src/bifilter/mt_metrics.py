@@ -17,7 +17,6 @@ from .errors import ConfigError, DataError
 from .textnorm import SynonymLexicon, stem
 
 __all__ = [
-    "BleuParams",
     "BleuBreakdown",
     "TerBreakdown",
     "MeteorBreakdown",
@@ -42,33 +41,6 @@ def ngram_counts(tokens, n: int) -> Counter:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     toks = tuple(tokens)
     return Counter(toks[i : i + n] for i in range(len(toks) - n + 1))
-
-
-@dataclass(frozen=True)
-class BleuParams:
-    """Max n-gram order and the positive per-order weights summing to 1."""
-
-    order: int = 4
-    weights: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError(f"BLEU order must be >= 1, got {self.order}")
-        if self.weights is None:
-            object.__setattr__(
-                self, "weights", tuple(1.0 / self.order for _ in range(self.order))
-            )
-            return
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.order:
-            raise ConfigError(
-                f"{len(weights)} weights given for order {self.order}"
-            )
-        if any(w <= 0 for w in weights):
-            raise ConfigError("BLEU weights must be positive")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ConfigError(f"BLEU weights sum to {sum(weights)}, need 1")
 
 
 @dataclass(frozen=True)
@@ -140,17 +112,17 @@ def _clipped_ngrams(cand: tuple, group, n: int) -> tuple[Counter, Counter]:
     return counts, counts & best
 
 
-def bleu(cands, refs, params: Optional[BleuParams] = None) -> BleuBreakdown:
-    """Corpus BLEU.
+def bleu(cands, refs, order: int = 4) -> BleuBreakdown:
+    """Corpus BLEU up to n-grams of the given order, weighted uniformly.
 
     Clipped n-gram matches and candidate totals are pooled over segments
     before dividing. The reference length r takes, per segment, the
     reference closest in length to the candidate (ties to the shorter one).
     Any pooled precision of zero zeroes the score.
     """
-    params = params if params is not None else BleuParams()
+    if order < 1:
+        raise ConfigError(f"BLEU order must be >= 1, got {order}")
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
-    order = params.order
     matched = [0] * (order + 1)
     total = [0] * (order + 1)
     c = r = 0
@@ -166,9 +138,8 @@ def bleu(cands, refs, params: Optional[BleuParams] = None) -> BleuBreakdown:
     )
     brevity = brevity_penalty(c, r)
     if all(p > 0 for p in precisions):
-        score = brevity * math.exp(
-            sum(w * math.log(p) for w, p in zip(params.weights, precisions))
-        )
+        w = 1.0 / order
+        score = brevity * math.exp(sum(w * math.log(p) for p in precisions))
     else:
         score = 0.0
     return BleuBreakdown(
@@ -349,22 +320,41 @@ def _chunk_count(pairs) -> int:
     return chunks
 
 
-def _max_matching_size(adj: dict[int, list[int]]) -> tuple[int, list[tuple[int, int]]]:
-    match_r: dict[int, int] = {}
-
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in adj[u]:
+def _augment(adj: dict[int, list[int]], match_r: dict[int, int], root: int) -> bool:
+    """One depth-first search for an augmenting path from the unmatched
+    left vertex root (Kuhn's algorithm); on success flips the path into
+    match_r (right vertex -> left vertex). An explicit stack in place of
+    recursion, with the same visiting order, so a long path cannot
+    overflow the interpreter's stack."""
+    visited: set[int] = set()
+    stack = [(root, iter(adj[root]))]  # left vertices on the path
+    via: list[int] = []  # via[k]: the right vertex from stack[k] to stack[k + 1]
+    while stack:
+        u, edges = stack[-1]
+        for v in edges:
             if v in visited:
                 continue
             visited.add(v)
-            if v not in match_r or augment(match_r[v], visited):
+            if v not in match_r:
                 match_r[v] = u
+                for (left, _), right in zip(stack, via):
+                    match_r[right] = left
                 return True
-        return False
+            via.append(v)
+            stack.append((match_r[v], iter(adj[match_r[v]])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
+
+def _max_matching_size(adj: dict[int, list[int]]) -> tuple[int, list[tuple[int, int]]]:
+    match_r: dict[int, int] = {}
     size = 0
     for u in sorted(adj):
-        if adj[u] and augment(u, set()):
+        if adj[u] and _augment(adj, match_r, u):
             size += 1
     return size, sorted((u, v) for v, u in match_r.items())
 
@@ -380,42 +370,54 @@ def _stage_assignment(
 
     Exhaustive over the (small) ambiguity space with a node cap; if the cap
     trips before any complete assignment, the plain maximum matching is
-    used instead.
+    used instead. The search is depth-first over the candidates in order:
+    at each one, every still-free reference position in adjacency order,
+    then leaving it unmatched. It runs on an explicit stack, so a long
+    segment cannot overflow the interpreter's stack.
     """
     target, fallback = _max_matching_size(adj)
     if target == 0:
         return []
     cands = sorted(ci for ci in adj if adj[ci])
+    n = len(cands)
+    slack = n - target  # candidates that may stay unmatched
+    cap = _ASSIGN_NODE_CAP
+    # the (ci, rj) choices at each depth, last first: popped in adj order
+    picks = [[(ci, rj) for rj in reversed(adj[ci])] for ci in cands]
     best: Optional[tuple[int, list[tuple[int, int]]]] = None
     used: set[int] = set()
     chosen: list[tuple[int, int]] = []
     nodes = 0
-
-    def rec(idx: int, made: int):
-        nonlocal best, nodes
-        if nodes > _ASSIGN_NODE_CAP:
-            return
+    # (idx, made, pick): visit depth idx with made pairs chosen, after
+    # adding pick (a (ci, rj) pair, or None for leaving a candidate
+    # unmatched); a bare None entry takes back the latest pick.
+    stack: list = [(0, 0, None)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        entry = pop()
+        if entry is None:
+            used.discard(chosen.pop()[1])
+            continue
+        idx, made, pick = entry
+        if pick is not None:
+            used.add(pick[1])
+            chosen.append(pick)
+            push(None)
+        if nodes > cap:
+            continue
         nodes += 1
-        if made + (len(cands) - idx) < target:
-            return
-        if idx == len(cands):
+        if idx - made > slack:
+            continue
+        if idx == n:
             if made == target:
                 chunks = _chunk_count(prior + chosen)
                 if best is None or chunks < best[0]:
                     best = (chunks, list(chosen))
-            return
-        ci = cands[idx]
-        for rj in adj[ci]:
-            if rj in used:
-                continue
-            used.add(rj)
-            chosen.append((ci, rj))
-            rec(idx + 1, made + 1)
-            chosen.pop()
-            used.discard(rj)
-        rec(idx + 1, made)
-
-    rec(0, 0)
+            continue
+        push((idx + 1, made, None))
+        for pick in picks[idx]:
+            if pick[1] not in used:
+                push((idx + 1, made + 1, pick))
     if best is None:
         return fallback
     return best[1]
@@ -517,7 +519,7 @@ def metric_report(
     cands,
     refs,
     metrics=METRIC_NAMES,
-    bleu_params: Optional[BleuParams] = None,
+    bleu_order: int = 4,
     nist_order: int = 5,
     lexicon: Optional[SynonymLexicon] = None,
     meteor_penalty_exponent: int = 1,
@@ -533,7 +535,7 @@ def metric_report(
             raise ConfigError(f"unknown metric {name!r} (known: {known})")
     report: dict = {}
     if "bleu" in metrics:
-        b = bleu(cands, refs, bleu_params)
+        b = bleu(cands, refs, order=bleu_order)
         report["bleu"] = {
             "score": b.score,
             "percent": 100.0 * b.score,

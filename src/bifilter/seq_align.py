@@ -23,7 +23,6 @@ __all__ = [
     "PairScorer",
     "Alignment",
     "AlignConfig",
-    "CountingScorer",
     "load_dictionary",
     "lexicon_scorer",
     "chain_scorer",
@@ -90,18 +89,6 @@ class AlignConfig:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if self.engine not in ("dp", "astar"):
             raise ConfigError(f"engine must be 'dp' or 'astar', got {self.engine!r}")
-
-
-class CountingScorer:
-    """Wrap a scorer and count invocations (useful to observe laziness)."""
-
-    def __init__(self, fn: PairScorer):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, a: str, b: str) -> float:
-        self.calls += 1
-        return self.fn(a, b)
 
 
 def _checked(value: float) -> float:
@@ -325,10 +312,15 @@ def align_documents(
     cfg: AlignConfig,
     stats: Optional[dict] = None,
 ) -> Alignment:
-    """Run the engine selected by cfg.engine."""
+    """Run the engine selected by cfg.engine. Pass a dict as ``stats`` to
+    receive the engine's scorer_calls (the DP engine scores every cell)
+    and, for astar, its expanded count."""
     if cfg.engine == "astar":
         return astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
-    return nw_align(doc_a, doc_b, scorer, cfg)
+    alignment = nw_align(doc_a, doc_b, scorer, cfg)
+    if stats is not None:
+        stats["scorer_calls"] = len(doc_a) * len(doc_b)
+    return alignment
 
 
 def threshold_filter(alignment: Alignment, tau: float) -> list[tuple[int, int, float]]:

@@ -151,38 +151,33 @@ class PreparedSentence:
     """Per-sentence data the comparators reuse across many pair scorings.
 
     Holds the raw sentence text, its stopword-filtered content tokens,
-    their space-joined string and a token Counter. The ratio-family units
-    are the joined string (granularity "chars") or the tokens ("tokens");
-    their position index for block matching and their LCS bitmasks are
-    built on first use and cached per granularity.
+    their space-joined string, which the ratio-family comparators compare
+    character by character, and a token Counter. The joined string's
+    position index for block matching and its LCS bitmasks are built on
+    first use and cached.
     """
 
-    __slots__ = ("text", "tokens", "joined", "counts", "_tables")
+    __slots__ = ("text", "tokens", "joined", "counts", "_index", "_masks")
 
     def __init__(self, text: str, tokens: tuple[str, ...]):
         self.text = text
         self.tokens = tokens
         self.joined = " ".join(tokens)
         self.counts = Counter(tokens)
-        self._tables: dict = {}
+        self._index: dict | None = None
+        self._masks: dict | None = None
 
-    def units(self, granularity: str):
-        return self.joined if granularity == "chars" else self.tokens
+    def index(self) -> dict:
+        """char -> ascending positions in joined, for _longest_match."""
+        if self._index is None:
+            self._index = _build_index(self.joined)
+        return self._index
 
-    def index(self, granularity: str) -> dict:
-        """unit -> ascending positions, for _longest_match."""
-        return self._table(_build_index, granularity)
-
-    def masks(self, granularity: str) -> dict:
-        """unit -> bitmask of its positions, for _lcs_length."""
-        return self._table(_build_masks, granularity)
-
-    def _table(self, build, granularity: str) -> dict:
-        key = (build, granularity)
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = self._tables[key] = build(self.units(granularity))
-        return hit
+    def masks(self) -> dict:
+        """char -> bitmask of its positions in joined, for _lcs_length."""
+        if self._masks is None:
+            self._masks = _build_masks(self.joined)
+        return self._masks
 
 
 class _PairScratch:
@@ -235,14 +230,11 @@ class ComparatorChain:
     """Ordered (comparator id, acceptance threshold) tiers, fast-first.
 
     final_threshold is the last-resort acceptance bound applied to the last
-    tier's score when no tier accepted outright. granularity selects what
-    the ratio-family comparators operate on: characters of the
-    stopword-filtered, space-joined sentence (default) or whole tokens.
+    tier's score when no tier accepted outright.
     """
 
     tiers: tuple[tuple[str, float], ...]
     final_threshold: float = 0.55
-    granularity: str = "chars"
 
     def __post_init__(self):
         tiers = tuple((str(c), float(t)) for c, t in self.tiers)
@@ -262,10 +254,6 @@ class ComparatorChain:
         if not 0.0 <= self.final_threshold <= 1.0:
             raise ConfigError(
                 f"final_threshold {self.final_threshold} outside [0, 1]"
-            )
-        if self.granularity not in ("chars", "tokens"):
-            raise ConfigError(
-                f"granularity must be 'chars' or 'tokens', got {self.granularity!r}"
             )
 
     @property
@@ -306,9 +294,9 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
     COMPARATORS[name] = fn
 
 
-def _lcs_gate(ua, pb: PreparedSentence, granularity: str, floor: float):
-    """The LCS upper bound 2.0 * LCS / total of ua against pb's units at the
-    granularity when it is below floor, else None.
+def _lcs_gate(a: str, pb: PreparedSentence, floor: float):
+    """The LCS upper bound 2.0 * LCS / total of a against pb.joined when it
+    is below floor, else None.
 
     The blocks of the decomposition form a common subsequence, so their
     total is at most the LCS length and, with the score's own float
@@ -317,29 +305,28 @@ def _lcs_gate(ua, pb: PreparedSentence, granularity: str, floor: float):
     """
     if floor <= 0.0:
         return None
-    ub = pb.units(granularity)
-    t = len(ua) + len(ub)
+    n = len(pb.joined)
+    t = len(a) + n
     if t == 0:
         return None
-    bound = 2.0 * _lcs_length(pb.masks(granularity), len(ub), ua) / t
+    bound = 2.0 * _lcs_length(pb.masks(), n, a) / t
     return bound if bound < floor else None
 
 
 def _ratio_prepared(
-    pa: PreparedSentence, pb: PreparedSentence, granularity: str, floor: float = 0.0
+    pa: PreparedSentence, pb: PreparedSentence, floor: float = 0.0
 ) -> float:
-    """ratio of the two sentences' units at the granularity: the joined
-    content string (chars) or the content tokens. The larger one in
-    canonical order is indexed, and its cached index and masks are used.
+    """ratio of the two sentences' joined content strings. The larger one
+    in canonical order is indexed, and its cached index and masks are used.
     With floor > 0 the LCS bound is returned when it is below floor;
     otherwise the exact decomposition runs."""
-    ua, ub = pa.units(granularity), pb.units(granularity)
-    if ub < ua:
-        pa, pb, ua, ub = pb, pa, ub, ua
-    bound = _lcs_gate(ua, pb, granularity, floor)
+    a, b = pa.joined, pb.joined
+    if b < a:
+        pb, a, b = pa, b, a
+    bound = _lcs_gate(a, pb, floor)
     if bound is not None:
         return bound
-    return _decompose(ua, pb.index(granularity), len(ua), len(ub))[1]
+    return _decompose(a, pb.index(), len(a), len(b))[1]
 
 
 def _scratch(ctx: ChainContext, pa, pb) -> _PairScratch | None:
@@ -362,36 +349,34 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
 
 
 def _cmp_ratio(pa, pb, ctx, chain) -> float:
-    """The pair's ratio at the chain's granularity. Inside chain_evaluate it
+    """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
     exact value."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
-        return _ratio_prepared(pa, pb, chain.granularity)
+        return _ratio_prepared(pa, pb)
     if rec.base is None:
-        rec.base = _ratio_prepared(pa, pb, chain.granularity, rec.floor)
+        rec.base = _ratio_prepared(pa, pb, rec.floor)
     return rec.base
 
 
 def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     """Best ratio over the single-substitution synonym variants of a's
     content tokens. The unchanged sentence is variant zero, so the score
-    is never below the ratio tier's; each other variant's units are scored
-    against b's with ratio. Inside chain_evaluate a variant whose LCS
+    is never below the ratio tier's; each other variant's joined string is
+    scored against b's with ratio. Inside chain_evaluate a variant whose LCS
     bound against b's cached masks is below the floor scores that bound."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
     rec = _scratch(ctx, pa, pb)
     floor = rec.floor if rec is not None else 0.0
-    g = chain.granularity
-    ub = pb.units(g)
     for variant in expand_variants(pa.tokens, ctx.lexicon, ctx.variant_cap)[1:]:
-        uv = " ".join(variant) if g == "chars" else variant
-        score = _lcs_gate(uv, pb, g, floor)
+        joined = " ".join(variant)
+        score = _lcs_gate(joined, pb, floor)
         if score is None:
-            score = ratio(uv, ub).score
+            score = ratio(joined, pb.joined).score
         if score > best:
             best = score
             if best >= 1.0:
@@ -406,7 +391,6 @@ register_comparator("synonym_ratio", _cmp_synonym_ratio)
 DEFAULT_CHAIN = ComparatorChain(
     tiers=(("overlap", 0.99), ("ratio", 0.90), ("synonym_ratio", 0.75)),
     final_threshold=0.55,
-    granularity="chars",
 )
 
 
@@ -459,11 +443,9 @@ def load_chain_file(path: str | Path) -> ComparatorChain:
 
         tier <comparator> <threshold>     # repeated, in tier order
         final_threshold <x>               # optional, default 0.55
-        granularity chars|tokens          # optional, default chars
     """
     tiers: list[tuple[str, float]] = []
     final_threshold = 0.55
-    granularity = "chars"
     for lineno, line in read_records(path, "chain config", ConfigError):
         parts = line.split("#", 1)[0].split()
         key = parts[0]
@@ -477,18 +459,8 @@ def load_chain_file(path: str | Path) -> ComparatorChain:
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'final_threshold <x>'")
             final_threshold = _parse_fraction(parts[1], path, lineno)
-        elif key == "granularity":
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'granularity chars|tokens'"
-                )
-            granularity = parts[1]
         else:
             raise ConfigError(f"{path}:{lineno}: unknown directive {key!r}")
     if not tiers:
         raise ConfigError(f"{path}: no 'tier' lines; the chain needs at least one")
-    return ComparatorChain(
-        tiers=tuple(tiers),
-        final_threshold=final_threshold,
-        granularity=granularity,
-    )
+    return ComparatorChain(tiers=tuple(tiers), final_threshold=final_threshold)

@@ -119,17 +119,15 @@ def _count(items):
     return out
 
 
-def naive_bleu(cands, refs, order=4, weights=None) -> float:
-    """Corpus BLEU straight from the defining equation."""
-    if weights is None:
-        weights = [1.0 / order] * order
+def naive_bleu(cands, refs, order=4) -> float:
+    """Corpus BLEU straight from the defining equation, uniform weights."""
     c = sum(len(t) for t in cands)
     r = 0
     for cand, group in zip(cands, refs):
         # closest reference length, shorter on ties
         r += min((abs(len(rt) - len(cand)), len(rt)) for rt in group)[1]
     log_sum = 0.0
-    for n, w in zip(range(1, order + 1), weights):
+    for n in range(1, order + 1):
         num = 0
         den = 0
         for cand, group in zip(cands, refs):
@@ -140,7 +138,7 @@ def naive_bleu(cands, refs, order=4, weights=None) -> float:
                 num += min(k, cap)
         if num == 0:
             return 0.0
-        log_sum += w * math.log(num / den)
+        log_sum += math.log(num / den) / order
     if c == 0:
         return 0.0
     brevity = 1.0 if c > r else math.exp(1.0 - r / c)
@@ -244,6 +242,83 @@ def exhaustive_ter_edits(cand, ref, max_shifts=2) -> int:
 
 # ---------------------------------------------------------------- METEOR
 
+def chunk_count(pairs) -> int:
+    """Runs of (cand, ref) pairs that are adjacent on both sides."""
+    count = 0
+    prev = None
+    for ci, rj in sorted(pairs):
+        if prev is None or prev != (ci - 1, rj - 1):
+            count += 1
+        prev = (ci, rj)
+    return count
+
+
+def recursive_max_matching(adj):
+    """Maximum bipartite matching by recursive augmenting paths (Kuhn),
+    roots in ascending order: (size, sorted (left, right) pairs). The
+    recursive form of mt_metrics._max_matching_size."""
+    match_r = {}
+
+    def augment(u, visited):
+        for v in adj[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            if v not in match_r or augment(match_r[v], visited):
+                match_r[v] = u
+                return True
+        return False
+
+    size = 0
+    for u in sorted(adj):
+        if adj[u] and augment(u, set()):
+            size += 1
+    return size, sorted((u, v) for v, u in match_r.items())
+
+
+def recursive_stage_assignment(adj, prior, cap):
+    """The fewest-chunk maximum assignment by recursive search, visiting at
+    most about cap nodes and falling back to the plain maximum matching
+    when the cap trips first. The recursive form of
+    mt_metrics._stage_assignment with its node cap as a parameter."""
+    target, fallback = recursive_max_matching(adj)
+    if target == 0:
+        return []
+    cands = sorted(ci for ci in adj if adj[ci])
+    best = None
+    used = set()
+    chosen = []
+    nodes = 0
+
+    def rec(idx, made):
+        nonlocal best, nodes
+        if nodes > cap:
+            return
+        nodes += 1
+        if made + (len(cands) - idx) < target:
+            return
+        if idx == len(cands):
+            if made == target:
+                chunks = chunk_count(prior + chosen)
+                if best is None or chunks < best[0]:
+                    best = (chunks, list(chosen))
+            return
+        ci = cands[idx]
+        for rj in adj[ci]:
+            if rj in used:
+                continue
+            used.add(rj)
+            chosen.append((ci, rj))
+            rec(idx + 1, made + 1)
+            chosen.pop()
+            used.discard(rj)
+        rec(idx + 1, made)
+
+    rec(0, 0)
+    if best is None:
+        return fallback
+    return best[1]
+
 def best_matching(cand, ref, related=None) -> tuple[int, int]:
     """(maximum one-to-one match count, fewest chunks among maximum
     matchings) by enumerating every injective assignment."""
@@ -252,21 +327,11 @@ def best_matching(cand, ref, related=None) -> tuple[int, int]:
     n = len(cand)
     best = (0, 0)
 
-    def chunks(pairs):
-        pairs = sorted(pairs)
-        count = 0
-        prev = None
-        for ci, rj in pairs:
-            if prev is None or prev != (ci - 1, rj - 1):
-                count += 1
-            prev = (ci, rj)
-        return count
-
     def rec(ci, used, pairs):
         nonlocal best
         if ci == n:
             size = len(pairs)
-            c = chunks(pairs)
+            c = chunk_count(pairs)
             if size > best[0] or (size == best[0] and (best[0] == 0 or c < best[1])):
                 best = (size, c)
             return

@@ -32,3 +32,12 @@ def test_removed_names_are_gone(name):
     assert not hasattr(bifilter, name)
     assert not hasattr(importlib.import_module("bifilter.textnorm"), name)
     assert name not in bifilter.__all__
+
+
+@pytest.mark.parametrize("module, name", [
+    ("mt_metrics", "BleuParams"), ("seq_align", "CountingScorer"),
+])
+def test_removed_submodule_names_are_gone(module, name):
+    assert not hasattr(bifilter, name)
+    assert not hasattr(importlib.import_module(f"bifilter.{module}"), name)
+    assert name not in bifilter.__all__

@@ -1,13 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from bifilter import mt_metrics
 from bifilter.errors import ConfigError, DataError
 from bifilter.mt_metrics import (
-    BleuParams,
     bleu,
     brevity_penalty,
     meteor,
@@ -40,7 +41,7 @@ class TestNgramCounts:
 class TestBleu:
     def test_identity_is_one(self):
         cand = [["the", "cat", "sat", "on", "the", "mat"]]
-        assert bleu(cand, [[cand[0]]], BleuParams()).score == 1.0
+        assert bleu(cand, [[cand[0]]]).score == 1.0
 
     def test_brevity_fixture(self):
         assert brevity_penalty(5, 10) == pytest.approx(math.exp(-1.0), abs=1e-12)
@@ -48,41 +49,40 @@ class TestBleu:
 
     def test_cat_sat_fixture(self):
         got = bleu([["the", "cat", "sat"]],
-                   [[["the", "cat", "sat", "down"]]],
-                   BleuParams(order=2))
+                   [[["the", "cat", "sat", "down"]]], order=2)
         assert got.precisions == (1.0, 1.0)
         assert got.brevity == pytest.approx(math.exp(1 - 4 / 3), abs=1e-12)
         assert got.score == pytest.approx(math.exp(1 - 4 / 3), abs=1e-12)
 
     def test_cat_sat_matches_oracle(self):
         got = bleu([["the", "cat", "sat"]],
-                   [[["the", "cat", "sat", "down"]]],
-                   BleuParams(order=2)).score
+                   [[["the", "cat", "sat", "down"]]], order=2).score
         want = oracles.naive_bleu([["the", "cat", "sat"]],
                                   [[["the", "cat", "sat", "down"]]], order=2)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_ngram_overlap_scores_zero(self):
-        got = bleu([["aa", "bb"]], [[["cc", "dd"]]], BleuParams(order=1))
+        got = bleu([["aa", "bb"]], [[["cc", "dd"]]], order=1)
         assert got.score == 0.0
 
     def test_closest_ref_length_breaks_ties_short(self):
         # candidate 3 tokens, refs of 2 and 4: both distance 1, take 2
         got = bleu([["a", "b", "c"]], [[["a", "b"], ["a", "b", "c", "d"]]],
-                   BleuParams(order=1))
+                   order=1)
         assert got.ref_len == 2
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            BleuParams(order=2, weights=(0.9, 0.9))
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ConfigError, match="BLEU order"):
+            bleu([["a"]], [[["a"]]], order=order)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            bleu([], [], BleuParams())
+            bleu([], [])
 
     def test_ref_group_empty_rejected(self):
         with pytest.raises(DataError):
-            bleu([["a"]], [[]], BleuParams())
+            bleu([["a"]], [[]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30))
@@ -96,7 +96,7 @@ class TestBleu:
             refs.append([[rng.choice(pool) for _ in range(rng.randint(1, 7))]
                          for _ in range(rng.randint(1, 3))])
         order = rng.randint(1, 3)
-        got = bleu(cands, refs, BleuParams(order=order)).score
+        got = bleu(cands, refs, order=order).score
         want = oracles.naive_bleu(cands, refs, order=order)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -105,16 +105,15 @@ class TestBleu:
         # appending a token foreign to the reference cannot raise any p_n
         # numerator; with a longer candidate the score cannot improve
         # unless brevity relief outweighs it, so compare numerators only
-        p = BleuParams(order=1)
-        base = bleu([cand], [[ref]], p)
-        spiked = bleu([cand + ["zzz"]], [[ref]], p)
+        base = bleu([cand], [[ref]], order=1)
+        spiked = bleu([cand + ["zzz"]], [[ref]], order=1)
         base_hits = base.precisions[0] * len(cand)
         spiked_hits = spiked.precisions[0] * (len(cand) + 1)
         assert spiked_hits <= base_hits + 1e-9
 
     def test_equal_length_identity_required_for_one(self):
         # same multiset, different order: unigram BLEU 1.0 but bigram not
-        got = bleu([["a", "b", "c"]], [[["c", "b", "a"]]], BleuParams(order=2))
+        got = bleu([["a", "b", "c"]], [[["c", "b", "a"]]], order=2)
         assert got.score < 1.0
 
 
@@ -302,6 +301,24 @@ class TestMeteor:
         with pytest.raises(ConfigError, match="exponent"):
             meteor_corpus([cand], [[ref]], penalty_exponent=-1)
 
+    def test_long_segment(self):
+        # one search level per token; 1,200 levels overflowed the recursive
+        # search
+        toks = [f"w{i}" for i in range(1200)]
+        got = meteor(toks, toks)
+        assert (got.matches, got.chunks) == (1200, 1)
+        assert got.score == 1.0 - 0.5 * (1 / 1200)
+
+    def test_long_augmenting_path(self):
+        # left k < n takes right k first; left n wants only right 0, which
+        # shifts every earlier left vertex one place: a 1,500-step path
+        n = 1500
+        adj = {k: [k, k + 1] for k in range(n)}
+        adj[n] = [0]
+        size, pairs = mt_metrics._max_matching_size(adj)
+        assert size == n + 1
+        assert pairs == [(k, k + 1) for k in range(n)] + [(n, 0)]
+
     def test_corpus_level_pools_counts(self):
         cands = [["a", "b"], ["c"]]
         refs = [[["a", "b"]], [["z"]]]
@@ -310,6 +327,51 @@ class TestMeteor:
         assert got.matches == 2
         assert 0.0 < got.score < 1.0
 
+
+ASSIGN_CAPS = [0, 1, 2, 3, 5, 8, 13, 40, mt_metrics._ASSIGN_NODE_CAP]
+
+
+@st.composite
+def bipartite(draw):
+    """A METEOR matching pass: left (candidate) positions, each with the
+    ascending reference positions it may match, plus earlier passes' pairs."""
+    n_right = draw(st.integers(0, 6))
+    lefts = draw(st.sets(st.integers(0, 9), max_size=7))
+    adj = {ci: sorted(draw(st.sets(st.integers(0, n_right - 1), max_size=n_right)))
+           if n_right else [] for ci in sorted(lefts)}
+    prior = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                          max_size=4, unique=True))
+    return adj, prior
+
+
+class TestMeteorSearch:
+    """The stack-based matching searches against their recursive forms in
+    oracles: the same results, with the node cap lowered so the fallback
+    path runs too."""
+
+    @given(bipartite())
+    @settings(max_examples=300)
+    def test_max_matching_equals_recursive(self, case):
+        adj, _ = case
+        assert mt_metrics._max_matching_size(adj) == oracles.recursive_max_matching(adj)
+
+    @given(bipartite(), st.sampled_from(ASSIGN_CAPS))
+    @example(({0: [0, 1], 1: [0, 1], 2: [1, 2]}, [(5, 5)]), 0)
+    @example(({0: [0, 1], 1: [0, 1], 2: [1, 2]}, [(5, 5)]), 3)
+    @settings(max_examples=500)
+    def test_stage_assignment_equals_recursive(self, case, cap):
+        adj, prior = case
+        want = oracles.recursive_stage_assignment(adj, prior, cap)
+        with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", cap):
+            assert mt_metrics._stage_assignment(adj, prior) == want
+
+    def test_low_cap_falls_back_to_plain_matching(self):
+        adj = {0: [0, 1], 1: [0, 1], 2: [1, 2]}
+        fallback = mt_metrics._max_matching_size(adj)[1]
+        with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", 0):
+            assert mt_metrics._stage_assignment(adj, []) == fallback
+        # with room to search, the fewest-chunk assignment wins instead
+        assert mt_metrics._stage_assignment(adj, []) != fallback
 
 class TestMetricReport:
     def test_percent_scale(self):

@@ -1,4 +1,4 @@
-"""The eight line-record loaders share one reader: the same errors for a
+"""The seven line-record loaders share one reader: the same errors for a
 file that cannot be read or is not UTF-8, and the same handling of blank
 lines, '#' comment lines and CRLF line ends."""
 
@@ -8,18 +8,13 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from bifilter import cli, textnorm
+from bifilter import textnorm
 from bifilter.bisentence_filter import load_gold_labels
 from bifilter.corpus_io import REPORT_HEADER, load_filter_report
 from bifilter.errors import ConfigError, DataError
 from bifilter.seq_align import load_dictionary
 from bifilter.similarity import load_chain_file
 from bifilter.textnorm import StopList, SynonymLexicon
-
-
-def _env_config(path, monkeypatch):
-    monkeypatch.setenv("BIFILTER_CONFIG", str(path))
-    return cli._env_config()
 
 
 def _default_stoplist(path, monkeypatch):
@@ -38,8 +33,6 @@ class Loader(NamedTuple):
 
 
 LOADERS = [
-    Loader("BIFILTER_CONFIG", _env_config, ConfigError,
-           ["window 7", "lookahead 2  # inline comment", "engine astar"]),
     Loader("chain.cfg", lambda p, _mp: load_chain_file(p), ConfigError,
            ["tier overlap 0.99", "tier ratio 0.9  # inline comment",
             "final_threshold 0.5"]),

@@ -8,7 +8,6 @@ from bifilter.errors import ConfigError, DataError
 from bifilter.seq_align import (
     AlignConfig,
     Alignment,
-    CountingScorer,
     align_documents,
     astar_align,
     chain_scorer,
@@ -22,6 +21,17 @@ from bifilter.seq_align import (
 
 def table_scorer(scores, default=0.0):
     return lambda a, b: scores.get((a, b), default)
+
+
+def counting(scorer):
+    """scorer wrapped to count its calls: (wrapped, list of the calls)."""
+    calls = []
+
+    def wrapped(a, b):
+        calls.append((a, b))
+        return scorer(a, b)
+
+    return wrapped, calls
 
 
 def random_instance(rng, max_n, max_m=None):
@@ -116,11 +126,6 @@ class TestScorers:
         assert not chain_evaluate(a, b, DEFAULT_CHAIN, ctx).accepted
         assert scorer(a, b) == ratio(ctx.prepare(a).joined, ctx.prepare(b).joined).score
 
-    def test_counting_scorer_counts(self):
-        cs = CountingScorer(equality_scorer)
-        cs("a", "a"); cs("a", "b")
-        assert cs.calls == 2
-
 
 class TestNwAlign:
     CFG = AlignConfig(gap_penalty=0.1)
@@ -187,20 +192,21 @@ class TestAstarAlign:
         def diag(a, b):
             return 1.0 if a == b else 0.0
 
-        counting = CountingScorer(diag)
+        scorer, calls = counting(diag)
         stats = {}
-        al = astar_align(doc, list(doc), counting, AlignConfig(gap_penalty=0.3),
+        al = astar_align(doc, list(doc), scorer, AlignConfig(gap_penalty=0.3),
                          stats=stats)
         assert [(i, j) for i, j, _ in al.pairs] == [(i, i) for i in range(n)]
-        assert counting.calls < n * n
-        assert stats["scorer_calls"] == counting.calls
+        assert len(calls) < n * n
+        assert stats["scorer_calls"] == len(calls)
 
     def test_scorer_called_at_most_once_per_cell(self):
         rng = random.Random(3)
         doc_a, doc_b, scorer = random_instance(rng, 7)
-        counting = CountingScorer(scorer)
-        astar_align(doc_a, doc_b, counting, AlignConfig(gap_penalty=0.2))
-        assert counting.calls <= len(doc_a) * len(doc_b)
+        scorer, calls = counting(scorer)
+        astar_align(doc_a, doc_b, scorer, AlignConfig(gap_penalty=0.2))
+        assert len(calls) <= len(doc_a) * len(doc_b)
+        assert len(set(calls)) == len(calls)
 
 
 class TestAlignDocuments:
@@ -209,6 +215,18 @@ class TestAlignDocuments:
         dp = align_documents(doc, doc, equality_scorer, AlignConfig(engine="dp"))
         astar = align_documents(doc, doc, equality_scorer, AlignConfig(engine="astar"))
         assert dp.pairs == astar.pairs
+
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    def test_stats_count_scorer_calls(self, engine):
+        rng = random.Random(2)  # 6 x 6; A* scores 19 of the 36 cells
+        doc_a, doc_b, scorer = random_instance(rng, 6)
+        scorer, calls = counting(scorer)
+        stats = {}
+        align_documents(doc_a, doc_b, scorer, AlignConfig(engine=engine),
+                        stats=stats)
+        assert stats["scorer_calls"] == len(calls)
+        if engine == "dp":
+            assert len(calls) == len(doc_a) * len(doc_b)
 
     def test_bad_engine(self):
         with pytest.raises(ConfigError):

@@ -94,19 +94,17 @@ class TestRatio:
         assert ratio(a, b).score == want
 
 
-def comparator(name, a, b, stoplist=(), lexicon=None, granularity="chars",
-               variant_cap=64):
+def comparator(name, a, b, stoplist=(), lexicon=None, variant_cap=64):
     """The registered comparator name on two sentences, outside the chain."""
     ctx = ChainContext(stoplist=StopList.from_words(stoplist),
                        lexicon=lexicon or SynonymLexicon(),
                        variant_cap=variant_cap)
-    chain = ComparatorChain(tiers=((name, 0.5),), granularity=granularity)
+    chain = ComparatorChain(tiers=((name, 0.5),))
     return COMPARATORS[name](ctx.prepare(a), ctx.prepare(b), ctx, chain)
 
 
-def units(text, granularity):
-    tokens = tokenize(text)
-    return " ".join(tokens) if granularity == "chars" else tokens
+def joined(text):
+    return " ".join(tokenize(text))
 
 
 class TestTokenOverlap:
@@ -143,7 +141,7 @@ class TestSynonymRatio:
 
     def test_empty_lexicon_equals_ratio(self):
         a, b = "i will call you", "i would call you"
-        want = ratio(units(a, "chars"), units(b, "chars")).score
+        want = ratio(joined(a), joined(b)).score
         assert comparator("synonym_ratio", a, b) == want
 
     def test_game_sport(self):
@@ -154,26 +152,24 @@ class TestSynonymRatio:
         assert got == 1.0
 
     @given(st.lists(st.sampled_from(["game", "like", "cat", "dog"]), max_size=6),
-           st.lists(st.sampled_from(["sport", "like", "cat", "fish"]), max_size=6),
-           st.sampled_from(["chars", "tokens"]))
-    def test_never_below_plain_ratio(self, aw, bw, granularity):
+           st.lists(st.sampled_from(["sport", "like", "cat", "fish"]), max_size=6))
+    def test_never_below_plain_ratio(self, aw, bw):
         lex = SynonymLexicon()
         lex.add("game", ["sport", "play"])
         a, b = " ".join(aw), " ".join(bw)
-        want = ratio(units(a, granularity), units(b, granularity)).score
-        got = comparator("synonym_ratio", a, b, lexicon=lex, granularity=granularity)
+        want = ratio(joined(a), joined(b)).score
+        got = comparator("synonym_ratio", a, b, lexicon=lex)
         assert got >= want
 
     @given(st.lists(st.sampled_from(["game", "cat", "like", "the", "sport"]),
                     max_size=6).map(" ".join),
            st.lists(st.sampled_from(["play", "sport", "fun", "dog", "like", "the"]),
                     max_size=6).map(" ".join),
-           st.integers(min_value=1, max_value=4),
-           st.sampled_from(["chars", "tokens"]))
-    @example("game", "fun", 3, "chars")  # the third synonym lies past the cap
-    @example("cat like", "cat like", 1, "tokens")  # only variant zero scores 1.0
+           st.integers(min_value=1, max_value=4))
+    @example("game", "fun", 3)  # the third synonym lies past the cap
+    @example("cat like", "cat like", 1)  # only variant zero scores 1.0
     @settings(max_examples=300)
-    def test_best_ratio_over_the_variants(self, a, b, cap, granularity):
+    def test_best_ratio_over_the_variants(self, a, b, cap):
         stop = ["the"]
         lex = SynonymLexicon()
         lex.add("game", ["play", "sport", "fun"])
@@ -182,12 +178,9 @@ class TestSynonymRatio:
         def content(text):
             return remove_stopwords(tokenize(text), StopList.from_words(stop))
 
-        def units_of(tokens):
-            return " ".join(tokens) if granularity == "chars" else tokens
-
-        want = max(ratio(units_of(v), units_of(content(b))).score
+        want = max(ratio(" ".join(v), " ".join(content(b))).score
                    for v in expand_variants(content(a), lex, cap))
-        got = comparator("synonym_ratio", a, b, stop, lex, granularity, cap)
+        got = comparator("synonym_ratio", a, b, stop, lex, cap)
         assert got == want
 
 
@@ -197,14 +190,14 @@ class TestRatioComparator:
     SENTENCE = st.lists(st.sampled_from(WORDS) | st.text("ab", min_size=1, max_size=3),
                         max_size=8).map(" ".join)
 
-    @given(SENTENCE, SENTENCE, st.sampled_from(["chars", "tokens"]))
-    @example("cat sat cat", "aa cat cat", "chars")  # 7 matches as given, 8 sorted
+    @given(SENTENCE, SENTENCE)
+    @example("cat sat cat", "aa cat cat")  # 7 matches as given, 8 sorted
     @settings(max_examples=300)
-    def test_equals_ratio_of_the_units(self, a, b, granularity):
+    def test_equals_ratio_of_the_units(self, a, b):
         stop = ["the", "a"]
         content = [" ".join(w for w in t.split() if w not in stop) for t in (a, b)]
-        want = ratio(*(units(t, granularity) for t in content)).score
-        got = comparator("ratio", a, b, stop, granularity=granularity)
+        want = ratio(*(joined(t) for t in content)).score
+        got = comparator("ratio", a, b, stop)
         assert got == want
 
 
@@ -290,22 +283,22 @@ class TestLcsGate:
     """The bit-parallel LCS length behind the chain's gate, and the bound it
     gives: the decomposition's matched count never exceeds it."""
 
-    # non-ASCII words; up to 90 tokens, so the masks of either granularity
-    # can span more than one 64-bit word
+    # non-ASCII words; up to 90 tokens, so the joined strings reach several
+    # hundred characters and their masks span more than one 64-bit word
     SENTENCE = st.lists(st.sampled_from(["ab", "b", "ża", "ółw", "ß", "naïve", "a"]),
                         max_size=90).map(" ".join)
     LONG = " ".join(["ab", "ża", "b", "ółw"] * 20)
 
-    @given(SENTENCE, SENTENCE, st.sampled_from(["chars", "tokens"]))
-    @example(LONG, LONG[::-1], "chars")
-    @example(LONG, " ".join(["ża", "ab"] * 40), "tokens")
+    @given(SENTENCE, SENTENCE)
+    @example(LONG, LONG[::-1])
+    @example(LONG, " ".join(["ża", "ab"] * 40))
     @settings(max_examples=150, deadline=None)
-    def test_bit_parallel_equals_oracle(self, a, b, granularity):
+    def test_bit_parallel_equals_oracle(self, a, b):
+        assert len(self.LONG) == 239  # the examples' masks span four words
         ctx = ChainContext()
         pa, pb = ctx.prepare(a), ctx.prepare(b)
-        ua, ub = pa.units(granularity), pb.units(granularity)
-        got = similarity._lcs_length(pb.masks(granularity), len(ub), ua)
-        assert got == oracles.lcs_length(ua, ub)
+        got = similarity._lcs_length(pb.masks(), len(pb.joined), pa.joined)
+        assert got == oracles.lcs_length(pa.joined, pb.joined)
 
     @given(st.text(alphabet="abż", max_size=20), st.text(alphabet="abż", max_size=20),
            st.booleans())
@@ -403,15 +396,13 @@ class TestChainFloor:
         st.lists(st.tuples(st.sampled_from(["overlap", "ratio", "synonym_ratio"]),
                            THRESHOLDS), min_size=1, max_size=4).map(tuple),
         THRESHOLDS,
-        st.sampled_from(["chars", "tokens"]),
     )
     @settings(max_examples=300)
-    def test_same_decisions_as_exact(self, a, b, tiers, final, granularity):
+    def test_same_decisions_as_exact(self, a, b, tiers, final):
         lex = SynonymLexicon()
         lex.add("game", ["sport", "play"])
         lex.add("cat", ["dog", "cats"])
-        chain = ComparatorChain(tiers=tiers, final_threshold=final,
-                                granularity=granularity)
+        chain = ComparatorChain(tiers=tiers, final_threshold=final)
         ctx = self.make_ctx(lex)
         fast = chain_evaluate(a, b, chain, ctx)
         full = chain_evaluate(a, b, chain, ctx, exact=True)
@@ -444,14 +435,19 @@ class TestChainConfig:
             "# fast to slow\n"
             "tier overlap 0.99\n"
             "tier ratio 0.90\n"
-            "final_threshold 0.6\n"
-            "granularity tokens\n",
+            "final_threshold 0.6\n",
             encoding="utf-8",
         )
         chain = load_chain_file(p)
         assert chain.tiers == (("overlap", 0.99), ("ratio", 0.90))
         assert chain.final_threshold == 0.6
-        assert chain.granularity == "tokens"
+
+    def test_granularity_is_an_unknown_directive(self, tmp_path):
+        # the ratio tiers compare the joined content strings only
+        p = tmp_path / "chain.cfg"
+        p.write_text("tier ratio 0.9\ngranularity tokens\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"chain.cfg:2: unknown directive 'granularity'"):
+            load_chain_file(p)
 
     def test_load_chain_file_bad_directive(self, tmp_path):
         p = tmp_path / "chain.cfg"
@@ -476,4 +472,3 @@ class TestChainConfig:
             ("overlap", 0.99), ("ratio", 0.90), ("synonym_ratio", 0.75),
         )
         assert DEFAULT_CHAIN.final_threshold == 0.55
-        assert DEFAULT_CHAIN.granularity == "chars"
