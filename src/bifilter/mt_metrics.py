@@ -4,6 +4,12 @@ Corpus BLEU with clipped pooled counts, NIST with information-weighted
 n-gram matches, TER with a greedy block-shift search, and METEOR with
 exact/stem/synonym matching passes. All functions are pure; token input is
 any sequence of token strings, such as the tuples tokenize returns.
+
+TER's shift search scores every candidate shift with a word-parallel
+Levenshtein kernel (Myers 1999; Hyyrö 2001) over per-token bitmasks of the
+reference: O(L * ceil(m / w)) word operations for an L-token sequence
+against an m-token reference with machine word size w, in place of an
+O(L * m) table.
 """
 
 from __future__ import annotations
@@ -11,9 +17,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError, DataError
+from .similarity import _build_masks
 from .textnorm import SynonymLexicon, stem
 
 __all__ = [
@@ -198,61 +205,82 @@ def nist(cands, refs, order: int = 5) -> float:
     return score * factor
 
 
-def _levenshtein(a: Sequence, b: Sequence) -> int:
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (0 if ai == b[j - 1] else 1),
-            )
-        prev = cur
-    return prev[lb]
+def _advance(masks: dict, full: int, text, pv: int, mv: int) -> tuple[int, int]:
+    """The column state (pv, mv) after text, from state (pv, mv) before it.
+
+    Word Levenshtein distance, word-parallel over a reference of m tokens
+    (Myers 1999; Hyyrö 2001): masks holds the reference's per-token
+    bitmasks (similarity._build_masks) and full = 2^m - 1. Bit r of pv and
+    mv marks a +1 and a -1 vertical delta D[r+1][j] - D[r][j] of the current
+    column j; the global top row D[0][j] = j enters as a +1 horizontal
+    delta shifted into bit 0. A constant number of big-integer operations
+    per token: O(len(text) * ceil(m / w)) word operations for word size w.
+    """
+    get = masks.get
+    for x in text:
+        eq = get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) << 1) | 1
+        pv = (((pv & xh) << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return pv, mv
+
+
+def _edit_distance(masks: dict, m: int, text) -> int:
+    """Word Levenshtein distance between text and the m-token reference
+    whose bitmasks are masks: the last column's bottom entry,
+    len(text) + (+1 deltas) - (-1 deltas)."""
+    full = (1 << m) - 1
+    pv, mv = _advance(masks, full, text, full, 0)
+    return len(text) + pv.bit_count() - mv.bit_count()
 
 
 _MAX_SHIFT_ITER = 50
 
 
-def _ref_span_positions(ref: tuple) -> dict[tuple, list[int]]:
-    spans: dict[tuple, list[int]] = {}
-    for q in range(len(ref)):
-        for ln in range(1, len(ref) - q + 1):
-            spans.setdefault(ref[q : q + ln], []).append(q)
-    return spans
-
-
-def _best_shift(current: tuple, ref: tuple, spans, base: int):
+def _best_shift(current: tuple, ref: tuple, masks: dict, positions: dict, base: int):
     """The single block shift that most reduces the edit distance.
 
     A shiftable block is a contiguous candidate span occurring verbatim in
     the reference; it is reinserted at a position where it matches the
-    reference. Returns (new_distance, shifted) or None when nothing helps.
+    reference. Spans are tried by start i ascending, length descending,
+    then reference position ascending, and the first strict minimum below
+    base wins. The spans starting at i come from extending a match at each
+    reference position q of current[i] (positions maps a token to its
+    ascending reference positions). Returns (new_distance, shifted) or None
+    when nothing helps.
     """
     best = None
-    n = len(current)
+    n, m = len(current), len(ref)
+    full = (1 << m) - 1
+    # cols[k]: the column state after current[:k]; a shifted sequence
+    # equals current up to min(i, p), so its distance resumes from there
+    cols = [(full, 0)]
+    for k in range(n):
+        cols.append(_advance(masks, full, current[k : k + 1], *cols[k]))
     for i in range(n):
-        for ln in range(n - i, 0, -1):
+        runs = []  # (q, length of the match of current[i:] at ref[q:])
+        for q in positions.get(current[i], ()):
+            k = 1
+            while i + k < n and q + k < m and current[i + k] == ref[q + k]:
+                k += 1
+            runs.append((q, k))
+        if not runs:
+            continue
+        for ln in range(max(k for _, k in runs), 0, -1):
             span = current[i : i + ln]
-            targets = spans.get(span)
-            if not targets:
-                continue
             rest = current[:i] + current[i + ln :]
-            for q in targets:
+            for q, k in runs:
+                if k < ln:
+                    continue
                 p = min(q, len(rest))
                 shifted = rest[:p] + span + rest[p:]
                 if shifted == current:
                     continue
-                d = _levenshtein(shifted, ref)
+                s = min(i, p)
+                pv, mv = _advance(masks, full, shifted[s:], *cols[s])
+                d = n + pv.bit_count() - mv.bit_count()
                 if d < base and (best is None or d < best[0]):
                     best = (d, shifted)
     return best
@@ -266,6 +294,15 @@ def ter(cand, refs) -> TerBreakdown:
     shift until none reduces the remaining edit distance (at most 50
     shifts); the cheapest reference wins. score = edits / mean reference
     length.
+
+    Every distance comes from the word-parallel kernel (_advance) over the
+    reference's per-token bitmasks, built once per reference. A shift round
+    over an L-token candidate and an m-token reference tries at most one
+    shift per matching (candidate span, reference position) pair, O(L * m)
+    of them when matches are short, and scores each in O(L * ceil(m / w))
+    word operations, resuming from the column state of the prefix it shares
+    with the unshifted candidate. Exact: the same edits and shifts as a
+    row-by-row Levenshtein search in the same order.
     """
     cand_t = tuple(cand)
     ref_ts = [tuple(r) for r in refs]
@@ -274,12 +311,15 @@ def ter(cand, refs) -> TerBreakdown:
     best_edits = None
     best_shifts = 0
     for ref_t in ref_ts:
-        spans = _ref_span_positions(ref_t)
+        masks = _build_masks(ref_t)
+        positions: dict = {}
+        for q, tok in enumerate(ref_t):
+            positions.setdefault(tok, []).append(q)
         current = cand_t
         shifts = 0
-        dist = _levenshtein(current, ref_t)
+        dist = _edit_distance(masks, len(ref_t), current)
         while dist > 0 and shifts < _MAX_SHIFT_ITER:
-            found = _best_shift(current, ref_t, spans, dist)
+            found = _best_shift(current, ref_t, masks, positions, dist)
             if found is None:
                 break
             dist, current = found
@@ -374,6 +414,12 @@ def _stage_assignment(
     at each one, every still-free reference position in adjacency order,
     then leaving it unmatched. It runs on an explicit stack, so a long
     segment cannot overflow the interpreter's stack.
+
+    prior must be one-to-one and share no candidate or reference position
+    with adj, as meteor's earlier passes are. The union is then one-to-one
+    on both sides, so adding (c, r) changes its chunk count by
+    1 - [(c-1, r-1) in union] - [(c+1, r+1) in union], and the count is
+    kept along the search path instead of recounted at each leaf.
     """
     target, fallback = _max_matching_size(adj)
     if target == 0:
@@ -382,23 +428,33 @@ def _stage_assignment(
     n = len(cands)
     slack = n - target  # candidates that may stay unmatched
     cap = _ASSIGN_NODE_CAP
-    # the (ci, rj) choices at each depth, last first: popped in adj order
-    picks = [[(ci, rj) for rj in reversed(adj[ci])] for ci in cands]
+    prior_set = set(prior)
+    # the (ci, rj, gain) choices at each depth, last first: popped in adj
+    # order; gain is the change in chunk count from adding (ci, rj) to prior
+    picks = [
+        [
+            (ci, rj, 1 - ((ci - 1, rj - 1) in prior_set)
+             - ((ci + 1, rj + 1) in prior_set))
+            for rj in reversed(adj[ci])
+        ]
+        for ci in cands
+    ]
     best: Optional[tuple[int, list[tuple[int, int]]]] = None
     used: set[int] = set()
-    chosen: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int, int]] = []
     nodes = 0
-    # (idx, made, pick): visit depth idx with made pairs chosen, after
-    # adding pick (a (ci, rj) pair, or None for leaving a candidate
-    # unmatched); a bare None entry takes back the latest pick.
-    stack: list = [(0, 0, None)]
+    # (idx, made, pick, chunks): visit depth idx with made pairs chosen,
+    # whose union with prior has chunks chunks, after adding pick (a
+    # choice, or None for leaving a candidate unmatched); a bare None entry
+    # takes back the latest pick.
+    stack: list = [(0, 0, None, _chunk_count(prior))]
     push, pop = stack.append, stack.pop
     while stack:
         entry = pop()
         if entry is None:
             used.discard(chosen.pop()[1])
             continue
-        idx, made, pick = entry
+        idx, made, pick, chunks = entry
         if pick is not None:
             used.add(pick[1])
             chosen.append(pick)
@@ -409,15 +465,20 @@ def _stage_assignment(
         if idx - made > slack:
             continue
         if idx == n:
-            if made == target:
-                chunks = _chunk_count(prior + chosen)
-                if best is None or chunks < best[0]:
-                    best = (chunks, list(chosen))
+            if made == target and (best is None or chunks < best[0]):
+                best = (chunks, [(ci, rj) for ci, rj, _ in chosen])
             continue
-        push((idx + 1, made, None))
-        for pick in picks[idx]:
-            if pick[1] not in used:
-                push((idx + 1, made + 1, pick))
+        push((idx + 1, made, None, chunks))
+        # Candidates are chosen in ascending order, so only this node's own
+        # pick can be the (ci - 1, rj - 1) that a child (ci, rj) extends.
+        if pick is not None and pick[0] + 1 == cands[idx]:
+            extends = pick[1] + 1
+        else:
+            extends = -1
+        for child in picks[idx]:
+            if child[1] not in used:
+                gain = child[2] - (child[1] == extends)
+                push((idx + 1, made + 1, child, chunks + gain))
     if best is None:
         return fallback
     return best[1]

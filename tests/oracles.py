@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from bifilter.mt_metrics import TerBreakdown  # the result type only
+
 
 # ---------------------------------------------------------------- blocks
 
@@ -204,6 +206,85 @@ def full_matrix_lev(a, b) -> int:
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
                           d[i - 1][j - 1] + cost)
     return d[n][m]
+
+
+def _levenshtein(a, b) -> int:
+    if a == b:
+        return 0
+    la, lb = len(a), len(b)
+    if la == 0:
+        return lb
+    if lb == 0:
+        return la
+    prev = list(range(lb + 1))
+    for i in range(1, la + 1):
+        cur = [i] + [0] * lb
+        ai = a[i - 1]
+        for j in range(1, lb + 1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (0 if ai == b[j - 1] else 1),
+            )
+        prev = cur
+    return prev[lb]
+
+
+def _ref_span_positions(ref: tuple) -> dict:
+    spans = {}
+    for q in range(len(ref)):
+        for ln in range(1, len(ref) - q + 1):
+            spans.setdefault(ref[q : q + ln], []).append(q)
+    return spans
+
+
+def _best_shift(current: tuple, ref: tuple, spans, base: int):
+    best = None
+    n = len(current)
+    for i in range(n):
+        for ln in range(n - i, 0, -1):
+            span = current[i : i + ln]
+            targets = spans.get(span)
+            if not targets:
+                continue
+            rest = current[:i] + current[i + ln :]
+            for q in targets:
+                p = min(q, len(rest))
+                shifted = rest[:p] + span + rest[p:]
+                if shifted == current:
+                    continue
+                d = _levenshtein(shifted, ref)
+                if d < base and (best is None or d < best[0]):
+                    best = (d, shifted)
+    return best
+
+
+def reference_ter(cand, refs):
+    """mt_metrics.ter with the greedy shift search written out plainly: a
+    table of every reference substring and its positions, and a
+    row-by-row Levenshtein distance for every shift tried. The same
+    visiting order and strict-< tie rule, so the same TerBreakdown."""
+    cand_t = tuple(cand)
+    ref_ts = [tuple(r) for r in refs]
+    best_edits = None
+    best_shifts = 0
+    for ref_t in ref_ts:
+        spans = _ref_span_positions(ref_t)
+        current = cand_t
+        shifts = 0
+        dist = _levenshtein(current, ref_t)
+        while dist > 0 and shifts < 50:
+            found = _best_shift(current, ref_t, spans, dist)
+            if found is None:
+                break
+            dist, current = found
+            shifts += 1
+        edits = shifts + dist
+        if best_edits is None or edits < best_edits:
+            best_edits, best_shifts = edits, shifts
+    w_r = sum(len(rt) for rt in ref_ts) / len(ref_ts)
+    score = best_edits / w_r if w_r > 0 else float(best_edits)
+    return TerBreakdown(edits=best_edits, shifts=best_shifts, ref_len=w_r, score=score)
 
 
 def _all_shifts(tokens):

@@ -1,8 +1,10 @@
 import json
+import random
 import time
 
 import pytest
 
+import oracles
 from bifilter import corpus_io
 from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
@@ -348,6 +350,31 @@ class TestEvaluateCommand:
         got = json.loads(rep.read_text())["meteor"]
         assert (got["matches"], got["chunks"]) == (1200, 1)
         assert got["score"] == 1.0 - 0.5 * (1 / 1200)
+
+    def test_ter_on_a_120_token_line_with_moved_blocks(self, write_lines, tmp_path,
+                                                       capsys):
+        # six 3-word blocks moved; the shift search once took minutes here
+        rng = random.Random(0)
+        ref = [f"w{rng.randrange(60)}" for _ in range(120)]
+        cand = list(ref)
+        for _ in range(6):
+            i = rng.randrange(len(cand) - 3)
+            block = cand[i : i + 3]
+            del cand[i : i + 3]
+            j = rng.randrange(len(cand))
+            cand[j:j] = block
+        cand_file = write_lines("cand.txt", [" ".join(cand)])
+        ref_file = write_lines("ref.txt", [" ".join(ref)])
+        rep = tmp_path / "r.json"
+        started = time.monotonic()
+        code, _, _ = run([
+            "evaluate", "--cand", str(cand_file), "--ref", str(ref_file),
+            "--metrics", "ter", "--report", str(rep),
+        ], capsys)
+        assert code == 0 and time.monotonic() - started < 5
+        got = json.loads(rep.read_text())["ter"]
+        assert 0 < got["edits"] <= oracles.full_matrix_lev(cand, ref)
+        assert got["shifts"] <= 50
 
     def test_line_count_mismatch_exits_1(self, write_lines, tmp_path, capsys):
         cand = write_lines("cand.txt", ["a", "b"])

@@ -19,6 +19,7 @@ from bifilter.mt_metrics import (
     ter,
     ter_corpus,
 )
+from bifilter.similarity import _build_masks
 from bifilter.textnorm import SynonymLexicon
 
 words = st.sampled_from(["the", "cat", "sat", "on", "mat", "dog", "ran"])
@@ -226,6 +227,46 @@ class TestTer:
         assert got.edits >= oracles.exhaustive_ter_edits(cand, ref, max_shifts=2)
 
 
+@st.composite
+def ter_case(draw):
+    """A candidate and one or two references of up to 40 tokens over a
+    2-6 symbol vocabulary, so spans repeat and shifts tie."""
+    vocab = "abcdef"[: draw(st.integers(2, 6))]
+    seg = st.lists(st.sampled_from(vocab), max_size=40)
+    return draw(seg), draw(st.lists(seg, min_size=1, max_size=2))
+
+
+def sized_tokens(max_len):
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+
+
+class TestTerSearch:
+    """The bit-parallel kernel and the match-extension shift search against
+    the plain forms in oracles."""
+
+    @given(ter_case())
+    @example((list("abcabcbbacabcaacbcabbcaabcbcaabcbbcacbab"),
+              [list("bcabcabbcaabcacbcaabcbcabcabbcaccbabcab")]))
+    @example((list("aabab"), [list("babaa"), list("abba")]))
+    @example(([], [[], list("ab")]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_ter(self, case):
+        cand, refs = case
+        assert ter(cand, refs) == oracles.reference_ter(cand, refs)
+
+    @given(sized_tokens(150), sized_tokens(150))
+    @example([], [])
+    @example(list("abcd" * 37 + "ab"), [])
+    @example([], list("abcd" * 37 + "ab"))
+    @example(list("abcd" * 16), list("abcd" * 16 + "a"))
+    @example(list("abcdab" * 25), list("dcba" * 30 + "ab"))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_equals_full_matrix(self, text, ref):
+        got = mt_metrics._edit_distance(_build_masks(ref), len(ref), text)
+        assert got == oracles.full_matrix_lev(text, ref)
+
+
 class TestMeteor:
     def test_perfect_four_tokens(self):
         got = meteor(["a", "b", "c", "d"], ["a", "b", "c", "d"])
@@ -334,13 +375,18 @@ ASSIGN_CAPS = [0, 1, 2, 3, 5, 8, 13, 40, mt_metrics._ASSIGN_NODE_CAP]
 @st.composite
 def bipartite(draw):
     """A METEOR matching pass: left (candidate) positions, each with the
-    ascending reference positions it may match, plus earlier passes' pairs."""
-    n_right = draw(st.integers(0, 6))
-    lefts = draw(st.sets(st.integers(0, 9), max_size=7))
-    adj = {ci: sorted(draw(st.sets(st.integers(0, n_right - 1), max_size=n_right)))
-           if n_right else [] for ci in sorted(lefts)}
+    ascending reference positions it may match, plus earlier passes' pairs.
+    As in meteor, the earlier pairs are one-to-one and use none of the
+    pass's positions."""
     prior = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                          max_size=4, unique=True))
+                          max_size=4, unique_by=(lambda p: p[0], lambda p: p[1])))
+    done_c = {ci for ci, _ in prior}
+    done_r = {rj for _, rj in prior}
+    free_r = [rj for rj in range(draw(st.integers(0, 6))) if rj not in done_r]
+    lefts = draw(st.sets(st.integers(0, 9).filter(lambda ci: ci not in done_c),
+                         max_size=7))
+    adj = {ci: sorted(draw(st.sets(st.sampled_from(free_r), max_size=len(free_r))))
+           if free_r else [] for ci in sorted(lefts)}
     return adj, prior
 
 
