@@ -4,11 +4,14 @@ Corpora and the line-record files (stoplists, synonym lexicons,
 dictionaries, gold labels, filter reports and chain files) agree on what
 a line is: the file is UTF-8, lines end in LF, and
 a trailing CR (foreign CRLF input) is dropped. Nothing else splits a
-line. Every output file is written through write_text.
+line. Every output file is written through write_text, which replaces
+the file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from pathlib import Path
 
 from .errors import DataError
@@ -58,9 +61,33 @@ def read_records(path, what: str, error=DataError) -> list[tuple[int, str]]:
 
 
 def write_text(path, text: str, what: str) -> None:
-    """Write text to path as UTF-8. A write failure raises DataError
-    naming the path; what says which kind of file it is."""
+    """Write text to path as UTF-8, atomically: the text goes to a new
+    temporary file in path's directory, which then replaces path. A crash
+    leaves path with its old content or its new content, never a part.
+    (There is no fsync: this guards against a failed process, not against
+    a power cut.) A symlink at path is followed, and an existing file keeps
+    its permission bits. A write failure removes the temporary file and
+    raises DataError naming the path; what says which kind of file it is."""
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = None
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            mode = os.stat(target).st_mode & 0o7777
+        except FileNotFoundError:
+            mode = None
+        candidate = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = candidate
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            fh.write(text)
+        os.replace(tmp, target)
+        tmp = None
     except OSError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)

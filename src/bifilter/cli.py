@@ -4,7 +4,7 @@ Subcommands: filter (clean a noisy bitext), align (sequence-align two
 documents), evaluate (score a candidate corpus), stats (corpus statistics),
 eval-filter (judge a filter run against gold labels). Every run that writes
 a report also writes a JSON manifest (resolved config, input digests,
-version, wall time) next to it.
+version, wall time; for align also the engine's work counters) next to it.
 
 Every setting is a flag with a plain default. The BIFILTER_CONFIG
 defaults file that older versions read is refused: a run with the
@@ -74,7 +74,10 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
+def _write_manifest(report_path, subcommand: str, args, inputs, started: float,
+                    stats=None):
+    """Write <report_path>.manifest.json; stats, when given, is the run's
+    work counters."""
     config = {}
     for key, value in sorted(vars(args).items()):
         if key == "func":
@@ -89,6 +92,8 @@ def _write_manifest(report_path, subcommand: str, args, inputs, started: float):
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     write_text(f"{report_path}.manifest.json", _json(manifest), "manifest")
 
 
@@ -171,13 +176,14 @@ def cmd_align(args) -> int:
         scorer = lexicon_scorer(load_dictionary(args.dict))
     else:
         scorer = equality_scorer
-    alignment = align_documents(doc_a, doc_b, scorer, cfg)
+    stats: dict = {}
+    alignment = align_documents(doc_a, doc_b, scorer, cfg, stats=stats)
     kept = threshold_filter(alignment, cfg.threshold)
     lines = [PAIRS_HEADER]
     lines += [f"{i}\t{j}\t{s:.4f}" for i, j, s in kept]
     write_text(args.out, "".join(line + "\n" for line in lines), "pairs")
     _write_manifest(args.out, "align", args,
-                    [args.doc_a, args.doc_b, args.dict], started)
+                    [args.doc_a, args.doc_b, args.dict], started, stats=stats)
     print(f"aligned {len(alignment.pairs)} pairs, kept {len(kept)} "
           f"at threshold {cfg.threshold}")
     return 0

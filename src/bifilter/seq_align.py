@@ -128,19 +128,33 @@ def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
 def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     """Scorer averaging, over the source's non-punctuation tokens, each
     token's best translation probability into the target's non-punctuation
-    token set. A source with no such tokens scores 0.0."""
+    token set. A source with no such tokens scores 0.0.
+
+    The scorer keeps what it derives from each line, keyed by the line:
+    for a source line, the dictionary rows of its tokens in token order
+    (None where a token has no row); for a target line, its token set. Each
+    distinct line is tokenized once per side for the scorer's lifetime."""
+    source_rows: dict[str, tuple[Optional[dict[str, float]], ...]] = {}
+    target_sets: dict[str, frozenset[str]] = {}
 
     def score(a: str, b: str) -> float:
-        a_toks = [t for t in tokenize(a) if not is_punct_token(t)]
-        if not a_toks:
+        rows = source_rows.get(a)
+        if rows is None:
+            rows = source_rows[a] = tuple(
+                dictionary.get(t) for t in tokenize(a) if not is_punct_token(t)
+            )
+        if not rows:
             return 0.0
-        b_toks = {t for t in tokenize(b) if not is_punct_token(t)}
+        b_toks = target_sets.get(b)
+        if b_toks is None:
+            b_toks = target_sets[b] = frozenset(
+                t for t in tokenize(b) if not is_punct_token(t)
+            )
         total = 0.0
-        for tok in a_toks:
-            row = dictionary.get(tok)
+        for row in rows:
             if row:
                 total += max((p for w, p in row.items() if w in b_toks), default=0.0)
-        return min(1.0, total / len(a_toks))
+        return min(1.0, total / len(rows))
 
     return score
 
@@ -240,6 +254,23 @@ def nw_align(
     return _backtrace(n, m, lambda i, j: move[i][j], lambda i, j: likes[i][j])
 
 
+def _heuristic(rest_a: int, rest_b: int, gap: float) -> float:
+    """Upper bound on the gain of any path from a node with rest_a lines of
+    A and rest_b lines of B still to place: at most min(rest_a, rest_b)
+    matches, each scoring at most 1, and at least |rest_a - rest_b| gaps,
+    each costing gap.
+
+    It is 0 at the goal and consistent (Hart, Nilsson & Raphael 1968): for
+    every move u -> v with gain w, h(u) >= w + h(v). A match lowers both
+    counts by 1, so min drops by 1 and the difference stays: h falls by
+    exactly 1, and the match gains at most 1. A gap lowers one count by 1:
+    min drops by 0 or 1 and the difference moves by exactly 1, so h rises
+    by at most gap, and the gap gains -gap. A consistent heuristic that is
+    0 at the goal is admissible.
+    """
+    return min(rest_a, rest_b) - gap * abs(rest_a - rest_b)
+
+
 def astar_align(
     doc_a: list[str],
     doc_b: list[str],
@@ -250,9 +281,9 @@ def astar_align(
     """Optimal monotone alignment by best-first search.
 
     Reaches the same objective as nw_align but calls the scorer lazily,
-    only for cells the search actually expands; at most once per cell. The
-    heuristic (each remaining possible match could still score 1.0) never
-    underestimates, so the first goal expansion is optimal. Pass a dict as
+    only for cells the search actually expands; at most once per cell.
+    _heuristic never underestimates the best gain still reachable, so the
+    first goal expansion is optimal. Pass a dict as
     ``stats`` to receive scorer_calls and expanded counts.
     """
     n, m = len(doc_a), len(doc_b)
@@ -267,13 +298,10 @@ def astar_align(
             cache[key] = v
         return v
 
-    def heuristic(i: int, j: int) -> float:
-        return float(min(n - i, m - j))
-
     best_g: dict[tuple[int, int], float] = {(0, 0): 0.0}
     parent: dict[tuple[int, int], str] = {}
     counter = 0
-    heap = [(-heuristic(0, 0), 0, 0.0, 0, 0)]
+    heap = [(-_heuristic(n, m, gap), 0, 0.0, 0, 0)]
     expanded = 0
     while heap:
         neg_f, _seq, g, i, j = heapq.heappop(heap)
@@ -294,9 +322,8 @@ def astar_align(
                 best_g[(si, sj)] = sg
                 parent[(si, sj)] = kind
                 counter += 1
-                heapq.heappush(
-                    heap, (-(sg + heuristic(si, sj)), counter, sg, si, sj)
-                )
+                f = sg + _heuristic(n - si, m - sj, gap)
+                heapq.heappush(heap, (-f, counter, sg, si, sj))
     else:
         raise DataError("alignment search exhausted without reaching the goal")
     if stats is not None:

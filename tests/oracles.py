@@ -11,6 +11,7 @@ import itertools
 import math
 
 from bifilter.mt_metrics import TerBreakdown  # the result type only
+from bifilter.textnorm import is_punct_token, tokenize
 
 
 # ---------------------------------------------------------------- blocks
@@ -106,6 +107,23 @@ def best_alignment_objective(doc_a, doc_b, scorer, gap_penalty) -> float:
                 if total > best:
                     best = total
     return best
+
+
+def reference_lexicon_score(dictionary, a, b) -> float:
+    """seq_align.lexicon_scorer's score of one pair, from scratch: both
+    sides tokenized on every call, punctuation dropped, each source token's
+    best probability into the target's token set averaged over the source
+    tokens."""
+    a_toks = [t for t in tokenize(a) if not is_punct_token(t)]
+    if not a_toks:
+        return 0.0
+    b_toks = {t for t in tokenize(b) if not is_punct_token(t)}
+    total = 0.0
+    for tok in a_toks:
+        row = dictionary.get(tok)
+        if row:
+            total += max((p for w, p in row.items() if w in b_toks), default=0.0)
+    return min(1.0, total / len(a_toks))
 
 
 # ----------------------------------------------------------------- ngram

@@ -1,13 +1,21 @@
+import errno
 import json
+import os
 import random
 import time
 
 import pytest
 
 import oracles
-from bifilter import corpus_io
+from bifilter import _records, corpus_io
 from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
+from bifilter.seq_align import (
+    AlignConfig,
+    align_documents,
+    lexicon_scorer,
+    load_dictionary,
+)
 
 GOOD_LINES = [
     "the cat sat on the mat today",
@@ -276,6 +284,32 @@ class TestAlignCommand:
         assert code == 0
         assert out.read_text().splitlines()[1] == "0\t0\t1.0000"
 
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    def test_manifest_holds_engine_stats(self, engine, write_lines, tmp_path,
+                                         capsys):
+        lines_a = ["kot ma psa", "pies", "zupa", "kot", "ma"]
+        lines_b = ["the cat", "cat has dog", "dog", "soup", "a cat"]
+        a, b = write_lines("a.txt", lines_a), write_lines("b.txt", lines_b)
+        d = tmp_path / "dict.tsv"
+        d.write_text("kot\tcat\t1.0\npies\tdog\t0.8\nma\thas\t0.5\n",
+                     encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        code, _, _ = run([
+            "align", "--doc-a", str(a), "--doc-b", str(b), "--dict", str(d),
+            "--engine", engine, "--out", str(out),
+        ], capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "pairs.tsv.manifest.json").read_text())
+        want = {}
+        align_documents(lines_a, lines_b, lexicon_scorer(load_dictionary(d)),
+                        AlignConfig(engine=engine), stats=want)
+        assert manifest["stats"] == want
+        if engine == "dp":
+            assert want == {"scorer_calls": 25}
+        else:
+            assert set(want) == {"scorer_calls", "expanded"}
+            assert want["scorer_calls"] < 25
+
     def test_dictionary_not_utf8_exits_1(self, write_lines, tmp_path, capsys):
         a = write_lines("a.txt", ["kot"])
         b = write_lines("b.txt", ["cat"])
@@ -537,6 +571,73 @@ class TestOutputErrors:
         assert "error: cannot write" in err and out in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_second_write_leaves_old_or_new_files(
+            self, fail_at, write_lines, tmp_path, capsys, monkeypatch):
+        """filter writes out-src, out-tgt, the report and its manifest, in
+        that order. When the second write fails, mid-file (a full disk) or
+        at the rename, every output keeps its old bytes or has its new
+        bytes, and no temporary file is left."""
+        lines = write_lines("lines.txt", GOOD_LINES)
+
+        def argv(out):
+            return ["filter", "--src", str(lines), "--tgt", str(lines),
+                    "--trans", str(lines), "--out-src", str(out / "o.src"),
+                    "--out-tgt", str(out / "o.tgt"),
+                    "--report", str(out / "rep.tsv")]
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert run(argv(fresh), capsys)[0] == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ["o.src", "o.tgt", "rep.tsv", "rep.tsv.manifest.json"]
+        old = {name: f"old {name}\n".encode() for name in names}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+
+        calls = []
+        if fail_at == "write":
+            def failing_open(fd, *args, **kwargs):
+                fh = open(fd, *args, **kwargs)
+                calls.append(fd)
+                if len(calls) != 2:
+                    return fh
+
+                class DiskFull:  # writes half the text, then fails
+                    def __enter__(self):
+                        return self
+
+                    def __exit__(self, *exc):
+                        fh.close()
+
+                    def write(self, text):
+                        fh.write(text[: len(text) // 2])
+                        fh.flush()
+                        raise OSError(errno.ENOSPC, "No space left on device")
+
+                return DiskFull()
+
+            monkeypatch.setattr(_records, "open", failing_open, raising=False)
+        else:
+            replace = os.replace
+
+            def failing_replace(src, dst):
+                calls.append(dst)
+                if len(calls) == 2:
+                    raise OSError(errno.EIO, "Input/output error")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        code, _, err = run(argv(out), capsys)
+        assert code == 1
+        assert f"error: cannot write corpus {out / 'o.tgt'}" in err
+        assert sorted(os.listdir(out)) == sorted(names)
+        assert (out / "o.src").read_bytes() == (fresh / "o.src").read_bytes()
+        assert (out / "o.src").read_bytes() != old["o.src"]
+        for name in names[1:]:
+            assert (out / name).read_bytes() == old[name]
 
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [

@@ -1,14 +1,17 @@
 """The seven line-record loaders share one reader: the same errors for a
 file that cannot be read or is not UTF-8, and the same handling of blank
-lines, '#' comment lines and CRLF line ends."""
+lines, '#' comment lines and CRLF line ends. Every output goes through
+one writer, write_text."""
 
 import contextlib
+import os
 import types
 from typing import Callable, NamedTuple
 
 import pytest
 
 from bifilter import textnorm
+from bifilter._records import write_text
 from bifilter.bisentence_filter import load_gold_labels
 from bifilter.corpus_io import REPORT_HEADER, load_filter_report
 from bifilter.errors import ConfigError, DataError
@@ -100,3 +103,18 @@ def test_blank_comment_and_crlf_lines_parse_as_lf(loader, tmp_path, monkeypatch)
         got = loader.load(_place(tmp_path / "noisy", loader, text.encode()),
                           monkeypatch)
         assert got == want
+
+
+def test_write_text_replaces_whole_file_in_place(tmp_path):
+    """An existing output keeps its permission bits, a symlink is written
+    through, and no temporary file stays behind."""
+    real = tmp_path / "real.txt"
+    real.write_text("old text that is longer than the new\n", encoding="utf-8")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    write_text(link, "new \u00e9\n", "report")
+    assert real.read_bytes() == "new \u00e9\n".encode("utf-8")
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]

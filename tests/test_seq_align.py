@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from bifilter import seq_align
 from bifilter.errors import ConfigError, DataError
 from bifilter.seq_align import (
     AlignConfig,
@@ -127,6 +129,64 @@ class TestScorers:
         assert scorer(a, b) == ratio(ctx.prepare(a).joined, ctx.prepare(b).joined).score
 
 
+# Lines over a small vocabulary, so that docs repeat lines and share
+# words: empty and punctuation-only lines, mixed case, punctuation glued to
+# words.
+_WORDS = ["kot", "Pies", "cat", "dog", "the", "ma"]
+_LINE = st.lists(
+    st.sampled_from(_WORDS + [".", "!", "?!", "kot,", "(dog)"]), max_size=5
+).map(" ".join)
+# Rows of one to three entries with probabilities below 1; some source
+# words have no row.
+_DICTIONARY = st.dictionaries(
+    st.sampled_from(["kot", "pies", "cat", "ma", "!"]),
+    st.dictionaries(
+        st.sampled_from(["cat", "dog", "the", "ma", "!"]),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        min_size=1, max_size=3,
+    ),
+)
+
+
+class TestLexiconScorerCache:
+    @settings(max_examples=150, deadline=None)
+    @given(_DICTIONARY, st.lists(_LINE, min_size=1, max_size=4), st.data())
+    def test_equals_reference_score(self, dictionary, pool, data):
+        """The cached scorer returns the very float the from-scratch score
+        gives, whatever order and however often the pairs are asked."""
+        doc = st.lists(st.sampled_from(pool), max_size=6)
+        doc_a, doc_b = data.draw(doc), data.draw(doc)
+        pairs = [(a, b) for a in doc_a for b in doc_b]
+        pairs += data.draw(st.permutations(pairs))
+        scorer = lexicon_scorer(dictionary)
+        for a, b in pairs:
+            assert scorer(a, b) == oracles.reference_lexicon_score(dictionary, a, b)
+        cfg = AlignConfig(gap_penalty=0.2)
+        assert nw_align(doc_a, doc_b, lexicon_scorer(dictionary), cfg) == nw_align(
+            doc_a, doc_b,
+            lambda a, b: oracles.reference_lexicon_score(dictionary, a, b), cfg,
+        )
+
+    def test_tokenizes_each_distinct_line_once(self, monkeypatch):
+        dictionary = {"kot": {"cat": 0.9}, "pies": {"dog": 0.6, "cat": 0.1}}
+        doc_a = ["kot pies", "kot", "", "kot pies", "! ?", "kot"]
+        # No line is on both sides, so none may be tokenized twice.
+        doc_b = ["the cat", "dog.", "the cat", " ", "a dog and a cat"]
+        scorer = lexicon_scorer(dictionary)
+        # Patched after the scorer is made: it looks tokenize up on each call.
+        seen = Counter()
+        tokenize = seq_align.tokenize
+
+        def counted(line):
+            seen[line] += 1
+            return tokenize(line)
+
+        monkeypatch.setattr(seq_align, "tokenize", counted)
+        align_documents(doc_a, doc_b, scorer, AlignConfig(engine="dp"))
+        assert set(seen) == set(doc_a) | set(doc_b)
+        assert max(seen.values()) == 1
+
+
 class TestNwAlign:
     CFG = AlignConfig(gap_penalty=0.1)
 
@@ -207,6 +267,51 @@ class TestAstarAlign:
         astar_align(doc_a, doc_b, scorer, AlignConfig(gap_penalty=0.2))
         assert len(calls) <= len(doc_a) * len(doc_b)
         assert len(set(calls)) == len(calls)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.data(),
+    )
+    def test_heuristic_is_consistent(self, n, m, gap, data):
+        """h(u) >= w(u, v) + h(v) for every move u -> v of an n x m grid,
+        and h is 0 at the goal. The slack covers rounding only."""
+        score = st.floats(min_value=0.0, max_value=1.0)
+        grid = [[data.draw(score) for _ in range(m)] for _ in range(n)]
+
+        def h(i, j):
+            return seq_align._heuristic(n - i, m - j, gap)
+
+        assert h(n, m) == 0
+        for i in range(n + 1):
+            for j in range(m + 1):
+                if i < n and j < m:
+                    assert h(i, j) >= grid[i][j] + h(i + 1, j + 1) - 1e-12
+                if i < n:
+                    assert h(i, j) >= -gap + h(i + 1, j) - 1e-12
+                if j < m:
+                    assert h(i, j) >= -gap + h(i, j + 1) - 1e-12
+
+    def test_heuristic_counts_unavoidable_gaps(self, monkeypatch):
+        """On a 12 x 6 grid the gap term saves scorer calls over the
+        matches-only bound min(rest_a, rest_b), at the same objective."""
+        rng = random.Random(0)
+        doc_a, doc_b = [f"a{i}" for i in range(12)], [f"b{j}" for j in range(6)]
+        scorer = table_scorer(
+            {(x, y): round(rng.random(), 3) for x in doc_a for y in doc_b})
+        cfg = AlignConfig(gap_penalty=0.2)
+        stats = {}
+        al = astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
+        monkeypatch.setattr(seq_align, "_heuristic",
+                            lambda rest_a, rest_b, gap: float(min(rest_a, rest_b)))
+        old_stats = {}
+        old = astar_align(doc_a, doc_b, scorer, cfg, stats=old_stats)
+        assert stats["scorer_calls"] < old_stats["scorer_calls"]
+        want = nw_align(doc_a, doc_b, scorer, cfg).objective(0.2)
+        assert al.objective(0.2) == pytest.approx(want, abs=1e-9)
+        assert old.objective(0.2) == pytest.approx(want, abs=1e-9)
 
 
 class TestAlignDocuments:
