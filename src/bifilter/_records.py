@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 from pathlib import Path
 
 from .errors import DataError
@@ -61,27 +62,38 @@ def read_records(path, what: str, error=DataError) -> list[tuple[int, str]]:
 
 
 def write_text(path, text: str, what: str) -> None:
-    """Write text to path as UTF-8, atomically: the text goes to a new
-    temporary file in path's directory, which then replaces path. A crash
-    leaves path with its old content or its new content, never a part.
-    (There is no fsync: this guards against a failed process, not against
-    a power cut.) A symlink at path is followed, and an existing file keeps
-    its permission bits. A write failure removes the temporary file and
+    """Write text to path as UTF-8. A missing path or a regular file is
+    replaced atomically: the text goes to a new temporary file in the
+    target's directory, which then replaces the target, so a failed
+    process leaves it with its old content or its new content, never a
+    part. (There is no fsync: this guards against a failed process, not
+    against a power cut.) A symlink at path is followed. The new file keeps
+    the old one's permission bits, and its owner and group where the
+    writing user may set them; it is a new inode, so hard links to the old
+    file, extended attributes and ACLs are not carried over. Any other
+    existing path (a device such as /dev/null, a FIFO, /dev/stdout) is
+    written in place. A write failure removes the temporary file and
     raises DataError naming the path; what says which kind of file it is."""
-    target = os.path.realpath(path)
-    head, name = os.path.split(target)
     tmp = None
     try:
         try:
-            mode = os.stat(target).st_mode & 0o7777
+            old = os.stat(path)
         except FileNotFoundError:
-            mode = None
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        head, name = os.path.split(target)
         candidate = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
         fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = candidate
         with open(fd, "w", encoding="utf-8") as fh:
-            if mode is not None:
-                os.fchmod(fd, mode)
+            if old is not None:
+                with contextlib.suppress(PermissionError):
+                    os.fchown(fd, old.st_uid, old.st_gid)
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             fh.write(text)
         os.replace(tmp, target)
         tmp = None

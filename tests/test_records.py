@@ -5,6 +5,7 @@ one writer, write_text."""
 
 import contextlib
 import os
+import stat
 import types
 from typing import Callable, NamedTuple
 
@@ -118,3 +119,49 @@ def test_write_text_replaces_whole_file_in_place(tmp_path):
     assert real.stat().st_mode & 0o777 == 0o640
     assert link.is_symlink()
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+def test_write_text_keeps_owner_and_group(tmp_path, monkeypatch):
+    """The replacing file is given the old file's owner and group; a user
+    who may not set them still gets the write."""
+    real = tmp_path / "real.txt"
+    real.write_text("old\n", encoding="utf-8")
+    old = real.stat()
+    calls = []
+
+    def fchown(fd, uid, gid):
+        calls.append((uid, gid))
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "fchown", fchown)
+    write_text(real, "new\n", "report")
+    assert calls == [(old.st_uid, old.st_gid)]
+    assert real.read_text(encoding="utf-8") == "new\n"
+    assert os.listdir(tmp_path) == ["real.txt"]
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_write_text_writes_into_a_fifo_in_place(via_link, tmp_path, monkeypatch):
+    """A path that is not a regular file (a FIFO here; /dev/null or
+    /dev/stdout alike) is written in place, never renamed over."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    path = fifo
+    if via_link:
+        path = tmp_path / "link"
+        path.symlink_to(fifo)
+
+    def no_replace(src, dst):
+        raise AssertionError(f"os.replace({src!r}, {dst!r})")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    # A reader opened without blocking lets the writer open at once; the
+    # text fits the pipe buffer, so the write does not block either.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(path, "new \u00e9\n", "report")
+        assert os.read(reader, 1024) == "new \u00e9\n".encode("utf-8")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == sorted({"fifo", path.name})
