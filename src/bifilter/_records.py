@@ -61,6 +61,16 @@ def read_records(path, what: str, error=DataError) -> list[tuple[int, str]]:
     return records
 
 
+def written_in_place(path) -> bool:
+    """True when write_text writes path in place: path exists and, after
+    following symlinks, is not a regular file (a device, a FIFO). Raises
+    OSError when path cannot be examined."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
 def write_text(path, text: str, what: str) -> None:
     """Write text to path as UTF-8. A missing path or a regular file is
     replaced atomically: the text goes to a new temporary file in the
@@ -76,14 +86,14 @@ def write_text(path, text: str, what: str) -> None:
     raises DataError naming the path; what says which kind of file it is."""
     tmp = None
     try:
+        if written_in_place(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
         try:
             old = os.stat(path)
         except FileNotFoundError:
             old = None
-        if old is not None and not stat.S_ISREG(old.st_mode):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            return
         target = os.path.realpath(path)
         head, name = os.path.split(target)
         candidate = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")

@@ -17,7 +17,14 @@ from typing import Callable, Optional
 from ._records import read_records
 from .corpus_io import Bitext
 from .errors import ConfigError, DataError
-from .similarity import ChainContext, ChainDecision, ComparatorChain, chain_evaluate
+from .similarity import (
+    ChainContext,
+    ChainDecision,
+    ComparatorChain,
+    PackedTargets,
+    RowLcs,
+    chain_evaluate,
+)
 
 __all__ = [
     "FilterConfig",
@@ -28,6 +35,16 @@ __all__ = [
     "evaluate_filtering",
     "load_gold_labels",
 ]
+
+
+# A row of at least this many candidates gets its LCS gate values from one
+# packed pass over its window; smaller rows gate each pair on its own. On
+# the benchmark's 1k-line corpus, packing rows of three candidates (window
+# 1) measured about 10% slower, and rows of five (window 2) level.
+_PACKED_ROW_MIN = 4
+# Target lines per PackedTargets chunk. Chunks start at multiples of this
+# and are shared by the consecutive rows whose windows cover them.
+_PACK_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -157,6 +174,18 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     def in_window(k: int, j: int) -> bool:
         return cfg.window is None or abs(j - diagonal(k)) <= cfg.window
 
+    packs: dict[int, PackedTargets] = {}
+
+    def packed(row: range) -> list[PackedTargets]:
+        # The chunks covering row; those it no longer covers are dropped.
+        nonlocal packs
+        packs = {
+            c: packs.get(c) or PackedTargets(
+                [ctx.prepare(t) for t in tgt[c * _PACK_CHUNK:(c + 1) * _PACK_CHUNK]])
+            for c in range(row[0] // _PACK_CHUNK, row[-1] // _PACK_CHUNK + 1)
+        }
+        return list(packs.values())
+
     # Empty source lines have nothing to match; they drop with score 0.
     skip = {i for i in range(n_src) if trans[i] == ""}
     matched: dict[int, tuple[int, float, int]] = {}
@@ -178,14 +207,20 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     def try_match(i: int, veto_active: bool) -> bool:
         cands: list[tuple[int, ChainDecision]] = []
         best = best_seen.get(i, 0.0)
-        for j in candidates_of(i):
-            if not cfg.allow_reuse and j in consumed:
-                continue
-            d = decide(i, j)
-            if d.score > best:
-                best = d.score
-            if d.accepted:
-                cands.append((j, d))
+        row = candidates_of(i)
+        if len(row) >= _PACKED_ROW_MIN:
+            ctx.row = RowLcs(trans[i], lambda: packed(row))
+        try:
+            for j in row:
+                if not cfg.allow_reuse and j in consumed:
+                    continue
+                d = decide(i, j)
+                if d.score > best:
+                    best = d.score
+                if d.accepted:
+                    cands.append((j, d))
+        finally:
+            ctx.row = None
         best_seen[i] = best
         cands.sort(key=lambda c: (-c[1].score, c[0]))
         for j, d in cands:

@@ -4,7 +4,8 @@ Subcommands: filter (clean a noisy bitext), align (sequence-align two
 documents), evaluate (score a candidate corpus), stats (corpus statistics),
 eval-filter (judge a filter run against gold labels). Every run that writes
 a report also writes a JSON manifest (resolved config, input digests,
-version, wall time; for align also the engine's work counters) next to it.
+version, wall time; for align also the engine's work counters) next to it,
+unless the report is a device or a FIFO.
 
 Every setting is a flag with a plain default. The BIFILTER_CONFIG
 defaults file that older versions read is refused: a run with the
@@ -23,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from ._records import write_text
+from ._records import write_text, written_in_place
 from .bisentence_filter import (
     FilterConfig,
     align_filter,
@@ -77,7 +78,10 @@ def _json(payload) -> str:
 def _write_manifest(report_path, subcommand: str, args, inputs, started: float,
                     stats=None):
     """Write <report_path>.manifest.json; stats, when given, is the run's
-    work counters."""
+    work counters. A report written in place (a device such as /dev/null,
+    a FIFO) gets no manifest: there is no file beside it to describe."""
+    if written_in_place(report_path):
+        return
     config = {}
     for key, value in sorted(vars(args).items()):
         if key == "func":

@@ -13,7 +13,7 @@ plain sequences (strings or token tuples).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +33,8 @@ __all__ = [
     "ChainDecision",
     "ChainContext",
     "PreparedSentence",
+    "PackedTargets",
+    "RowLcs",
     "ratio",
     "chain_evaluate",
     "load_chain_file",
@@ -106,21 +108,32 @@ def _build_masks(b) -> dict:
     return masks
 
 
-def _lcs_length(masks: dict, n: int, a) -> int:
-    """Length of the longest common subsequence of a and the n-unit sequence
-    whose bitmasks are masks, computed word-parallel (Allison & Dix 1986;
-    Hyyrö 2004): V starts all ones, each unit x of a applies
-    u = V & masks[x]; V = ((V + u) | (V - u)) & full, and the LCS length is
-    the number of zero bits of V.
+def _lcs_run(masks: dict, full: int, a) -> int:
+    """The word-parallel LCS recurrence (Allison & Dix 1986; Hyyrö 2004) of
+    a against the sequence whose bitmasks are masks: V starts as full, each
+    unit x of a applies u = V & masks[x]; V = ((V + u) | (V - u)) & full,
+    and the final V is returned. Inside full, each zero bit of V is one unit
+    of the longest common subsequence.
+
+    full may hold several sequences, each followed by a zero guard bit that
+    no mask sets (Hyyrö, Fredriksson & Navarro 2005). u is a submask of V,
+    so V - u never borrows; only V + u carries, and a carry out of a
+    sequence stops in its guard bit, which & full clears again. Each
+    sequence's bits therefore evolve as they would on their own.
     """
-    full = (1 << n) - 1
     v = full
     get = masks.get
     for x in a:
         u = v & get(x, 0)
         if u:
             v = ((v + u) | (v - u)) & full
-    return n - v.bit_count()
+    return v
+
+
+def _lcs_length(masks: dict, n: int, a) -> int:
+    """Length of the longest common subsequence of a and the n-unit sequence
+    whose bitmasks are masks: the zero bits of _lcs_run's V."""
+    return n - _lcs_run(masks, (1 << n) - 1, a).bit_count()
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,60 @@ class PreparedSentence:
         return self._masks
 
 
+class PackedTargets:
+    """The joined content strings of a run of prepared sentences laid end
+    to end in one bit vector, each followed by one zero guard bit, so that
+    one _lcs_run pass gives the LCS length of a string against every one of
+    them."""
+
+    __slots__ = ("sentences", "masks", "full", "_spans")
+
+    def __init__(self, sentences):
+        self.sentences = tuple(sentences)
+        masks: dict = {}
+        full = off = 0
+        spans = []
+        for p in self.sentences:
+            n = len(p.joined)
+            for x, m in _build_masks(p.joined).items():
+                masks[x] = masks.get(x, 0) | (m << off)
+            full |= ((1 << n) - 1) << off
+            spans.append((off, (1 << n) - 1))
+            off += n + 1
+        self.masks = masks
+        self.full = full
+        self._spans = spans
+
+    def lcs_lengths(self, a: str) -> list[int]:
+        """LCS length of a against each sentence, in order."""
+        matched = self.full ^ _lcs_run(self.masks, self.full, a)
+        return [((matched >> off) & ones).bit_count() for off, ones in self._spans]
+
+
+class RowLcs:
+    """LCS lengths of one sentence, text, against a window of prepared
+    sentences, from one packed pass per PackedTargets chunk. packs gives
+    the chunks; it is called, and the pass run, on the first lookup."""
+
+    __slots__ = ("text", "packs", "_lcs")
+
+    def __init__(self, text: str, packs: Callable[[], list[PackedTargets]]):
+        self.text = text
+        self.packs = packs
+        self._lcs: dict | None = None
+
+    def get(self, pa: PreparedSentence, pb: PreparedSentence) -> int | None:
+        """LCS length of pa.joined and pb.joined, when pa is this row's
+        sentence and pb is in its window; else None."""
+        if pa.text != self.text:
+            return None
+        if self._lcs is None:
+            self._lcs = {}
+            for pack in self.packs():
+                self._lcs.update(zip(pack.sentences, pack.lcs_lengths(pa.joined)))
+        return self._lcs.get(pb)
+
+
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
@@ -199,7 +266,12 @@ class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
     cache of prepared sentences keyed by raw text, and the scratch record
     of the pair chain_evaluate is scoring. That record makes a context
-    unsafe for concurrent chain_evaluate calls."""
+    unsafe for concurrent chain_evaluate calls.
+
+    row, when set, is the RowLcs of the sentence whose window of pairs the
+    caller is scoring: the ratio tier's LCS gate then takes its LCS length
+    from the row's packed pass instead of running it for the pair alone.
+    """
 
     def __init__(
         self,
@@ -214,6 +286,7 @@ class ChainContext:
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
         self._pair: _PairScratch | None = None
+        self.row: RowLcs | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -235,6 +308,10 @@ class ComparatorChain:
 
     tiers: tuple[tuple[str, float], ...]
     final_threshold: float = 0.55
+    # min(final_threshold, every tier threshold), set by __post_init__.
+    # Every accepted score is at least this, so a score below it decides
+    # nothing by its value.
+    floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tiers = tuple((str(c), float(t)) for c, t in self.tiers)
@@ -255,12 +332,9 @@ class ComparatorChain:
             raise ConfigError(
                 f"final_threshold {self.final_threshold} outside [0, 1]"
             )
-
-    @property
-    def floor(self) -> float:
-        """min(final_threshold, every tier threshold). Every accepted score
-        is at least this, so a score below it decides nothing by its value."""
-        return min(self.final_threshold, *(thr for _, thr in self.tiers))
+        object.__setattr__(
+            self, "floor", min(self.final_threshold, *(thr for _, thr in tiers))
+        )
 
 
 @dataclass(frozen=True)
@@ -294,9 +368,9 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
     COMPARATORS[name] = fn
 
 
-def _lcs_gate(a: str, pb: PreparedSentence, floor: float):
+def _lcs_gate(a: str, pb: PreparedSentence, floor: float, lcs: int | None = None):
     """The LCS upper bound 2.0 * LCS / total of a against pb.joined when it
-    is below floor, else None.
+    is below floor, else None. lcs, when given, is that LCS length.
 
     The blocks of the decomposition form a common subsequence, so their
     total is at most the LCS length and, with the score's own float
@@ -309,21 +383,25 @@ def _lcs_gate(a: str, pb: PreparedSentence, floor: float):
     t = len(a) + n
     if t == 0:
         return None
-    bound = 2.0 * _lcs_length(pb.masks(), n, a) / t
+    if lcs is None:
+        lcs = _lcs_length(pb.masks(), n, a)
+    bound = 2.0 * lcs / t
     return bound if bound < floor else None
 
 
 def _ratio_prepared(
-    pa: PreparedSentence, pb: PreparedSentence, floor: float = 0.0
+    pa: PreparedSentence, pb: PreparedSentence, floor: float = 0.0,
+    lcs: int | None = None,
 ) -> float:
     """ratio of the two sentences' joined content strings. The larger one
     in canonical order is indexed, and its cached index and masks are used.
     With floor > 0 the LCS bound is returned when it is below floor;
-    otherwise the exact decomposition runs."""
+    otherwise the exact decomposition runs. lcs, when given, is the LCS
+    length of the two strings (LCS is symmetric, so either order)."""
     a, b = pa.joined, pb.joined
     if b < a:
         pb, a, b = pa, b, a
-    bound = _lcs_gate(a, pb, floor)
+    bound = _lcs_gate(a, pb, floor, lcs)
     if bound is not None:
         return bound
     return _decompose(a, pb.index(), len(a), len(b))[1]
@@ -344,20 +422,29 @@ def _cmp_overlap(pa, pb, ctx, chain) -> float:
         return 1.0
     if na == 0 or nb == 0:
         return 0.0
-    common = pa.counts & pb.counts
-    return 2.0 * sum(common.values()) / (na + nb)
+    ca, cb = pa.counts, pb.counts
+    # When one side repeats no token, each token both sides hold counts
+    # once: the size of the key sets' intersection.
+    if len(ca) == na or len(cb) == nb:
+        common = len(ca.keys() & cb.keys())
+    else:
+        common = sum((ca & cb).values())
+    return 2.0 * common / (na + nb)
 
 
 def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value."""
+    exact value. The bound's LCS length comes from ctx.row when the row
+    holds the pair."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _ratio_prepared(pa, pb)
     if rec.base is None:
-        rec.base = _ratio_prepared(pa, pb, rec.floor)
+        row = ctx.row
+        lcs = row.get(pa, pb) if row is not None and rec.floor > 0.0 else None
+        rec.base = _ratio_prepared(pa, pb, rec.floor, lcs)
     return rec.base
 
 
@@ -410,8 +497,9 @@ def chain_evaluate(
     gate: when 2.0 * LCS / total is below chain.floor, that bound is the
     score and the block decomposition does not run. Decisions are the same
     either way; a score below the floor may then be an upper bound (still
-    below the floor). exact=True computes every score in full, for callers
-    that use rejected scores, such as an alignment objective.
+    below the floor). The base ratio's LCS length comes from context.row
+    when that row holds the pair. exact=True computes every score in full,
+    for callers that use rejected scores, such as an alignment objective.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)

@@ -44,8 +44,13 @@ def tokenize(sentence: str) -> tuple[str, ...]:
     Splits on Unicode whitespace, then peels leading and trailing punctuation
     characters off each token into separate single-character tokens.
     """
+    # No alphanumeric character is punctuation, so a chunk that starts and
+    # ends with one has nothing to peel.
     out: list[str] = []
     for chunk in sentence.split():
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            out.append(chunk)
+            continue
         lead: list[str] = []
         while chunk and _is_punct_char(chunk[0]):
             lead.append(chunk[0])
@@ -115,7 +120,10 @@ def remove_stopwords(tokens: tuple[str, ...], stoplist: StopList) -> tuple[str, 
 
     Idempotent: the surviving tokens are never stopwords or punctuation.
     """
-    return tuple([t for t in tokens if t not in stoplist and not is_punct_token(t)])
+    return tuple([
+        t for t in tokens
+        if t not in stoplist and (t[:1].isalnum() or not is_punct_token(t))
+    ])
 
 
 class SynonymLexicon:

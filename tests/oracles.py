@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import unicodedata
 
 from bifilter.mt_metrics import TerBreakdown  # the result type only
 from bifilter.textnorm import is_punct_token, tokenize
@@ -89,6 +90,31 @@ def lcs_length(a, b) -> int:
             else:
                 d[i][j] = max(d[i - 1][j], d[i][j - 1])
     return d[n][m]
+
+# ------------------------------------------------------------------ text
+
+def reference_tokenize(sentence: str) -> tuple[str, ...]:
+    """textnorm.tokenize by its definition: split on whitespace, then peel
+    every leading and trailing punctuation character off each chunk."""
+    out = []
+    for chunk in sentence.split():
+        lead, trail = [], []
+        while chunk and unicodedata.category(chunk[0]).startswith("P"):
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and unicodedata.category(chunk[-1]).startswith("P"):
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        out += lead + ([chunk] if chunk else []) + trail[::-1]
+    return tuple(t.lower() for t in out)
+
+
+def reference_remove_stopwords(tokens, stoplist) -> tuple[str, ...]:
+    """textnorm.remove_stopwords by its definition: drop stopwords and
+    tokens made only of punctuation characters."""
+    return tuple(t for t in tokens if t not in stoplist and not (
+        t and all(unicodedata.category(c).startswith("P") for c in t)))
+
 
 # ------------------------------------------------------------- alignment
 

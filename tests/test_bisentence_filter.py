@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bifilter import bisentence_filter, similarity
 from bifilter.bisentence_filter import (
     FilterConfig,
     align_filter,
@@ -17,10 +18,11 @@ from bifilter.similarity import (
     ChainContext,
     ComparatorChain,
     DEFAULT_CHAIN,
+    PackedTargets,
     chain_evaluate,
     register_comparator,
 )
-from bifilter.textnorm import StopList
+from bifilter.textnorm import StopList, SynonymLexicon
 
 
 def make_bitext(trans, tgt, src=None):
@@ -274,6 +276,96 @@ class TestStructuralInvariants:
             res = align_filter(make_bitext(trans, tgt), cfg)
             counts.append(len(res.accepted))
         assert counts == sorted(counts, reverse=True)
+
+
+PACKED_LINE = st.lists(st.sampled_from(
+    ["cat", "sat", "mat", "dog", "ran", "park", "game", "sport", "żółw", "naïve",
+     "the", "a"]), max_size=10).map(" ".join)
+
+
+class TestPackedRows:
+    """Rows of four or more candidates take their LCS gate values from one
+    packed pass over their window; the result is that of gating each pair
+    on its own."""
+
+    @staticmethod
+    def config(window, lookahead=1, rounds=3, allow_reuse=False):
+        lex = SynonymLexicon()
+        lex.add("game", ["sport"])
+        lex.add("cat", ["dog"])
+        return FilterConfig(chain=DEFAULT_CHAIN, window=window, lookahead=lookahead,
+                            displacement_rounds=rounds, allow_reuse=allow_reuse,
+                            context=ChainContext(stoplist=StopList.from_words(["the", "a"]),
+                                                 lexicon=lex))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(PACKED_LINE, min_size=1, max_size=40).flatmap(
+            lambda trans: st.tuples(st.just(trans), st.lists(
+                PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3))),
+        st.sampled_from([0, 1, 2, 30, None]),
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_same_result_without_packing(self, lines, window, lookahead, rounds,
+                                         allow_reuse):
+        trans, tgt = lines
+        # near-copies of the translations make some pairs pass every gate
+        tgt = [t if k % 3 else trans[k % len(trans)] for k, t in enumerate(tgt)]
+        # an empty line is empty on the source side too
+        bitext = make_bitext(trans, tgt, src=trans)
+        args = (window, lookahead, rounds, allow_reuse)
+        cfg = self.config(*args)
+        packed = align_filter(bitext, cfg)
+        assert cfg.context.row is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bisentence_filter, "_PACKED_ROW_MIN", 10 ** 9)
+            alone = align_filter(bitext, self.config(*args))
+        assert packed == alone
+
+    def counted(self, monkeypatch, obj, name):
+        calls = []
+        fn = getattr(obj, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(obj, name, wrapper)
+        return calls
+
+    def test_one_pass_per_row_and_chunks_shared(self, monkeypatch):
+        # 64 unrelated lines, window 2: every pair is gated, no pair is
+        # accepted, and no contest or variant runs the pair-by-pair gate
+        rng = random.Random(3)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        trans = ["".join(rng.choice(letters[:13]) for _ in range(30)) for _ in range(64)]
+        tgt = ["".join(rng.choice(letters[13:]) for _ in range(30)) for _ in range(64)]
+        pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
+        row_calls = self.counted(monkeypatch, PackedTargets, "lcs_lengths")
+        built = self.counted(monkeypatch, PackedTargets, "__init__")
+        res = align_filter(make_bitext(trans, tgt), self.config(window=2))
+        assert res.accepted == ()
+        # rows 0 and 63 have three candidates and gate each pair alone;
+        # every other row runs one pass per chunk its window touches
+        assert len(pair_calls) == 2 * 3
+        assert len(row_calls) == sum(
+            len({j // bisentence_filter._PACK_CHUNK
+                 for j in range(max(0, i - 2), min(63, i + 2) + 1)})
+            for i in range(1, 63))
+        # each chunk of 16 target lines is built once, and shared
+        assert len(built) == 64 // bisentence_filter._PACK_CHUNK
+
+    def test_small_rows_gate_each_pair(self, monkeypatch):
+        rng = random.Random(4)
+        trans = ["".join(rng.choice("abcdefghijklm") for _ in range(30)) for _ in range(8)]
+        tgt = ["".join(rng.choice("nopqrstuvwxyz") for _ in range(30)) for _ in range(8)]
+        pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
+        row_calls = self.counted(monkeypatch, PackedTargets, "lcs_lengths")
+        align_filter(make_bitext(trans, tgt), self.config(window=1))
+        assert row_calls == []
+        assert len(pair_calls) == 3 * 8 - 2
 
 
 class TestEvaluateFiltering:

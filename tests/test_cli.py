@@ -453,6 +453,21 @@ class TestStatsCommand:
         rows = dict(line.split("\t") for line in out.splitlines())
         assert set(rows.values()) == {"0"}
 
+    def test_manifest_only_beside_a_regular_report(self, write_lines, tmp_path, capsys):
+        # a report written in place, here /dev/null through a symlink, gets
+        # no manifest next to it
+        src = write_lines("src.txt", ["a b"])
+        tgt = write_lines("tgt.txt", ["x"])
+        link = tmp_path / "null.json"
+        link.symlink_to(os.devnull)
+        for report in (link, tmp_path / "rep.json"):
+            code, _, _ = run(["stats", "--src", str(src), "--tgt", str(tgt),
+                              "--report", str(report)], capsys)
+            assert code == 0
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "null.json", "rep.json", "rep.json.manifest.json", "src.txt", "tgt.txt"]
+
     def test_pair_count_non_increasing_after_filter(self, write_lines, tmp_path, capsys):
         noisy_tgt = GOOD_LINES[:3] + ["ISBN 1-55164-250-6."]
         src = write_lines("src.txt", [f"z {i}" for i in range(4)])

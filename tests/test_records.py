@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from bifilter import textnorm
-from bifilter._records import write_text
+from bifilter._records import write_text, written_in_place
 from bifilter.bisentence_filter import load_gold_labels
 from bifilter.corpus_io import REPORT_HEADER, load_filter_report
 from bifilter.errors import ConfigError, DataError
@@ -165,3 +165,16 @@ def test_write_text_writes_into_a_fifo_in_place(via_link, tmp_path, monkeypatch)
         os.close(reader)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == sorted({"fifo", path.name})
+
+
+def test_written_in_place_only_for_existing_non_regular_paths(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    regular = tmp_path / "regular"
+    regular.write_text("x", encoding="utf-8")
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    assert not written_in_place(tmp_path / "missing")
+    assert not written_in_place(regular)
+    assert written_in_place(fifo)
+    assert written_in_place(link)

@@ -1,4 +1,6 @@
+import dataclasses
 import difflib
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -123,6 +125,14 @@ class TestTokenOverlap:
     def test_multiset_counts_repeats(self):
         # one "go" on the small side, not three
         assert comparator("overlap", "go go go", "go stop") == pytest.approx(2 * 1 / 5)
+
+    @given(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join),
+           st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join))
+    def test_equals_multiset_overlap(self, a, b):
+        ta, tb = tokenize(a), tokenize(b)
+        common = sum((Counter(ta) & Counter(tb)).values())
+        want = 1.0 if not ta and not tb else 2.0 * common / (len(ta) + len(tb))
+        assert comparator("overlap", a, b) == want
 
     def test_both_sides_empty_after_filtering(self):
         assert comparator("overlap", "it is", "this is", self.STOP) == 1.0
@@ -308,6 +318,60 @@ class TestLcsGate:
         assert ratio(a, b).matches <= oracles.lcs_length(a, b)
 
 
+class TestPackedTargets:
+    """The row pass: target content strings laid end to end with a zero
+    guard bit after each, run through the LCS kernel once."""
+
+    # empty content strings (stopwords only), non-ASCII words, and up to 40
+    # tokens, so one sentence's bits can span several 64-bit words
+    SENTENCE = st.lists(st.sampled_from(["ab", "b", "ża", "ółw", "ß", "naïve", "the", "a"]),
+                        max_size=40).map(" ".join)
+
+    @given(SENTENCE, st.lists(SENTENCE, max_size=12))
+    @example("", ["", "ab"])
+    @example(TestLcsGate.LONG, [TestLcsGate.LONG, "", TestLcsGate.LONG[::-1]])
+    @settings(max_examples=150, deadline=None)
+    def test_each_segment_equals_oracle(self, a, targets):
+        ctx = ChainContext(stoplist=StopList.from_words(["the", "a"]))
+        pa = ctx.prepare(a)
+        pack = similarity.PackedTargets([ctx.prepare(t) for t in targets])
+        assert pack.lcs_lengths(pa.joined) == [
+            oracles.lcs_length(pa.joined, ctx.prepare(t).joined) for t in targets]
+
+    def test_guard_bit_absorbs_the_carry(self):
+        # "b" against "ab": the second step carries out of the segment's
+        # top bit; without the guard bit it would flip the next segment's
+        # lowest bit
+        ctx = ChainContext()
+        pack = similarity.PackedTargets([ctx.prepare("ab"), ctx.prepare("b")])
+        assert pack.lcs_lengths("bab") == [2, 1]
+        assert pack.full == 0b1011
+
+    def test_row_holds_only_its_own_sentence(self):
+        ctx = ChainContext()
+        pa, pb, other = ctx.prepare("abc"), ctx.prepare("cab"), ctx.prepare("xyz")
+        packs = []
+        row = similarity.RowLcs("abc", lambda: packs.append(1) or [
+            similarity.PackedTargets([pb])])
+        assert row.get(other, pb) is None
+        assert packs == []  # no pass for a sentence the row does not hold
+        assert row.get(pa, pb) == 2
+        assert row.get(pa, other) is None
+        assert row.get(pa, pb) == 2
+        assert packs == [1]  # one pass, on the first lookup
+
+    def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
+        ctx = ChainContext()
+        a, b = "quick brown fox jumps", "lazy dog sleeps all day"
+        want = chain_evaluate(a, b, DEFAULT_CHAIN, ctx)
+        calls = []
+        monkeypatch.setattr(similarity, "_lcs_length",
+                            lambda *args: calls.append(args))
+        ctx.row = similarity.RowLcs(a, lambda: [similarity.PackedTargets([ctx.prepare(b)])])
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want
+        assert calls == []
+
+
 class TestChainFloor:
     """Inside chain_evaluate a ratio-family score whose LCS bound is below
     the chain's floor is that bound, and the block decomposition does not
@@ -322,6 +386,16 @@ class TestChainFloor:
         assert DEFAULT_CHAIN.floor == 0.55
         chain = ComparatorChain(tiers=(("ratio", 0.4), ("overlap", 0.9)))
         assert chain.floor == 0.4
+
+    def test_floor_is_set_once_and_not_compared(self):
+        chain = ComparatorChain(tiers=(("ratio", 0.4), ("overlap", 0.9)))
+        assert "floor" in vars(chain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chain.floor = 0.1
+        same = ComparatorChain(tiers=(("ratio", 0.4), ("overlap", 0.9)))
+        assert same == chain and hash(same) == hash(chain)
+        assert "floor" not in repr(chain)
+        assert dataclasses.replace(chain, final_threshold=0.2).floor == 0.2
 
     def test_score_exactly_at_floor_is_accepted(self):
         # 2.0 * 55 / 200 == 0.55 exactly (0.55 * 200 / 2 == 55.00000000000001),

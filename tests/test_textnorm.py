@@ -1,5 +1,10 @@
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
+
+import oracles
 
 from bifilter.errors import DataError
 from bifilter.textnorm import (
@@ -35,6 +40,21 @@ class TestTokenize:
         # spacing and punctuation attachment may change, characters may not
         joined = " ".join(tokenize(s))
         assert sorted(joined.replace(" ", "")) == sorted("".join(s.split()).lower())
+
+
+    @given(st.text(max_size=40)
+           | st.lists(st.sampled_from(["Ab", "1", "ż", "-", "«", "x.", ".x", "ą,ę", " "]),
+                      max_size=12).map("".join))
+    def test_equals_reference(self, s):
+        assert tokenize(s) == oracles.reference_tokenize(s)
+
+
+def test_no_code_point_is_alphanumeric_and_punctuation():
+    # tokenize and remove_stopwords skip the punctuation checks for chunks
+    # and tokens that start (and end) with an alphanumeric character
+    both = [hex(cp) for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+    assert both == [], f"Unicode {unicodedata.unidata_version}"
 
 
 class TestStopList:
@@ -76,6 +96,12 @@ class TestRemoveStopwords:
     def test_all_stopwords(self):
         seq = tokenize("It is this")
         assert list(remove_stopwords(seq, self.STOP)) == []
+
+    @given(st.lists(st.text(max_size=4) | st.sampled_from(["it", "is", "Fox", ",", "-a"]),
+                    max_size=12).map(tuple))
+    def test_equals_reference(self, tokens):
+        assert (remove_stopwords(tokens, self.STOP)
+                == oracles.reference_remove_stopwords(tokens, self.STOP))
 
     @given(st.lists(st.sampled_from(["it", "is", "fox", "dog", ",", "run"]), max_size=12))
     def test_idempotent(self, words):
