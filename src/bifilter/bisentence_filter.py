@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from ._records import read_records
 from .corpus_io import Bitext
@@ -22,7 +22,6 @@ from .similarity import (
     ChainDecision,
     ComparatorChain,
     PackedTargets,
-    RowLcs,
     chain_evaluate,
 )
 
@@ -31,16 +30,18 @@ __all__ = [
     "FilterResult",
     "FilterQuality",
     "align_filter",
-    "resolve_conflict",
     "evaluate_filtering",
     "load_gold_labels",
 ]
 
 
-# A row of at least this many candidates gets its LCS gate values from one
-# packed pass over its window; smaller rows gate each pair on its own. On
-# the benchmark's 1k-line corpus, packing rows of three candidates (window
-# 1) measured about 10% slower, and rows of five (window 2) level.
+# A row of at least this many open candidates gets its LCS gate values from
+# one packed pass; smaller rows gate each pair on its own. On the
+# benchmark's 1k-line corpus, packing rows of three candidates (window 1)
+# measured about 10% slower, and rows of five (window 2) level. On
+# filter-narrow-10k (window 1), packing every row was slower in five of
+# six alternating runs (lines_per_ref -12% to +9%, median about -7%),
+# though its peak RSS was about 8% lower.
 _PACKED_ROW_MIN = 4
 # Target lines per PackedTargets chunk. Chunks start at multiples of this
 # and are shared by the consecutive rows whose windows cover them.
@@ -100,26 +101,6 @@ class FilterQuality:
     good_filtered: int
 
 
-def resolve_conflict(
-    i: int, j: int, scores: Callable[[int, int], float], lookahead: int
-) -> int:
-    """Decide which source line keeps target line j.
-
-    Returns the argmax over k in {i, ..., i+lookahead} of scores(k, j); ties
-    go to the smallest k, so the earliest line keeps the target.
-
-    Scores are compared as plain numbers, whichever chain tier produced
-    them: an incumbent accepted at the overlap tier can lose to a contender
-    whose ratio-tier score is strictly higher.
-    """
-    best_k, best_s = i, scores(i, j)
-    for k in range(i + 1, i + lookahead + 1):
-        s = scores(k, j)
-        if s > best_s:
-            best_k, best_s = k, s
-    return best_k
-
-
 def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     """Filter a bitext down to the accepted sentence pairs.
 
@@ -127,13 +108,14 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     |j - round(i * |tgt| / |src|)| <= window and are still unconsumed
     (unless allow_reuse). The best-scoring chain-accepted candidate wins,
     except that a later line within the lookahead that scores strictly
-    higher on that candidate defers it (i then tries its next-best).
-    Contests compare scores from different tiers as plain numbers (see
-    resolve_conflict). The incumbent's score is an accepted one, so at
-    least the chain's floor, and a contender scoring below the floor never
-    wins. Source lines left without a surviving candidate are dropped with
-    the best score they saw (see FilterResult); never-accepted target lines
-    are dropped too.
+    higher on that candidate defers it (i then tries its next-best); on
+    a tie the earlier line keeps it. Contests compare scores from different
+    tiers as plain numbers: an incumbent accepted at the overlap tier can
+    lose to a contender whose ratio-tier score is strictly higher. The
+    incumbent's score is an accepted one, so at least the chain's floor,
+    and a contender scoring below the floor never wins. Source lines left
+    without a surviving candidate are dropped with the best score they saw
+    (see FilterResult); never-accepted target lines are dropped too.
     """
     if bitext.trans is None:
         raise DataError(
@@ -176,15 +158,20 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
 
     packs: dict[int, PackedTargets] = {}
 
-    def packed(row: range) -> list[PackedTargets]:
-        # The chunks covering row; those it no longer covers are dropped.
+    def packed_row(i: int, row: list[int]):
+        # ctx.row for line i: one packed pass over the chunks covering row;
+        # those it no longer covers are dropped.
         nonlocal packs
         packs = {
             c: packs.get(c) or PackedTargets(
                 [ctx.prepare(t) for t in tgt[c * _PACK_CHUNK:(c + 1) * _PACK_CHUNK]])
             for c in range(row[0] // _PACK_CHUNK, row[-1] // _PACK_CHUNK + 1)
         }
-        return list(packs.values())
+        pa = ctx.prepare(trans[i])
+        lcs: dict = {}
+        for pack in packs.values():
+            lcs.update(zip(pack.sentences, pack.lcs_lengths(pa.joined)))
+        return pa, lcs
 
     # Empty source lines have nothing to match; they drop with score 0.
     skip = {i for i in range(n_src) if trans[i] == ""}
@@ -192,28 +179,16 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     consumed: set[int] = set()
     best_seen: dict[int, float] = {}
 
-    def contest_lookup(i: int) -> Callable[[int, int], float]:
-        # Only still-unmatched later lines that could themselves reach j
-        # may contest it; everyone else scores below any real score.
-        def lookup(k: int, j: int) -> float:
-            if k == i:
-                return decide(i, j).score
-            if k >= n_src or k in matched or k in skip or not in_window(k, j):
-                return -1.0
-            return decide(k, j).score
-
-        return lookup
-
     def try_match(i: int, veto_active: bool) -> bool:
+        row = [j for j in candidates_of(i) if cfg.allow_reuse or j not in consumed]
+        pack = len(row) >= _PACKED_ROW_MIN
         cands: list[tuple[int, ChainDecision]] = []
         best = best_seen.get(i, 0.0)
-        row = candidates_of(i)
-        if len(row) >= _PACKED_ROW_MIN:
-            ctx.row = RowLcs(trans[i], lambda: packed(row))
         try:
             for j in row:
-                if not cfg.allow_reuse and j in consumed:
-                    continue
+                if pack and (trans[i], tgt[j]) not in memo:
+                    ctx.row = packed_row(i, row)
+                    pack = False
                 d = decide(i, j)
                 if d.score > best:
                     best = d.score
@@ -224,10 +199,14 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         best_seen[i] = best
         cands.sort(key=lambda c: (-c[1].score, c[0]))
         for j, d in cands:
-            if veto_active and cfg.lookahead > 0:
-                winner = resolve_conflict(i, j, contest_lookup(i), cfg.lookahead)
-                if winner != i:
-                    continue
+            # The lookahead rule: a later unmatched line that could itself
+            # reach j takes it by scoring strictly higher.
+            if veto_active and any(
+                decide(k, j).score > d.score
+                for k in range(i + 1, min(i + cfg.lookahead + 1, n_src))
+                if k not in matched and k not in skip and in_window(k, j)
+            ):
+                continue
             matched[i] = (j, d.score, d.tier)
             if not cfg.allow_reuse:
                 consumed.add(j)

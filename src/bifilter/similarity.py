@@ -33,8 +33,6 @@ __all__ = [
     "ChainDecision",
     "ChainContext",
     "PreparedSentence",
-    "PackedTargets",
-    "RowLcs",
     "ratio",
     "chain_evaluate",
     "load_chain_file",
@@ -223,42 +221,21 @@ class PackedTargets:
         return [((matched >> off) & ones).bit_count() for off, ones in self._spans]
 
 
-class RowLcs:
-    """LCS lengths of one sentence, text, against a window of prepared
-    sentences, from one packed pass per PackedTargets chunk. packs gives
-    the chunks; it is called, and the pass run, on the first lookup."""
-
-    __slots__ = ("text", "packs", "_lcs")
-
-    def __init__(self, text: str, packs: Callable[[], list[PackedTargets]]):
-        self.text = text
-        self.packs = packs
-        self._lcs: dict | None = None
-
-    def get(self, pa: PreparedSentence, pb: PreparedSentence) -> int | None:
-        """LCS length of pa.joined and pb.joined, when pa is this row's
-        sentence and pb is in its window; else None."""
-        if pa.text != self.text:
-            return None
-        if self._lcs is None:
-            self._lcs = {}
-            for pack in self.packs():
-                self._lcs.update(zip(pack.sentences, pack.lcs_lengths(pa.joined)))
-        return self._lcs.get(pb)
-
-
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
-    (0.0 for exact=True), and the base ratio once a comparator has
+    (0.0 for exact=True), the LCS length of their joined strings when the
+    caller's row pass has it, and the base ratio once a comparator has
     computed it."""
 
-    __slots__ = ("pa", "pb", "floor", "base")
+    __slots__ = ("pa", "pb", "floor", "lcs", "base")
 
-    def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
+    def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float,
+                 lcs: int | None):
         self.pa = pa
         self.pb = pb
         self.floor = floor
+        self.lcs = lcs
         self.base: float | None = None
 
 
@@ -268,9 +245,11 @@ class ChainContext:
     of the pair chain_evaluate is scoring. That record makes a context
     unsafe for concurrent chain_evaluate calls.
 
-    row, when set, is the RowLcs of the sentence whose window of pairs the
-    caller is scoring: the ratio tier's LCS gate then takes its LCS length
-    from the row's packed pass instead of running it for the pair alone.
+    row, when set, is (pa, lcs): the prepared sentence whose window of
+    pairs the caller is scoring and a dict from each prepared target in
+    that window to its LCS length against pa.joined. A pair whose first
+    sentence is pa takes its LCS gate value from the dict instead of
+    running the LCS pass for the pair alone.
     """
 
     def __init__(
@@ -286,7 +265,7 @@ class ChainContext:
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
         self._pair: _PairScratch | None = None
-        self.row: RowLcs | None = None
+        self.row: tuple[PreparedSentence, dict[PreparedSentence, int]] | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -296,6 +275,18 @@ class ChainContext:
             )
             self._prepared[sentence] = hit
         return hit
+
+
+def _fraction(value, what: str) -> float:
+    """value converted by float(); ConfigError naming what when it is not a
+    number or lies outside [0, 1]."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} is not a number: {value!r}") from None
+    if not 0.0 <= x <= 1.0:
+        raise ConfigError(f"{what} {x} outside [0, 1]")
+    return x
 
 
 @dataclass(frozen=True)
@@ -314,27 +305,21 @@ class ComparatorChain:
     floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tiers = tuple((str(c), float(t)) for c, t in self.tiers)
-        object.__setattr__(self, "tiers", tiers)
-        if not tiers:
+        if not self.tiers:
             raise ConfigError("comparator chain needs at least one tier")
-        for comp, thr in tiers:
+        tiers = []
+        for comp, thr in self.tiers:
+            comp = str(comp)
             if comp not in COMPARATORS:
                 known = ", ".join(sorted(COMPARATORS))
                 raise ConfigError(
                     f"unknown comparator {comp!r} (registered: {known})"
                 )
-            if not 0.0 <= thr <= 1.0:
-                raise ConfigError(
-                    f"tier threshold {thr} for {comp!r} outside [0, 1]"
-                )
-        if not 0.0 <= self.final_threshold <= 1.0:
-            raise ConfigError(
-                f"final_threshold {self.final_threshold} outside [0, 1]"
-            )
-        object.__setattr__(
-            self, "floor", min(self.final_threshold, *(thr for _, thr in tiers))
-        )
+            tiers.append((comp, _fraction(thr, f"tier threshold for {comp!r}")))
+        final = _fraction(self.final_threshold, "final_threshold")
+        object.__setattr__(self, "tiers", tuple(tiers))
+        object.__setattr__(self, "final_threshold", final)
+        object.__setattr__(self, "floor", min(final, *(thr for _, thr in tiers)))
 
 
 @dataclass(frozen=True)
@@ -436,15 +421,12 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value. The bound's LCS length comes from ctx.row when the row
-    holds the pair."""
+    exact value."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _ratio_prepared(pa, pb)
     if rec.base is None:
-        row = ctx.row
-        lcs = row.get(pa, pb) if row is not None and rec.floor > 0.0 else None
-        rec.base = _ratio_prepared(pa, pb, rec.floor, lcs)
+        rec.base = _ratio_prepared(pa, pb, rec.floor, rec.lcs)
     return rec.base
 
 
@@ -498,12 +480,15 @@ def chain_evaluate(
     score and the block decomposition does not run. Decisions are the same
     either way; a score below the floor may then be an upper bound (still
     below the floor). The base ratio's LCS length comes from context.row
-    when that row holds the pair. exact=True computes every score in full,
-    for callers that use rejected scores, such as an alignment objective.
+    when the row's sentence is a's and the row holds b. exact=True computes
+    every score in full, for callers that use rejected scores, such as an
+    alignment objective.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)
-    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor)
+    row = context.row
+    lcs = row[1].get(pb) if row is not None and row[0] is pa else None
+    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor, lcs)
     try:
         score = 0.0
         comp_id = chain.tiers[-1][0]

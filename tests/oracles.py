@@ -12,6 +12,7 @@ import math
 import unicodedata
 
 from bifilter.mt_metrics import TerBreakdown  # the result type only
+from bifilter.similarity import ChainContext, chain_evaluate
 from bifilter.textnorm import is_punct_token, tokenize
 
 
@@ -114,6 +115,67 @@ def reference_remove_stopwords(tokens, stoplist) -> tuple[str, ...]:
     tokens made only of punctuation characters."""
     return tuple(t for t in tokens if t not in stoplist and not (
         t and all(unicodedata.category(c).startswith("P") for c in t)))
+
+
+# ---------------------------------------------------------------- filter
+
+def reference_align_filter(bitext, cfg):
+    """bisentence_filter.align_filter's documented rule, transcribed plainly:
+    exact chain scores, every open candidate in the window scored on every
+    visit, and a contested target going to the argmax of the scores of the
+    line and its lookahead, ties to the earliest line. Only a later line
+    that is unmatched, not empty and has the target in its own window
+    bids. Returns (accepted, dropped_src, dropped_tgt) as FilterResult
+    holds them."""
+    tgt, trans = bitext.target.lines, bitext.trans.lines
+    n_src, n_tgt = len(trans), len(tgt)
+    ctx = cfg.context if cfg.context is not None else ChainContext()
+    matched = {}
+    best_seen = {}
+
+    def decision(i, j):
+        return chain_evaluate(trans[i], tgt[j], cfg.chain, ctx, exact=True)
+
+    def in_window(i, j):
+        return cfg.window is None or abs(j - round(i * n_tgt / n_src)) <= cfg.window
+
+    def contest_winner(i, j):
+        best_k, best_s = i, decision(i, j).score
+        for k in range(i + 1, i + cfg.lookahead + 1):
+            if k < n_src and k not in matched and trans[k] != "" and in_window(k, j):
+                s = decision(k, j).score
+                if s > best_s:
+                    best_k, best_s = k, s
+        return best_k
+
+    def try_match(i, veto):
+        consumed = set() if cfg.allow_reuse else {j for j, _, _ in matched.values()}
+        row = [(j, decision(i, j)) for j in range(n_tgt)
+               if in_window(i, j) and j not in consumed]
+        best_seen[i] = max([best_seen.get(i, 0.0)] + [d.score for _, d in row])
+        accepted = sorted(((j, d) for j, d in row if d.accepted),
+                          key=lambda c: (-c[1].score, c[0]))
+        for j, d in accepted:
+            if veto and contest_winner(i, j) != i:
+                continue
+            matched[i] = (j, d.score, d.tier)
+            return True
+        return False
+
+    order = [i for i in range(n_src) if trans[i] != ""]
+    for _ in range(cfg.displacement_rounds):
+        pending = [i for i in order if i not in matched]
+        if not any([try_match(i, veto=True) for i in pending]):
+            break
+    for i in order:
+        if i not in matched:
+            try_match(i, veto=False)
+    used = {j for j, _, _ in matched.values()}
+    return (
+        tuple((i, *matched[i]) for i in sorted(matched)),
+        tuple((i, best_seen.get(i, 0.0)) for i in range(n_src) if i not in matched),
+        tuple(j for j in range(n_tgt) if j not in used),
+    )
 
 
 # ------------------------------------------------------------- alignment

@@ -36,8 +36,18 @@ def test_removed_names_are_gone(name):
 
 @pytest.mark.parametrize("module, name", [
     ("mt_metrics", "BleuParams"), ("seq_align", "CountingScorer"),
+    ("bisentence_filter", "resolve_conflict"), ("similarity", "RowLcs"),
 ])
 def test_removed_submodule_names_are_gone(module, name):
     assert not hasattr(bifilter, name)
     assert not hasattr(importlib.import_module(f"bifilter.{module}"), name)
     assert name not in bifilter.__all__
+
+
+@pytest.mark.parametrize("module, name", [("similarity", "PackedTargets")])
+def test_internal_names_are_not_exported(module, name):
+    # reachable as a module attribute, but in no __all__
+    submodule = importlib.import_module(f"bifilter.{module}")
+    assert hasattr(submodule, name)
+    assert name not in submodule.__all__
+    assert not hasattr(bifilter, name)

@@ -1,15 +1,16 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from bifilter import bisentence_filter, similarity
 from bifilter.bisentence_filter import (
     FilterConfig,
     align_filter,
     evaluate_filtering,
     load_gold_labels,
-    resolve_conflict,
 )
 from bifilter.corpus_io import Bitext, Corpus
 from bifilter.errors import ConfigError, DataError
@@ -18,7 +19,6 @@ from bifilter.similarity import (
     ChainContext,
     ComparatorChain,
     DEFAULT_CHAIN,
-    PackedTargets,
     chain_evaluate,
     register_comparator,
 )
@@ -176,20 +176,59 @@ class TestConfigValidation:
 
 
 class TestResolveConflict:
-    def test_the_worked_scores(self):
-        scores = {(1, 2): 0.70, (2, 2): 0.95}
-        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=1) == 2
+    """Who keeps a contested target line, seen through align_filter: line 1
+    holds target 2 and a later line bids for it."""
 
-    def test_equal_scores_earlier_wins(self):
-        scores = {(1, 2): 0.70, (2, 2): 0.70}
-        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=1) == 1
+    @staticmethod
+    def run(mock_chain, bids, lookahead=1):
+        # line 0 settles target 0; line 1 scores 0.70 on target 2; bids maps
+        # each later line to its score on target 2
+        scores = {("t0", "g0"): 1.0, ("t1", "g2"): 0.70}
+        scores.update({(f"t{k}", "g2"): s for k, s in bids.items()})
+        trans = [f"t{k}" for k in range(2 + len(bids))]
+        cfg = FilterConfig(chain=mock_chain(scores), window=None, lookahead=lookahead,
+                           context=empty_ctx())
+        res = align_filter(make_bitext(trans, ["g0", "g1", "g2"]), cfg)
+        return {j: i for i, j, _, _ in res.accepted}[2]
 
-    def test_lookahead_zero_returns_i(self):
-        scores = {(1, 2): 0.1, (2, 2): 0.99}
-        assert resolve_conflict(1, 2, lambda k, j: scores[k, j], lookahead=0) == 1
+    def test_the_worked_scores(self, mock_chain):
+        assert self.run(mock_chain, {2: 0.95}) == 2
 
-    def test_callable_lookup(self):
-        assert resolve_conflict(0, 0, lambda i, j: [0.5, 0.9][i], lookahead=1) == 1
+    def test_equal_scores_earlier_wins(self, mock_chain):
+        assert self.run(mock_chain, {2: 0.70}) == 1
+
+    def test_lookahead_zero_returns_i(self, mock_chain):
+        assert self.run(mock_chain, {2: 0.99}, lookahead=0) == 1
+
+    @staticmethod
+    def pairs(mock_chain, scores, window):
+        # three lines and three targets, so line k's diagonal is target k
+        cfg = FilterConfig(chain=mock_chain(scores), window=window, context=empty_ctx())
+        res = align_filter(make_bitext(["t0", "t1", "t2"], ["g0", "g1", "g2"]), cfg)
+        return {i: j for i, j, _, _ in res.accepted}
+
+    def test_contender_must_reach_the_target(self, mock_chain):
+        # line 2 outscores line 1 on target 0, but target 0 is outside line
+        # 2's window; had line 2 deferred line 1, no line would have matched
+        # in round one, and the first-come pass would have given target 0
+        # to line 0
+        scores = {("t0", "g0"): 0.60, ("t1", "g0"): 0.70, ("t2", "g0"): 0.95}
+        assert self.pairs(mock_chain, scores, window=1) == {1: 0}
+
+    def test_matched_line_does_not_contest(self, mock_chain):
+        # round one: line 2 defers line 1 on target 1, then takes target 0;
+        # round two: line 1 takes target 1, since the matched line 2 no
+        # longer bids, before line 0 can
+        scores = {("t0", "g1"): 0.60, ("t1", "g1"): 0.70,
+                  ("t2", "g1"): 0.95, ("t2", "g0"): 0.99}
+        assert self.pairs(mock_chain, scores, window=None) == {1: 1, 2: 0}
+
+    @pytest.mark.parametrize("lookahead, winner", [(1, 1), (2, 3)])
+    def test_two_lines_ahead_outbids_within_the_lookahead(self, mock_chain,
+                                                          lookahead, winner):
+        # line 2 scores nothing on target 2; line 3 outbids line 1 from two
+        # lines ahead
+        assert self.run(mock_chain, {2: 0.0, 3: 0.95}, lookahead) == winner
 
 
 def random_instance(rng, n_max=20):
@@ -283,6 +322,20 @@ PACKED_LINE = st.lists(st.sampled_from(
      "the", "a"]), max_size=10).map(" ".join)
 
 
+def _packed_bitext(lines):
+    trans, tgt = lines
+    # near-copies of the translations make some pairs pass every gate
+    tgt = [t if k % 3 else trans[k % len(trans)] for k, t in enumerate(tgt)]
+    # an empty line is empty on the source side too
+    return make_bitext(trans, tgt, src=trans)
+
+
+PACKED_BITEXT = st.lists(PACKED_LINE, min_size=1, max_size=40).flatmap(
+    lambda trans: st.tuples(st.just(trans), st.lists(
+        PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3))
+).map(_packed_bitext)
+
+
 class TestPackedRows:
     """Rows of four or more candidates take their LCS gate values from one
     packed pass over their window; the result is that of gating each pair
@@ -299,22 +352,10 @@ class TestPackedRows:
                                                  lexicon=lex))
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(PACKED_LINE, min_size=1, max_size=40).flatmap(
-            lambda trans: st.tuples(st.just(trans), st.lists(
-                PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3))),
-        st.sampled_from([0, 1, 2, 30, None]),
-        st.integers(0, 2),
-        st.integers(0, 3),
-        st.booleans(),
-    )
-    def test_same_result_without_packing(self, lines, window, lookahead, rounds,
+    @given(PACKED_BITEXT, st.sampled_from([0, 1, 2, 30, None]), st.integers(0, 2),
+           st.integers(0, 3), st.booleans())
+    def test_same_result_without_packing(self, bitext, window, lookahead, rounds,
                                          allow_reuse):
-        trans, tgt = lines
-        # near-copies of the translations make some pairs pass every gate
-        tgt = [t if k % 3 else trans[k % len(trans)] for k, t in enumerate(tgt)]
-        # an empty line is empty on the source side too
-        bitext = make_bitext(trans, tgt, src=trans)
         args = (window, lookahead, rounds, allow_reuse)
         cfg = self.config(*args)
         packed = align_filter(bitext, cfg)
@@ -343,8 +384,8 @@ class TestPackedRows:
         trans = ["".join(rng.choice(letters[:13]) for _ in range(30)) for _ in range(64)]
         tgt = ["".join(rng.choice(letters[13:]) for _ in range(30)) for _ in range(64)]
         pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
-        row_calls = self.counted(monkeypatch, PackedTargets, "lcs_lengths")
-        built = self.counted(monkeypatch, PackedTargets, "__init__")
+        row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
+        built = self.counted(monkeypatch, similarity.PackedTargets, "__init__")
         res = align_filter(make_bitext(trans, tgt), self.config(window=2))
         assert res.accepted == ()
         # rows 0 and 63 have three candidates and gate each pair alone;
@@ -362,10 +403,55 @@ class TestPackedRows:
         trans = ["".join(rng.choice("abcdefghijklm") for _ in range(30)) for _ in range(8)]
         tgt = ["".join(rng.choice("nopqrstuvwxyz") for _ in range(30)) for _ in range(8)]
         pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
-        row_calls = self.counted(monkeypatch, PackedTargets, "lcs_lengths")
+        row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
         align_filter(make_bitext(trans, tgt), self.config(window=1))
         assert row_calls == []
         assert len(pair_calls) == 3 * 8 - 2
+
+
+class TestReferenceFilter:
+    """align_filter against oracles.reference_align_filter, which scores
+    every pair exactly, packs nothing and settles contests by argmax. The
+    default chain exercises the LCS gates and packed rows; a chain of
+    canned scores in steps of 0.1, drawn per text pair from a seed,
+    exercises contests and ties."""
+
+    @staticmethod
+    def config(canned, *args):
+        cfg = TestPackedRows.config(*args)
+        if canned is None:
+            return cfg
+        chain = ComparatorChain(tiers=(("oracle_canned", 0.9),), final_threshold=0.5)
+        return dataclasses.replace(cfg, chain=chain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PACKED_BITEXT, st.none() | st.integers(0, 2 ** 16),
+           st.sampled_from([0, 1, 2, 30, None]), st.integers(0, 3), st.integers(0, 3),
+           st.booleans())
+    # line 3 outscores line 1 on target 0 but may not contest it: target 0
+    # is outside line 3's window
+    @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4)),
+             None, 2, 2, 1, True)
+    def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse):
+        def cmp(pa, pb, ctx, chain):
+            return random.Random(f"{canned}|{pa.text}|{pb.text}").randrange(11) / 10
+
+        register_comparator("oracle_canned", cmp, replace=True)
+        try:
+            args = (canned, window, lookahead, rounds, allow_reuse)
+            got = align_filter(bitext, self.config(*args))
+            cfg = self.config(*args)
+            accepted, dropped_src, dropped_tgt = oracles.reference_align_filter(bitext, cfg)
+        finally:
+            COMPARATORS.pop("oracle_canned", None)
+        assert got.accepted == accepted
+        assert got.dropped_tgt == dropped_tgt
+        assert [i for i, _ in got.dropped_src] == [i for i, _ in dropped_src]
+        for (_, fast), (_, exact) in zip(got.dropped_src, dropped_src):
+            if exact >= cfg.chain.floor:
+                assert fast == exact
+            else:
+                assert fast < cfg.chain.floor
 
 
 class TestEvaluateFiltering:

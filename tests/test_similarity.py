@@ -348,17 +348,21 @@ class TestPackedTargets:
         assert pack.full == 0b1011
 
     def test_row_holds_only_its_own_sentence(self):
+        # ctx.row serves the pairs whose first sentence is the row's own
+        # prepared sentence and whose second is in the row: a planted LCS
+        # length of 0 shows where it is taken
         ctx = ChainContext()
-        pa, pb, other = ctx.prepare("abc"), ctx.prepare("cab"), ctx.prepare("xyz")
-        packs = []
-        row = similarity.RowLcs("abc", lambda: packs.append(1) or [
-            similarity.PackedTargets([pb])])
-        assert row.get(other, pb) is None
-        assert packs == []  # no pass for a sentence the row does not hold
-        assert row.get(pa, pb) == 2
-        assert row.get(pa, other) is None
-        assert row.get(pa, pb) == 2
-        assert packs == [1]  # one pass, on the first lookup
+        a, b, c = "quick brown fox", "lazy dog sleeps", "pale moon rises"
+        want = {pair: chain_evaluate(*pair, DEFAULT_CHAIN, ctx)
+                for pair in [(a, b), (c, b), (a, c)]}
+        assert want[a, b].score > 0.0
+        ctx.row = (ctx.prepare(a), {ctx.prepare(b): 0})
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx).score == 0.0
+        assert chain_evaluate(c, b, DEFAULT_CHAIN, ctx) == want[c, b]
+        assert chain_evaluate(a, c, DEFAULT_CHAIN, ctx) == want[a, c]
+        # the same text prepared by another context is not the row's sentence
+        ctx.row = (ChainContext().prepare(a), {ctx.prepare(b): 0})
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[a, b]
 
     def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
         ctx = ChainContext()
@@ -367,7 +371,8 @@ class TestPackedTargets:
         calls = []
         monkeypatch.setattr(similarity, "_lcs_length",
                             lambda *args: calls.append(args))
-        ctx.row = similarity.RowLcs(a, lambda: [similarity.PackedTargets([ctx.prepare(b)])])
+        pa, pb = ctx.prepare(a), ctx.prepare(b)
+        ctx.row = (pa, dict(zip([pb], similarity.PackedTargets([pb]).lcs_lengths(pa.joined))))
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want
         assert calls == []
 
@@ -498,6 +503,36 @@ class TestChainConfig:
             ComparatorChain(tiers=(("ratio", 1.5),))
         with pytest.raises(ConfigError):
             ComparatorChain(tiers=(("ratio", 0.9),), final_threshold=-0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"tiers": (("ratio", "x"),)},
+                     r"tier threshold for 'ratio' is not a number: 'x'", id="tier-str"),
+        pytest.param({"tiers": (("ratio", None),)},
+                     r"tier threshold for 'ratio' is not a number: None", id="tier-none"),
+        pytest.param({"tiers": (("ratio", 0.9),), "final_threshold": "x"},
+                     r"final_threshold is not a number: 'x'", id="final-str"),
+        pytest.param({"tiers": (("ratio", 0.9),), "final_threshold": [0.5]},
+                     r"final_threshold is not a number: \[0.5\]", id="final-list"),
+        pytest.param({"tiers": (("ratio", 0.9),), "final_threshold": "1.5"},
+                     r"final_threshold 1.5 outside \[0, 1\]", id="final-range"),
+        pytest.param({"tiers": (("ratio", 0.9),), "final_threshold": "0.5"}, None,
+                     id="final-numeric-str"),
+        pytest.param({"tiers": (("ratio", 0.9),), "final_threshold": 0}, None,
+                     id="final-int"),
+        pytest.param({"tiers": (("ratio", 1),), "final_threshold": 1}, None,
+                     id="all-int"),
+    ])
+    def test_thresholds_are_converted_by_float(self, kwargs, message):
+        if message is not None:
+            with pytest.raises(ConfigError, match=message):
+                ComparatorChain(**kwargs)
+            return
+        chain = ComparatorChain(**kwargs)
+        want = float(kwargs["final_threshold"])
+        assert chain.final_threshold == want
+        assert type(chain.final_threshold) is float and type(chain.floor) is float
+        assert all(type(thr) is float for _, thr in chain.tiers)
+        assert chain.floor == min(want, float(kwargs["tiers"][0][1]))
 
     def test_empty_tiers_rejected(self):
         with pytest.raises(ConfigError):
