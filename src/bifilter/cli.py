@@ -51,12 +51,11 @@ from .seq_align import (
     load_dictionary,
     threshold_filter,
 )
-from .similarity import DEFAULT_CHAIN, ChainContext, load_chain_file
+from .similarity import DEFAULT_CHAIN, ChainContext, _fraction, load_chain_file
 from .textnorm import (
     StopList,
     SynonymLexicon,
     default_stoplist,
-    stoplist_langs,
     tokenize,
 )
 
@@ -113,13 +112,8 @@ def _print_fields(record) -> dict:
 def _load_context(args) -> ChainContext:
     if args.stoplist:
         stoplist = StopList.load(args.stoplist)
-    elif args.stoplist_lang.lower() in stoplist_langs():
-        stoplist = default_stoplist(args.stoplist_lang)
     else:
-        raise ConfigError(
-            f"--stoplist-lang {args.stoplist_lang!r}: no packaged stoplist "
-            f"(packaged: {', '.join(stoplist_langs())})"
-        )
+        stoplist = default_stoplist(args.stoplist_lang)
     if args.synonyms:
         lexicon = SynonymLexicon.load(args.synonyms)
     else:
@@ -172,8 +166,7 @@ def cmd_filter(args) -> int:
 
 def cmd_align(args) -> int:
     started = time.monotonic()
-    cfg = AlignConfig(gap_penalty=args.gap, threshold=args.threshold,
-                      engine=args.engine)
+    cfg = AlignConfig(gap_penalty=args.gap, engine=args.engine)
     doc_a = list(load_corpus(args.doc_a).lines)
     doc_b = list(load_corpus(args.doc_b).lines)
     if args.dict:
@@ -182,14 +175,14 @@ def cmd_align(args) -> int:
         scorer = equality_scorer
     stats: dict = {}
     alignment = align_documents(doc_a, doc_b, scorer, cfg, stats=stats)
-    kept = threshold_filter(alignment, cfg.threshold)
+    kept = threshold_filter(alignment, args.threshold)
     lines = [PAIRS_HEADER]
     lines += [f"{i}\t{j}\t{s:.4f}" for i, j, s in kept]
     write_text(args.out, "".join(line + "\n" for line in lines), "pairs")
     _write_manifest(args.out, "align", args,
                     [args.doc_a, args.doc_b, args.dict], started, stats=stats)
     print(f"aligned {len(alignment.pairs)} pairs, kept {len(kept)} "
-          f"at threshold {cfg.threshold}")
+          f"at threshold {args.threshold}")
     return 0
 
 
@@ -302,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="translation dictionary TSV "
                         "(default: exact-equality scorer)")
     p.add_argument("--gap", type=float, default=0.2, help="gap penalty")
-    p.add_argument("--threshold", type=float, default=0.0,
+    # checked while the arguments are parsed, before any document is read
+    p.add_argument("--threshold", type=lambda text: _fraction(text, "--threshold"),
+                   default=0.0,
                    help="drop pairs below this likelihood")
     p.add_argument("--engine", choices=("dp", "astar"), default="dp",
                    help="search engine")

@@ -79,14 +79,11 @@ class Alignment:
 @dataclass(frozen=True)
 class AlignConfig:
     gap_penalty: float = 0.2
-    threshold: float = 0.0
     engine: str = "dp"
 
     def __post_init__(self):
         if self.gap_penalty < 0:
             raise ConfigError(f"gap_penalty must be >= 0, got {self.gap_penalty}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if self.engine not in ("dp", "astar"):
             raise ConfigError(f"engine must be 'dp' or 'astar', got {self.engine!r}")
 

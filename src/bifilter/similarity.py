@@ -163,32 +163,18 @@ class PreparedSentence:
 
     Holds the raw sentence text, its stopword-filtered content tokens,
     their space-joined string, which the ratio-family comparators compare
-    character by character, and a token Counter. The joined string's
-    position index for block matching and its LCS bitmasks are built on
-    first use and cached.
+    character by character, and a token Counter. Nothing else is kept:
+    each pair gate builds the target's LCS bitmasks for that call, and the
+    block decomposition indexes its sequence per call.
     """
 
-    __slots__ = ("text", "tokens", "joined", "counts", "_index", "_masks")
+    __slots__ = ("text", "tokens", "joined", "counts")
 
     def __init__(self, text: str, tokens: tuple[str, ...]):
         self.text = text
         self.tokens = tokens
         self.joined = " ".join(tokens)
         self.counts = Counter(tokens)
-        self._index: dict | None = None
-        self._masks: dict | None = None
-
-    def index(self) -> dict:
-        """char -> ascending positions in joined, for _longest_match."""
-        if self._index is None:
-            self._index = _build_index(self.joined)
-        return self._index
-
-    def masks(self) -> dict:
-        """char -> bitmask of its positions in joined, for _lcs_length."""
-        if self._masks is None:
-            self._masks = _build_masks(self.joined)
-        return self._masks
 
 
 class PackedTargets:
@@ -289,6 +275,16 @@ def _fraction(value, what: str) -> float:
     return x
 
 
+def _tier(comp, threshold) -> tuple[str, float]:
+    """A chain tier as (registered comparator id, threshold in [0, 1]);
+    ConfigError otherwise."""
+    comp = str(comp)
+    if comp not in COMPARATORS:
+        known = ", ".join(sorted(COMPARATORS))
+        raise ConfigError(f"unknown comparator {comp!r} (registered: {known})")
+    return comp, _fraction(threshold, f"tier threshold for {comp!r}")
+
+
 @dataclass(frozen=True)
 class ComparatorChain:
     """Ordered (comparator id, acceptance threshold) tiers, fast-first.
@@ -307,15 +303,7 @@ class ComparatorChain:
     def __post_init__(self):
         if not self.tiers:
             raise ConfigError("comparator chain needs at least one tier")
-        tiers = []
-        for comp, thr in self.tiers:
-            comp = str(comp)
-            if comp not in COMPARATORS:
-                known = ", ".join(sorted(COMPARATORS))
-                raise ConfigError(
-                    f"unknown comparator {comp!r} (registered: {known})"
-                )
-            tiers.append((comp, _fraction(thr, f"tier threshold for {comp!r}")))
+        tiers = [_tier(comp, thr) for comp, thr in self.tiers]
         final = _fraction(self.final_threshold, "final_threshold")
         object.__setattr__(self, "tiers", tuple(tiers))
         object.__setattr__(self, "final_threshold", final)
@@ -353,43 +341,26 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
     COMPARATORS[name] = fn
 
 
-def _lcs_gate(a: str, pb: PreparedSentence, floor: float, lcs: int | None = None):
-    """The LCS upper bound 2.0 * LCS / total of a against pb.joined when it
-    is below floor, else None. lcs, when given, is that LCS length.
+def _gated_ratio(a: str, b: str, floor: float = 0.0, lcs: int | None = None) -> float:
+    """ratio(a, b).score, or its LCS upper bound 2.0 * LCS / total when
+    floor > 0 and that bound is below floor. lcs, when given, is the LCS
+    length of a and b; otherwise it is computed against b's bitmasks, built
+    for this call. LCS is symmetric, so the bound is the same in either
+    order.
 
     The blocks of the decomposition form a common subsequence, so their
     total is at most the LCS length and, with the score's own float
     expression, the bound is never below the exact score: an exact score
     equal to floor is never gated. floor 0 never gates.
     """
-    if floor <= 0.0:
-        return None
-    n = len(pb.joined)
-    t = len(a) + n
-    if t == 0:
-        return None
-    if lcs is None:
-        lcs = _lcs_length(pb.masks(), n, a)
-    bound = 2.0 * lcs / t
-    return bound if bound < floor else None
-
-
-def _ratio_prepared(
-    pa: PreparedSentence, pb: PreparedSentence, floor: float = 0.0,
-    lcs: int | None = None,
-) -> float:
-    """ratio of the two sentences' joined content strings. The larger one
-    in canonical order is indexed, and its cached index and masks are used.
-    With floor > 0 the LCS bound is returned when it is below floor;
-    otherwise the exact decomposition runs. lcs, when given, is the LCS
-    length of the two strings (LCS is symmetric, so either order)."""
-    a, b = pa.joined, pb.joined
-    if b < a:
-        pb, a, b = pa, b, a
-    bound = _lcs_gate(a, pb, floor, lcs)
-    if bound is not None:
-        return bound
-    return _decompose(a, pb.index(), len(a), len(b))[1]
+    t = len(a) + len(b)
+    if floor > 0.0 and t:
+        if lcs is None:
+            lcs = _lcs_length(_build_masks(b), len(b), a)
+        bound = 2.0 * lcs / t
+        if bound < floor:
+            return bound
+    return ratio(a, b).score
 
 
 def _scratch(ctx: ChainContext, pa, pb) -> _PairScratch | None:
@@ -424,9 +395,9 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     exact value."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
-        return _ratio_prepared(pa, pb)
+        return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
-        rec.base = _ratio_prepared(pa, pb, rec.floor, rec.lcs)
+        rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, rec.lcs)
     return rec.base
 
 
@@ -435,17 +406,14 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     content tokens. The unchanged sentence is variant zero, so the score
     is never below the ratio tier's; each other variant's joined string is
     scored against b's with ratio. Inside chain_evaluate a variant whose LCS
-    bound against b's cached masks is below the floor scores that bound."""
+    bound against b's joined string is below the floor scores that bound."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
     rec = _scratch(ctx, pa, pb)
     floor = rec.floor if rec is not None else 0.0
     for variant in expand_variants(pa.tokens, ctx.lexicon, ctx.variant_cap)[1:]:
-        joined = " ".join(variant)
-        score = _lcs_gate(joined, pb, floor)
-        if score is None:
-            score = ratio(joined, pb.joined).score
+        score = _gated_ratio(" ".join(variant), pb.joined, floor)
         if score > best:
             best = score
             if best >= 1.0:
@@ -502,13 +470,6 @@ def chain_evaluate(
         context._pair = None
 
 
-def _parse_fraction(text: str, path, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: not a number: {text!r}") from None
-
-
 def load_chain_file(path: str | Path) -> ComparatorChain:
     """Parse a chain config file.
 
@@ -516,24 +477,27 @@ def load_chain_file(path: str | Path) -> ComparatorChain:
 
         tier <comparator> <threshold>     # repeated, in tier order
         final_threshold <x>               # optional, default 0.55
+
+    Every error in a line is a ConfigError that starts with path:lineno.
     """
     tiers: list[tuple[str, float]] = []
     final_threshold = 0.55
     for lineno, line in read_records(path, "chain config", ConfigError):
         parts = line.split("#", 1)[0].split()
         key = parts[0]
-        if key == "tier":
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'tier <comparator> <threshold>'"
-                )
-            tiers.append((parts[1], _parse_fraction(parts[2], path, lineno)))
-        elif key == "final_threshold":
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'final_threshold <x>'")
-            final_threshold = _parse_fraction(parts[1], path, lineno)
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown directive {key!r}")
+        try:
+            if key == "tier":
+                if len(parts) != 3:
+                    raise ConfigError("expected 'tier <comparator> <threshold>'")
+                tiers.append(_tier(parts[1], parts[2]))
+            elif key == "final_threshold":
+                if len(parts) != 2:
+                    raise ConfigError("expected 'final_threshold <x>'")
+                final_threshold = _fraction(parts[1], "final_threshold")
+            else:
+                raise ConfigError(f"unknown directive {key!r}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not tiers:
         raise ConfigError(f"{path}: no 'tier' lines; the chain needs at least one")
     return ComparatorChain(tiers=tuple(tiers), final_threshold=final_threshold)

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._records import read_records
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "StopList",
@@ -103,14 +103,14 @@ def stoplist_langs() -> tuple[str, ...]:
 
 def default_stoplist(lang: str) -> StopList:
     """Return the stoplist shipped with the package for a tag of
-    stoplist_langs(), in any case.
-
-    Unknown language tags get an empty stoplist rather than an error, so the
-    pipeline degrades to no stopword removal for unsupported languages.
-    """
+    stoplist_langs(), in any case; ConfigError naming the tag and the
+    packaged tags for any other."""
     candidate = _packaged_stoplists().joinpath(f"stopwords_{lang.lower()}.txt")
     if not candidate.is_file():
-        return StopList(words=frozenset())
+        raise ConfigError(
+            f"no packaged stoplist for language {lang!r} "
+            f"(packaged: {', '.join(stoplist_langs())})"
+        )
     with resources.as_file(candidate) as path:
         return StopList.load(path)
 

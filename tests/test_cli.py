@@ -257,6 +257,25 @@ class TestAlignCommand:
         rows = out.read_text().splitlines()
         assert rows == ["i\tj\tlikelihood", "0\t0\t1.0000"]
 
+    @pytest.mark.parametrize("value, message", [
+        ("1.5", "--threshold 1.5 outside [0, 1]"),
+        ("-0.1", "--threshold -0.1 outside [0, 1]"),
+        ("nan", "--threshold nan outside [0, 1]"),
+        ("high", "--threshold is not a number: 'high'"),
+    ])
+    def test_bad_threshold_exits_2_before_reading(self, value, message, tmp_path,
+                                                  capsys):
+        # the documents do not exist: reading either would exit 1
+        out = tmp_path / "pairs.tsv"
+        code, _, err = run([
+            "align", "--doc-a", str(tmp_path / "missing-a.txt"),
+            "--doc-b", str(tmp_path / "missing-b.txt"),
+            "--threshold", value, "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_dp_and_astar_byte_identical(self, write_lines, tmp_path, capsys):
         a = write_lines("a.txt", ["one", "two", "three"])
         b = write_lines("b.txt", ["one", "inserted", "two", "three"])

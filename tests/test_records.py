@@ -76,7 +76,8 @@ def test_invalid_utf8_names_path_offset_and_line(loader, tmp_path, monkeypatch):
 
 
 # A missing packaged stoplist is an unsupported language: default_stoplist
-# returns an empty list for it, so it is not among these loaders.
+# raises ConfigError naming the tag, not the path, so it is not among these
+# loaders.
 @pytest.mark.parametrize(
     "loader", [ld for ld in LOADERS if ld.load is not _default_stoplist],
     ids=[ld.name for ld in LOADERS if ld.load is not _default_stoplist],

@@ -1,5 +1,6 @@
 import dataclasses
 import difflib
+import re
 from collections import Counter
 
 import pytest
@@ -307,7 +308,8 @@ class TestLcsGate:
         assert len(self.LONG) == 239  # the examples' masks span four words
         ctx = ChainContext()
         pa, pb = ctx.prepare(a), ctx.prepare(b)
-        got = similarity._lcs_length(pb.masks(), len(pb.joined), pa.joined)
+        got = similarity._lcs_length(similarity._build_masks(pb.joined),
+                                     len(pb.joined), pa.joined)
         assert got == oracles.lcs_length(pa.joined, pb.joined)
 
     @given(st.text(alphabet="abż", max_size=20), st.text(alphabet="abż", max_size=20),
@@ -316,6 +318,22 @@ class TestLcsGate:
         if as_tokens:
             a, b = tuple(a), tuple(b)
         assert ratio(a, b).matches <= oracles.lcs_length(a, b)
+
+    # up to 150 characters, so b's masks span more than two 64-bit words
+    TEXT = st.text(alphabet="ab żß", max_size=150)
+
+    @given(TEXT, TEXT, THRESHOLDS)
+    @example("a" * 55 + "b" * 45, "a" * 55 + "c" * 45, 0.55)
+    @example("", "", 0.9)
+    @settings(max_examples=300, deadline=None)
+    def test_gated_ratio_is_exact_or_a_bound_below_floor(self, a, b, floor):
+        got = similarity._gated_ratio(a, b, floor)
+        exact = ratio(a, b).score
+        assert got == similarity._gated_ratio(b, a, floor)
+        if exact >= floor:
+            assert got == exact
+        else:
+            assert exact <= got < floor
 
 
 class TestPackedTargets:
@@ -425,16 +443,16 @@ class TestChainFloor:
         calls = []
         fn = getattr(similarity, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(similarity, name, counted)
         return calls
 
     def test_rejected_pair_scores_base_ratio_once(self, monkeypatch):
         # the ratio and synonym tiers share one base ratio
-        calls = self.counting(monkeypatch, "_ratio_prepared")
+        calls = self.counting(monkeypatch, "_gated_ratio")
         got = chain_evaluate("quick brown fox jumps", "lazy dog sleeps all day",
                              DEFAULT_CHAIN, self.make_ctx())
         assert not got.accepted and got.comparator == "synonym_ratio"
@@ -556,6 +574,21 @@ class TestChainConfig:
         p = tmp_path / "chain.cfg"
         p.write_text("tier ratio 0.9\ngranularity tokens\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r"chain.cfg:2: unknown directive 'granularity'"):
+            load_chain_file(p)
+
+    @pytest.mark.parametrize("line, message", [
+        ("tier ratio 1.5", r"tier threshold for 'ratio' 1.5 outside \[0, 1\]"),
+        ("tier ratio nan", r"tier threshold for 'ratio' nan outside \[0, 1\]"),
+        ("tier ratio x", r"tier threshold for 'ratio' is not a number: 'x'"),
+        ("tier nosuch 0.5", r"unknown comparator 'nosuch' \(registered: "),
+        ("final_threshold -0.1", r"final_threshold -0.1 outside \[0, 1\]"),
+        ("final_threshold y", r"final_threshold is not a number: 'y'"),
+    ], ids=["range", "nan", "not-a-number", "unknown-comparator",
+            "final-range", "final-not-a-number"])
+    def test_load_chain_file_errors_name_path_and_line(self, tmp_path, line, message):
+        p = tmp_path / "chain.cfg"
+        p.write_text(f"# header\ntier overlap 0.99\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:3: {message}"):
             load_chain_file(p)
 
     def test_load_chain_file_bad_directive(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 
-from bifilter.errors import DataError
+from bifilter.errors import ConfigError, DataError
 from bifilter.textnorm import (
     StopList,
     SynonymLexicon,
@@ -77,9 +77,10 @@ class TestStopList:
         assert "it" in default_stoplist("en")
         assert "i" in default_stoplist("pl")
 
-    def test_unknown_language_is_empty(self):
-        sl = default_stoplist("xx")
-        assert "the" not in sl
+    def test_unknown_language_raises(self):
+        with pytest.raises(ConfigError,
+                           match=r"'xx' \(packaged: en, pl\)"):
+            default_stoplist("xx")
 
 
 class TestRemoveStopwords:
