@@ -205,6 +205,7 @@ def cmd_evaluate(args) -> int:
         for i in range(len(cands))
     ]
     lexicon = SynonymLexicon.load(args.synonyms) if args.synonyms else None
+    stats: dict = {}
     report = metric_report(
         cands,
         refs,
@@ -213,10 +214,11 @@ def cmd_evaluate(args) -> int:
         nist_order=args.nist_order,
         lexicon=lexicon,
         meteor_penalty_exponent=args.meteor_penalty_exponent,
+        stats=stats,
     )
     write_text(args.report, _json(report), "report")
     _write_manifest(args.report, "evaluate", args,
-                    [args.cand, *args.ref, args.synonyms], started)
+                    [args.cand, *args.ref, args.synonyms], started, stats=stats)
     for name in metrics:
         print(f"{name}\t{report[name]['score']:.4f}")
     return 0

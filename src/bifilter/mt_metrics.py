@@ -401,87 +401,206 @@ def _max_matching_size(adj: dict[int, list[int]]) -> tuple[int, list[tuple[int, 
 
 _ASSIGN_NODE_CAP = 200_000
 
+# Memo keys of the two kinds of leaf below a search node; real states have
+# keys >= 0.
+_PRUNED = -1  # too many candidates left unmatched to reach the target
+_COMPLETE = -2  # every candidate decided, target pairs made
+
+
+def _assignment_children(space: tuple, state: tuple):
+    """Yield (key, gain, rj, child) for each child of a search node, in
+    visiting order: every still-free reference position rj of the node's
+    candidate in adjacency order, then rj None for leaving it unmatched.
+
+    state is (idx, made, used, ext): the depth, the pairs made so far, the
+    bitmask of used reference positions, and the reference position whose
+    pick at this depth would extend the path's last pair (-1 if none). gain
+    is the change in chunk count the child's pick makes; key is the child's
+    memo key, or _PRUNED / _COMPLETE for a leaf.
+    """
+    choices, reach, slack, n, width = space
+    idx, made, used, ext = state
+    nxt = idx + 1
+    for rj, bit, gain, follow in choices[idx]:
+        if used & bit:
+            continue
+        c_used = used | bit
+        if follow >= 0 and c_used >> follow & 1:
+            follow = -1
+        if nxt == n:
+            key = _COMPLETE
+        else:
+            key = (((c_used & reach[nxt]) * (n + 1) + nxt) * (n + 1)
+                   + made + 1) * width + follow + 1
+        yield key, gain - (rj == ext), rj, (nxt, made + 1, c_used, follow)
+    if nxt - made > slack:
+        key = _PRUNED
+    elif nxt == n:
+        key = _COMPLETE
+    else:
+        key = (((used & reach[nxt]) * (n + 1) + nxt) * (n + 1) + made) * width
+    yield key, 0, None, (nxt, made, used, -1)
+
 
 def _stage_assignment(
-    adj: dict[int, list[int]], prior: list[tuple[int, int]]
+    adj: dict[int, list[int]],
+    prior: list[tuple[int, int]],
+    stats: Optional[dict] = None,
 ) -> list[tuple[int, int]]:
     """Pick a maximum one-to-one assignment for this matching pass,
     minimizing the chunk count of the union with earlier passes.
 
-    Exhaustive over the (small) ambiguity space with a node cap; if the cap
-    trips before any complete assignment, the plain maximum matching is
-    used instead. The search is depth-first over the candidates in order:
-    at each one, every still-free reference position in adjacency order,
-    then leaving it unmatched. It runs on an explicit stack, so a long
-    segment cannot overflow the interpreter's stack.
+    The result is that of a depth-first search over the candidates in
+    order (at each one, every still-free reference position in adjacency
+    order, then leaving it unmatched; a node with more candidates left
+    unmatched than the target allows is a leaf) that visits at most
+    _ASSIGN_NODE_CAP + 1 nodes: the first fewest-chunk complete assignment
+    in visiting order among the visited leaves, or the plain maximum
+    matching when no complete assignment lies inside that budget.
+
+    It is computed without visiting the nodes one by one. A node's subtree
+    depends only on its state: the depth idx, the count made of pairs made,
+    the used reference positions that candidates idx.. can still take, and
+    the reference position that a pick at idx would extend. Each state is
+    memoized under one integer key with two quantities: the number of nodes
+    its subtree has in visiting order, saturating at _ASSIGN_NODE_CAP + 2,
+    and the fewest chunks any complete assignment in it adds (kept only
+    when the size does not saturate). A walk from the root with the budget
+    then takes the memoized minimum of each child subtree that fits the
+    remaining budget, descends into the one child that straddles it, and
+    never reaches later children. The answer is rebuilt as the first
+    optimal leaf in visiting order: at each node, the first child whose
+    gain plus minimum equals the node's minimum. Both passes run on
+    explicit stacks, so a long segment cannot overflow the interpreter's
+    stack.
 
     prior must be one-to-one and share no candidate or reference position
     with adj, as meteor's earlier passes are. The union is then one-to-one
     on both sides, so adding (c, r) changes its chunk count by
-    1 - [(c-1, r-1) in union] - [(c+1, r+1) in union], and the count is
-    kept along the search path instead of recounted at each leaf.
+    1 - [(c-1, r-1) in union] - [(c+1, r+1) in union]: the chunks a subtree
+    adds depend on its state alone.
+
+    stats, when given, gets "capped": whether the search tree has more
+    nodes than the budget, so that the result may have more chunks than the
+    minimum.
     """
     target, fallback = _max_matching_size(adj)
     if target == 0:
+        if stats is not None:
+            stats["capped"] = False
         return []
     cands = sorted(ci for ci in adj if adj[ci])
     n = len(cands)
-    slack = n - target  # candidates that may stay unmatched
-    cap = _ASSIGN_NODE_CAP
     prior_set = set(prior)
-    # the (ci, rj, gain) choices at each depth, last first: popped in adj
-    # order; gain is the change in chunk count from adding (ci, rj) to prior
-    picks = [
-        [
-            (ci, rj, 1 - ((ci - 1, rj - 1) in prior_set)
-             - ((ci + 1, rj + 1) in prior_set))
-            for rj in reversed(adj[ci])
-        ]
-        for ci in cands
-    ]
-    best: Optional[tuple[int, list[tuple[int, int]]]] = None
-    used: set[int] = set()
-    chosen: list[tuple[int, int, int]] = []
-    nodes = 0
-    # (idx, made, pick, chunks): visit depth idx with made pairs chosen,
-    # whose union with prior has chunks chunks, after adding pick (a
-    # choice, or None for leaving a candidate unmatched); a bare None entry
-    # takes back the latest pick.
-    stack: list = [(0, 0, None, _chunk_count(prior))]
-    push, pop = stack.append, stack.pop
-    while stack:
-        entry = pop()
-        if entry is None:
-            used.discard(chosen.pop()[1])
-            continue
-        idx, made, pick, chunks = entry
-        if pick is not None:
-            used.add(pick[1])
-            chosen.append(pick)
-            push(None)
-        if nodes > cap:
-            continue
-        nodes += 1
-        if idx - made > slack:
-            continue
-        if idx == n:
-            if made == target and (best is None or chunks < best[0]):
-                best = (chunks, [(ci, rj) for ci, rj, _ in chosen])
-            continue
-        push((idx + 1, made, None, chunks))
-        # Candidates are chosen in ascending order, so only this node's own
-        # pick can be the (ci - 1, rj - 1) that a child (ci, rj) extends.
-        if pick is not None and pick[0] + 1 == cands[idx]:
-            extends = pick[1] + 1
+    # reach[idx]: the reference positions candidates idx.. can take
+    reach = [0] * (n + 1)
+    for idx in range(n - 1, -1, -1):
+        reach[idx] = reach[idx + 1]
+        for rj in adj[cands[idx]]:
+            reach[idx] |= 1 << rj
+    # choices[idx]: (rj, bit, gain, follow) for each pick at depth idx; gain
+    # is the change in chunk count from adding (ci, rj) to prior, follow the
+    # next candidate's reference position that would extend the pick
+    choices = []
+    for idx, ci in enumerate(cands):
+        if idx + 1 < n and cands[idx + 1] == ci + 1:
+            extendable = set(adj[ci + 1])
         else:
-            extends = -1
-        for child in picks[idx]:
-            if child[1] not in used:
-                gain = child[2] - (child[1] == extends)
-                push((idx + 1, made + 1, child, chunks + gain))
-    if best is None:
+            extendable = set()
+        choices.append([
+            (rj, 1 << rj,
+             1 - ((ci - 1, rj - 1) in prior_set) - ((ci + 1, rj + 1) in prior_set),
+             rj + 1 if rj + 1 in extendable else -1)
+            for rj in adj[ci]
+        ])
+    space = (choices, reach, n - target, n, reach[0].bit_length() + 1)
+    budget = _ASSIGN_NODE_CAP + 1
+    full = budget + 1  # a saturated subtree size
+    no_leaf = n + 1  # more chunks than any assignment adds: no complete leaf
+    root = (0, 0, 0, -1)  # its key is 0
+
+    sizes = {_PRUNED: 1, _COMPLETE: 1}
+    mins = {_PRUNED: no_leaf, _COMPLETE: 0}
+    # [key, children, size so far, fewest chunks so far, child to revisit]
+    stack: list = [[0, _assignment_children(space, root), 1, no_leaf, None]]
+    while stack:
+        frame = stack[-1]
+        key, kids, size, best, child = frame
+        while size < full:
+            if child is None:
+                child = next(kids, None)
+                if child is None:
+                    break
+            c_key, gain, _, c_state = child
+            c_size = sizes.get(c_key)
+            if c_size is None:  # explore the child, then revisit it
+                break
+            child = None
+            size += c_size
+            if size < full:
+                c_min = mins[c_key]
+                if c_min < no_leaf and gain + c_min < best:
+                    best = gain + c_min
+        if child is not None:
+            frame[2:] = size, best, child
+            stack.append([c_key, _assignment_children(space, c_state), 1, no_leaf, None])
+            continue
+        stack.pop()
+        if size < full:
+            sizes[key] = size
+            mins[key] = best
+        else:
+            sizes[key] = full
+    if stats is not None:
+        stats["capped"] = sizes[0] > budget
+
+    # The walk: the root is the only child of a virtual node at depth 0.
+    kids = iter(((0, 0, None, root),))
+    idx = chunks = 0
+    left = budget  # nodes the depth-first order may still visit
+    spine: list[tuple[int, int]] = []  # the picks on the walked path
+    found = None  # (chunks, len(spine), pick, state, its minimum)
+    while True:
+        straddle = None
+        for child in kids:
+            if not left:
+                break
+            c_key, gain, rj, c_state = child
+            c_size = sizes[c_key]
+            if c_size > left:
+                straddle = child
+                break
+            left -= c_size
+            c_min = mins[c_key]
+            if c_min < no_leaf and (found is None or chunks + gain + c_min < found[0]):
+                pick = None if rj is None else (cands[idx], rj)
+                found = (chunks + gain + c_min, len(spine), pick, c_state, c_min)
+        if straddle is None:
+            break
+        _, gain, rj, c_state = straddle
+        left -= 1
+        chunks += gain
+        if rj is not None:
+            spine.append((cands[idx], rj))
+        idx = c_state[0]
+        kids = _assignment_children(space, c_state)
+    if found is None:
         return fallback
-    return best[1]
+
+    _, depth, pick, state, need = found
+    pairs = spine[:depth]
+    if pick is not None:
+        pairs.append(pick)
+    while state[0] < n:
+        for c_key, gain, rj, c_state in _assignment_children(space, state):
+            c_min = mins[c_key]
+            if c_min < no_leaf and gain + c_min == need:
+                break
+        if rj is not None:
+            pairs.append((cands[state[0]], rj))
+        need -= gain
+        state = c_state
+    return pairs
 
 
 def _meteor_breakdown(
@@ -517,26 +636,33 @@ def meteor(
     ref,
     lexicon: Optional[SynonymLexicon] = None,
     penalty_exponent: int = 1,
+    stats: Optional[dict] = None,
 ) -> MeteorBreakdown:
     """METEOR score of a candidate against a single reference.
 
     Unigrams align in three passes over the still-unmatched tokens: exact
     match, stem match, then synonym match; each pass takes a maximum
-    one-to-one matching with the fewest chunks. score =
-    (10PR / (R + 9P)) * (1 - penalty) with penalty =
-    0.5 * (chunks/matches)^penalty_exponent, and 0 when nothing matches.
+    one-to-one matching with the fewest chunks (within the search budget of
+    _stage_assignment). score = (10PR / (R + 9P)) * (1 - penalty) with
+    penalty = 0.5 * (chunks/matches)^penalty_exponent, and 0 when nothing
+    matches.
+
+    stats, when given, gets "meteor_capped": the names ("exact", "stem",
+    "synonym") of the passes whose search ran out of budget.
     """
     ct = tuple(cand)
     rt = tuple(ref)
     lex = lexicon if lexicon is not None else SynonymLexicon()
     matched: list[tuple[int, int]] = []
 
-    def relations():
-        yield lambda a, b: a == b
-        yield lambda a, b: stem(a) == stem(b)
-        yield lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)
+    capped = []
 
-    for related in relations():
+    def relations():
+        yield "exact", lambda a, b: a == b
+        yield "stem", lambda a, b: stem(a) == stem(b)
+        yield "synonym", lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)
+
+    for name, related in relations():
         done_c = {ci for ci, _ in matched}
         done_r = {rj for _, rj in matched}
         adj = {
@@ -548,7 +674,12 @@ def meteor(
             for ci in range(len(ct))
             if ci not in done_c
         }
-        matched.extend(_stage_assignment(adj, matched))
+        search: dict = {}
+        matched.extend(_stage_assignment(adj, matched, search))
+        if search["capped"]:
+            capped.append(name)
+    if stats is not None:
+        stats["meteor_capped"] = capped
     return _meteor_breakdown(
         len(matched), _chunk_count(matched), len(ct), len(rt), penalty_exponent
     )
@@ -559,20 +690,33 @@ def meteor_corpus(
     refs,
     lexicon: Optional[SynonymLexicon] = None,
     penalty_exponent: int = 1,
+    stats: Optional[dict] = None,
 ) -> MeteorBreakdown:
     """Corpus METEOR: match counts, token totals, and chunk counts pool
     over segments before the formula applies. Uses each segment's first
-    reference."""
+    reference.
+
+    stats, when given, gets "meteor_capped": a [segment, pass] pair
+    (0-based segment index, pass name) for each pass whose search ran out
+    of budget, as meteor reports them.
+    """
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
     m_u = chunks = cand_total = ref_total = 0
-    for cand, group in zip(cand_toks, ref_toks):
+    capped = []
+    for idx, (cand, group) in enumerate(zip(cand_toks, ref_toks)):
+        seg_stats: Optional[dict] = {} if stats is not None else None
         seg = meteor(
-            cand, group[0], lexicon=lexicon, penalty_exponent=penalty_exponent
+            cand, group[0], lexicon=lexicon, penalty_exponent=penalty_exponent,
+            stats=seg_stats,
         )
+        if seg_stats is not None:
+            capped += [[idx, name] for name in seg_stats["meteor_capped"]]
         m_u += seg.matches
         chunks += seg.chunks
         cand_total += len(cand)
         ref_total += len(group[0])
+    if stats is not None:
+        stats["meteor_capped"] = capped
     return _meteor_breakdown(m_u, chunks, cand_total, ref_total, penalty_exponent)
 
 
@@ -584,11 +728,13 @@ def metric_report(
     nist_order: int = 5,
     lexicon: Optional[SynonymLexicon] = None,
     meteor_penalty_exponent: int = 1,
+    stats: Optional[dict] = None,
 ) -> dict:
     """Score a candidate corpus and build a JSON-ready report.
 
     Every requested metric contributes its breakdown; BLEU, TER, and METEOR
-    also carry the x100 percentage form.
+    also carry the x100 percentage form. stats, when given, gets
+    meteor_corpus's "meteor_capped" if METEOR runs.
     """
     for name in metrics:
         if name not in METRIC_NAMES:
@@ -619,7 +765,7 @@ def metric_report(
     if "meteor" in metrics:
         m = meteor_corpus(
             cands, refs, lexicon=lexicon,
-            penalty_exponent=meteor_penalty_exponent,
+            penalty_exponent=meteor_penalty_exponent, stats=stats,
         )
         report["meteor"] = {
             "score": m.score,

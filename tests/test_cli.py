@@ -3,11 +3,12 @@ import json
 import os
 import random
 import time
+from unittest import mock
 
 import pytest
 
 import oracles
-from bifilter import _records, corpus_io
+from bifilter import _records, corpus_io, mt_metrics
 from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
 from bifilter.seq_align import (
@@ -389,6 +390,24 @@ class TestEvaluateCommand:
         assert code == 2
         assert "exponent" in err and out == ""
         assert not rep.exists()
+
+    @pytest.mark.parametrize("metrics, want", [
+        ("bleu,meteor", {"meteor_capped": [[0, "exact"]]}),
+        ("bleu", {}),
+    ])
+    def test_manifest_names_capped_meteor_passes(self, metrics, want, write_lines,
+                                                 tmp_path, capsys):
+        cand = write_lines("cand.txt", ["a b a b", "c"])
+        ref = write_lines("ref.txt", ["b a b a", "d"])
+        rep = tmp_path / "r.json"
+        args = ["evaluate", "--cand", str(cand), "--ref", str(ref),
+                "--metrics", metrics, "--report", str(rep)]
+        # a budget of one node cuts off every pass that can match anything
+        with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", 0):
+            code, _, _ = run(args, capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["stats"] == want
 
     def test_meteor_on_a_1200_token_line(self, write_lines, tmp_path, capsys):
         # the fewest-chunk search goes one level deeper per token

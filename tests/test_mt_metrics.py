@@ -390,6 +390,62 @@ def bipartite(draw):
     return adj, prior
 
 
+# Words sharing stems (walk), and a small lexicon, so that every METEOR pass
+# can match and extend earlier passes' pairs.
+SEARCH_WORDS = ["walk", "walks", "walked", "game", "sport", "play", "plays"]
+SEARCH_LEXICON = SynonymLexicon()
+SEARCH_LEXICON.add("game", ["sport", "play"])
+SEARCH_LEXICON.add("walk", ["play"])
+
+
+@st.composite
+def stem_synonym_segments(draw):
+    """A candidate and a reference of 0-14 tokens over 2-4 of SEARCH_WORDS."""
+    vocab = draw(st.lists(st.sampled_from(SEARCH_WORDS), min_size=2, max_size=4,
+                          unique=True))
+    tokens = st.lists(st.sampled_from(vocab), max_size=14)
+    return draw(tokens), draw(tokens)
+
+
+# A segment of the benchmark's evaluate-mixed inputs (seed 0, segment 14:
+# candidate and first reference). Its exact pass has a search tree of about
+# 2.27 M nodes; the node cap cuts it off after an 8-chunk assignment.
+CAPPED_CAND = (
+    "village carries neighbor officer garden window director history concert . "
+    "justice repairs school silence village concert history . journey collects "
+    "concert kitchen officer music letter airport people purpose officer culture "
+    "problem concert mountain ."
+).split()
+CAPPED_REF = (
+    "village carries neighbor traffic garden window director history concert . "
+    "justice repairs school silence village library concert kitchen officer "
+    "music history . journey collects letter airport people purpose officer "
+    "culture problem concert people ."
+).split()
+
+
+def pass_adjacency(cand, ref, related):
+    """A first METEOR pass: each candidate position's related reference
+    positions, ascending."""
+    return {ci: [rj for rj, rw in enumerate(ref) if related(cw, rw)]
+            for ci, cw in enumerate(cand)}
+
+
+def moved_blocks(length, vocab):
+    """A reference of length tokens over vocab words, and the candidate
+    made from it by moving six 3-word blocks (random.Random(0))."""
+    rng = random.Random(0)
+    ref = [f"w{rng.randrange(vocab)}" for _ in range(length)]
+    cand = list(ref)
+    for _ in range(6):
+        i = rng.randrange(len(cand) - 3)
+        block = cand[i : i + 3]
+        del cand[i : i + 3]
+        j = rng.randrange(len(cand))
+        cand[j:j] = block
+    return cand, ref
+
+
 class TestMeteorSearch:
     """The stack-based matching searches against their recursive forms in
     oracles: the same results, with the node cap lowered so the fallback
@@ -418,6 +474,90 @@ class TestMeteorSearch:
             assert mt_metrics._stage_assignment(adj, []) == fallback
         # with room to search, the fewest-chunk assignment wins instead
         assert mt_metrics._stage_assignment(adj, []) != fallback
+
+    @given(stem_synonym_segments(), st.integers(0, 40))
+    @example((["walk", "walk", "game", "walks"], ["sport", "walks", "walk", "walked"]), 3)
+    @settings(max_examples=300, deadline=None)
+    def test_meteor_equals_meteor_on_recursive_search(self, case, cap):
+        # every pass, stem and synonym ones with earlier passes' pairs too
+        cand, ref = case
+
+        def recursive(adj, prior, stats=None):
+            if stats is not None:
+                stats["capped"] = False
+            return oracles.recursive_stage_assignment(adj, prior, cap)
+
+        with mock.patch.object(mt_metrics, "_stage_assignment", recursive):
+            want = meteor(cand, ref, lexicon=SEARCH_LEXICON)
+        with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", cap):
+            assert meteor(cand, ref, lexicon=SEARCH_LEXICON) == want
+
+    def test_real_cap_cuts_a_pass_after_a_complete_assignment(self):
+        adj = pass_adjacency(CAPPED_CAND, CAPPED_REF, lambda a, b: a == b)
+        want = oracles.recursive_stage_assignment(adj, [], mt_metrics._ASSIGN_NODE_CAP)
+        stats: dict = {}
+        assert mt_metrics._stage_assignment(adj, [], stats) == want
+        assert stats == {"capped": True}
+        assert want != mt_metrics._max_matching_size(adj)[1]
+        # 8 chunks where 6 is the minimum
+        assert mt_metrics._chunk_count(want) == 8
+        stats = {}
+        got = meteor(CAPPED_CAND, CAPPED_REF, stats=stats)
+        assert (got.matches, got.chunks) == (31, 8)
+        assert stats == {"meteor_capped": ["exact"]}
+
+    def test_real_cap_cuts_a_pass_before_any_complete_assignment(self):
+        # Under x -> p, the nine m's take every order of the nine n's and y
+        # finds p gone each time: about a million nodes, none of them a
+        # complete assignment. The Kuhn matching then gives 11 chunks where
+        # x -> q, m's in order, y -> p gives 2.
+        lex = SynonymLexicon()
+        lex.add("x", ["p", "q"])
+        lex.add("y", ["p"])
+        lex.add("m", ["n"])
+        cand = ["x"] + ["m"] * 9 + ["y"]
+        ref = ["p", "q"] + ["n"] * 9
+        adj = pass_adjacency(
+            cand, ref, lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b))
+        want = oracles.recursive_stage_assignment(adj, [], mt_metrics._ASSIGN_NODE_CAP)
+        assert want == mt_metrics._max_matching_size(adj)[1]
+        stats: dict = {}
+        assert mt_metrics._stage_assignment(adj, [], stats) == want
+        assert stats == {"capped": True}
+        stats = {}
+        got = meteor(cand, ref, lexicon=lex, stats=stats)
+        assert (got.matches, got.chunks) == (11, 11)
+        assert stats == {"meteor_capped": ["synonym"]}
+
+    def test_moved_blocks_over_five_words_stay_bounded(self):
+        # the cap cuts the exact pass off after its first leaf, the
+        # first-fit assignment (91 chunks); the Kuhn matching has 110
+        cand, ref = moved_blocks(120, 5)
+        adj = pass_adjacency(cand, ref, lambda a, b: a == b)
+        want = oracles.recursive_stage_assignment(adj, [], mt_metrics._ASSIGN_NODE_CAP)
+        assert mt_metrics._stage_assignment(adj, []) == want
+        assert mt_metrics._chunk_count(mt_metrics._max_matching_size(adj)[1]) == 110
+        got = meteor(cand, ref)
+        assert (got.matches, got.chunks) == (120, 91)
+
+    def test_one_repeated_word_stays_bounded(self):
+        got = meteor(["a"] * 400, ["a"] * 400)
+        assert (got.matches, got.chunks) == (400, 1)
+
+    def test_stats_name_capped_segments_and_passes(self):
+        cands = [["a", "b"], CAPPED_CAND, CAPPED_CAND]
+        refs = [[["a", "b"]], [CAPPED_REF], [CAPPED_CAND]]
+        stats: dict = {}
+        got = meteor_corpus(cands, refs, stats=stats)
+        assert stats == {"meteor_capped": [[1, "exact"]]}
+        assert got == meteor_corpus(cands, refs)
+        stats = {}
+        report = metric_report(cands, refs, stats=stats)
+        assert stats == {"meteor_capped": [[1, "exact"]]}
+        assert report == metric_report(cands, refs)
+        stats = {}
+        metric_report(cands, refs, metrics=("bleu", "ter"), stats=stats)
+        assert stats == {}
 
 class TestMetricReport:
     def test_percent_scale(self):
