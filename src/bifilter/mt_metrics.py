@@ -9,7 +9,8 @@ TER's shift search scores every candidate shift with a word-parallel
 Levenshtein kernel (Myers 1999; Hyyrö 2001) over per-token bitmasks of the
 reference: O(L * ceil(m / w)) word operations for an L-token sequence
 against an m-token reference with machine word size w, in place of an
-O(L * m) table.
+O(L * m) table, and skips every shift whose lower bounds show it cannot
+win.
 """
 
 from __future__ import annotations
@@ -239,7 +240,47 @@ def _edit_distance(masks: dict, m: int, text) -> int:
 _MAX_SHIFT_ITER = 50
 
 
-def _best_shift(current: tuple, ref: tuple, masks: dict, positions: dict, base: int):
+def _diagonal_floor(pv: int, mv: int, k: int, n: int, m: int) -> int:
+    """A lower bound on lev(x, ref) for every n-token x whose first k
+    tokens leave the column state (pv, mv) against the m-token ref.
+
+    Along a diagonal the Levenshtein table never decreases, so the bottom
+    corner D[n][m] is at least D[k][m - (n - k)], read off the column as
+    D[k][0] = k plus its vertical deltas above that row; when the diagonal
+    leaves the table (m - (n - k) < 0) the length difference n - m bounds it.
+    """
+    row = m - n + k
+    if row < 0:
+        return n - m
+    low = (1 << row) - 1
+    return k + (pv & low).bit_count() - (mv & low).bit_count()
+
+
+def _shift_bounds(current: tuple, ref: tuple, masks: dict, rmasks: dict):
+    """The column states of current against ref, and the lower bounds that
+    let _best_shift skip a shift without scoring it.
+
+    cols[k] is the column state after current[:k]. A shift that keeps
+    current[:s] and current[e:] in place has distance at least pre[s], the
+    diagonal floor at column s, and at least suf[e], the same floor on the
+    reversed sequences: a backward pass over current[::-1] with rmasks,
+    the bitmasks of ref[::-1], reads lev(current[e:], ref[e:]) off the
+    diagonal from the top-left corner, or n - m when e > m.
+    """
+    n, m = len(current), len(ref)
+    full = (1 << m) - 1
+    cols = [(full, 0)]
+    back = [(full, 0)]
+    for k in range(n):
+        cols.append(_advance(masks, full, current[k : k + 1], *cols[k]))
+        back.append(_advance(rmasks, full, current[n - 1 - k : n - k], *back[k]))
+    pre = [_diagonal_floor(pv, mv, k, n, m) for k, (pv, mv) in enumerate(cols)]
+    suf = [_diagonal_floor(pv, mv, k, n, m) for k, (pv, mv) in enumerate(back)]
+    return cols, pre, suf[::-1]
+
+
+def _best_shift(current: tuple, ref: tuple, masks: dict, rmasks: dict,
+                positions: dict, base: int):
     """The single block shift that most reduces the edit distance.
 
     A shiftable block is a contiguous candidate span occurring verbatim in
@@ -250,15 +291,20 @@ def _best_shift(current: tuple, ref: tuple, masks: dict, positions: dict, base: 
     reference position q of current[i] (positions maps a token to its
     ascending reference positions). Returns (new_distance, shifted) or None
     when nothing helps.
+
+    Moving a span leaves current[:s] and current[e:] in place. A shift is
+    skipped, unscored, once a lower bound on its distance reaches the
+    threshold t (base, then the best distance found): pre[s] and suf[e]
+    from _shift_bounds, then, after the moved part shifted[s:e] is scored
+    from cols[s], the diagonal floor at column e. Such a shift could never
+    pass the strict d < t test, so the visiting order and the winner are
+    the same as scoring every shift.
     """
     best = None
+    t = base
     n, m = len(current), len(ref)
     full = (1 << m) - 1
-    # cols[k]: the column state after current[:k]; a shifted sequence
-    # equals current up to min(i, p), so its distance resumes from there
-    cols = [(full, 0)]
-    for k in range(n):
-        cols.append(_advance(masks, full, current[k : k + 1], *cols[k]))
+    cols, pre, suf = _shift_bounds(current, ref, masks, rmasks)
     for i in range(n):
         runs = []  # (q, length of the match of current[i:] at ref[q:])
         for q in positions.get(current[i], ()):
@@ -269,20 +315,29 @@ def _best_shift(current: tuple, ref: tuple, masks: dict, positions: dict, base: 
         if not runs:
             continue
         for ln in range(max(k for _, k in runs), 0, -1):
-            span = current[i : i + ln]
-            rest = current[:i] + current[i + ln :]
             for q, k in runs:
                 if k < ln:
                     continue
-                p = min(q, len(rest))
-                shifted = rest[:p] + span + rest[p:]
-                if shifted == current:
+                p = min(q, n - ln)
+                if p == i:
                     continue
-                s = min(i, p)
-                pv, mv = _advance(masks, full, shifted[s:], *cols[s])
+                s, e = (p, i + ln) if p < i else (i, p + ln)
+                if pre[s] >= t or suf[e] >= t:
+                    continue
+                if p < i:
+                    mid = current[i:e] + current[p:i]
+                else:
+                    mid = current[i + ln : e] + current[i : i + ln]
+                if mid == current[s:e]:
+                    continue
+                pv, mv = _advance(masks, full, mid, *cols[s])
+                if _diagonal_floor(pv, mv, e, n, m) >= t:
+                    continue
+                pv, mv = _advance(masks, full, current[e:], pv, mv)
                 d = n + pv.bit_count() - mv.bit_count()
-                if d < base and (best is None or d < best[0]):
-                    best = (d, shifted)
+                if d < t:
+                    t = d
+                    best = (d, current[:s] + mid + current[e:])
     return best
 
 
@@ -296,13 +351,21 @@ def ter(cand, refs) -> TerBreakdown:
     length.
 
     Every distance comes from the word-parallel kernel (_advance) over the
-    reference's per-token bitmasks, built once per reference. A shift round
-    over an L-token candidate and an m-token reference tries at most one
-    shift per matching (candidate span, reference position) pair, O(L * m)
-    of them when matches are short, and scores each in O(L * ceil(m / w))
-    word operations, resuming from the column state of the prefix it shares
-    with the unshifted candidate. Exact: the same edits and shifts as a
-    row-by-row Levenshtein search in the same order.
+    bitmasks of the reference and of the reversed reference, built once per
+    reference. A shift round over an L-token candidate and an m-token
+    reference tries at most one shift per matching (candidate span,
+    reference position) pair, O(L * m) of them when matches are short, and
+    scores each in O(L * ceil(m / w)) word operations, resuming from the
+    column state of the prefix it shares with the unshifted candidate.
+
+    A shift is skipped unscored when a lower bound on its distance already
+    reaches the round's threshold (the distance before the round, then the
+    best shift's): the diagonal floor of the prefix it leaves in place, the
+    distance of the suffix it leaves in place to the reference's suffix
+    from the same index, and the diagonal floor after its moved part. Each
+    is at most the shift's true distance, and only a distance below the
+    threshold can win, so the search is exact: the same edits and shifts
+    as a row-by-row Levenshtein search in the same order.
     """
     cand_t = tuple(cand)
     ref_ts = [tuple(r) for r in refs]
@@ -312,6 +375,7 @@ def ter(cand, refs) -> TerBreakdown:
     best_shifts = 0
     for ref_t in ref_ts:
         masks = _build_masks(ref_t)
+        rmasks = _build_masks(ref_t[::-1])
         positions: dict = {}
         for q, tok in enumerate(ref_t):
             positions.setdefault(tok, []).append(q)
@@ -319,7 +383,7 @@ def ter(cand, refs) -> TerBreakdown:
         shifts = 0
         dist = _edit_distance(masks, len(ref_t), current)
         while dist > 0 and shifts < _MAX_SHIFT_ITER:
-            found = _best_shift(current, ref_t, masks, positions, dist)
+            found = _best_shift(current, ref_t, masks, rmasks, positions, dist)
             if found is None:
                 break
             dist, current = found

@@ -226,6 +226,16 @@ class TestTer:
         got = ter(cand, [ref])
         assert got.edits >= oracles.exhaustive_ter_edits(cand, ref, max_shifts=2)
 
+    def test_moved_blocks_over_sixty_words(self):
+        cand, ref = moved_blocks(120, 60)
+        got = ter(cand, [ref])
+        assert (got.edits, got.shifts) == (10, 6)
+
+    def test_moved_blocks_over_five_words(self):
+        cand, ref = moved_blocks(60, 5)
+        got = ter(cand, [ref])
+        assert (got.edits, got.shifts) == (10, 8)
+
 
 @st.composite
 def ter_case(draw):
@@ -234,6 +244,34 @@ def ter_case(draw):
     vocab = "abcdef"[: draw(st.integers(2, 6))]
     seg = st.lists(st.sampled_from(vocab), max_size=40)
     return draw(seg), draw(st.lists(seg, min_size=1, max_size=2))
+
+
+@st.composite
+def near_identical_case(draw):
+    """A reference of 4-30 tokens over 3-8 words, and a candidate made from
+    it by moving 1-3 blocks of 1-4 tokens, then substituting 0-2 tokens: the
+    pairs where most shifts are skipped by their lower bounds."""
+    vocab = "abcdefgh"[: draw(st.integers(3, 8))]
+    ref = draw(st.lists(st.sampled_from(vocab), min_size=4, max_size=30))
+    cand = list(ref)
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 4))
+        start = draw(st.integers(0, len(cand) - size))
+        block = cand[start : start + size]
+        del cand[start : start + size]
+        to = draw(st.integers(0, len(cand)))
+        cand[to:to] = block
+    for _ in range(draw(st.integers(0, 2))):
+        cand[draw(st.integers(0, len(cand) - 1))] = draw(st.sampled_from(vocab))
+    return cand, ref
+
+
+@st.composite
+def shift_bound_case(draw):
+    """A candidate and a reference of up to 10 tokens over 2-4 words."""
+    vocab = "abcd"[: draw(st.integers(2, 4))]
+    seg = st.lists(st.sampled_from(vocab), max_size=10)
+    return tuple(draw(seg)), tuple(draw(seg))
 
 
 def sized_tokens(max_len):
@@ -254,6 +292,38 @@ class TestTerSearch:
     def test_equals_reference_ter(self, case):
         cand, refs = case
         assert ter(cand, refs) == oracles.reference_ter(cand, refs)
+
+    @given(near_identical_case())
+    @example((list("aaaabaaab"), list("abaabaaba")))
+    @example((list("aaaaabbaa"), list("abaabaaba")))
+    @example((list("caabac"), list("acbacb")))
+    @settings(max_examples=300, deadline=None)
+    def test_near_identical_equals_reference_ter(self, case):
+        cand, ref = case
+        assert ter(cand, [ref]) == oracles.reference_ter(cand, [ref])
+
+    @given(shift_bound_case())
+    @example((tuple("ab"), tuple("ba")))
+    @settings(max_examples=300, deadline=None)
+    def test_shift_bounds_never_exceed_a_shifted_distance(self, case):
+        # a shift that keeps current[:s] and current[e:] in place keeps
+        # every shorter prefix and suffix too, so each of those bounds holds
+        current, ref = case
+        n = len(current)
+        _, pre, suf = mt_metrics._shift_bounds(
+            current, ref, _build_masks(ref), _build_masks(ref[::-1]))
+        dist = oracles.full_matrix_lev(current, ref)
+        assert pre[n] == suf[0] == dist
+        for shifted in oracles._all_shifts(current):
+            d = oracles.full_matrix_lev(shifted, ref)
+            s = 0
+            while current[s] == shifted[s]:
+                s += 1
+            e = n
+            while current[e - 1] == shifted[e - 1]:
+                e -= 1
+            assert all(d >= pre[k] for k in range(s + 1))
+            assert all(d >= suf[k] for k in range(e, n + 1))
 
     @given(sized_tokens(150), sized_tokens(150))
     @example([], [])
