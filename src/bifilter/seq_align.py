@@ -10,6 +10,7 @@ translation-dictionary scorer is provided.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -122,25 +123,42 @@ def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
     return table
 
 
+_RankedRow = tuple[tuple[str, float], ...]
+
+
 def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     """Scorer averaging, over the source's non-punctuation tokens, each
     token's best translation probability into the target's non-punctuation
     token set. A source with no such tokens scores 0.0.
 
-    The scorer keeps what it derives from each line, keyed by the line:
-    for a source line, the dictionary rows of its tokens in token order
-    (None where a token has no row); for a target line, its token set. Each
-    distinct line is tokenized once per side for the scorer's lifetime."""
-    source_rows: dict[str, tuple[Optional[dict[str, float]], ...]] = {}
+    Each dictionary word's row is ranked once, as a tuple of (target, prob)
+    sorted by descending prob, and shared by every line that holds the
+    word. A token's best probability is the prob of the first ranked target
+    in the target's token set: the value max() over the row gives. The
+    scorer keeps what it derives from each line, keyed by the line: for a
+    source line, the ranked rows of its tokens in token order (tokens
+    without a row are left out, as they add 0.0) and its token count; for a
+    target line, its token set. Each distinct line is tokenized once per
+    side for the scorer's lifetime."""
+    ranked: dict[str, _RankedRow] = {}
+    source_rows: dict[str, tuple[tuple[_RankedRow, ...], int]] = {}
     target_sets: dict[str, frozenset[str]] = {}
 
+    def ranked_row(word: str) -> _RankedRow:
+        row = ranked.get(word)
+        if row is None:
+            entries = (dictionary.get(word) or {}).items()
+            row = ranked[word] = tuple(sorted(entries, key=lambda e: -e[1]))
+        return row
+
     def score(a: str, b: str) -> float:
-        rows = source_rows.get(a)
-        if rows is None:
-            rows = source_rows[a] = tuple(
-                dictionary.get(t) for t in tokenize(a) if not is_punct_token(t)
-            )
-        if not rows:
+        entry = source_rows.get(a)
+        if entry is None:
+            tokens = [t for t in tokenize(a) if not is_punct_token(t)]
+            rows = tuple(row for row in map(ranked_row, tokens) if row)
+            entry = source_rows[a] = (rows, len(tokens))
+        rows, count = entry
+        if not count:
             return 0.0
         b_toks = target_sets.get(b)
         if b_toks is None:
@@ -149,9 +167,12 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
             )
         total = 0.0
         for row in rows:
-            if row:
-                total += max((p for w, p in row.items() if w in b_toks), default=0.0)
-        return min(1.0, total / len(rows))
+            for w, p in row:
+                if w in b_toks:
+                    total += p
+                    break
+        total /= count
+        return total if total < 1.0 else 1.0
 
     return score
 
@@ -173,30 +194,27 @@ def equality_scorer(a: str, b: str) -> float:
     return 1.0 if a == b else 0.0
 
 
-# DP move priorities on value ties: a positive-scoring match beats skipping
-# an A element, which beats skipping a B element, which beats a zero-scoring
-# match. The last rule keeps worthless pairs out of the alignment.
-_PRI_MATCH_POS = 3
-_PRI_GAP_A = 2
-_PRI_GAP_B = 1
-_PRI_MATCH_ZERO = 0
+# Moves into a node (i, j): _MATCH from (i-1, j-1), pairing A[i-1] with
+# B[j-1]; _GAP_A from (i-1, j), leaving A[i-1] unaligned; _GAP_B from
+# (i, j-1), leaving B[j-1] unaligned. Node (i, j) has the key i * (m + 1) + j.
+_MATCH, _GAP_A, _GAP_B = 0, 1, 2
+_UNSEEN = (float("-inf"), _MATCH)
 
 
-def _backtrace(n: int, m: int, kind_at, score_at) -> Alignment:
-    """Walk back from (n, m) to (0, 0). kind_at(i, j) is the move that
-    entered node (i, j): "m" from (i-1, j-1), pairing A[i-1] with B[j-1];
-    "a" from (i-1, j), leaving A[i-1] unaligned; "b" from (i, j-1), leaving
-    B[j-1] unaligned. score_at(i, j) is the likelihood of pair (i, j)."""
+def _backtrace(n: int, m: int, move_at, like_at) -> Alignment:
+    """Walk back from node (n, m) to (0, 0). move_at(key) is the move that
+    entered the node with that key; like_at(i, j) is the likelihood of pair
+    (i, j)."""
     pairs: list[tuple[int, int, float]] = []
     gaps_a: list[int] = []
     gaps_b: list[int] = []
     i, j = n, m
     while i > 0 or j > 0:
-        kind = kind_at(i, j)
-        if kind == "m":
+        kind = move_at(i * (m + 1) + j)
+        if kind == _MATCH:
             i, j = i - 1, j - 1
-            pairs.append((i, j, score_at(i, j)))
-        elif kind == "a":
+            pairs.append((i, j, like_at(i, j)))
+        elif kind == _GAP_A:
             i -= 1
             gaps_a.append(i)
         else:
@@ -215,40 +233,53 @@ def nw_align(
     """Optimal monotone alignment by dynamic programming.
 
     Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Scores
-    every cell of the |A| x |B| matrix.
+    every cell of the |A| x |B| matrix, row by row.
+
+    Keeps one byte per node for the move that entered it, in a bytearray
+    of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, two rows of node
+    values, and each row's likelihoods as an array('d') for the backtrace:
+    about 9 bytes per cell. On value ties a positive-scoring match beats
+    skipping an A element, which beats skipping a B element, which beats a
+    zero-scoring match; the last rule keeps worthless pairs out of the
+    alignment.
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
-    value = [[0.0] * (m + 1) for _ in range(n + 1)]
-    move = [[""] * (m + 1) for _ in range(n + 1)]
+    width = m + 1
+    moves = bytearray(width * (n + 1))  # all _MATCH until written
+    moves[1:width] = bytes([_GAP_B]) * m
+    prev = [0.0] + [-gap * j for j in range(1, width)]
+    likes: list[array] = []
     for i in range(1, n + 1):
-        value[i][0] = -gap * i
-        move[i][0] = "a"
-    for j in range(1, m + 1):
-        value[0][j] = -gap * j
-        move[0][j] = "b"
-    likes = [[0.0] * m for _ in range(n)]
-    for i in range(1, n + 1):
-        row_val = value[i]
-        row_move = move[i]
-        prev_val = value[i - 1]
-        for j in range(1, m + 1):
-            s = _checked(scorer(doc_a[i - 1], doc_b[j - 1]))
-            likes[i - 1][j - 1] = s
-            best = (
-                prev_val[j - 1] + s,
-                _PRI_MATCH_POS if s > 0 else _PRI_MATCH_ZERO,
-                "m",
-            )
-            cand = (prev_val[j] - gap, _PRI_GAP_A, "a")
-            if cand[:2] > best[:2]:
-                best = cand
-            cand = (row_val[j - 1] - gap, _PRI_GAP_B, "b")
-            if cand[:2] > best[:2]:
-                best = cand
-            row_val[j] = best[0]
-            row_move[j] = best[2]
-    return _backtrace(n, m, lambda i, j: move[i][j], lambda i, j: likes[i][j])
+        a = doc_a[i - 1]
+        row = [_checked(scorer(a, b)) for b in doc_b]
+        likes.append(array("d", row))
+        left = -gap * i
+        cur = [left]
+        base = i * width
+        moves[base] = _GAP_A
+        keys = range(base + 1, base + width)
+        for key, s, diag, above in zip(keys, row, prev, prev[1:]):
+            best = diag + s
+            move = _MATCH
+            up = above - gap
+            side = left - gap
+            if s > 0.0:
+                if up > best:
+                    best, move = up, _GAP_A
+                if side > best:
+                    best, move = side, _GAP_B
+            else:
+                if up >= best:
+                    best, move = up, _GAP_A
+                if side > best or (side == best and move == _MATCH):
+                    best, move = side, _GAP_B
+            cur.append(best)
+            left = best
+            if move:
+                moves[key] = move
+        prev = cur
+    return _backtrace(n, m, moves.__getitem__, lambda i, j: likes[i][j])
 
 
 def _heuristic(rest_a: int, rest_b: int, gap: float) -> float:
@@ -285,48 +316,47 @@ def astar_align(
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
-    cache: dict[tuple[int, int], float] = {}
-
-    def pair_score(i: int, j: int) -> float:
-        key = (i, j)
-        v = cache.get(key)
-        if v is None:
-            v = _checked(scorer(doc_a[i], doc_b[j]))
-            cache[key] = v
-        return v
-
-    best_g: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    parent: dict[tuple[int, int], str] = {}
+    width = m + 1
+    goal = n * width + m
+    # cell key -> likelihood; node key -> (best gain found, move into it)
+    cache: dict[int, float] = {}
+    best: dict[int, tuple[float, int]] = {0: (0.0, _MATCH)}
     counter = 0
-    heap = [(-_heuristic(n, m, gap), 0, 0.0, 0, 0)]
+    heap = [(-_heuristic(n, m, gap), 0, 0.0, 0)]
     expanded = 0
     while heap:
-        neg_f, _seq, g, i, j = heapq.heappop(heap)
-        if g < best_g.get((i, j), float("-inf")):
+        _neg_f, _seq, g, key = heapq.heappop(heap)
+        if g < best[key][0]:
             continue
-        if (i, j) == (n, m):
+        if key == goal:
             break
         expanded += 1
-        succs: list[tuple[int, int, float, str]] = []
+        i, j = divmod(key, width)
+        # (successor key, its gain, the move into it, lines left on each side)
+        succs = []
         if i < n and j < m:
-            succs.append((i + 1, j + 1, g + pair_score(i, j), "m"))
+            s = cache.get(key)
+            if s is None:
+                s = cache[key] = _checked(scorer(doc_a[i], doc_b[j]))
+            succs.append((key + width + 1, g + s, _MATCH, n - i - 1, m - j - 1))
         if i < n:
-            succs.append((i + 1, j, g - gap, "a"))
+            succs.append((key + width, g - gap, _GAP_A, n - i - 1, m - j))
         if j < m:
-            succs.append((i, j + 1, g - gap, "b"))
-        for si, sj, sg, kind in succs:
-            if sg > best_g.get((si, sj), float("-inf")):
-                best_g[(si, sj)] = sg
-                parent[(si, sj)] = kind
+            succs.append((key + 1, g - gap, _GAP_B, n - i, m - j - 1))
+        for succ, sg, move, rest_a, rest_b in succs:
+            if sg > best.get(succ, _UNSEEN)[0]:
+                best[succ] = (sg, move)
                 counter += 1
-                f = sg + _heuristic(n - si, m - sj, gap)
-                heapq.heappush(heap, (-f, counter, sg, si, sj))
+                f = sg + _heuristic(rest_a, rest_b, gap)
+                heapq.heappush(heap, (-f, counter, sg, succ))
     else:
         raise DataError("alignment search exhausted without reaching the goal")
     if stats is not None:
         stats["scorer_calls"] = len(cache)
         stats["expanded"] = expanded
-    return _backtrace(n, m, lambda i, j: parent[(i, j)], lambda i, j: cache[(i, j)])
+    return _backtrace(
+        n, m, lambda key: best[key][1], lambda i, j: cache[i * width + j]
+    )
 
 
 def align_documents(

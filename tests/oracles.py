@@ -7,11 +7,13 @@ on tiny inputs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import unicodedata
 
 from bifilter.mt_metrics import TerBreakdown  # the result type only
+from bifilter.seq_align import Alignment  # the result type only
 from bifilter.similarity import ChainContext, chain_evaluate
 from bifilter.textnorm import is_punct_token, tokenize
 
@@ -195,6 +197,101 @@ def best_alignment_objective(doc_a, doc_b, scorer, gap_penalty) -> float:
                 if total > best:
                     best = total
     return best
+
+
+# DP move priorities on value ties, as tuples compared with the value:
+# positive match, then gap A, then gap B, then zero match.
+_PRI_MATCH_POS, _PRI_GAP_A, _PRI_GAP_B, _PRI_MATCH_ZERO = 3, 2, 1, 0
+
+
+def _reference_backtrace(n, m, kind_at, score_at):
+    pairs, gaps_a, gaps_b = [], [], []
+    i, j = n, m
+    while i > 0 or j > 0:
+        kind = kind_at(i, j)
+        if kind == "m":
+            i, j = i - 1, j - 1
+            pairs.append((i, j, score_at(i, j)))
+        elif kind == "a":
+            i -= 1
+            gaps_a.append(i)
+        else:
+            j -= 1
+            gaps_b.append(j)
+    return Alignment(pairs=tuple(reversed(pairs)), gaps_a=tuple(reversed(gaps_a)),
+                     gaps_b=tuple(reversed(gaps_b)))
+
+
+def reference_nw_align(doc_a, doc_b, scorer, gap):
+    """seq_align.nw_align with full tables of values, moves and likelihoods,
+    each cell's best move chosen by comparing (value, priority) tuples."""
+    n, m = len(doc_a), len(doc_b)
+    value = [[0.0] * (m + 1) for _ in range(n + 1)]
+    move = [[""] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        value[i][0] = -gap * i
+        move[i][0] = "a"
+    for j in range(1, m + 1):
+        value[0][j] = -gap * j
+        move[0][j] = "b"
+    likes = [[0.0] * m for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            s = float(scorer(doc_a[i - 1], doc_b[j - 1]))
+            likes[i - 1][j - 1] = s
+            best = (value[i - 1][j - 1] + s,
+                    _PRI_MATCH_POS if s > 0 else _PRI_MATCH_ZERO, "m")
+            for cand in ((value[i - 1][j] - gap, _PRI_GAP_A, "a"),
+                         (value[i][j - 1] - gap, _PRI_GAP_B, "b")):
+                if cand[:2] > best[:2]:
+                    best = cand
+            value[i][j], move[i][j] = best[0], best[2]
+    return _reference_backtrace(n, m, lambda i, j: move[i][j],
+                                lambda i, j: likes[i][j])
+
+
+def reference_astar_align(doc_a, doc_b, scorer, gap, heuristic):
+    """seq_align.astar_align keyed by (i, j) tuples: (alignment, stats).
+    heuristic(rest_a, rest_b, gap) bounds the gain still reachable."""
+    n, m = len(doc_a), len(doc_b)
+    cache = {}
+
+    def pair_score(i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = float(scorer(doc_a[i], doc_b[j]))
+        return cache[(i, j)]
+
+    best_g = {(0, 0): 0.0}
+    parent = {}
+    counter = 0
+    heap = [(-heuristic(n, m, gap), 0, 0.0, 0, 0)]
+    expanded = 0
+    while heap:
+        _neg_f, _seq, g, i, j = heapq.heappop(heap)
+        if g < best_g.get((i, j), float("-inf")):
+            continue
+        if (i, j) == (n, m):
+            break
+        expanded += 1
+        succs = []
+        if i < n and j < m:
+            succs.append((i + 1, j + 1, g + pair_score(i, j), "m"))
+        if i < n:
+            succs.append((i + 1, j, g - gap, "a"))
+        if j < m:
+            succs.append((i, j + 1, g - gap, "b"))
+        for si, sj, sg, kind in succs:
+            if sg > best_g.get((si, sj), float("-inf")):
+                best_g[(si, sj)] = sg
+                parent[(si, sj)] = kind
+                counter += 1
+                f = sg + heuristic(n - si, m - sj, gap)
+                heapq.heappush(heap, (-f, counter, sg, si, sj))
+    else:
+        raise AssertionError("search exhausted without reaching the goal")
+    alignment = _reference_backtrace(n, m, lambda i, j: parent[(i, j)],
+                                     lambda i, j: cache[(i, j)])
+    return alignment, {"scorer_calls": len(cache), "expanded": expanded}
 
 
 def reference_lexicon_score(dictionary, a, b) -> float:

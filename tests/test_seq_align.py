@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +89,14 @@ class TestScorers:
         scorer = lexicon_scorer(load_dictionary(p))
         assert scorer("kot pies", "cat dog") == pytest.approx(0.75)
 
+    def test_lexicon_best_of_several_hits(self):
+        scorer = lexicon_scorer(
+            {"kot": {"cat": 0.25, "dog": 0.5, "the": 0.5, "ma": 0.0, "pies": 1.0}})
+        assert scorer("kot", "cat dog the ma") == 0.5
+        assert scorer("kot", "ma cat") == 0.25
+        assert scorer("kot", "ma") == 0.0
+        assert scorer("kot kot", "cat pies") == 1.0
+
     def test_lexicon_ignores_punctuation(self, tmp_path):
         p = tmp_path / "dict.tsv"
         p.write_text("kot\tcat\t1.0\npies\t!\t1.0\n", encoding="utf-8")
@@ -136,14 +149,18 @@ _WORDS = ["kot", "Pies", "cat", "dog", "the", "ma"]
 _LINE = st.lists(
     st.sampled_from(_WORDS + [".", "!", "?!", "kot,", "(dog)"]), max_size=5
 ).map(" ".join)
-# Rows of one to three entries with probabilities below 1; some source
-# words have no row.
+# Rows of one to four entries; some source words have no row. Half the
+# probabilities come from a few round values, so rows hold ties, zeros and
+# ones, where a first-hit rule over ranked rows could part from max().
 _DICTIONARY = st.dictionaries(
     st.sampled_from(["kot", "pies", "cat", "ma", "!"]),
     st.dictionaries(
         st.sampled_from(["cat", "dog", "the", "ma", "!"]),
-        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-        min_size=1, max_size=3,
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        ),
+        min_size=1, max_size=4,
     ),
 )
 
@@ -312,6 +329,77 @@ class TestAstarAlign:
         want = nw_align(doc_a, doc_b, scorer, cfg).objective(0.2)
         assert al.objective(0.2) == pytest.approx(want, abs=1e-9)
         assert old.objective(0.2) == pytest.approx(want, abs=1e-9)
+
+
+class TestTieBreakOracles:
+    """Both engines against transcriptions of their tuple-keyed forms, on
+    score tables with many ties: equal Alignments, not just objectives, so
+    a changed tie-break shows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+        st.data(),
+    )
+    def test_engines_equal_references(self, n, m, gap, data):
+        doc_a, doc_b = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(m)]
+        value = st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.5, 1.0])
+        scorer = table_scorer(
+            {(x, y): data.draw(value) for x in doc_a for y in doc_b})
+        cfg = AlignConfig(gap_penalty=gap)
+        assert nw_align(doc_a, doc_b, scorer, cfg) == oracles.reference_nw_align(
+            doc_a, doc_b, scorer, gap)
+        stats = {}
+        got = astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
+        assert (got, stats) == oracles.reference_astar_align(
+            doc_a, doc_b, scorer, gap, seq_align._heuristic)
+
+
+def _align_peak_mb(tmp_path, n, engine):
+    """(peak RSS in MB, manifest stats) of `align --engine ENGINE` on two
+    unrelated n-line documents. The command runs under a small launcher
+    process: a child inherits its parent's RSS high-water mark through fork
+    and exec, and the test process may have grown."""
+    doc_a, doc_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    doc_a.write_text("".join(f"left line {i}\n" for i in range(n)), encoding="utf-8")
+    doc_b.write_text("".join(f"right line {j}\n" for j in range(n)), encoding="utf-8")
+    out = tmp_path / "pairs.tsv"
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_pid, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "bifilter.cli",
+         "align", "--doc-a", str(doc_a), "--doc-b", str(doc_b), "--out", str(out),
+         "--engine", engine],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kb = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+    return maxrss_kb / 1024, stats
+
+
+class TestHostileMemory:
+    """Every cell of two unrelated documents scores 0: DP keeps an entry
+    for each cell of the grid, and A* scores most of them."""
+
+    def test_dp_2000_lines(self, tmp_path):
+        peak_mb, stats = _align_peak_mb(tmp_path, 2000, "dp")
+        assert stats["scorer_calls"] == 2000 * 2000
+        assert peak_mb <= 110
+
+    def test_astar_1000_lines(self, tmp_path):
+        peak_mb, stats = _align_peak_mb(tmp_path, 1000, "astar")
+        assert stats["scorer_calls"] > 1000 * 1000 // 2
+        assert peak_mb <= 290
 
 
 class TestAlignDocuments:
