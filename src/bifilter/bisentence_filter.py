@@ -36,12 +36,13 @@ __all__ = [
 
 
 # A row of at least this many open candidates gets its LCS gate values from
-# one packed pass; smaller rows gate each pair on its own. On the
-# benchmark's 1k-line corpus, packing rows of three candidates (window 1)
-# measured about 10% slower, and rows of five (window 2) level. On
-# filter-narrow-10k (window 1), packing every row was slower in five of
-# six alternating runs (lines_per_ref -12% to +9%, median about -7%),
-# though its peak RSS was about 8% lower.
+# one packed pass; smaller rows gate each pair through the source line's
+# own masks. With those per-line masks, three rounds of 20 s benchmark
+# runs (2 vCPUs) gave median lines_per_ref for a minimum of 3 / 4 / 8:
+# filter-narrow-10k (window 1, rows of at most three) 2905 / 3151 / 3144,
+# filter-wide-1k (window 30) 922 / 936 / 926. Packing rows of three is
+# slower on the narrow workload; 4 and 8 differ only in rows of 4-7
+# candidates, which neither workload has many of.
 _PACKED_ROW_MIN = 4
 # Target lines per PackedTargets chunk. Chunks start at multiples of this
 # and are shared by the consecutive rows whose windows cover them.

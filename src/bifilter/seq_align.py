@@ -10,6 +10,7 @@ translation-dictionary scorer is provided.
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,8 +84,9 @@ class AlignConfig:
     engine: str = "dp"
 
     def __post_init__(self):
-        if self.gap_penalty < 0:
-            raise ConfigError(f"gap_penalty must be >= 0, got {self.gap_penalty}")
+        if not (math.isfinite(self.gap_penalty) and self.gap_penalty >= 0):
+            raise ConfigError(
+                f"gap_penalty must be finite and >= 0, got {self.gap_penalty}")
         if self.engine not in ("dp", "astar"):
             raise ConfigError(f"engine must be 'dp' or 'astar', got {self.engine!r}")
 

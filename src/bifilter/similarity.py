@@ -42,53 +42,42 @@ __all__ = [
 ]
 
 
-def _build_index(b) -> dict:
-    b2j: dict = {}
-    for j, elem in enumerate(b):
-        b2j.setdefault(elem, []).append(j)
-    return b2j
-
-
-def _longest_match(a, b2j, alo: int, ahi: int, blo: int, bhi: int):
+def _longest_match(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int):
     """Longest common contiguous block inside the window [alo,ahi)x[blo,bhi).
 
-    Tie-break is smallest a_start, then smallest b_start: same-size blocks
-    complete in start order under the ascending row/position scan, and only
-    strictly longer blocks replace the incumbent.
+    For each start i in turn, the block grows while a[i:i+size+1] occurs in
+    b[blo:bhi] (str.find, in C); the scan stops once fewer than size+1
+    units of a remain. Only a strictly longer block replaces the incumbent,
+    so the tie-break is smallest a_start, then smallest b_start: the last
+    find gives the leftmost occurrence of the winning block.
     """
-    besti = bestj = bestsize = 0
-    j2len: dict[int, int] = {}
+    besti = bestsize = 0
+    find = b.find
     for i in range(alo, ahi):
-        newj2len: dict[int, int] = {}
-        for j in b2j.get(a[i], ()):
-            if j < blo:
-                continue
-            if j >= bhi:
-                break
-            k = newj2len[j] = j2len.get(j - 1, 0) + 1
-            if k > bestsize:
-                besti, bestj, bestsize = i - k + 1, j - k + 1, k
-        j2len = newj2len
-    return besti, bestj, bestsize
+        if ahi - i <= bestsize:
+            break
+        while i + bestsize < ahi and find(a[i:i + bestsize + 1], blo, bhi) >= 0:
+            besti = i
+            bestsize += 1
+    return besti, find(a[besti:besti + bestsize], blo, bhi), bestsize
 
 
-def _decompose(a, b2j, alen: int, blen: int):
-    """Recursive longest-common-block decomposition of a[:alen] against the
-    sequence indexed by b2j.
+def _decompose(a: str, b: str):
+    """Recursive longest-common-block decomposition of a against b.
 
     The longest common block is taken (ties as in _longest_match), then the
     regions to its left and right are decomposed the same way. Returns
     (matches, score): the summed block lengths and
-    score = 2.0 * matches / (alen + blen), 1.0 when both are empty.
+    score = 2.0 * matches / (len(a) + len(b)), 1.0 when both are empty.
     """
-    t = alen + blen
+    t = len(a) + len(b)
     if t == 0:
         return 0, 1.0
     m = 0
-    stack = [(0, alen, 0, blen)]
+    stack = [(0, len(a), 0, len(b))]
     while stack:
         alo, ahi, blo, bhi = stack.pop()
-        i, j, k = _longest_match(a, b2j, alo, ahi, blo, bhi)
+        i, j, k = _longest_match(a, b, alo, ahi, blo, bhi)
         if k:
             m += k
             if alo < i and blo < j:
@@ -146,15 +135,21 @@ class RatioBreakdown:
 def ratio(a, b) -> RatioBreakdown:
     """Matching-block similarity of two sequences: 2.0 * matches / total.
 
-    Accepts two strings (character elements) or two token tuples. 1.0 for
-    identical sequences (two empty sequences count as identical), 0.0 when
-    nothing matches. Arguments are compared in canonical (sorted) order,
-    which makes the score symmetric even though the block tie-break is
+    Accepts two strings (character elements) or two token tuples (any
+    hashable elements, at most 1,114,112 distinct ones). 1.0 for identical
+    sequences (two empty sequences count as identical), 0.0 when nothing
+    matches. Arguments are compared in canonical (sorted) order, which
+    makes the score symmetric even though the block tie-break is
     order-sensitive.
     """
     if b < a:
         a, b = b, a
-    m, score = _decompose(a, _build_index(b), len(a), len(b))
+    if not (isinstance(a, str) and isinstance(b, str)):
+        # one code point per distinct element, in first-seen order
+        codes: dict = {}
+        a, b = ("".join([chr(codes.setdefault(x, len(codes))) for x in seq])
+                for seq in (a, b))
+    m, score = _decompose(a, b)
     return RatioBreakdown(matches=m, total=len(a) + len(b), score=score)
 
 
@@ -164,8 +159,9 @@ class PreparedSentence:
     Holds the raw sentence text, its stopword-filtered content tokens,
     their space-joined string, which the ratio-family comparators compare
     character by character, and a token Counter. Nothing else is kept:
-    each pair gate builds the target's LCS bitmasks for that call, and the
-    block decomposition indexes its sequence per call.
+    LCS bitmasks live in the ChainContext's one-line slot (or in a
+    PackedTargets), and the block decomposition searches the strings
+    themselves.
     """
 
     __slots__ = ("text", "tokens", "joined", "counts")
@@ -227,9 +223,11 @@ class _PairScratch:
 
 class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
-    cache of prepared sentences keyed by raw text, and the scratch record
-    of the pair chain_evaluate is scoring. That record makes a context
-    unsafe for concurrent chain_evaluate calls.
+    cache of prepared sentences keyed by raw text, the scratch record of
+    the pair chain_evaluate is scoring, and one slot of LCS bitmasks: those
+    of the last prepared sentence whose pair gate ran as the first side.
+    The record and the slot make a context unsafe for concurrent
+    chain_evaluate calls.
 
     row, when set, is (pa, lcs): the prepared sentence whose window of
     pairs the caller is scoring and a dict from each prepared target in
@@ -251,6 +249,7 @@ class ChainContext:
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
         self._pair: _PairScratch | None = None
+        self._masks: tuple[PreparedSentence, dict] | None = None
         self.row: tuple[PreparedSentence, dict[PreparedSentence, int]] | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
@@ -261,6 +260,16 @@ class ChainContext:
             )
             self._prepared[sentence] = hit
         return hit
+
+    def _gate_masks(self, p: PreparedSentence) -> dict:
+        """p.joined's LCS bitmasks, built when p is not the slot's sentence
+        and kept until another sentence takes the slot. A filter scores a
+        source line's pairs, then its contests, before the next line, so
+        each line's masks are built about once."""
+        slot = self._masks
+        if slot is None or slot[0] is not p:
+            slot = self._masks = (p, _build_masks(p.joined))
+        return slot[1]
 
 
 def _fraction(value, what: str) -> float:
@@ -346,7 +355,7 @@ def _gated_ratio(a: str, b: str, floor: float = 0.0, lcs: int | None = None) -> 
     floor > 0 and that bound is below floor. lcs, when given, is the LCS
     length of a and b; otherwise it is computed against b's bitmasks, built
     for this call. LCS is symmetric, so the bound is the same in either
-    order.
+    order, whichever side's bitmasks gave it.
 
     The blocks of the decomposition form a common subsequence, so their
     total is at most the LCS length and, with the score's own float
@@ -392,12 +401,16 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value."""
+    exact value. Without a row value the gate runs b through a's bitmasks
+    from ctx's slot."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
-        rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, rec.lcs)
+        lcs = rec.lcs
+        if lcs is None and rec.floor > 0.0:
+            lcs = _lcs_length(ctx._gate_masks(pa), len(pa.joined), pb.joined)
+        rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, lcs)
     return rec.base
 
 

@@ -384,13 +384,16 @@ class TestPackedRows:
         trans = ["".join(rng.choice(letters[:13]) for _ in range(30)) for _ in range(64)]
         tgt = ["".join(rng.choice(letters[13:]) for _ in range(30)) for _ in range(64)]
         pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
+        masks = self.counted(monkeypatch, similarity, "_build_masks")
         row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
         built = self.counted(monkeypatch, similarity.PackedTargets, "__init__")
         res = align_filter(make_bitext(trans, tgt), self.config(window=2))
         assert res.accepted == ()
-        # rows 0 and 63 have three candidates and gate each pair alone;
+        # rows 0 and 63 have three candidates and gate each pair alone,
+        # through their own line's masks, built once per line;
         # every other row runs one pass per chunk its window touches
         assert len(pair_calls) == 2 * 3
+        assert sorted(masks) == sorted([(t,) for t in tgt] + [(trans[0],), (trans[63],)])
         assert len(row_calls) == sum(
             len({j // bisentence_filter._PACK_CHUNK
                  for j in range(max(0, i - 2), min(63, i + 2) + 1)})
@@ -403,10 +406,13 @@ class TestPackedRows:
         trans = ["".join(rng.choice("abcdefghijklm") for _ in range(30)) for _ in range(8)]
         tgt = ["".join(rng.choice("nopqrstuvwxyz") for _ in range(30)) for _ in range(8)]
         pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
+        masks = self.counted(monkeypatch, similarity, "_build_masks")
         row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
         align_filter(make_bitext(trans, tgt), self.config(window=1))
         assert row_calls == []
         assert len(pair_calls) == 3 * 8 - 2
+        # each source line's gate masks are built once, in line order
+        assert masks == [(t,) for t in trans]
 
 
 class TestReferenceFilter:

@@ -277,6 +277,20 @@ class TestAlignCommand:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    @pytest.mark.parametrize("gap", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_gap_exits_2_before_reading(self, engine, gap, tmp_path, capsys):
+        # the documents do not exist: reading either would exit 1
+        out = tmp_path / "pairs.tsv"
+        code, _, err = run([
+            "align", "--doc-a", str(tmp_path / "missing-a.txt"),
+            "--doc-b", str(tmp_path / "missing-b.txt"),
+            "--engine", engine, f"--gap={gap}", "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert err == f"error: gap_penalty must be finite and >= 0, got {float(gap)}\n"
+        assert not out.exists()
+
     def test_dp_and_astar_byte_identical(self, write_lines, tmp_path, capsys):
         a = write_lines("a.txt", ["one", "two", "three"])
         b = write_lines("b.txt", ["one", "inserted", "two", "three"])

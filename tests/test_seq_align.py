@@ -429,6 +429,14 @@ class TestAlignDocuments:
         with pytest.raises(ConfigError):
             AlignConfig(gap_penalty=-0.5)
 
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gap_penalty(self, engine, gap):
+        # a NaN gap made dp return a wrong alignment, and NaN or infinite
+        # gaps made astar exhaust its search
+        with pytest.raises(ConfigError, match="gap_penalty must be finite and >= 0"):
+            AlignConfig(gap_penalty=gap, engine=engine)
+
 
 class TestThresholdFilter:
     AL = Alignment(

@@ -1,6 +1,8 @@
 import dataclasses
 import difflib
+import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bifilter import similarity
+from bifilter.bisentence_filter import FilterConfig, align_filter
+from bifilter.corpus_io import Bitext, Corpus
 from bifilter.errors import ConfigError
 from bifilter.similarity import (
     COMPARATORS,
@@ -53,6 +57,75 @@ class TestMatchingBlocks:
         reachable = oracles.tie_choice_m_set(*sorted((a, b)))
         assert mine in reachable
         assert mine <= max(reachable)
+
+
+    # tokens that are prefixes of one another, one with a space inside and
+    # multi-byte ones: a block search over the tokens' joined text would
+    # match across token edges, as ("ab",) against ("a", "b") shows
+    PREFIX_TOKENS = st.lists(
+        st.sampled_from(["a", "ab", "b", "ba", "a b", "ża", "żab", "\U0001f600a"]),
+        max_size=7).map(tuple)
+
+    @given(PREFIX_TOKENS, PREFIX_TOKENS)
+    @example(("ab",), ("a", "b"))
+    @example(("a b",), ("a", "b"))
+    @example(("ża", "b"), ("żab",))
+    def test_token_tuples_equal_leftmost_recursion(self, a, b):
+        assert ratio(a, b).matches == oracles.leftmost_longest_m(*sorted((a, b)))
+
+    # non-BMP characters are one code point each, as are the BMP ones
+    @given(st.text(alphabet="a\U0001f600\U0001d538żb", max_size=8),
+           st.text(alphabet="a\U0001f600\U0001d538żb", max_size=8))
+    @example("\U0001f600a\U0001d538", "a\U0001d538\U0001f600")
+    def test_non_bmp_strings_equal_leftmost_recursion(self, a, b):
+        assert ratio(a, b).matches == oracles.leftmost_longest_m(*sorted((a, b)))
+
+    # elements beyond the code point range and negative ones, so they are
+    # not taken as code points themselves
+    @given(st.lists(st.sampled_from([0, 1, 2, -1, 10 ** 9]), max_size=12).map(tuple),
+           st.lists(st.sampled_from([0, 1, 2, -1, 10 ** 9]), max_size=12).map(tuple))
+    def test_int_tuples_agree_with_difflib(self, a, b):
+        lo, hi = sorted((a, b))
+        want = difflib.SequenceMatcher(None, lo, hi, autojunk=False)
+        got = ratio(a, b)
+        assert got.matches == sum(block.size for block in want.get_matching_blocks())
+        assert got.score == want.ratio()
+
+
+def near_identical(tokens: int, seed: int = 0) -> tuple[list[str], list[str]]:
+    """A seeded pair of token lists over a 50-word vocabulary of 3-7 letter
+    words, the second with about 5 % of its tokens substituted."""
+    rng = random.Random(seed)
+    vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                     for _ in range(rng.randint(3, 7))) for _ in range(50)]
+    a = [rng.choice(vocab) for _ in range(tokens)]
+    return a, [rng.choice(vocab) if rng.random() < 0.05 else w for w in a]
+
+
+class TestHostileRatio:
+    # about 12k characters a side: a block search that visits every pair of
+    # equal characters in Python took 3.5-4.6 s on 2 vCPUs, the str.find
+    # search 0.2-0.3 s
+    BOUND_S = 2.5
+
+    def test_long_near_identical_pair(self):
+        a, b = near_identical(2000)
+        start = time.perf_counter()
+        got = ratio(" ".join(a), " ".join(b))
+        elapsed = time.perf_counter() - start
+        assert got.score > 0.9
+        assert elapsed < self.BOUND_S, f"{elapsed:.2f} s"
+
+    def test_filter_with_a_long_middle_pair(self):
+        a, b = near_identical(2000)
+        bitext = Bitext(source=Corpus(("x", "y", "z")),
+                        target=Corpus(("red kite", " ".join(b), "blue moon")),
+                        trans=Corpus(("green field", " ".join(a), "grey rain")))
+        start = time.perf_counter()
+        got = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN))
+        elapsed = time.perf_counter() - start
+        assert [(i, j) for i, j, _, _ in got.accepted] == [(1, 1)]
+        assert elapsed < self.BOUND_S, f"{elapsed:.2f} s"
 
 
 class TestRatio:
