@@ -21,7 +21,7 @@ from .similarity import (
     ChainContext,
     ChainDecision,
     ComparatorChain,
-    PackedTargets,
+    PackedStrings,
     chain_evaluate,
 )
 
@@ -37,14 +37,14 @@ __all__ = [
 
 # A row of at least this many open candidates gets its LCS gate values from
 # one packed pass; smaller rows gate each pair through the source line's
-# own masks. With those per-line masks, three rounds of 20 s benchmark
+# own pack. With per-line masks, three rounds of 20 s benchmark
 # runs (2 vCPUs) gave median lines_per_ref for a minimum of 3 / 4 / 8:
 # filter-narrow-10k (window 1, rows of at most three) 2905 / 3151 / 3144,
 # filter-wide-1k (window 30) 922 / 936 / 926. Packing rows of three is
 # slower on the narrow workload; 4 and 8 differ only in rows of 4-7
 # candidates, which neither workload has many of.
 _PACKED_ROW_MIN = 4
-# Target lines per PackedTargets chunk. Chunks start at multiples of this
+# Target lines per PackedStrings chunk. Chunks start at multiples of this
 # and are shared by the consecutive rows whose windows cover them.
 _PACK_CHUNK = 16
 
@@ -157,22 +157,20 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     def in_window(k: int, j: int) -> bool:
         return cfg.window is None or abs(j - diagonal(k)) <= cfg.window
 
-    packs: dict[int, PackedTargets] = {}
+    packs: dict[int, PackedStrings] = {}
 
     def packed_row(i: int, row: list[int]):
         # ctx.row for line i: one packed pass over the chunks covering row;
         # those it no longer covers are dropped.
         nonlocal packs
         packs = {
-            c: packs.get(c) or PackedTargets(
-                [ctx.prepare(t) for t in tgt[c * _PACK_CHUNK:(c + 1) * _PACK_CHUNK]])
+            c: packs.get(c) or PackedStrings(
+                [ctx.prepare(t).joined for t in tgt[c * _PACK_CHUNK:(c + 1) * _PACK_CHUNK]])
             for c in range(row[0] // _PACK_CHUNK, row[-1] // _PACK_CHUNK + 1)
         }
         pa = ctx.prepare(trans[i])
-        lcs: dict = {}
-        for pack in packs.values():
-            lcs.update(zip(pack.sentences, pack.lcs_lengths(pa.joined)))
-        return pa, lcs
+        return pa, {t: n for pack in packs.values()
+                    for t, n in zip(pack.strings, pack.lcs_lengths(pa.joined))}
 
     # Empty source lines have nothing to match; they drop with score 0.
     skip = {i for i in range(n_src) if trans[i] == ""}
@@ -185,18 +183,15 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         pack = len(row) >= _PACKED_ROW_MIN
         cands: list[tuple[int, ChainDecision]] = []
         best = best_seen.get(i, 0.0)
-        try:
-            for j in row:
-                if pack and (trans[i], tgt[j]) not in memo:
-                    ctx.row = packed_row(i, row)
-                    pack = False
-                d = decide(i, j)
-                if d.score > best:
-                    best = d.score
-                if d.accepted:
-                    cands.append((j, d))
-        finally:
-            ctx.row = None
+        for j in row:
+            if pack and (trans[i], tgt[j]) not in memo:
+                ctx.row = packed_row(i, row)
+                pack = False
+            d = decide(i, j)
+            if d.score > best:
+                best = d.score
+            if d.accepted:
+                cands.append((j, d))
         best_seen[i] = best
         cands.sort(key=lambda c: (-c[1].score, c[0]))
         for j, d in cands:
@@ -228,6 +223,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     for i in order:
         if i not in matched:
             try_match(i, veto_active=False)
+    ctx.row = None  # true LCS lengths of its line: harmless until here
 
     accepted = tuple(
         (i, matched[i][0], matched[i][1], matched[i][2]) for i in sorted(matched)

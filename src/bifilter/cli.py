@@ -128,7 +128,14 @@ def cmd_filter(args) -> int:
     chain = load_chain_file(args.chain) if args.chain else DEFAULT_CHAIN
     if args.provider_file and args.provider_cmd:
         raise ConfigError("give either --provider-file or --provider-cmd, not both")
-    context = _load_context(args)
+    cfg = FilterConfig(
+        chain=chain,
+        window=args.window,
+        lookahead=args.lookahead,
+        allow_reuse=args.allow_reuse,
+        displacement_rounds=args.displacement_rounds,
+        context=_load_context(args),
+    )
     bitext = load_bitext(args.src, args.tgt, args.trans)
     if args.provider_file:
         bitext = ensure_translations(bitext, FileProvider(args.provider_file))
@@ -140,14 +147,6 @@ def cmd_filter(args) -> int:
         raise ConfigError(
             "no translation layer: give --trans, --provider-file, or --provider-cmd"
         )
-    cfg = FilterConfig(
-        chain=chain,
-        window=args.window,
-        lookahead=args.lookahead,
-        allow_reuse=args.allow_reuse,
-        displacement_rounds=args.displacement_rounds,
-        context=context,
-    )
     result = align_filter(bitext, cfg)
     write_bitext(result, bitext, args.out_src, args.out_tgt, args.report)
     _write_manifest(

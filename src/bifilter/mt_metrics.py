@@ -120,6 +120,12 @@ def _clipped_ngrams(cand: tuple, group, n: int) -> tuple[Counter, Counter]:
     return counts, counts & best
 
 
+def _at_least(what: str, value: int, lowest: int) -> None:
+    """ConfigError naming what unless value >= lowest."""
+    if value < lowest:
+        raise ConfigError(f"{what} must be >= {lowest}, got {value}")
+
+
 def bleu(cands, refs, order: int = 4) -> BleuBreakdown:
     """Corpus BLEU up to n-grams of the given order, weighted uniformly.
 
@@ -128,8 +134,7 @@ def bleu(cands, refs, order: int = 4) -> BleuBreakdown:
     reference closest in length to the candidate (ties to the shorter one).
     Any pooled precision of zero zeroes the score.
     """
-    if order < 1:
-        raise ConfigError(f"BLEU order must be >= 1, got {order}")
+    _at_least("BLEU order", order, 1)
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
     matched = [0] * (order + 1)
     total = [0] * (order + 1)
@@ -169,8 +174,7 @@ def nist(cands, refs, order: int = 5) -> float:
     co-occurring candidate n-grams is divided by the candidate n-gram
     total; the orders add up and the brevity factor scales the sum.
     """
-    if order < 1:
-        raise ConfigError(f"NIST order must be >= 1, got {order}")
+    _at_least("NIST order", order, 1)
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
     ref_counts: list[Counter] = [Counter() for _ in range(order + 1)]
     total_ref_tokens = 0
@@ -672,11 +676,8 @@ def _meteor_breakdown(
 ) -> MeteorBreakdown:
     """The METEOR formula over match, chunk and token counts; all zero when
     nothing matches."""
-    if penalty_exponent < 0:
-        # A negative exponent can lift the penalty above 1 and the score below 0.
-        raise ConfigError(
-            f"METEOR penalty exponent must be >= 0, got {penalty_exponent}"
-        )
+    # A negative exponent can lift the penalty above 1 and the score below 0.
+    _at_least("METEOR penalty exponent", penalty_exponent, 0)
     if matches == 0:
         return MeteorBreakdown(
             matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0
@@ -798,12 +799,19 @@ def metric_report(
 
     Every requested metric contributes its breakdown; BLEU, TER, and METEOR
     also carry the x100 percentage form. stats, when given, gets
-    meteor_corpus's "meteor_capped" if METEOR runs.
+    meteor_corpus's "meteor_capped" if METEOR runs. The settings of the
+    requested metrics are checked before any of them is scored.
     """
     for name in metrics:
         if name not in METRIC_NAMES:
             known = ", ".join(METRIC_NAMES)
             raise ConfigError(f"unknown metric {name!r} (known: {known})")
+    if "bleu" in metrics:
+        _at_least("BLEU order", bleu_order, 1)
+    if "nist" in metrics:
+        _at_least("NIST order", nist_order, 1)
+    if "meteor" in metrics:
+        _at_least("METEOR penalty exponent", meteor_penalty_exponent, 0)
     report: dict = {}
     if "bleu" in metrics:
         b = bleu(cands, refs, order=bleu_order)

@@ -117,12 +117,6 @@ def _lcs_run(masks: dict, full: int, a) -> int:
     return v
 
 
-def _lcs_length(masks: dict, n: int, a) -> int:
-    """Length of the longest common subsequence of a and the n-unit sequence
-    whose bitmasks are masks: the zero bits of _lcs_run's V."""
-    return n - _lcs_run(masks, (1 << n) - 1, a).bit_count()
-
-
 @dataclass(frozen=True)
 class RatioBreakdown:
     """matches = summed block lengths, total = combined sequence length."""
@@ -159,9 +153,9 @@ class PreparedSentence:
     Holds the raw sentence text, its stopword-filtered content tokens,
     their space-joined string, which the ratio-family comparators compare
     character by character, and a token Counter. Nothing else is kept:
-    LCS bitmasks live in the ChainContext's one-line slot (or in a
-    PackedTargets), and the block decomposition searches the strings
-    themselves.
+    LCS bitmasks live in PackedStrings (the ChainContext's line slot and
+    a caller's row chunks), and the block decomposition searches the
+    strings themselves.
     """
 
     __slots__ = ("text", "tokens", "joined", "counts")
@@ -173,23 +167,25 @@ class PreparedSentence:
         self.counts = Counter(tokens)
 
 
-class PackedTargets:
-    """The joined content strings of a run of prepared sentences laid end
-    to end in one bit vector, each followed by one zero guard bit, so that
-    one _lcs_run pass gives the LCS length of a string against every one of
-    them."""
+class PackedStrings:
+    """Strings laid end to end in one bit vector, each followed by one zero
+    guard bit, so that one _lcs_run pass gives the LCS length of a string
+    against every one of them. strings holds them, in order."""
 
-    __slots__ = ("sentences", "masks", "full", "_spans")
+    __slots__ = ("strings", "masks", "full", "_spans")
 
-    def __init__(self, sentences):
-        self.sentences = tuple(sentences)
+    def __init__(self, strings):
+        self.strings = tuple(strings)
         masks: dict = {}
         full = off = 0
         spans = []
-        for p in self.sentences:
-            n = len(p.joined)
-            for x, m in _build_masks(p.joined).items():
-                masks[x] = masks.get(x, 0) | (m << off)
+        for s in self.strings:
+            n = len(s)
+            if off:
+                for x, m in _build_masks(s).items():
+                    masks[x] = masks.get(x, 0) | (m << off)
+            else:
+                masks = _build_masks(s)  # unshifted, so used as built
             full |= ((1 << n) - 1) << off
             spans.append((off, (1 << n) - 1))
             off += n + 1
@@ -198,7 +194,7 @@ class PackedTargets:
         self._spans = spans
 
     def lcs_lengths(self, a: str) -> list[int]:
-        """LCS length of a against each sentence, in order."""
+        """LCS length of a against each string, in order."""
         matched = self.full ^ _lcs_run(self.masks, self.full, a)
         return [((matched >> off) & ones).bit_count() for off, ones in self._spans]
 
@@ -206,34 +202,31 @@ class PackedTargets:
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
-    (0.0 for exact=True), the LCS length of their joined strings when the
-    caller's row pass has it, and the base ratio once a comparator has
+    (0.0 for exact=True), and the base ratio once a comparator has
     computed it."""
 
-    __slots__ = ("pa", "pb", "floor", "lcs", "base")
+    __slots__ = ("pa", "pb", "floor", "base")
 
-    def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float,
-                 lcs: int | None):
+    def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
         self.pa = pa
         self.pb = pb
         self.floor = floor
-        self.lcs = lcs
         self.base: float | None = None
 
 
 class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
     cache of prepared sentences keyed by raw text, the scratch record of
-    the pair chain_evaluate is scoring, and one slot of LCS bitmasks: those
-    of the last prepared sentence whose pair gate ran as the first side.
-    The record and the slot make a context unsafe for concurrent
-    chain_evaluate calls.
+    the pair chain_evaluate is scoring, and one line slot: the joined
+    strings of the last first side a pair gate saw and of its synonym
+    variants, packed. The record and the slot make a context unsafe for
+    concurrent chain_evaluate calls; the lexicon and variant cap must not
+    change while it is scoring.
 
     row, when set, is (pa, lcs): the prepared sentence whose window of
-    pairs the caller is scoring and a dict from each prepared target in
-    that window to its LCS length against pa.joined. A pair whose first
-    sentence is pa takes its LCS gate value from the dict instead of
-    running the LCS pass for the pair alone.
+    pairs the caller is scoring and a dict from joined target strings to
+    their LCS lengths against pa.joined, which the base ratio's gate reads
+    for pairs whose first sentence is pa.
     """
 
     def __init__(
@@ -249,8 +242,8 @@ class ChainContext:
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
         self._pair: _PairScratch | None = None
-        self._masks: tuple[PreparedSentence, dict] | None = None
-        self.row: tuple[PreparedSentence, dict[PreparedSentence, int]] | None = None
+        self._line: tuple[PreparedSentence, PackedStrings] | None = None
+        self.row: tuple[PreparedSentence, dict[str, int]] | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -261,14 +254,17 @@ class ChainContext:
             self._prepared[sentence] = hit
         return hit
 
-    def _gate_masks(self, p: PreparedSentence) -> dict:
-        """p.joined's LCS bitmasks, built when p is not the slot's sentence
-        and kept until another sentence takes the slot. A filter scores a
-        source line's pairs, then its contests, before the next line, so
-        each line's masks are built about once."""
-        slot = self._masks
+    def _line_pack(self, p: PreparedSentence) -> PackedStrings:
+        """The joined strings of p and of its synonym variants, p's first,
+        packed when p is not the slot's sentence. A filter scores a source
+        line's pairs, then its contests, before the next line, so each line
+        is packed about once."""
+        slot = self._line
         if slot is None or slot[0] is not p:
-            slot = self._masks = (p, _build_masks(p.joined))
+            variants = [p.tokens]
+            if len(self.lexicon):
+                variants = expand_variants(p.tokens, self.lexicon, self.variant_cap)
+            slot = self._line = (p, PackedStrings([" ".join(v) for v in variants]))
         return slot[1]
 
 
@@ -352,10 +348,8 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
 
 def _gated_ratio(a: str, b: str, floor: float = 0.0, lcs: int | None = None) -> float:
     """ratio(a, b).score, or its LCS upper bound 2.0 * LCS / total when
-    floor > 0 and that bound is below floor. lcs, when given, is the LCS
-    length of a and b; otherwise it is computed against b's bitmasks, built
-    for this call. LCS is symmetric, so the bound is the same in either
-    order, whichever side's bitmasks gave it.
+    floor > 0 and that bound is below floor. lcs is the LCS length of a
+    and b, read only when floor > 0.
 
     The blocks of the decomposition form a common subsequence, so their
     total is at most the LCS length and, with the score's own float
@@ -364,8 +358,6 @@ def _gated_ratio(a: str, b: str, floor: float = 0.0, lcs: int | None = None) -> 
     """
     t = len(a) + len(b)
     if floor > 0.0 and t:
-        if lcs is None:
-            lcs = _lcs_length(_build_masks(b), len(b), a)
         bound = 2.0 * lcs / t
         if bound < floor:
             return bound
@@ -401,15 +393,16 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value. Without a row value the gate runs b through a's bitmasks
-    from ctx's slot."""
+    exact value. The gate takes the LCS length from ctx.row when the row is
+    a's and holds b, otherwise from a pass of b through a's line slot."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
-        lcs = rec.lcs
+        row = ctx.row
+        lcs = row[1].get(pb.joined) if row is not None and row[0] is pa else None
         if lcs is None and rec.floor > 0.0:
-            lcs = _lcs_length(ctx._gate_masks(pa), len(pa.joined), pb.joined)
+            lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)[0]
         rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, lcs)
     return rec.base
 
@@ -419,14 +412,19 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     content tokens. The unchanged sentence is variant zero, so the score
     is never below the ratio tier's; each other variant's joined string is
     scored against b's with ratio. Inside chain_evaluate a variant whose LCS
-    bound against b's joined string is below the floor scores that bound."""
+    bound against b's joined string is below the floor scores that bound;
+    one pass of b through a's line slot gives every variant's LCS length."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
     rec = _scratch(ctx, pa, pb)
     floor = rec.floor if rec is not None else 0.0
-    for variant in expand_variants(pa.tokens, ctx.lexicon, ctx.variant_cap)[1:]:
-        score = _gated_ratio(" ".join(variant), pb.joined, floor)
+    pack = ctx._line_pack(pa)
+    if len(pack.strings) == 1:
+        return best
+    lcs = pack.lcs_lengths(pb.joined) if floor > 0.0 else [None] * len(pack.strings)
+    for variant, n in zip(pack.strings[1:], lcs[1:]):
+        score = _gated_ratio(variant, pb.joined, floor, n)
         if score > best:
             best = score
             if best >= 1.0:
@@ -467,9 +465,7 @@ def chain_evaluate(
     """
     pa = context.prepare(a)
     pb = context.prepare(b)
-    row = context.row
-    lcs = row[1].get(pb) if row is not None and row[0] is pa else None
-    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor, lcs)
+    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor)
     try:
         score = 0.0
         comp_id = chain.tiers[-1][0]

@@ -37,6 +37,7 @@ def test_removed_names_are_gone(name):
 @pytest.mark.parametrize("module, name", [
     ("mt_metrics", "BleuParams"), ("seq_align", "CountingScorer"),
     ("bisentence_filter", "resolve_conflict"), ("similarity", "RowLcs"),
+    ("similarity", "PackedTargets"),
 ])
 def test_removed_submodule_names_are_gone(module, name):
     assert not hasattr(bifilter, name)
@@ -44,7 +45,7 @@ def test_removed_submodule_names_are_gone(module, name):
     assert name not in bifilter.__all__
 
 
-@pytest.mark.parametrize("module, name", [("similarity", "PackedTargets")])
+@pytest.mark.parametrize("module, name", [("similarity", "PackedStrings")])
 def test_internal_names_are_not_exported(module, name):
     # reachable as a module attribute, but in no __all__
     submodule = importlib.import_module(f"bifilter.{module}")

@@ -1,10 +1,12 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import synthcorpus
 from bifilter import bisentence_filter, similarity
 from bifilter.bisentence_filter import (
     FilterConfig,
@@ -22,7 +24,13 @@ from bifilter.similarity import (
     chain_evaluate,
     register_comparator,
 )
-from bifilter.textnorm import StopList, SynonymLexicon
+from bifilter.textnorm import (
+    StopList,
+    SynonymLexicon,
+    default_stoplist,
+    remove_stopwords,
+    tokenize,
+)
 
 
 def make_bitext(trans, tgt, src=None):
@@ -376,43 +384,98 @@ class TestPackedRows:
         monkeypatch.setattr(obj, name, wrapper)
         return calls
 
+    def counted_packs(self, monkeypatch):
+        # the strings of each PackedStrings built, and those of the pack
+        # behind each LCS pass
+        built, passes = [], []
+        init, lcs_lengths = similarity.PackedStrings.__init__, similarity.PackedStrings.lcs_lengths
+
+        def counted_init(pack, strings):
+            init(pack, strings)
+            built.append(pack.strings)
+
+        def counted_lcs_lengths(pack, a):
+            passes.append(pack.strings)
+            return lcs_lengths(pack, a)
+
+        monkeypatch.setattr(similarity.PackedStrings, "__init__", counted_init)
+        monkeypatch.setattr(similarity.PackedStrings, "lcs_lengths", counted_lcs_lengths)
+        return built, passes
+
     def test_one_pass_per_row_and_chunks_shared(self, monkeypatch):
         # 64 unrelated lines, window 2: every pair is gated, no pair is
-        # accepted, and no contest or variant runs the pair-by-pair gate
+        # accepted, and no line has a synonym variant
         rng = random.Random(3)
         letters = "abcdefghijklmnopqrstuvwxyz"
         trans = ["".join(rng.choice(letters[:13]) for _ in range(30)) for _ in range(64)]
         tgt = ["".join(rng.choice(letters[13:]) for _ in range(30)) for _ in range(64)]
-        pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
         masks = self.counted(monkeypatch, similarity, "_build_masks")
-        row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
-        built = self.counted(monkeypatch, similarity.PackedTargets, "__init__")
+        built, passes = self.counted_packs(monkeypatch)
         res = align_filter(make_bitext(trans, tgt), self.config(window=2))
         assert res.accepted == ()
+        chunk = bisentence_filter._PACK_CHUNK
+        chunks = [tuple(tgt[c:c + chunk]) for c in range(0, 64, chunk)]
+        # each chunk of 16 target lines is built once, and shared; the
+        # synonym tier packs each source line once
+        assert sorted(built) == sorted(chunks + [(t,) for t in trans])
+        assert sorted(masks) == sorted([(t,) for t in tgt + trans])
         # rows 0 and 63 have three candidates and gate each pair alone,
-        # through their own line's masks, built once per line;
-        # every other row runs one pass per chunk its window touches
-        assert len(pair_calls) == 2 * 3
-        assert sorted(masks) == sorted([(t,) for t in tgt] + [(trans[0],), (trans[63],)])
-        assert len(row_calls) == sum(
-            len({j // bisentence_filter._PACK_CHUNK
-                 for j in range(max(0, i - 2), min(63, i + 2) + 1)})
+        # through their own line's pack; every other row runs one pass per
+        # chunk its window touches
+        assert sorted(p for p in passes if len(p) == 1) == (
+            [(trans[0],)] * 3 + [(trans[63],)] * 3)
+        assert len([p for p in passes if p in chunks]) == sum(
+            len({j // chunk for j in range(max(0, i - 2), min(63, i + 2) + 1)})
             for i in range(1, 63))
-        # each chunk of 16 target lines is built once, and shared
-        assert len(built) == 64 // bisentence_filter._PACK_CHUNK
 
     def test_small_rows_gate_each_pair(self, monkeypatch):
         rng = random.Random(4)
         trans = ["".join(rng.choice("abcdefghijklm") for _ in range(30)) for _ in range(8)]
         tgt = ["".join(rng.choice("nopqrstuvwxyz") for _ in range(30)) for _ in range(8)]
-        pair_calls = self.counted(monkeypatch, similarity, "_lcs_length")
         masks = self.counted(monkeypatch, similarity, "_build_masks")
-        row_calls = self.counted(monkeypatch, similarity.PackedTargets, "lcs_lengths")
+        built, passes = self.counted_packs(monkeypatch)
         align_filter(make_bitext(trans, tgt), self.config(window=1))
-        assert row_calls == []
-        assert len(pair_calls) == 3 * 8 - 2
-        # each source line's gate masks are built once, in line order
+        # each source line is packed once, in line order, and gates each of
+        # its candidates through that pack: no row pass
+        assert built == [(t,) for t in trans]
         assert masks == [(t,) for t in trans]
+        assert passes == [(t,) for k, t in enumerate(trans)
+                          for _ in range(3 - (k in (0, 7)))]
+
+    def test_variants_share_one_pass_per_pair(self, monkeypatch):
+        # the seed-0 acceptance corpus with 30 synonym pairs over its most
+        # frequent content words: every packed string's masks are built
+        # once, each line's variants are expanded once per packing, and a
+        # gated pair runs at most two passes (base ratio, synonym tier)
+        # however many variants its source line has
+        sb = synthcorpus.build()
+        stop = default_stoplist("en")
+        freq = Counter(t for line in sb.trans
+                       for t in remove_stopwords(tokenize(line), stop))
+        top = [w for w, _ in freq.most_common(60)]
+        lex = SynonymLexicon({top[k]: [top[k + 1]] for k in range(0, 60, 2)})
+        ctx = ChainContext(stoplist=stop, lexicon=lex)
+        bitext = Bitext(Corpus(sb.source), Corpus(sb.target), Corpus(sb.trans))
+        masks = self.counted(monkeypatch, similarity, "_build_masks")
+        kernel = self.counted(monkeypatch, similarity, "_lcs_run")
+        expanded = self.counted(monkeypatch, similarity, "expand_variants")
+        pairs = self.counted(monkeypatch, bisentence_filter, "chain_evaluate")
+        built, passes = self.counted_packs(monkeypatch)
+        res = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, context=ctx))
+        assert len(res.accepted) > 700
+        assert len(masks) == sum(map(len, built))
+        chunk = bisentence_filter._PACK_CHUNK
+        chunks = {tuple(ctx.prepare(t).joined for t in sb.target[c:c + chunk])
+                  for c in range(0, len(sb.target), chunk)}
+        line_packs = [b for b in built if b not in chunks]
+        assert len(built) - len(line_packs) <= len(chunks)
+        assert len(expanded) == len(line_packs)
+        assert len(kernel) == len(passes)
+        line_passes = [p for p in passes if p not in chunks]
+        assert len(line_passes) <= 2 * len(pairs)
+        # the passes carry several variants each
+        assert max(map(len, line_packs)) > 3
+        assert sum(len(p) - 1 for p in line_passes) > 2 * len(kernel)
 
 
 class TestReferenceFilter:

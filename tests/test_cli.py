@@ -103,6 +103,26 @@ class TestFilterCommand:
         ], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--window", "window must be >= 0"),
+        ("--lookahead", "lookahead must be >= 0"),
+        ("--displacement-rounds", "displacement_rounds must be >= 0"),
+    ], ids=["window", "lookahead", "displacement-rounds"])
+    def test_bad_setting_exits_2_before_translating(self, flag, message, write_lines,
+                                                     tmp_path, capsys):
+        paths = self.files(write_lines)
+        marker = tmp_path / "marker"
+        code, _, err = run([
+            "filter",
+            "--src", str(paths["src"]), "--tgt", str(paths["tgt"]),
+            "--provider-cmd", f"touch '{marker}'; cat", flag, "-1",
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2 and message in err
+        assert not marker.exists()
+
     @pytest.mark.parametrize("with_synonyms", [False, True])
     def test_variant_cap_below_one_exits_2(
         self, write_lines, tmp_path, capsys, with_synonyms
@@ -404,6 +424,26 @@ class TestEvaluateCommand:
         assert code == 2
         assert "exponent" in err and out == ""
         assert not rep.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--meteor-penalty-exponent", "-1", "METEOR penalty exponent must be >= 0"),
+        ("--nist-order", "0", "NIST order must be >= 1"),
+        ("--bleu-order", "0", "BLEU order must be >= 1"),
+    ], ids=["meteor-penalty-exponent", "nist-order", "bleu-order"])
+    def test_bad_setting_exits_2_before_scoring(self, flag, value, message,
+                                                write_lines, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        for name in ("bleu", "nist", "ter_corpus", "meteor_corpus"):
+            monkeypatch.setattr(mt_metrics, name,
+                                lambda *args, _name=name, **kw: calls.append(_name))
+        cand = write_lines("cand.txt", ["the cat sat down"])
+        code, _, err = run([
+            "evaluate", "--cand", str(cand), "--ref", str(cand),
+            flag, value, "--report", str(tmp_path / "r.json"),
+        ], capsys)
+        assert code == 2 and message in err
+        assert calls == []
 
     @pytest.mark.parametrize("metrics, want", [
         ("bleu,meteor", {"meteor_capped": [[0, "exact"]]}),

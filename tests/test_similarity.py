@@ -381,9 +381,8 @@ class TestLcsGate:
         assert len(self.LONG) == 239  # the examples' masks span four words
         ctx = ChainContext()
         pa, pb = ctx.prepare(a), ctx.prepare(b)
-        got = similarity._lcs_length(similarity._build_masks(pb.joined),
-                                     len(pb.joined), pa.joined)
-        assert got == oracles.lcs_length(pa.joined, pb.joined)
+        got = similarity.PackedStrings([pb.joined]).lcs_lengths(pa.joined)
+        assert got == [oracles.lcs_length(pa.joined, pb.joined)]
 
     @given(st.text(alphabet="abż", max_size=20), st.text(alphabet="abż", max_size=20),
            st.booleans())
@@ -400,18 +399,23 @@ class TestLcsGate:
     @example("", "", 0.9)
     @settings(max_examples=300, deadline=None)
     def test_gated_ratio_is_exact_or_a_bound_below_floor(self, a, b, floor):
-        got = similarity._gated_ratio(a, b, floor)
+        lcs = similarity.PackedStrings([b]).lcs_lengths(a)[0]
+        assert lcs == oracles.lcs_length(a, b)
+        got = similarity._gated_ratio(a, b, floor, lcs)
         exact = ratio(a, b).score
-        assert got == similarity._gated_ratio(b, a, floor)
+        assert got == similarity._gated_ratio(b, a, floor, lcs)
         if exact >= floor:
             assert got == exact
         else:
             assert exact <= got < floor
+        # floor 0 reads no LCS length: a wrong one changes nothing
+        assert similarity._gated_ratio(a, b, 0.0, -1) == exact
 
 
 class TestPackedTargets:
-    """The row pass: target content strings laid end to end with a zero
-    guard bit after each, run through the LCS kernel once."""
+    """The row pass: target content strings laid end to end in a
+    PackedStrings, with a zero guard bit after each, run through the LCS
+    kernel once."""
 
     # empty content strings (stopwords only), non-ASCII words, and up to 40
     # tokens, so one sentence's bits can span several 64-bit words
@@ -425,7 +429,8 @@ class TestPackedTargets:
     def test_each_segment_equals_oracle(self, a, targets):
         ctx = ChainContext(stoplist=StopList.from_words(["the", "a"]))
         pa = ctx.prepare(a)
-        pack = similarity.PackedTargets([ctx.prepare(t) for t in targets])
+        pack = similarity.PackedStrings([ctx.prepare(t).joined for t in targets])
+        assert pack.strings == tuple(ctx.prepare(t).joined for t in targets)
         assert pack.lcs_lengths(pa.joined) == [
             oracles.lcs_length(pa.joined, ctx.prepare(t).joined) for t in targets]
 
@@ -433,37 +438,43 @@ class TestPackedTargets:
         # "b" against "ab": the second step carries out of the segment's
         # top bit; without the guard bit it would flip the next segment's
         # lowest bit
-        ctx = ChainContext()
-        pack = similarity.PackedTargets([ctx.prepare("ab"), ctx.prepare("b")])
+        pack = similarity.PackedStrings(["ab", "b"])
         assert pack.lcs_lengths("bab") == [2, 1]
         assert pack.full == 0b1011
 
     def test_row_holds_only_its_own_sentence(self):
         # ctx.row serves the pairs whose first sentence is the row's own
-        # prepared sentence and whose second is in the row: a planted LCS
-        # length of 0 shows where it is taken
+        # prepared sentence and whose second's joined string is in the row:
+        # a planted LCS length of 0 shows where it is taken
         ctx = ChainContext()
         a, b, c = "quick brown fox", "lazy dog sleeps", "pale moon rises"
         want = {pair: chain_evaluate(*pair, DEFAULT_CHAIN, ctx)
                 for pair in [(a, b), (c, b), (a, c)]}
         assert want[a, b].score > 0.0
-        ctx.row = (ctx.prepare(a), {ctx.prepare(b): 0})
+        ctx.row = (ctx.prepare(a), {ctx.prepare(b).joined: 0})
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx).score == 0.0
+        # the row is keyed by joined string: another text with the same
+        # content string takes the planted value too
+        assert ctx.prepare(b.upper()).joined == ctx.prepare(b).joined
+        assert chain_evaluate(a, b.upper(), DEFAULT_CHAIN, ctx).score == 0.0
         assert chain_evaluate(c, b, DEFAULT_CHAIN, ctx) == want[c, b]
         assert chain_evaluate(a, c, DEFAULT_CHAIN, ctx) == want[a, c]
         # the same text prepared by another context is not the row's sentence
-        ctx.row = (ChainContext().prepare(a), {ctx.prepare(b): 0})
+        ctx.row = (ChainContext().prepare(a), {ctx.prepare(b).joined: 0})
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[a, b]
 
     def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
+        # without a lexicon, a row value leaves the pair no LCS pass and no
+        # line pack to build
         ctx = ChainContext()
         a, b = "quick brown fox jumps", "lazy dog sleeps all day"
-        want = chain_evaluate(a, b, DEFAULT_CHAIN, ctx)
-        calls = []
-        monkeypatch.setattr(similarity, "_lcs_length",
-                            lambda *args: calls.append(args))
+        want = chain_evaluate(a, b, DEFAULT_CHAIN, ChainContext())
         pa, pb = ctx.prepare(a), ctx.prepare(b)
-        ctx.row = (pa, dict(zip([pb], similarity.PackedTargets([pb]).lcs_lengths(pa.joined))))
+        pack = similarity.PackedStrings([pb.joined])
+        ctx.row = (pa, dict(zip(pack.strings, pack.lcs_lengths(pa.joined))))
+        calls = []
+        monkeypatch.setattr(similarity, "_lcs_run", lambda *args: calls.append(args))
+        monkeypatch.setattr(similarity, "_build_masks", lambda *args: calls.append(args))
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want
         assert calls == []
 
@@ -555,33 +566,48 @@ class TestChainFloor:
         assert COMPARATORS["synonym_ratio"](pa, pb, ctx, DEFAULT_CHAIN) == want
 
     # long sentences make the gate fire on the base ratio and on the
-    # synonym variants as well
+    # synonym variants as well; stopwords alone leave no content tokens
     PAIR_SENTENCE = (st.lists(st.sampled_from(WORDS), max_size=6)
                      | st.lists(st.sampled_from(WORDS + ["fox", "jumps", "over", "lazy"]),
-                                min_size=8, max_size=24)).map(" ".join)
+                                min_size=8, max_size=24)
+                     | st.lists(st.sampled_from(["the", "a"]), max_size=3)).map(" ".join)
+    # head words from WORDS, each with 1-3 other words of WORDS as synonyms
+    LEXICON = st.lists(st.sampled_from(WORDS), unique=True, max_size=6).flatmap(
+        lambda heads: st.fixed_dictionaries({
+            w: st.lists(st.sampled_from([x for x in WORDS if x != w]),
+                        min_size=1, max_size=3, unique=True)
+            for w in heads}))
 
     @given(
-        PAIR_SENTENCE,
-        PAIR_SENTENCE,
+        st.lists(PAIR_SENTENCE, min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), PAIR_SENTENCE), min_size=1, max_size=6),
         st.lists(st.tuples(st.sampled_from(["overlap", "ratio", "synonym_ratio"]),
                            THRESHOLDS), min_size=1, max_size=4).map(tuple),
         THRESHOLDS,
+        LEXICON,
+        st.sampled_from([1, 2, 3, 64]),
     )
-    @settings(max_examples=300)
-    def test_same_decisions_as_exact(self, a, b, tiers, final):
-        lex = SynonymLexicon()
-        lex.add("game", ["sport", "play"])
-        lex.add("cat", ["dog", "cats"])
+    # "play cat" passes the gate against "play dog" where "game cat" does
+    # not: each variant's gate needs its own LCS length
+    @example(["game cat"], [(0, "sport cat"), (0, "play dog")], (("synonym_ratio", 0.75),),
+             0.55, {"game": ["play", "sport"], "cat": ["dog"]}, 64)
+    @settings(max_examples=300, deadline=None)
+    def test_same_decisions_as_exact(self, sources, pairs, tiers, final, entries, cap):
+        # the pairs share one context; first sides repeat, in and out of
+        # turn, so the line slot is both reused and replaced
         chain = ComparatorChain(tiers=tiers, final_threshold=final)
-        ctx = self.make_ctx(lex)
-        fast = chain_evaluate(a, b, chain, ctx)
-        full = chain_evaluate(a, b, chain, ctx, exact=True)
-        assert (fast.accepted, fast.tier, fast.comparator) == (
-            full.accepted, full.tier, full.comparator)
-        if full.score >= chain.floor:
-            assert fast.score == full.score
-        else:
-            assert full.score <= fast.score < chain.floor
+        ctx = ChainContext(stoplist=StopList.from_words(["the", "a"]),
+                           lexicon=SynonymLexicon(entries), variant_cap=cap)
+        for k, b in pairs:
+            a = sources[k % len(sources)]
+            fast = chain_evaluate(a, b, chain, ctx)
+            full = chain_evaluate(a, b, chain, ctx, exact=True)
+            assert (fast.accepted, fast.tier, fast.comparator) == (
+                full.accepted, full.tier, full.comparator)
+            if full.score >= chain.floor:
+                assert fast.score == full.score
+            else:
+                assert full.score <= fast.score < chain.floor
 
 
 class TestChainConfig:
