@@ -526,21 +526,21 @@ def _stage_assignment(
     in visiting order among the visited leaves, or the plain maximum
     matching when no complete assignment lies inside that budget.
 
-    It is computed without visiting the nodes one by one. A node's subtree
-    depends only on its state: the depth idx, the count made of pairs made,
-    the used reference positions that candidates idx.. can still take, and
-    the reference position that a pick at idx would extend. Each state is
-    memoized under one integer key with two quantities: the number of nodes
-    its subtree has in visiting order, saturating at _ASSIGN_NODE_CAP + 2,
-    and the fewest chunks any complete assignment in it adds (kept only
-    when the size does not saturate). A walk from the root with the budget
-    then takes the memoized minimum of each child subtree that fits the
-    remaining budget, descends into the one child that straddles it, and
-    never reaches later children. The answer is rebuilt as the first
-    optimal leaf in visiting order: at each node, the first child whose
-    gain plus minimum equals the node's minimum. Both passes run on
-    explicit stacks, so a long segment cannot overflow the interpreter's
-    stack.
+    A node's subtree depends only on its state: the depth idx, the count
+    made of pairs made, the used reference positions that candidates idx..
+    can still take, and the reference position that a pick at idx would
+    extend. The search runs that budgeted depth-first order on an explicit
+    stack, so a long segment cannot overflow the interpreter's stack, and
+    memoizes each subtree it finishes under the state's integer key as
+    (its node count, the fewest chunks a complete assignment in it adds).
+    A child whose state is memoized with a count that fits the remaining
+    budget is counted, not entered: that spends the same nodes and sees the
+    same leaves as visiting it. Any other child is entered, so one that
+    straddles the budget is walked down to where the budget ends. Each
+    strict improvement records the path to the leaf or to the counted
+    subtree; the answer is rebuilt from there as the first optimal leaf in
+    visiting order: at each node, the first child whose gain plus minimum
+    equals the node's minimum.
 
     prior must be one-to-one and share no candidate or reference position
     with adj, as meteor's earlier passes are. The union is then one-to-one
@@ -582,86 +582,57 @@ def _stage_assignment(
             for rj in adj[ci]
         ])
     space = (choices, reach, n - target, n, reach[0].bit_length() + 1)
-    budget = _ASSIGN_NODE_CAP + 1
-    full = budget + 1  # a saturated subtree size
     no_leaf = n + 1  # more chunks than any assignment adds: no complete leaf
     root = (0, 0, 0, -1)  # its key is 0
-
-    sizes = {_PRUNED: 1, _COMPLETE: 1}
-    mins = {_PRUNED: no_leaf, _COMPLETE: 0}
-    # [key, children, size so far, fewest chunks so far, child to revisit]
-    stack: list = [[0, _assignment_children(space, root), 1, no_leaf, None]]
+    left = _ASSIGN_NODE_CAP  # nodes the search may still visit after the root
+    capped = False
+    found = None  # (chunks, pairs, state, its minimum)
+    memo = {_PRUNED: (1, no_leaf), _COMPLETE: (1, 0)}  # key -> (nodes, minimum)
+    # [key, children, left on entry, fewest chunks so far, chunks on the
+    #  path, gain, pick]: gain and pick are those of the move into the frame
+    stack: list = [[0, _assignment_children(space, root), left, no_leaf, 0, 0, None]]
     while stack:
         frame = stack[-1]
-        key, kids, size, best, child = frame
-        while size < full:
-            if child is None:
-                child = next(kids, None)
-                if child is None:
-                    break
-            c_key, gain, _, c_state = child
-            c_size = sizes.get(c_key)
-            if c_size is None:  # explore the child, then revisit it
+        key, kids, entry, best, chunks, _, _ = frame
+        for c_key, gain, rj, c_state in kids:
+            hit = memo.get(c_key)
+            if hit is None or hit[0] > left:
                 break
-            child = None
-            size += c_size
-            if size < full:
-                c_min = mins[c_key]
-                if c_min < no_leaf and gain + c_min < best:
-                    best = gain + c_min
-        if child is not None:
-            frame[2:] = size, best, child
-            stack.append([c_key, _assignment_children(space, c_state), 1, no_leaf, None])
-            continue
-        stack.pop()
-        if size < full:
-            sizes[key] = size
-            mins[key] = best
+            # a finished subtree that fits: count it instead of entering it
+            left -= hit[0]
+            c_min = hit[1]
+            # found[0] <= chunks + best, so only a better frame minimum can
+            # improve on it
+            if c_min < no_leaf and gain + c_min < best:
+                best = gain + c_min
+                if found is None or chunks + best < found[0]:
+                    pairs = [f[6] for f in stack if f[6] is not None]
+                    if rj is not None:
+                        pairs.append((cands[c_state[0] - 1], rj))
+                    found = (chunks + best, pairs, c_state, c_min)
         else:
-            sizes[key] = full
-    if stats is not None:
-        stats["capped"] = sizes[0] > budget
-
-    # The walk: the root is the only child of a virtual node at depth 0.
-    kids = iter(((0, 0, None, root),))
-    idx = chunks = 0
-    left = budget  # nodes the depth-first order may still visit
-    spine: list[tuple[int, int]] = []  # the picks on the walked path
-    found = None  # (chunks, len(spine), pick, state, its minimum)
-    while True:
-        straddle = None
-        for child in kids:
-            if not left:
-                break
-            c_key, gain, rj, c_state = child
-            c_size = sizes[c_key]
-            if c_size > left:
-                straddle = child
-                break
-            left -= c_size
-            c_min = mins[c_key]
-            if c_min < no_leaf and (found is None or chunks + gain + c_min < found[0]):
-                pick = None if rj is None else (cands[idx], rj)
-                found = (chunks + gain + c_min, len(spine), pick, c_state, c_min)
-        if straddle is None:
+            stack.pop()
+            memo[key] = (1 + entry - left, best)
+            if stack and best < no_leaf and frame[5] + best < stack[-1][3]:
+                stack[-1][3] = frame[5] + best
+            continue
+        if not left:
+            capped = True
             break
-        _, gain, rj, c_state = straddle
         left -= 1
-        chunks += gain
-        if rj is not None:
-            spine.append((cands[idx], rj))
-        idx = c_state[0]
-        kids = _assignment_children(space, c_state)
+        frame[3] = best
+        pick = None if rj is None else (cands[c_state[0] - 1], rj)
+        stack.append([c_key, _assignment_children(space, c_state), left, no_leaf,
+                      chunks + gain, gain, pick])
+    if stats is not None:
+        stats["capped"] = capped
     if found is None:
         return fallback
 
-    _, depth, pick, state, need = found
-    pairs = spine[:depth]
-    if pick is not None:
-        pairs.append(pick)
+    _, pairs, state, need = found
     while state[0] < n:
         for c_key, gain, rj, c_state in _assignment_children(space, state):
-            c_min = mins[c_key]
+            c_min = memo[c_key][1]
             if c_min < no_leaf and gain + c_min == need:
                 break
         if rj is not None:
@@ -676,8 +647,6 @@ def _meteor_breakdown(
 ) -> MeteorBreakdown:
     """The METEOR formula over match, chunk and token counts; all zero when
     nothing matches."""
-    # A negative exponent can lift the penalty above 1 and the score below 0.
-    _at_least("METEOR penalty exponent", penalty_exponent, 0)
     if matches == 0:
         return MeteorBreakdown(
             matches=0, chunks=0, precision=0.0, recall=0.0, penalty=0.0, score=0.0
@@ -715,6 +684,8 @@ def meteor(
     stats, when given, gets "meteor_capped": the names ("exact", "stem",
     "synonym") of the passes whose search ran out of budget.
     """
+    # A negative exponent can lift the penalty above 1 and the score below 0.
+    _at_least("METEOR penalty exponent", penalty_exponent, 0)
     ct = tuple(cand)
     rt = tuple(ref)
     lex = lexicon if lexicon is not None else SynonymLexicon()
@@ -765,6 +736,7 @@ def meteor_corpus(
     (0-based segment index, pass name) for each pass whose search ran out
     of budget, as meteor reports them.
     """
+    _at_least("METEOR penalty exponent", penalty_exponent, 0)
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
     m_u = chunks = cand_total = ref_total = 0
     capped = []

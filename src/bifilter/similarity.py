@@ -202,16 +202,18 @@ class PackedStrings:
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
-    (0.0 for exact=True), and the base ratio once a comparator has
-    computed it."""
+    (0.0 for exact=True), the base ratio once a comparator has computed
+    it, and the LCS lengths of b's joined string against a's line slot
+    once the base ratio's gate has run that pass."""
 
-    __slots__ = ("pa", "pb", "floor", "base")
+    __slots__ = ("pa", "pb", "floor", "base", "lcs")
 
     def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
         self.pa = pa
         self.pb = pb
         self.floor = floor
         self.base: float | None = None
+        self.lcs: list[int] | None = None
 
 
 class ChainContext:
@@ -402,7 +404,8 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
         row = ctx.row
         lcs = row[1].get(pb.joined) if row is not None and row[0] is pa else None
         if lcs is None and rec.floor > 0.0:
-            lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)[0]
+            rec.lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)
+            lcs = rec.lcs[0]
         rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, lcs)
     return rec.base
 
@@ -413,7 +416,8 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     is never below the ratio tier's; each other variant's joined string is
     scored against b's with ratio. Inside chain_evaluate a variant whose LCS
     bound against b's joined string is below the floor scores that bound;
-    one pass of b through a's line slot gives every variant's LCS length."""
+    one pass of b through a's line slot, shared with the base ratio's gate
+    when that ran it, gives every variant's LCS length."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
@@ -422,7 +426,10 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     pack = ctx._line_pack(pa)
     if len(pack.strings) == 1:
         return best
-    lcs = pack.lcs_lengths(pb.joined) if floor > 0.0 else [None] * len(pack.strings)
+    if floor == 0.0:
+        lcs = [None] * len(pack.strings)
+    else:
+        lcs = rec.lcs or pack.lcs_lengths(pb.joined)
     for variant, n in zip(pack.strings[1:], lcs[1:]):
         score = _gated_ratio(variant, pb.joined, floor, n)
         if score > best:

@@ -603,6 +603,29 @@ def recursive_stage_assignment(adj, prior, cap):
         return fallback
     return best[1]
 
+
+def search_tree_size(adj):
+    """The node count of recursive_stage_assignment's search tree without a
+    cap: the same candidates, order and pruning."""
+    target, _ = recursive_max_matching(adj)
+    cands = sorted(ci for ci in adj if adj[ci])
+    used = set()
+
+    def rec(idx, made):
+        if made + (len(cands) - idx) < target or idx == len(cands):
+            return 1
+        size = 1
+        for rj in adj[cands[idx]]:
+            if rj in used:
+                continue
+            used.add(rj)
+            size += rec(idx + 1, made + 1)
+            used.discard(rj)
+        return size + rec(idx + 1, made)
+
+    return rec(0, 0)
+
+
 def best_matching(cand, ref, related=None) -> tuple[int, int]:
     """(maximum one-to-one match count, fewest chunks among maximum
     matchings) by enumerating every injective assignment."""

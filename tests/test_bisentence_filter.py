@@ -446,8 +446,8 @@ class TestPackedRows:
         # the seed-0 acceptance corpus with 30 synonym pairs over its most
         # frequent content words: every packed string's masks are built
         # once, each line's variants are expanded once per packing, and a
-        # gated pair runs at most two passes (base ratio, synonym tier)
-        # however many variants its source line has
+        # gated pair runs at most one pass, shared by the base ratio and the
+        # synonym tier, however many variants its source line has
         sb = synthcorpus.build()
         stop = default_stoplist("en")
         freq = Counter(t for line in sb.trans
@@ -459,8 +459,18 @@ class TestPackedRows:
         masks = self.counted(monkeypatch, similarity, "_build_masks")
         kernel = self.counted(monkeypatch, similarity, "_lcs_run")
         expanded = self.counted(monkeypatch, similarity, "expand_variants")
-        pairs = self.counted(monkeypatch, bisentence_filter, "chain_evaluate")
         built, passes = self.counted_packs(monkeypatch)
+        evaluate = bisentence_filter.chain_evaluate
+        pair_passes = []  # the passes each chain_evaluate call runs
+
+        def counted_evaluate(*args):
+            before = len(passes)
+            try:
+                return evaluate(*args)
+            finally:
+                pair_passes.append(len(passes) - before)
+
+        monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted_evaluate)
         res = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, context=ctx))
         assert len(res.accepted) > 700
         assert len(masks) == sum(map(len, built))
@@ -472,7 +482,8 @@ class TestPackedRows:
         assert len(expanded) == len(line_packs)
         assert len(kernel) == len(passes)
         line_passes = [p for p in passes if p not in chunks]
-        assert len(line_passes) <= 2 * len(pairs)
+        assert max(pair_passes) == 1
+        assert sum(pair_passes) == len(line_passes)
         # the passes carry several variants each
         assert max(map(len, line_packs)) > 3
         assert sum(len(p) - 1 for p in line_passes) > 2 * len(kernel)

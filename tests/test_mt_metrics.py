@@ -412,6 +412,17 @@ class TestMeteor:
         with pytest.raises(ConfigError, match="exponent"):
             meteor_corpus([cand], [[ref]], penalty_exponent=-1)
 
+    def test_negative_penalty_exponent_rejected_before_matching(self):
+        with mock.patch.object(mt_metrics, "_stage_assignment",
+                               wraps=mt_metrics._stage_assignment) as spy:
+            with pytest.raises(ConfigError, match="METEOR penalty exponent must be >= 0"):
+                meteor(["a", "b"], ["a", "b"], penalty_exponent=-1)
+            with pytest.raises(ConfigError, match="METEOR penalty exponent must be >= 0"):
+                meteor_corpus([["a", "b"]], [[["a", "b"]]], penalty_exponent=-1)
+            assert spy.call_count == 0
+            meteor(["a", "b"], ["a", "b"])
+            assert spy.call_count == 3
+
     def test_long_segment(self):
         # one search level per token; 1,200 levels overflowed the recursive
         # search
@@ -458,6 +469,15 @@ def bipartite(draw):
     adj = {ci: sorted(draw(st.sets(st.sampled_from(free_r), max_size=len(free_r))))
            if free_r else [] for ci in sorted(lefts)}
     return adj, prior
+
+
+# A pass of 8 search nodes whose two picks for candidate 1 lead to one
+# state (candidate 4 can take neither reference position): the second
+# pick's subtree, 3 nodes, is memoized when it is reached, and it adds a
+# chunk fewer, since (1, 2) extends the earlier pair (2, 3). At caps 4 and
+# 5 it straddles the budget: entered, it is cut before and after its
+# complete leaf.
+STRADDLED = ({1: [1, 2], 4: [0]}, [(2, 3)])
 
 
 # Words sharing stems (walk), and a small lexicon, so that every METEOR pass
@@ -536,6 +556,22 @@ class TestMeteorSearch:
         want = oracles.recursive_stage_assignment(adj, prior, cap)
         with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", cap):
             assert mt_metrics._stage_assignment(adj, prior) == want
+
+    @given(bipartite())
+    @example(STRADDLED)
+    @settings(max_examples=300, deadline=None)
+    def test_capped_exactly_when_the_tree_outgrows_the_budget(self, case):
+        # the budget is cap + 1 nodes, so a tree of exactly cap + 1 nodes is
+        # searched in full; the caps below size - 2 let a memoized subtree
+        # straddle the budget, as STRADDLED's does at caps 4 and 5
+        adj, prior = case
+        size = oracles.search_tree_size(adj)
+        for cap in range(max(size - 4, 0), size + 1):
+            stats: dict = {}
+            with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", cap):
+                got = mt_metrics._stage_assignment(adj, prior, stats)
+            assert stats["capped"] == (size > cap + 1)
+            assert got == oracles.recursive_stage_assignment(adj, prior, cap)
 
     def test_low_cap_falls_back_to_plain_matching(self):
         adj = {0: [0, 1], 1: [0, 1], 2: [1, 2]}
