@@ -172,8 +172,9 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         return pa, {t: n for pack in packs.values()
                     for t, n in zip(pack.strings, pack.lcs_lengths(pa.joined))}
 
-    # Empty source lines have nothing to match; they drop with score 0.
-    skip = {i for i in range(n_src) if trans[i] == ""}
+    # Empty source lines have nothing to match, whatever their translation;
+    # they drop with score 0.
+    skip = {i for i in range(n_src) if src[i] == ""}
     matched: dict[int, tuple[int, float, int]] = {}
     consumed: set[int] = set()
     best_seen: dict[int, float] = {}

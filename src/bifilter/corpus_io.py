@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from ._records import _split_lines, read_lines, read_records, write_text
+from ._records import _decode_utf8, _split_lines, read_lines, read_records, write_text
 from .errors import ConfigError, DataError
 from .textnorm import is_punct_token, tokenize
 
@@ -152,8 +152,10 @@ class CommandProvider:
     command's stdin and reads one translated line back per input line.
 
     The command is a shell string run once per batch, in a session of its
-    own. A batch that has not finished after _BATCH_TIMEOUT_S seconds has
-    its whole process group killed and raises DataError.
+    own. The pipe is UTF-8 both ways, whatever the locale; output that is
+    not UTF-8 raises DataError naming the batch. A batch that has not
+    finished after _BATCH_TIMEOUT_S seconds has its whole process group
+    killed and raises DataError.
     """
 
     def __init__(self, command: str, batch_size: int = 100):
@@ -176,12 +178,12 @@ class CommandProvider:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
                 start_new_session=True,
             )
             try:
                 stdout, stderr = proc.communicate(
-                    "".join(line + "\n" for line in batch), timeout=_BATCH_TIMEOUT_S
+                    "".join(line + "\n" for line in batch).encode("utf-8"),
+                    timeout=_BATCH_TIMEOUT_S,
                 )
             except subprocess.TimeoutExpired:
                 try:
@@ -193,12 +195,12 @@ class CommandProvider:
                     f"{where}: no result after {_BATCH_TIMEOUT_S:g} s; killed"
                 ) from None
             if proc.returncode != 0:
-                detail = stderr.strip()
+                detail = stderr.decode("utf-8", errors="replace").strip()
                 raise DataError(
                     f"{where}: exited with {proc.returncode}"
                     + (f": {detail}" if detail else "")
                 )
-            got = _split_lines(stdout)
+            got = _split_lines(_decode_utf8(stdout, where))
             if len(got) != len(batch):
                 raise DataError(
                     f"{where}: returned {len(got)} lines for {len(batch)}"

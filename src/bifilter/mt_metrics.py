@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ConfigError, DataError
@@ -786,38 +786,18 @@ def metric_report(
         _at_least("METEOR penalty exponent", meteor_penalty_exponent, 0)
     report: dict = {}
     if "bleu" in metrics:
-        b = bleu(cands, refs, order=bleu_order)
-        report["bleu"] = {
-            "score": b.score,
-            "percent": 100.0 * b.score,
-            "precisions": list(b.precisions),
-            "brevity_penalty": b.brevity,
-            "cand_len": b.cand_len,
-            "ref_len": b.ref_len,
-        }
+        b = asdict(bleu(cands, refs, order=bleu_order))
+        b["brevity_penalty"] = b.pop("brevity")
+        report["bleu"] = {**b, "percent": 100.0 * b["score"]}
     if "nist" in metrics:
         report["nist"] = {"score": nist(cands, refs, order=nist_order)}
     if "ter" in metrics:
         t = ter_corpus(cands, refs)
-        report["ter"] = {
-            "score": t.score,
-            "percent": 100.0 * t.score,
-            "edits": t.edits,
-            "shifts": t.shifts,
-            "ref_len": t.ref_len,
-        }
+        report["ter"] = {**asdict(t), "percent": 100.0 * t.score}
     if "meteor" in metrics:
         m = meteor_corpus(
             cands, refs, lexicon=lexicon,
             penalty_exponent=meteor_penalty_exponent, stats=stats,
         )
-        report["meteor"] = {
-            "score": m.score,
-            "percent": 100.0 * m.score,
-            "matches": m.matches,
-            "chunks": m.chunks,
-            "precision": m.precision,
-            "recall": m.recall,
-            "penalty": m.penalty,
-        }
+        report["meteor"] = {**asdict(m), "percent": 100.0 * m.score}
     return report

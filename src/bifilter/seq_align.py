@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 PairScorer = Callable[[str, str], float]
+"""(a, b) -> likelihood in [0, 1]; must return the same value for the same pair."""
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,15 @@ def nw_align(
     """Optimal monotone alignment by dynamic programming.
 
     Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Scores
-    every cell of the |A| x |B| matrix, row by row.
+    every cell of the |A| x |B| matrix, row by row, then each aligned pair
+    again at backtrace: the scorer must return the same value for a pair.
 
     Keeps one byte per node for the move that entered it, in a bytearray
-    of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, two rows of node
-    values, and each row's likelihoods as an array('d') for the backtrace:
-    about 9 bytes per cell. On value ties a positive-scoring match beats
-    skipping an A element, which beats skipping a B element, which beats a
-    zero-scoring match; the last rule keeps worthless pairs out of the
-    alignment.
+    of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, and two rows of
+    node values: about 1 byte per cell. On value ties a positive-scoring
+    match beats skipping an A element, which beats skipping a B element,
+    which beats a zero-scoring match; the last rule keeps worthless pairs
+    out of the alignment.
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
@@ -251,11 +251,9 @@ def nw_align(
     moves = bytearray(width * (n + 1))  # all _MATCH until written
     moves[1:width] = bytes([_GAP_B]) * m
     prev = [0.0] + [-gap * j for j in range(1, width)]
-    likes: list[array] = []
     for i in range(1, n + 1):
         a = doc_a[i - 1]
         row = [_checked(scorer(a, b)) for b in doc_b]
-        likes.append(array("d", row))
         left = -gap * i
         cur = [left]
         base = i * width
@@ -281,7 +279,8 @@ def nw_align(
             if move:
                 moves[key] = move
         prev = cur
-    return _backtrace(n, m, moves.__getitem__, lambda i, j: likes[i][j])
+    return _backtrace(n, m, moves.__getitem__,
+                      lambda i, j: _checked(scorer(doc_a[i], doc_b[j])))
 
 
 def _heuristic(rest_a: int, rest_b: int, gap: float) -> float:
@@ -369,13 +368,13 @@ def align_documents(
     stats: Optional[dict] = None,
 ) -> Alignment:
     """Run the engine selected by cfg.engine. Pass a dict as ``stats`` to
-    receive the engine's scorer_calls (the DP engine scores every cell)
-    and, for astar, its expanded count."""
+    receive the engine's scorer_calls (the DP engine scores every cell,
+    then each aligned pair once more) and, for astar, its expanded count."""
     if cfg.engine == "astar":
         return astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
     alignment = nw_align(doc_a, doc_b, scorer, cfg)
     if stats is not None:
-        stats["scorer_calls"] = len(doc_a) * len(doc_b)
+        stats["scorer_calls"] = len(doc_a) * len(doc_b) + len(alignment.pairs)
     return alignment
 
 

@@ -125,12 +125,13 @@ def reference_align_filter(bitext, cfg):
     """bisentence_filter.align_filter's documented rule, transcribed plainly:
     exact chain scores, every open candidate in the window scored on every
     visit, and a contested target going to the argmax of the scores of the
-    line and its lookahead, ties to the earliest line. Only a later line
-    that is unmatched, not empty and has the target in its own window
-    bids. Returns (accepted, dropped_src, dropped_tgt) as FilterResult
+    line and its lookahead, ties to the earliest line. A line whose source
+    side is empty never matches, whatever its translation. Only a later
+    line that is unmatched, has a source side and has the target in its own
+    window bids. Returns (accepted, dropped_src, dropped_tgt) as FilterResult
     holds them."""
-    tgt, trans = bitext.target.lines, bitext.trans.lines
-    n_src, n_tgt = len(trans), len(tgt)
+    src, tgt, trans = bitext.source.lines, bitext.target.lines, bitext.trans.lines
+    n_src, n_tgt = len(src), len(tgt)
     ctx = cfg.context if cfg.context is not None else ChainContext()
     matched = {}
     best_seen = {}
@@ -144,7 +145,7 @@ def reference_align_filter(bitext, cfg):
     def contest_winner(i, j):
         best_k, best_s = i, decision(i, j).score
         for k in range(i + 1, i + cfg.lookahead + 1):
-            if k < n_src and k not in matched and trans[k] != "" and in_window(k, j):
+            if k < n_src and k not in matched and src[k] != "" and in_window(k, j):
                 s = decision(k, j).score
                 if s > best_s:
                     best_k, best_s = k, s
@@ -164,7 +165,7 @@ def reference_align_filter(bitext, cfg):
             return True
         return False
 
-    order = [i for i in range(n_src) if trans[i] != ""]
+    order = [i for i in range(n_src) if src[i] != ""]
     for _ in range(cfg.displacement_rounds):
         pending = [i for i in order if i not in matched]
         if not any([try_match(i, veto=True) for i in pending]):

@@ -153,6 +153,22 @@ class TestLookaheadRule:
         res = align_filter(bt, cfg)
         assert (1, 0.0) in res.dropped_src
 
+    def test_empty_source_line_never_matches_its_translation(self):
+        # a translation given for an empty source line does not make it a
+        # candidate, nor a bidder in a later contest
+        bt = make_bitext(["The cat sits on the mat.", "The dog runs."],
+                         ["The cat sits on the mat.", "The dog runs."],
+                         src=["", "Kot siedzi na macie."])
+        for lookahead in (0, 1):
+            cfg = FilterConfig(chain=DEFAULT_CHAIN, window=None, lookahead=lookahead,
+                               context=empty_ctx())
+            res = align_filter(bt, cfg)
+            assert res.accepted == ((1, 1, 1.0, 0),)
+            assert res.dropped_src == ((0, 0.0),)
+            assert res.dropped_tgt == (0,)
+            assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+                oracles.reference_align_filter(bt, cfg)
+
     def test_incomplete_trans_layer_rejected(self):
         bt = make_bitext(["x", ""], ["x", "y"])
         cfg = FilterConfig(chain=DEFAULT_CHAIN, context=empty_ctx())
@@ -331,16 +347,19 @@ PACKED_LINE = st.lists(st.sampled_from(
 
 
 def _packed_bitext(lines):
-    trans, tgt = lines
+    trans, tgt, blank = lines
     # near-copies of the translations make some pairs pass every gate
     tgt = [t if k % 3 else trans[k % len(trans)] for k, t in enumerate(tgt)]
-    # an empty line is empty on the source side too
-    return make_bitext(trans, tgt, src=trans)
+    # an empty translation has an empty source line; the source lines in
+    # blank are empty too, whatever their translation
+    src = ["" if k in blank else t for k, t in enumerate(trans)]
+    return make_bitext(trans, tgt, src=src)
 
 
 PACKED_BITEXT = st.lists(PACKED_LINE, min_size=1, max_size=40).flatmap(
     lambda trans: st.tuples(st.just(trans), st.lists(
-        PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3))
+        PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3),
+        st.sets(st.integers(0, len(trans) - 1), max_size=max(1, len(trans) // 4)))
 ).map(_packed_bitext)
 
 
@@ -510,7 +529,8 @@ class TestReferenceFilter:
            st.booleans())
     # line 3 outscores line 1 on target 0 but may not contest it: target 0
     # is outside line 3's window
-    @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4)),
+    @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4,
+                             set())),
              None, 2, 2, 1, True)
     def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse):
         def cmp(pa, pb, ctx, chain):

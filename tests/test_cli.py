@@ -2,7 +2,10 @@ import errno
 import json
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -233,6 +236,24 @@ class TestFilterCommand:
         assert code == 0
         assert (tmp_path / "o.tgt").read_text().splitlines() == GOOD_LINES
 
+    def test_provider_cmd_pipe_is_utf8_in_an_ascii_locale(self, write_lines, tmp_path):
+        # under the C locale with locale coercion and UTF-8 mode off, the
+        # locale's codec is ASCII; the pipe must still carry UTF-8
+        line = "Żółw je sałatę."
+        src, tgt = write_lines("src.txt", [line]), write_lines("tgt.txt", [line])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bifilter.cli", "filter",
+             "--src", str(src), "--tgt", str(tgt), "--provider-cmd", "cat",
+             "--out-src", str(tmp_path / "o.src"),
+             "--out-tgt", str(tmp_path / "o.tgt"),
+             "--report", str(tmp_path / "rep.tsv")],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert (tmp_path / "o.src").read_text(encoding="utf-8") == line + "\n"
+
     def test_hung_provider_cmd_exits_nonzero(self, write_lines, tmp_path, capsys,
                                              monkeypatch):
         # the shell forks sleep, which holds the output pipe open: only
@@ -355,11 +376,12 @@ class TestAlignCommand:
         assert code == 0
         manifest = json.loads((tmp_path / "pairs.tsv.manifest.json").read_text())
         want = {}
-        align_documents(lines_a, lines_b, lexicon_scorer(load_dictionary(d)),
-                        AlignConfig(engine=engine), stats=want)
+        al = align_documents(lines_a, lines_b, lexicon_scorer(load_dictionary(d)),
+                             AlignConfig(engine=engine), stats=want)
         assert manifest["stats"] == want
         if engine == "dp":
-            assert want == {"scorer_calls": 25}
+            # every cell, then each aligned pair once more
+            assert al.pairs and want == {"scorer_calls": 25 + len(al.pairs)}
         else:
             assert set(want) == {"scorer_calls", "expanded"}
             assert want["scorer_calls"] < 25

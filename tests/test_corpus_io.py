@@ -145,6 +145,18 @@ class TestEnsureTranslations:
         with pytest.raises(DataError, match=r"batch 1 \(source lines 1-2\): returned 3 lines for 2"):
             ensure_translations(self.bt(["one", "two", "three"]), prov)
 
+    def test_command_provider_invalid_utf8_names_the_batch(self):
+        prov = CommandProvider("cat >/dev/null; printf '\\377\\n'")
+        with pytest.raises(DataError, match=(
+                r"^translation command, batch 1 \(source lines 1-1\): "
+                r"invalid UTF-8 at byte offset 0 \(line 1\): ")):
+            ensure_translations(self.bt(["one"]), prov)
+
+    def test_command_provider_stderr_not_utf8(self):
+        prov = CommandProvider("printf 'bad \\377' >&2; exit 3")
+        with pytest.raises(DataError, match="exited with 3: bad \ufffd"):
+            ensure_translations(self.bt(["one"]), prov)
+
     def test_missing_without_provider(self):
         with pytest.raises(DataError):
             ensure_translations(self.bt(["a"]))

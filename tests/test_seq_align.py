@@ -356,6 +356,28 @@ class TestTieBreakOracles:
         assert (got, stats) == oracles.reference_astar_align(
             doc_a, doc_b, scorer, gap, seq_align._heuristic)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+        st.data(),
+    )
+    def test_dp_scores_each_cell_then_each_pair_again(self, n, m, gap, data):
+        """The DP keeps no likelihoods: it scores every cell once, and its
+        backtrace scores each aligned pair once more."""
+        doc_a, doc_b = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(m)]
+        value = st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.5, 1.0])
+        scorer, calls = counting(table_scorer(
+            {(x, y): data.draw(value) for x in doc_a for y in doc_b}))
+        stats = {}
+        al = align_documents(doc_a, doc_b, scorer, AlignConfig(gap_penalty=gap),
+                             stats=stats)
+        want = Counter((x, y) for x in doc_a for y in doc_b)
+        want.update((doc_a[i], doc_b[j]) for i, j, _ in al.pairs)
+        assert Counter(calls) == want
+        assert stats["scorer_calls"] == len(calls)
+
 
 def _align_peak_mb(tmp_path, n, engine):
     """(peak RSS in MB, manifest stats) of `align --engine ENGINE` on two
@@ -388,13 +410,15 @@ def _align_peak_mb(tmp_path, n, engine):
 
 
 class TestHostileMemory:
-    """Every cell of two unrelated documents scores 0: DP keeps an entry
+    """Every cell of two unrelated documents scores 0: DP keeps one byte
     for each cell of the grid, and A* scores most of them."""
 
     def test_dp_2000_lines(self, tmp_path):
         peak_mb, stats = _align_peak_mb(tmp_path, 2000, "dp")
-        assert stats["scorer_calls"] == 2000 * 2000
-        assert peak_mb <= 110
+        # every cell, then the 2,000 zero-scoring pairs of the diagonal
+        # (one such pair costs less than its two gaps)
+        assert stats["scorer_calls"] == 2000 * 2000 + 2000
+        assert peak_mb <= 40
 
     def test_astar_1000_lines(self, tmp_path):
         peak_mb, stats = _align_peak_mb(tmp_path, 1000, "astar")
@@ -415,11 +439,11 @@ class TestAlignDocuments:
         doc_a, doc_b, scorer = random_instance(rng, 6)
         scorer, calls = counting(scorer)
         stats = {}
-        align_documents(doc_a, doc_b, scorer, AlignConfig(engine=engine),
-                        stats=stats)
+        al = align_documents(doc_a, doc_b, scorer, AlignConfig(engine=engine),
+                             stats=stats)
         assert stats["scorer_calls"] == len(calls)
         if engine == "dp":
-            assert len(calls) == len(doc_a) * len(doc_b)
+            assert len(calls) == len(doc_a) * len(doc_b) + len(al.pairs)
 
     def test_bad_engine(self):
         with pytest.raises(ConfigError):
