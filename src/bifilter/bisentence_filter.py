@@ -58,7 +58,9 @@ class FilterConfig:
     source lines may contest a candidate before it is committed.
     displacement_rounds bounds the veto-and-retry iterations; contested
     leftovers then resolve first-come. context supplies the stoplist,
-    synonym lexicon, and sentence cache for the chain comparators.
+    synonym lexicon, and sentence cache for the chain comparators;
+    align_filter makes its cache forget each matched line's translation
+    and, unless allow_reuse, the target line it took.
     """
 
     chain: ComparatorChain
@@ -133,14 +135,18 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
             )
     n_src, n_tgt = len(src), len(tgt)
     ctx = cfg.context if cfg.context is not None else ChainContext()
-    memo: dict[tuple[str, str], ChainDecision] = {}
+    # Decisions by translation text, then target text. A matched line never
+    # scores again (contests skip it too), so its row is dropped then; a
+    # later line with the same text recomputes the same decisions.
+    memo: dict[str, dict[str, ChainDecision]] = {}
 
     def decide(i: int, j: int) -> ChainDecision:
-        key = (trans[i], tgt[j])
-        d = memo.get(key)
+        row = memo.get(trans[i])
+        if row is None:
+            row = memo[trans[i]] = {}
+        d = row.get(tgt[j])
         if d is None:
-            d = chain_evaluate(trans[i], tgt[j], cfg.chain, ctx)
-            memo[key] = d
+            d = row[tgt[j]] = chain_evaluate(trans[i], tgt[j], cfg.chain, ctx)
         return d
 
     def diagonal(i: int) -> int:
@@ -184,8 +190,9 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         pack = len(row) >= _PACKED_ROW_MIN
         cands: list[tuple[int, ChainDecision]] = []
         best = best_seen.get(i, 0.0)
+        seen = memo.get(trans[i], {})
         for j in row:
-            if pack and (trans[i], tgt[j]) not in memo:
+            if pack and tgt[j] not in seen:
                 ctx.row = packed_row(i, row)
                 pack = False
             d = decide(i, j)
@@ -205,8 +212,11 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
             ):
                 continue
             matched[i] = (j, d.score, d.tier)
+            del memo[trans[i]], best_seen[i]
+            ctx.forget(trans[i])
             if not cfg.allow_reuse:
                 consumed.add(j)
+                ctx.forget(tgt[j])
             return True
         return False
 

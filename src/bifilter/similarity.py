@@ -218,7 +218,9 @@ class _PairScratch:
 
 class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
-    cache of prepared sentences keyed by raw text, the scratch record of
+    cache of prepared sentences keyed by raw text (forget drops entries), a
+    word table through which equal content tokens of every prepared
+    sentence share one string, the scratch record of
     the pair chain_evaluate is scoring, and one line slot: the joined
     strings of the last first side a pair gate saw and of its synonym
     variants, packed. The record and the slot make a context unsafe for
@@ -243,6 +245,7 @@ class ChainContext:
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon()
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
+        self._words: dict[str, str] = {}
         self._pair: _PairScratch | None = None
         self._line: tuple[PreparedSentence, PackedStrings] | None = None
         self.row: tuple[PreparedSentence, dict[str, int]] | None = None
@@ -250,11 +253,16 @@ class ChainContext:
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
         if hit is None:
-            hit = PreparedSentence(
-                sentence, remove_stopwords(tokenize(sentence), self.stoplist)
-            )
+            word = self._words.setdefault
+            tokens = remove_stopwords(tokenize(sentence), self.stoplist)
+            hit = PreparedSentence(sentence, tuple([word(t, t) for t in tokens]))
             self._prepared[sentence] = hit
         return hit
+
+    def forget(self, sentence: str) -> None:
+        """Drop the cached preparation of sentence, if any; a later prepare
+        of the same text builds an equal one again."""
+        self._prepared.pop(sentence, None)
 
     def _line_pack(self, p: PreparedSentence) -> PackedStrings:
         """The joined strings of p and of its synonym variants, p's first,

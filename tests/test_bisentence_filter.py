@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import synthcorpus
+from peakrss import cli_peak_mb
 from bifilter import bisentence_filter, similarity
 from bifilter.bisentence_filter import (
     FilterConfig,
@@ -356,11 +357,18 @@ def _packed_bitext(lines):
     return make_bitext(trans, tgt, src=src)
 
 
-PACKED_BITEXT = st.lists(PACKED_LINE, min_size=1, max_size=40).flatmap(
-    lambda trans: st.tuples(st.just(trans), st.lists(
-        PACKED_LINE, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3),
-        st.sets(st.integers(0, len(trans) - 1), max_size=max(1, len(trans) // 4)))
-).map(_packed_bitext)
+def _packed_lines(pool):
+    # a line is fresh or drawn from the small pool, so that translations
+    # and targets repeat: a matched line's text may still be pending
+    line = PACKED_LINE | st.sampled_from(pool)
+    return st.lists(line, min_size=1, max_size=40).flatmap(
+        lambda trans: st.tuples(st.just(trans), st.lists(
+            line, min_size=max(0, len(trans) - 3), max_size=len(trans) + 3),
+            st.sets(st.integers(0, len(trans) - 1), max_size=max(1, len(trans) // 4))))
+
+
+PACKED_BITEXT = st.lists(PACKED_LINE, min_size=1, max_size=3).flatmap(
+    _packed_lines).map(_packed_bitext)
 
 
 class TestPackedRows:
@@ -552,6 +560,40 @@ class TestReferenceFilter:
                 assert fast == exact
             else:
                 assert fast < cfg.chain.floor
+
+    @settings(max_examples=40, deadline=None)
+    @given(PACKED_BITEXT, st.sampled_from([0, 2, 30, None]), st.integers(0, 2),
+           st.booleans())
+    def test_context_reused_across_calls(self, bitext, window, lookahead, allow_reuse):
+        # the first call leaves the context with forgotten sentences, a
+        # grown word table and a used line slot; none of it shows in the
+        # second call's result
+        cfg = self.config(None, window, lookahead, 3, allow_reuse)
+        first = align_filter(bitext, cfg)
+        assert align_filter(bitext, cfg) == first
+        assert align_filter(bitext, self.config(None, window, lookahead, 3,
+                                                allow_reuse)) == first
+
+
+class TestHostileMemory:
+    """A long corpus at the default window: align_filter keeps decisions
+    and prepared sentences only for lines it can still match, so peak
+    memory follows the input and the vocabulary, not the pairs scored."""
+
+    def test_filter_4000_lines(self, write_lines, tmp_path):
+        parts = [synthcorpus.build(seed=synthcorpus.SEED + p) for p in range(4)]
+        paths = {side: write_lines(f"{side}.txt",
+                                   [line for sb in parts for line in getattr(sb, side)])
+                 for side in ("source", "target", "trans")}
+        out_src = tmp_path / "o.src"
+        peak_mb = cli_peak_mb(
+            "filter", "--src", str(paths["source"]), "--tgt", str(paths["target"]),
+            "--trans", str(paths["trans"]), "--out-src", str(out_src),
+            "--out-tgt", str(tmp_path / "o.tgt"), "--report", str(tmp_path / "rep.tsv"))
+        assert len(out_src.read_text(encoding="utf-8").splitlines()) > 3000
+        # 29 MB measured (CPython 3.11); keeping every decision and prepared
+        # sentence for the whole run took 66 MB
+        assert peak_mb <= 40
 
 
 class TestEvaluateFiltering:

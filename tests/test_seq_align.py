@@ -1,8 +1,5 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from peakrss import cli_peak_mb
 from bifilter import seq_align
 from bifilter.errors import ConfigError, DataError
 from bifilter.seq_align import (
@@ -381,32 +379,15 @@ class TestTieBreakOracles:
 
 def _align_peak_mb(tmp_path, n, engine):
     """(peak RSS in MB, manifest stats) of `align --engine ENGINE` on two
-    unrelated n-line documents. The command runs under a small launcher
-    process: a child inherits its parent's RSS high-water mark through fork
-    and exec, and the test process may have grown."""
+    unrelated n-line documents."""
     doc_a, doc_b = tmp_path / "a.txt", tmp_path / "b.txt"
     doc_a.write_text("".join(f"left line {i}\n" for i in range(n)), encoding="utf-8")
     doc_b.write_text("".join(f"right line {j}\n" for j in range(n)), encoding="utf-8")
     out = tmp_path / "pairs.tsv"
-    launcher = (
-        "import os, subprocess, sys\n"
-        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-        "_pid, status, usage = os.wait4(proc.pid, 0)\n"
-        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-m", "bifilter.cli",
-         "align", "--doc-a", str(doc_a), "--doc-b", str(doc_b), "--out", str(out),
-         "--engine", engine],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rc, maxrss_kb = map(int, proc.stdout.split())
-    assert rc == 0, proc.stderr
+    peak_mb = cli_peak_mb("align", "--doc-a", str(doc_a), "--doc-b", str(doc_b),
+                          "--out", str(out), "--engine", engine)
     stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
-    return maxrss_kb / 1024, stats
+    return peak_mb, stats
 
 
 class TestHostileMemory:

@@ -363,6 +363,32 @@ class TestChainEvaluate:
                 assert got.score >= floor
 
 
+class TestPrepare:
+    STOP = StopList.from_words(["the", "a"])
+
+    @given(st.lists(st.lists(st.sampled_from(WORDS + ["Cat", "żółw", ",", "the."]),
+                             max_size=8).map(" ".join), min_size=2, max_size=4))
+    @example(["The market opened", "a market closed"])
+    def test_one_string_per_word(self, sentences):
+        ctx = ChainContext(stoplist=self.STOP)
+        prepared = [ctx.prepare(s) for s in sentences]
+        first: dict = {}
+        for s, p in zip(sentences, prepared):
+            assert p.tokens == remove_stopwords(tokenize(s), self.STOP)
+            for t in p.tokens:
+                assert first.setdefault(t, t) is t
+
+    def test_forget(self):
+        ctx = ChainContext()
+        p = ctx.prepare("the cat sat")
+        assert ctx.prepare("the cat sat") is p
+        ctx.forget("the cat sat")
+        ctx.forget("never prepared")
+        again = ctx.prepare("the cat sat")
+        assert again is not p and again.tokens == p.tokens
+        assert again.tokens[0] is p.tokens[0]
+
+
 class TestLcsGate:
     """The bit-parallel LCS length behind the chain's gate, and the bound it
     gives: the decomposition's matched count never exceeds it."""
