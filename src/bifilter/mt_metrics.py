@@ -10,7 +10,8 @@ Levenshtein kernel (Myers 1999; Hyyrö 2001) over per-token bitmasks of the
 reference: O(L * ceil(m / w)) word operations for an L-token sequence
 against an m-token reference with machine word size w, in place of an
 O(L * m) table, and skips every shift whose lower bounds show it cannot
-win.
+win. A bag-of-words floor on every shifted distance skips references and
+ends shift rounds that cannot improve the result.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def _shift_bounds(current: tuple, ref: tuple, masks: dict, rmasks: dict):
 
 
 def _best_shift(current: tuple, ref: tuple, masks: dict, rmasks: dict,
-                positions: dict, base: int):
+                positions: dict, base: int, floor: int):
     """The single block shift that most reduces the edit distance.
 
     A shiftable block is a contiguous candidate span occurring verbatim in
@@ -303,6 +304,10 @@ def _best_shift(current: tuple, ref: tuple, masks: dict, rmasks: dict,
     from cols[s], the diagonal floor at column e. Such a shift could never
     pass the strict d < t test, so the visiting order and the winner are
     the same as scoring every shift.
+
+    floor is a lower bound on the distance of every shift (ter's
+    bag-of-words floor). Once the best distance found reaches it, no later
+    shift can be strictly lower, so the search returns at once.
     """
     best = None
     t = base
@@ -342,6 +347,8 @@ def _best_shift(current: tuple, ref: tuple, masks: dict, rmasks: dict,
                 if d < t:
                     t = d
                     best = (d, current[:s] + mid + current[e:])
+                    if t <= floor:
+                        return best
     return best
 
 
@@ -370,14 +377,31 @@ def ter(cand, refs) -> TerBreakdown:
     is at most the shift's true distance, and only a distance below the
     threshold can win, so the search is exact: the same edits and shifts
     as a row-by-row Levenshtein search in the same order.
+
+    Each reference also has a floor, max(L, m) minus the tokens the
+    candidate and the reference share as bags of words: a shift keeps the
+    bag, and every token left without a match costs an edit, so no shifted
+    candidate's distance falls below it. Only strictly fewer edits than
+    the best so far win, as ties go to the earlier reference. So a
+    reference whose floor reaches the fewest edits so far is skipped, and
+    a shift round runs only while one more shift plus the floor stays
+    below them, since a round adds a shift and cannot take the distance
+    below the floor. A round also runs only while the distance is above
+    the floor, and ends at the first shift that reaches it (_best_shift).
+    None of these changes the edits or the shifts.
     """
     cand_t = tuple(cand)
     ref_ts = [tuple(r) for r in refs]
     if not ref_ts:
         raise DataError("ter needs at least one reference")
-    best_edits = None
+    best_edits = math.inf
     best_shifts = 0
+    cand_bag = Counter(cand_t)
     for ref_t in ref_ts:
+        floor = max(len(cand_t), len(ref_t)) - sum(
+            (cand_bag & Counter(ref_t)).values())
+        if floor >= best_edits:
+            continue  # cannot beat the earlier reference, which wins ties
         masks = _build_masks(ref_t)
         rmasks = _build_masks(ref_t[::-1])
         positions: dict = {}
@@ -386,14 +410,16 @@ def ter(cand, refs) -> TerBreakdown:
         current = cand_t
         shifts = 0
         dist = _edit_distance(masks, len(ref_t), current)
-        while dist > 0 and shifts < _MAX_SHIFT_ITER:
-            found = _best_shift(current, ref_t, masks, rmasks, positions, dist)
+        while (dist > floor and shifts + 1 + floor < best_edits
+               and shifts < _MAX_SHIFT_ITER):
+            found = _best_shift(current, ref_t, masks, rmasks, positions, dist,
+                                floor)
             if found is None:
                 break
             dist, current = found
             shifts += 1
         edits = shifts + dist
-        if best_edits is None or edits < best_edits:
+        if edits < best_edits:
             best_edits, best_shifts = edits, shifts
     w_r = sum(len(rt) for rt in ref_ts) / len(ref_ts)
     if w_r > 0:
@@ -467,6 +493,19 @@ def _max_matching_size(adj: dict[int, list[int]]) -> tuple[int, list[tuple[int, 
     return size, sorted((u, v) for v, u in match_r.items())
 
 
+def _biclique_matching_size(adj: dict[int, list[int]]) -> Optional[int]:
+    """The maximum matching size when every two adjacency lists hold the
+    same reference positions or none in common, as in the exact and stem
+    passes (their relations are equivalences), else None.
+
+    Such a graph is a union of complete bipartite graphs, one per distinct
+    list, and each matches min(its candidates, its positions) pairs."""
+    takers = Counter(frozenset(rjs) for rjs in adj.values())
+    if sum(map(len, takers)) != len(frozenset().union(*takers)):
+        return None  # two distinct lists share a position
+    return sum(min(count, len(group)) for group, count in takers.items())
+
+
 _ASSIGN_NODE_CAP = 200_000
 
 # Memo keys of the two kinds of leaf below a search node; real states have
@@ -524,7 +563,9 @@ def _stage_assignment(
     unmatched than the target allows is a leaf) that visits at most
     _ASSIGN_NODE_CAP + 1 nodes: the first fewest-chunk complete assignment
     in visiting order among the visited leaves, or the plain maximum
-    matching when no complete assignment lies inside that budget.
+    matching (Kuhn's, _max_matching_size) when no complete assignment lies
+    inside that budget. The target size comes in closed form when the
+    graph allows it (_biclique_matching_size), else from Kuhn's matching.
 
     A node's subtree depends only on its state: the depth idx, the count
     made of pairs made, the used reference positions that candidates idx..
@@ -552,7 +593,9 @@ def _stage_assignment(
     nodes than the budget, so that the result may have more chunks than the
     minimum.
     """
-    target, fallback = _max_matching_size(adj)
+    target = _biclique_matching_size(adj)
+    if target is None:
+        target = _max_matching_size(adj)[0]
     if target == 0:
         if stats is not None:
             stats["capped"] = False
@@ -627,7 +670,7 @@ def _stage_assignment(
     if stats is not None:
         stats["capped"] = capped
     if found is None:
-        return fallback
+        return _max_matching_size(adj)[1]
 
     _, pairs, state, need = found
     while state[0] < n:

@@ -239,11 +239,12 @@ class TestTer:
 
 @st.composite
 def ter_case(draw):
-    """A candidate and one or two references of up to 40 tokens over a
-    2-6 symbol vocabulary, so spans repeat and shifts tie."""
+    """A candidate and one to three references of up to 40 tokens over a
+    2-6 symbol vocabulary, so spans repeat and shifts tie, and a later
+    reference's bag-of-words floor often reaches an earlier one's edits."""
     vocab = "abcdef"[: draw(st.integers(2, 6))]
     seg = st.lists(st.sampled_from(vocab), max_size=40)
-    return draw(seg), draw(st.lists(seg, min_size=1, max_size=2))
+    return draw(seg), draw(st.lists(seg, min_size=1, max_size=3))
 
 
 @st.composite
@@ -288,10 +289,58 @@ class TestTerSearch:
               [list("bcabcabbcaabcacbcaabcbcabcabbcaccbabcab")]))
     @example((list("aabab"), [list("babaa"), list("abba")]))
     @example(([], [[], list("ab")]))
+    # the second reference's floor, 1, reaches the first's edits: skipped
+    @example((list("abcd"), [list("acbd"), list("bad")]))
+    # the second reference runs no round: one shift plus its floor, 0,
+    # already reaches the first's single edit
+    @example((list("abcdef"), [list("abcdex"), list("badcfe")]))
+    # the first shift reaches the floor, 0, and ends the round
+    @example((list("bcaxyz"), [list("abcxyz")]))
+    # the distance starts at the floor, 1: no round runs
+    @example((list("abcd"), [list("abcx")]))
     @settings(max_examples=150, deadline=None)
     def test_equals_reference_ter(self, case):
         cand, refs = case
         assert ter(cand, refs) == oracles.reference_ter(cand, refs)
+
+    def test_reference_whose_floor_reaches_the_best_is_not_searched(self):
+        # "bad" shares 3 of the candidate's 4 tokens, so every shifted
+        # candidate is at least 1 edit from it: no better than "acbd"'s one
+        # shift, and the earlier reference wins ties
+        cand, refs = list("abcd"), [list("acbd"), list("bad")]
+        with mock.patch.object(mt_metrics, "_best_shift",
+                               wraps=mt_metrics._best_shift) as rounds, \
+             mock.patch.object(mt_metrics, "_edit_distance",
+                               wraps=mt_metrics._edit_distance) as distances:
+            got = ter(cand, refs)
+        assert (got.edits, got.shifts) == (1, 1)
+        assert rounds.call_count == 1
+        assert rounds.call_args.args[1] == tuple("acbd")
+        assert distances.call_count == 1
+        assert got == oracles.reference_ter(cand, refs)
+
+    def test_no_round_once_a_shift_more_cannot_win(self):
+        # three substitutions against the first reference; the second has
+        # floor 0 but needs four swaps, and after two shifts a third shift
+        # plus the floor reaches 3, so it stops there (the plain search
+        # runs four rounds on it)
+        cand, refs = list("abcdefgh"), [list("abcdexyz"), list("badcfehg")]
+        with mock.patch.object(mt_metrics, "_best_shift",
+                               wraps=mt_metrics._best_shift) as rounds:
+            got = ter(cand, refs)
+        assert (got.edits, got.shifts) == (3, 0)
+        assert [c.args[1] for c in rounds.call_args_list] == [tuple("badcfehg")] * 2
+        assert got == oracles.reference_ter(cand, refs)
+
+    @pytest.mark.parametrize("refs, shifts", [
+        ([list("acbd"), list("abcx")], 1),
+        ([list("abcx"), list("acbd")], 0),
+    ])
+    def test_equal_edits_report_the_first_references_shifts(self, refs, shifts):
+        # one shift against "acbd", one substitution against "abcx"
+        got = ter(list("abcd"), refs)
+        assert (got.edits, got.shifts) == (1, shifts)
+        assert got == oracles.reference_ter(list("abcd"), refs)
 
     @given(near_identical_case())
     @example((list("aaaabaaab"), list("abaabaaba")))
@@ -471,6 +520,21 @@ def bipartite(draw):
     return adj, prior
 
 
+@st.composite
+def biclique_union(draw):
+    """A bipartite() pass whose adjacency lists are made pairwise equal or
+    disjoint, as in meteor's exact and stem passes: its reference positions
+    fall into up to four groups, and each candidate takes the whole group
+    of its first position, or nothing."""
+    adj, prior = draw(bipartite())
+    positions = sorted({rj for rjs in adj.values() for rj in rjs})
+    group_of = dict(zip(positions, draw(st.lists(
+        st.integers(0, 3), min_size=len(positions), max_size=len(positions)))))
+    groups = [[rj for rj in positions if group_of[rj] == g] for g in range(4)]
+    return {ci: list(groups[group_of[rjs[0]]]) if rjs else []
+            for ci, rjs in adj.items()}, prior
+
+
 # A pass of 8 search nodes whose two picks for candidate 1 lead to one
 # state (candidate 4 can take neither reference position): the second
 # pick's subtree, 3 nodes, is memoized when it is reached, and it adds a
@@ -547,10 +611,25 @@ class TestMeteorSearch:
         adj, _ = case
         assert mt_metrics._max_matching_size(adj) == oracles.recursive_max_matching(adj)
 
-    @given(bipartite(), st.sampled_from(ASSIGN_CAPS))
+    @given(st.one_of(bipartite(), biclique_union()))
+    @example(({0: [0, 1], 1: [0, 1], 2: [2]}, []))
+    @example(({0: [0, 1], 1: [1, 2]}, []))
+    @settings(max_examples=300)
+    def test_closed_form_size_equals_recursive(self, case):
+        # a number exactly for unions of complete bipartite graphs
+        adj, _ = case
+        groups = {frozenset(rjs) for rjs in adj.values()}
+        biclique = all(a == b or not a & b for a in groups for b in groups)
+        size = mt_metrics._biclique_matching_size(adj)
+        if biclique:
+            assert size == oracles.recursive_max_matching(adj)[0]
+        else:
+            assert size is None
+
+    @given(st.one_of(bipartite(), biclique_union()), st.sampled_from(ASSIGN_CAPS))
     @example(({0: [0, 1], 1: [0, 1], 2: [1, 2]}, [(5, 5)]), 0)
     @example(({0: [0, 1], 1: [0, 1], 2: [1, 2]}, [(5, 5)]), 3)
-    @settings(max_examples=500)
+    @settings(max_examples=800)
     def test_stage_assignment_equals_recursive(self, case, cap):
         adj, prior = case
         want = oracles.recursive_stage_assignment(adj, prior, cap)
@@ -647,8 +726,14 @@ class TestMeteorSearch:
         assert (got.matches, got.chunks) == (120, 91)
 
     def test_one_repeated_word_stays_bounded(self):
-        got = meteor(["a"] * 400, ["a"] * 400)
+        # every exact-pass list is the same, so the matching size comes in
+        # closed form, without Kuhn's 400 augmenting searches
+        with mock.patch.object(mt_metrics, "_augment",
+                               wraps=mt_metrics._augment) as spy:
+            got = meteor(["a"] * 400, ["a"] * 400)
+        assert spy.call_count == 0
         assert (got.matches, got.chunks) == (400, 1)
+        assert got.score == 1.0 - 0.5 * (1 / 400)
 
     def test_stats_name_capped_segments_and_passes(self):
         cands = [["a", "b"], CAPPED_CAND, CAPPED_CAND]
