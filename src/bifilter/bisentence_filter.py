@@ -36,8 +36,9 @@ __all__ = [
 
 
 # A row of at least this many open candidates gets its LCS gate values from
-# one packed pass; smaller rows gate each pair through the source line's
-# own pack. With per-line masks, three rounds of 20 s benchmark
+# the packed passes of its chunks; smaller rows gate each pair through the
+# source line's own pack. With per-line masks and every row's passes run up
+# front, three rounds of 20 s benchmark
 # runs (2 vCPUs) gave median lines_per_ref for a minimum of 3 / 4 / 8:
 # filter-narrow-10k (window 1, rows of at most three) 2905 / 3151 / 3144,
 # filter-wide-1k (window 30) 922 / 936 / 926. Packing rows of three is
@@ -45,7 +46,11 @@ __all__ = [
 # candidates, which neither workload has many of.
 _PACKED_ROW_MIN = 4
 # Target lines per PackedStrings chunk. Chunks start at multiples of this
-# and are shared by the consecutive rows whose windows cover them.
+# and are shared by the consecutive rows whose windows cover them; a row
+# runs the pass of a chunk only when a gate reads a target in it. With
+# passes run on first read, align_filter on the filter-wide-1k input took
+# a median 0.32 s of CPU with chunks of 16, 0.31 s with 32 and 0.33 s with
+# 64 (seven runs each, 2 vCPUs, Python 3.11).
 _PACK_CHUNK = 16
 
 
@@ -116,9 +121,14 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     tiers as plain numbers: an incumbent accepted at the overlap tier can
     lose to a contender whose ratio-tier score is strictly higher. The
     incumbent's score is an accepted one, so at least the chain's floor,
-    and a contender scoring below the floor never wins. Source lines left
-    without a surviving candidate are dropped with the best score they saw
-    (see FilterResult); never-accepted target lines are dropped too.
+    and a contender scoring below the floor never wins. Candidates are
+    scored in target order, and the first one accepted at 1.0, the top
+    score a comparator may return, wins at once: a later candidate can
+    only tie it, and no contender can score strictly higher, so the
+    rest of the row is not scored and no contest is held. Source lines
+    left without a surviving candidate are dropped with the best score
+    they saw (see FilterResult); never-accepted target lines are dropped
+    too.
     """
     if bitext.trans is None:
         raise DataError(
@@ -165,18 +175,19 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
 
     packs: dict[int, PackedStrings] = {}
 
-    def packed_row(i: int, row: list[int]):
-        # ctx.row for line i: one packed pass over the chunks covering row;
-        # those it no longer covers are dropped.
+    def set_row(i: int, row: list[int]) -> None:
+        # ctx's row slot for line i: the chunks covering row, those it no
+        # longer covers dropped. A new chunk holds the target lines of its
+        # span that are still open; the consumed ones were forgotten.
         nonlocal packs
         packs = {
             c: packs.get(c) or PackedStrings(
-                [ctx.prepare(t).joined for t in tgt[c * _PACK_CHUNK:(c + 1) * _PACK_CHUNK]])
+                [ctx.prepare(tgt[j]).joined
+                 for j in range(c * _PACK_CHUNK, min((c + 1) * _PACK_CHUNK, n_tgt))
+                 if cfg.allow_reuse or j not in consumed])
             for c in range(row[0] // _PACK_CHUNK, row[-1] // _PACK_CHUNK + 1)
         }
-        pa = ctx.prepare(trans[i])
-        return pa, {t: n for pack in packs.values()
-                    for t, n in zip(pack.strings, pack.lcs_lengths(pa.joined))}
+        ctx.set_row(ctx.prepare(trans[i]), packs.values())
 
     # Empty source lines have nothing to match, whatever their translation;
     # they drop with score 0.
@@ -184,6 +195,16 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     matched: dict[int, tuple[int, float, int]] = {}
     consumed: set[int] = set()
     best_seen: dict[int, float] = {}
+
+    def take(i: int, j: int, d: ChainDecision) -> bool:
+        matched[i] = (j, d.score, d.tier)
+        del memo[trans[i]]
+        best_seen.pop(i, None)
+        ctx.forget(trans[i])
+        if not cfg.allow_reuse:
+            consumed.add(j)
+            ctx.forget(tgt[j])
+        return True
 
     def try_match(i: int, veto_active: bool) -> bool:
         row = [j for j in candidates_of(i) if cfg.allow_reuse or j not in consumed]
@@ -193,12 +214,17 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         seen = memo.get(trans[i], {})
         for j in row:
             if pack and tgt[j] not in seen:
-                ctx.row = packed_row(i, row)
+                set_row(i, row)
                 pack = False
             d = decide(i, j)
             if d.score > best:
                 best = d.score
             if d.accepted:
+                if d.score >= 1.0:
+                    # No score exceeds 1.0, so no later candidate outranks
+                    # j (a tie goes to the lower index) and no contender
+                    # outbids it: j wins without a contest.
+                    return take(i, j, d)
                 cands.append((j, d))
         best_seen[i] = best
         cands.sort(key=lambda c: (-c[1].score, c[0]))
@@ -211,13 +237,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
                 if k not in matched and k not in skip and in_window(k, j)
             ):
                 continue
-            matched[i] = (j, d.score, d.tier)
-            del memo[trans[i]], best_seen[i]
-            ctx.forget(trans[i])
-            if not cfg.allow_reuse:
-                consumed.add(j)
-                ctx.forget(tgt[j])
-            return True
+            return take(i, j, d)
         return False
 
     order = [i for i in range(n_src) if i not in skip]
@@ -234,7 +254,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     for i in order:
         if i not in matched:
             try_match(i, veto_active=False)
-    ctx.row = None  # true LCS lengths of its line: harmless until here
+    ctx.set_row(None)  # true LCS lengths of its line: harmless until here
 
     accepted = tuple(
         (i, matched[i][0], matched[i][1], matched[i][2]) for i in sorted(matched)

@@ -45,21 +45,45 @@ __all__ = [
 def _longest_match(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int):
     """Longest common contiguous block inside the window [alo,ahi)x[blo,bhi).
 
-    For each start i in turn, the block grows while a[i:i+size+1] occurs in
-    b[blo:bhi] (str.find, in C); the scan stops once fewer than size+1
-    units of a remain. Only a strictly longer block replaces the incumbent,
-    so the tie-break is smallest a_start, then smallest b_start: the last
-    find gives the leftmost occurrence of the winning block.
+    For each start i in turn, one str.find (in C) asks whether
+    a[i:i+size+1] occurs in b[blo:bhi], size being the incumbent's length;
+    the scan stops once no longer block fits. When it occurs, the block
+    at i grows by galloping (Bentley & Yao 1976): the length doubles its
+    step while the prefix still occurs, then bisects. Every prefix of an
+    occurring string occurs too, so this finds the longest in O(log L)
+    finds. A longer prefix's leftmost occurrence is at or after the
+    shorter one's, so each find starts there. Only a strictly longer
+    block replaces the incumbent, so the tie-break is smallest a_start,
+    then smallest b_start (the leftmost occurrence).
     """
     besti = bestsize = 0
+    bestj = blo
     find = b.find
     for i in range(alo, ahi):
-        if ahi - i <= bestsize:
+        limit = min(ahi - i, bhi - blo)
+        if limit <= bestsize:
             break
-        while i + bestsize < ahi and find(a[i:i + bestsize + 1], blo, bhi) >= 0:
-            besti = i
-            bestsize += 1
-    return besti, find(a[besti:besti + bestsize], blo, bhi), bestsize
+        at = find(a[i:i + bestsize + 1], blo, bhi)
+        if at < 0:
+            continue
+        # a[i:i+good] occurs, leftmost at `at`; a[i:i+bad] does not
+        good, bad, step = bestsize + 1, limit + 1, 1
+        while good < limit:
+            k = min(good + step, limit)
+            p = find(a[i:i + k], at, bhi)
+            if p < 0:
+                bad = k
+                break
+            good, at, step = k, p, 2 * step
+        while bad - good > 1:
+            k = (good + bad) // 2
+            p = find(a[i:i + k], at, bhi)
+            if p < 0:
+                bad = k
+            else:
+                good, at = k, p
+        besti, bestj, bestsize = i, at, good
+    return besti, bestj, bestsize
 
 
 def _decompose(a: str, b: str):
@@ -170,12 +194,14 @@ class PreparedSentence:
 class PackedStrings:
     """Strings laid end to end in one bit vector, each followed by one zero
     guard bit, so that one _lcs_run pass gives the LCS length of a string
-    against every one of them. strings holds them, in order."""
+    against every one of them. strings holds them, in order, and index
+    maps each distinct one to a position where it stands."""
 
-    __slots__ = ("strings", "masks", "full", "_spans")
+    __slots__ = ("strings", "index", "masks", "full", "_spans")
 
     def __init__(self, strings):
         self.strings = tuple(strings)
+        self.index = {s: k for k, s in enumerate(self.strings)}
         masks: dict = {}
         full = off = 0
         spans = []
@@ -227,10 +253,12 @@ class ChainContext:
     concurrent chain_evaluate calls; the lexicon and variant cap must not
     change while it is scoring.
 
-    row, when set, is (pa, lcs): the prepared sentence whose window of
-    pairs the caller is scoring and a dict from joined target strings to
-    their LCS lengths against pa.joined, which the base ratio's gate reads
-    for pairs whose first sentence is pa.
+    The row slot (set_row) serves a caller that scores one sentence
+    against a window of targets: it holds that prepared sentence and
+    PackedStrings chunks of joined target strings, and the base ratio's
+    gate reads its LCS lengths from there for pairs whose first sentence
+    is the row's. A chunk's pass runs the first time the gate reads a
+    string in it, at most once per set_row.
     """
 
     def __init__(
@@ -248,7 +276,8 @@ class ChainContext:
         self._words: dict[str, str] = {}
         self._pair: _PairScratch | None = None
         self._line: tuple[PreparedSentence, PackedStrings] | None = None
-        self.row: tuple[PreparedSentence, dict[str, int]] | None = None
+        # (sentence, chunks, each chunk's LCS lengths once its pass ran)
+        self.row: tuple[PreparedSentence, tuple[PackedStrings, ...], list] | None = None
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -276,6 +305,28 @@ class ChainContext:
                 variants = expand_variants(p.tokens, self.lexicon, self.variant_cap)
             slot = self._line = (p, PackedStrings([" ".join(v) for v in variants]))
         return slot[1]
+
+    def set_row(self, p: PreparedSentence | None, chunks=()) -> None:
+        """Fill the row slot with p and its target chunks (PackedStrings),
+        no pass run yet; set_row(None) empties it."""
+        chunks = tuple(chunks)
+        self.row = None if p is None else (p, chunks, [None] * len(chunks))
+
+    def _row_lcs(self, p: PreparedSentence, s: str) -> int | None:
+        """LCS length of s against p.joined from the row slot, running the
+        pass of the chunk holding s if it has not run; None when the slot
+        is not p's (by identity) or no chunk holds s."""
+        row = self.row
+        if row is None or row[0] is not p:
+            return None
+        _, chunks, passes = row
+        for k, chunk in enumerate(chunks):
+            pos = chunk.index.get(s)
+            if pos is not None:
+                if passes[k] is None:
+                    passes[k] = chunk.lcs_lengths(p.joined)
+                return passes[k][pos]
+        return None
 
 
 def _fraction(value, what: str) -> float:
@@ -348,8 +399,11 @@ COMPARATORS: dict[str, Comparator] = {}
 def register_comparator(name: str, fn: Comparator, replace: bool = False) -> None:
     """Add a comparator to the registry used by chain validation.
 
-    Registered names become valid in chain configs; scores must land in
-    [0, 1]. Re-registering an existing name requires replace=True.
+    Registered names become valid in chain configs. A comparator's score
+    must lie in [0, 1]: chain_evaluate raises ValueError naming the
+    comparator for any other score, NaN included, since a filter takes a
+    candidate scoring 1.0 as unbeatable. Re-registering an existing name
+    requires replace=True.
     """
     if name in COMPARATORS and not replace:
         raise ConfigError(f"comparator {name!r} already registered")
@@ -403,17 +457,19 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value. The gate takes the LCS length from ctx.row when the row is
-    a's and holds b, otherwise from a pass of b through a's line slot."""
+    exact value. The gate takes the LCS length from ctx's row slot when the
+    row is a's and holds b, otherwise from a pass of b through a's line
+    slot."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
-        row = ctx.row
-        lcs = row[1].get(pb.joined) if row is not None and row[0] is pa else None
-        if lcs is None and rec.floor > 0.0:
-            rec.lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)
-            lcs = rec.lcs[0]
+        lcs = None
+        if rec.floor > 0.0:
+            lcs = ctx._row_lcs(pa, pb.joined)
+            if lcs is None:
+                rec.lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)
+                lcs = rec.lcs[0]
         rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, lcs)
     return rec.base
 
@@ -473,10 +529,11 @@ def chain_evaluate(
     gate: when 2.0 * LCS / total is below chain.floor, that bound is the
     score and the block decomposition does not run. Decisions are the same
     either way; a score below the floor may then be an upper bound (still
-    below the floor). The base ratio's LCS length comes from context.row
-    when the row's sentence is a's and the row holds b. exact=True computes
-    every score in full, for callers that use rejected scores, such as an
-    alignment objective.
+    below the floor). The base ratio's LCS length comes from context's row
+    slot when the row's sentence is a's and the row holds b. exact=True
+    computes every score in full, for callers that use rejected scores,
+    such as an alignment objective. A comparator score outside [0, 1], or
+    NaN, raises ValueError.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)
@@ -486,6 +543,9 @@ def chain_evaluate(
         comp_id = chain.tiers[-1][0]
         for idx, (comp_id, threshold) in enumerate(chain.tiers):
             score = COMPARATORS[comp_id](pa, pb, context, chain)
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(
+                    f"comparator {comp_id!r} returned {score!r}, outside [0, 1]")
             if score >= threshold:
                 return ChainDecision(True, score, idx, comp_id)
         last = len(chain.tiers) - 1

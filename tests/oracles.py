@@ -81,6 +81,21 @@ def leftmost_longest_m(a, b) -> int:
 
 
 
+def reference_longest_match(a, b, alo, ahi, blo, bhi):
+    """similarity._longest_match as it was before galloping: the block at
+    each start grows one unit per str.find, and a last find gives the
+    leftmost occurrence of the winning block."""
+    besti = bestsize = 0
+    find = b.find
+    for i in range(alo, ahi):
+        if ahi - i <= bestsize:
+            break
+        while i + bestsize < ahi and find(a[i:i + bestsize + 1], blo, bhi) >= 0:
+            besti = i
+            bestsize += 1
+    return besti, find(a[besti:besti + bestsize], blo, bhi), bestsize
+
+
 def lcs_length(a, b) -> int:
     """Longest common subsequence length, from the full
     (len(a) + 1) x (len(b) + 1) table."""

@@ -256,6 +256,36 @@ class TestResolveConflict:
         assert self.run(mock_chain, {2: 0.0, 3: 0.95}, lookahead) == winner
 
 
+class TestPerfectScore:
+    """A candidate accepted at 1.0 wins its row at once: a later candidate
+    can only tie it, ties go to the lower target index, and no contender
+    scores strictly higher. The rest of the row is not scored and no
+    contest is held."""
+
+    def test_no_chain_call_after_a_perfect_candidate(self, mock_chain, monkeypatch):
+        # line 0 scores 0.8 on g0, then 1.0 on g1 and g2; line 1 would tie
+        # it on g1 and could contest g0 and g1 from inside its window
+        scores = {("t0", "g0"): 0.8, ("t0", "g1"): 1.0, ("t0", "g2"): 1.0,
+                  ("t1", "g0"): 0.9, ("t1", "g1"): 1.0}
+        calls = []
+        evaluate = bisentence_filter.chain_evaluate
+
+        def counted(a, b, chain, context):
+            calls.append((a, b))
+            return evaluate(a, b, chain, context)
+
+        monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted)
+        cfg = FilterConfig(chain=mock_chain(scores), window=None, context=empty_ctx())
+        bitext = make_bitext(["t0", "t1"], ["g0", "g1", "g2"])
+        res = align_filter(bitext, cfg)
+        assert [(i, j, score) for i, j, score, _ in res.accepted] == [(0, 1, 1.0), (1, 0, 0.9)]
+        # line 0 stops at g1: no call on g2 and no contest call on g1; line
+        # 1 then scores its open candidates g0 and g2
+        assert calls == [("t0", "g0"), ("t0", "g1"), ("t1", "g0"), ("t1", "g2")]
+        assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+            oracles.reference_align_filter(bitext, cfg)
+
+
 def random_instance(rng, n_max=20):
     n = rng.randint(1, n_max)
     m = rng.randint(1, n_max)
@@ -412,17 +442,16 @@ class TestPackedRows:
         return calls
 
     def counted_packs(self, monkeypatch):
-        # the strings of each PackedStrings built, and those of the pack
-        # behind each LCS pass
+        # each PackedStrings built, and the pack behind each LCS pass
         built, passes = [], []
         init, lcs_lengths = similarity.PackedStrings.__init__, similarity.PackedStrings.lcs_lengths
 
         def counted_init(pack, strings):
             init(pack, strings)
-            built.append(pack.strings)
+            built.append(pack)
 
         def counted_lcs_lengths(pack, a):
-            passes.append(pack.strings)
+            passes.append(pack)
             return lcs_lengths(pack, a)
 
         monkeypatch.setattr(similarity.PackedStrings, "__init__", counted_init)
@@ -438,22 +467,65 @@ class TestPackedRows:
         tgt = ["".join(rng.choice(letters[13:]) for _ in range(30)) for _ in range(64)]
         masks = self.counted(monkeypatch, similarity, "_build_masks")
         built, passes = self.counted_packs(monkeypatch)
-        res = align_filter(make_bitext(trans, tgt), self.config(window=2))
+        cfg = self.config(window=2)
+        rows = []  # the chunks of each row slot filled
+        set_row = cfg.context.set_row
+        monkeypatch.setattr(cfg.context, "set_row",
+                            lambda p, chunks=(): rows.append(len(passes)) or set_row(p, chunks))
+        res = align_filter(make_bitext(trans, tgt), cfg)
         assert res.accepted == ()
         chunk = bisentence_filter._PACK_CHUNK
         chunks = [tuple(tgt[c:c + chunk]) for c in range(0, 64, chunk)]
         # each chunk of 16 target lines is built once, and shared; the
         # synonym tier packs each source line once
-        assert sorted(built) == sorted(chunks + [(t,) for t in trans])
+        assert sorted(b.strings for b in built) == sorted(chunks + [(t,) for t in trans])
         assert sorted(masks) == sorted([(t,) for t in tgt + trans])
         # rows 0 and 63 have three candidates and gate each pair alone,
-        # through their own line's pack; every other row runs one pass per
-        # chunk its window touches
-        assert sorted(p for p in passes if len(p) == 1) == (
+        # through their own line's pack
+        assert sorted(p.strings for p in passes if len(p.strings) == 1) == (
             [(trans[0],)] * 3 + [(trans[63],)] * 3)
-        assert len([p for p in passes if p in chunks]) == sum(
-            len({j // chunk for j in range(max(0, i - 2), min(63, i + 2) + 1)})
-            for i in range(1, 63))
+        # every other row fills the slot once and, since every pair's gate
+        # reads it, runs one pass per chunk its window touches: at most
+        # one per chunk per row
+        assert len(rows) == 62 + 1  # and the slot emptied at the end
+        for i, (start, end) in enumerate(zip(rows, rows[1:]), start=1):
+            row_passes = [p.strings for p in passes[start:end] if len(p.strings) > 1]
+            assert sorted(row_passes) == sorted(
+                {chunks[j // chunk] for j in range(max(0, i - 2), min(63, i + 2) + 1)})
+
+    def test_chunk_builds_skip_forgotten_targets(self, mock_chain, monkeypatch):
+        # chunks of two targets, window 4, eight distinct targets. Round
+        # one: line 1 outbids line 0 on g0 and takes it; line 5, whose
+        # translation equals line 0's, takes g5, which drops that text's
+        # decisions. Round two: line 0 scores its row again, and the chunk
+        # of g0 and g1, dropped since, is built again without g0
+        monkeypatch.setattr(bisentence_filter, "_PACK_CHUNK", 2)
+        scores = {("t", "g0"): 0.7, ("u", "g0"): 0.9, ("t", "g5"): 0.6}
+        trans = ["t", "u", "v", "w", "x", "t", "y", "z"]
+        tgt = [f"g{j}" for j in range(8)]
+        cfg = FilterConfig(chain=mock_chain(scores), window=4, context=empty_ctx())
+        ctx = cfg.context
+        forgotten, revived = set(), []
+        prepare, forget = ctx.prepare, ctx.forget
+
+        def counted_prepare(text):
+            if text in forgotten:
+                revived.append(text)
+            return prepare(text)
+
+        def counted_forget(text):
+            forgotten.add(text)
+            forget(text)
+
+        monkeypatch.setattr(ctx, "prepare", counted_prepare)
+        monkeypatch.setattr(ctx, "forget", counted_forget)
+        built, _ = self.counted_packs(monkeypatch)
+        res = align_filter(make_bitext(trans, tgt), cfg)
+        assert [(i, j) for i, j, _, _ in res.accepted] == [(1, 0), (5, 5)]
+        # only the repeated translation is prepared again after a forget
+        assert "g0" in forgotten
+        assert set(revived) == {"t"}
+        assert ("g1",) in [b.strings for b in built]
 
     def test_small_rows_gate_each_pair(self, monkeypatch):
         rng = random.Random(4)
@@ -464,17 +536,18 @@ class TestPackedRows:
         align_filter(make_bitext(trans, tgt), self.config(window=1))
         # each source line is packed once, in line order, and gates each of
         # its candidates through that pack: no row pass
-        assert built == [(t,) for t in trans]
+        assert [b.strings for b in built] == [(t,) for t in trans]
         assert masks == [(t,) for t in trans]
-        assert passes == [(t,) for k, t in enumerate(trans)
-                          for _ in range(3 - (k in (0, 7)))]
+        assert [p.strings for p in passes] == [(t,) for k, t in enumerate(trans)
+                                               for _ in range(3 - (k in (0, 7)))]
 
     def test_variants_share_one_pass_per_pair(self, monkeypatch):
         # the seed-0 acceptance corpus with 30 synonym pairs over its most
         # frequent content words: every packed string's masks are built
         # once, each line's variants are expanded once per packing, and a
-        # gated pair runs at most one pass, shared by the base ratio and the
-        # synonym tier, however many variants its source line has
+        # gated pair runs at most one line pass, shared by the base ratio
+        # and the synonym tier, however many variants its source line has;
+        # a row's chunk passes run at most once per chunk per row
         sb = synthcorpus.build()
         stop = default_stoplist("en")
         freq = Counter(t for line in sb.trans
@@ -487,33 +560,48 @@ class TestPackedRows:
         kernel = self.counted(monkeypatch, similarity, "_lcs_run")
         expanded = self.counted(monkeypatch, similarity, "expand_variants")
         built, passes = self.counted_packs(monkeypatch)
+        chunks = []  # every chunk a row slot held, kept alive for its id
+        chunk_ids = set()
+        rows = []  # where in passes each row slot was filled
+        set_row = ctx.set_row
+
+        def counted_set_row(p, row_chunks=()):
+            row_chunks = tuple(row_chunks)
+            chunks.extend(row_chunks)
+            chunk_ids.update(map(id, row_chunks))
+            rows.append(len(passes))
+            set_row(p, row_chunks)
+
+        monkeypatch.setattr(ctx, "set_row", counted_set_row)
         evaluate = bisentence_filter.chain_evaluate
-        pair_passes = []  # the passes each chain_evaluate call runs
+        pair_passes = []  # the line passes each chain_evaluate call runs
 
         def counted_evaluate(*args):
             before = len(passes)
             try:
                 return evaluate(*args)
             finally:
-                pair_passes.append(len(passes) - before)
+                pair_passes.append(sum(id(p) not in chunk_ids for p in passes[before:]))
 
         monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted_evaluate)
         res = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, context=ctx))
         assert len(res.accepted) > 700
-        assert len(masks) == sum(map(len, built))
-        chunk = bisentence_filter._PACK_CHUNK
-        chunks = {tuple(ctx.prepare(t).joined for t in sb.target[c:c + chunk])
-                  for c in range(0, len(sb.target), chunk)}
-        line_packs = [b for b in built if b not in chunks]
-        assert len(built) - len(line_packs) <= len(chunks)
+        assert len(masks) == sum(len(b.strings) for b in built)
+        line_packs = [b for b in built if id(b) not in chunk_ids]
+        # each chunk of 16 target lines is built at most once
+        assert len(built) - len(line_packs) <= -(-len(sb.target) // bisentence_filter._PACK_CHUNK)
         assert len(expanded) == len(line_packs)
         assert len(kernel) == len(passes)
-        line_passes = [p for p in passes if p not in chunks]
+        line_passes = [p for p in passes if id(p) not in chunk_ids]
         assert max(pair_passes) == 1
         assert sum(pair_passes) == len(line_passes)
+        for start, end in zip(rows, rows[1:] + [len(passes)]):
+            row_chunk_passes = [id(p) for p in passes[start:end] if id(p) in chunk_ids]
+            assert len(row_chunk_passes) == len(set(row_chunk_passes))
+        assert len(passes) > len(line_passes) > 0
         # the passes carry several variants each
-        assert max(map(len, line_packs)) > 3
-        assert sum(len(p) - 1 for p in line_passes) > 2 * len(kernel)
+        assert max(len(b.strings) for b in line_packs) > 3
+        assert sum(len(p.strings) - 1 for p in line_passes) > 2 * len(kernel)
 
 
 class TestReferenceFilter:
@@ -540,6 +628,15 @@ class TestReferenceFilter:
     @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4,
                              set())),
              None, 2, 2, 1, True)
+    # two candidates at 1.0 in line 0's row (targets 0 and 1): the lower
+    # index wins without a contest
+    @example(_packed_bitext((["cat sat", "dog ran"], ["mat", "cat sat", "dog"], set())),
+             None, 2, 1, 1, False)
+    # two lines at 1.0 on target 0, the only copy of their text: the
+    # earlier keeps it, the later drops
+    @example(_packed_bitext((["cat sat", "cat sat", "dog"], ["park", "game", "sport"],
+                             set())),
+             None, None, 1, 2, False)
     def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse):
         def cmp(pa, pb, ctx, chain):
             return random.Random(f"{canned}|{pa.text}|{pb.text}").randrange(11) / 10
@@ -594,6 +691,43 @@ class TestHostileMemory:
         # 29 MB measured (CPython 3.11); keeping every decision and prepared
         # sentence for the whole run took 66 MB
         assert peak_mb <= 40
+
+
+class TestHostileLongLines:
+    """Long lines that the overlap tier settles cost no LCS pass: the row's
+    chunk passes run only when a ratio-family gate reads them."""
+
+    @staticmethod
+    def near_duplicates(n, words=900, seed=0):
+        # n translations and n targets, each a 900-word line of about 5.5k
+        # characters with one word changed: every pair overlaps at about
+        # 0.998, above the overlap tier's 0.99, but none scores 1.0
+        rng = random.Random(seed)
+        vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                         for _ in range(rng.randint(3, 7))) for _ in range(2000)]
+        base = [rng.choice(vocab) for _ in range(words)]
+
+        def changed(tag, k):
+            line = list(base)
+            line[rng.randrange(words)] = f"{tag}{k}"
+            return " ".join(line)
+
+        return [changed("t", k) for k in range(n)], [changed("g", k) for k in range(n)]
+
+    def test_near_duplicates_run_no_pass(self, monkeypatch):
+        # 11.1 s in process when every row ran its passes up front
+        trans, tgt = self.near_duplicates(200)
+        assert 5000 < min(map(len, trans + tgt)) and max(map(len, trans + tgt)) < 6000
+        bitext = make_bitext(trans, tgt)
+        passes = []
+        run = similarity._lcs_run
+        monkeypatch.setattr(similarity, "_lcs_run", lambda *args: passes.append(args) or run(*args))
+        got = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, window=5))
+        assert passes == []
+        assert len(got.accepted) == 200
+        assert {tier for _, _, _, tier in got.accepted} == {0}
+        monkeypatch.setattr(bisentence_filter, "_PACKED_ROW_MIN", 10 ** 9)
+        assert align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, window=5)) == got
 
 
 class TestEvaluateFiltering:

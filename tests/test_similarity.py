@@ -92,6 +92,59 @@ class TestMatchingBlocks:
         assert got.score == want.ratio()
 
 
+class CountingStr(str):
+    """A str whose find calls are counted."""
+
+    calls = 0
+
+    def find(self, *args):
+        self.calls += 1
+        return super().find(*args)
+
+
+class TestLongestMatch:
+    """_longest_match grows a block by galloping and bisecting its length;
+    oracles.reference_longest_match grows it one unit per find. Both give
+    the same (i, j, k) in every window, so every ratio stays the same."""
+
+    # strings and windows come from a seed: hypothesis's own text draws
+    # favour short strings, whose blocks rarely need a bisection
+    @given(st.sampled_from(["a", "ab", "abc", "aż\U0001f600"]), st.integers(0, 2 ** 32),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_unit_growth(self, alphabet, seed, whole):
+        rng = random.Random(seed)
+        a, b = ("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+                for _ in range(2))
+        alo, ahi = sorted(rng.randint(0, len(a)) for _ in range(2))
+        blo, bhi = sorted(rng.randint(0, len(b)) for _ in range(2))
+        if whole:
+            alo, ahi, blo, bhi = 0, len(a), 0, len(b)
+        assert similarity._longest_match(a, b, alo, ahi, blo, bhi) == \
+            oracles.reference_longest_match(a, b, alo, ahi, blo, bhi)
+
+    # a block that fills the window, one whose end the bisection finds,
+    # and one after a shorter incumbent
+    @pytest.mark.parametrize("a, b", [("a" * 40, "a" * 40), ("abcdefg", "abcdefx"),
+                                      ("abxcdefghij", "cdefghiyab")])
+    def test_blocks_equal_one_unit_growth(self, a, b):
+        assert similarity._longest_match(a, b, 0, len(a), 0, len(b)) == \
+            oracles.reference_longest_match(a, b, 0, len(a), 0, len(b))
+
+    def test_identical_long_strings_take_logarithmic_finds(self):
+        # one-unit growth runs one find per unit of the block, plus one: 38,001
+        # on these strings (1.3 s); galloping runs O(log L)
+        rng = random.Random(0)
+        a = "".join(rng.choice("abcdefghij ") for _ in range(38_000))
+        b = CountingStr(a)
+        assert similarity._decompose(a, b) == (38_000, 1.0)
+        assert 0 < b.calls <= 2 * (38_000).bit_length() + 2
+        # the counter sees the oracle's one find per unit, plus the last one
+        small = CountingStr(a[:500])
+        assert oracles.reference_longest_match(a[:500], small, 0, 500, 0, 500) == (0, 0, 500)
+        assert small.calls == 501
+
+
 def near_identical(tokens: int, seed: int = 0) -> tuple[list[str], list[str]]:
     """A seeded pair of token lists over a 50-word vocabulary of 3-7 letter
     words, the second with about 5 % of its tokens substituted."""
@@ -363,6 +416,30 @@ class TestChainEvaluate:
                 assert got.score >= floor
 
 
+class TestComparatorRange:
+    """chain_evaluate checks each comparator's score where it decides: a
+    score outside [0, 1], or NaN, raises ValueError naming the comparator."""
+
+    @pytest.mark.parametrize("score", [1.5, -0.1, float("nan")])
+    def test_score_outside_unit_interval_rejected(self, score):
+        register_comparator("out_of_range", lambda pa, pb, ctx, chain: score, replace=True)
+        try:
+            chain = ComparatorChain(tiers=(("out_of_range", 0.5),))
+            with pytest.raises(ValueError, match=r"comparator 'out_of_range' returned"):
+                chain_evaluate("a b", "a c", chain, ChainContext())
+        finally:
+            COMPARATORS.pop("out_of_range", None)
+
+    @pytest.mark.parametrize("score", [0.0, 1.0])
+    def test_interval_ends_accepted(self, score):
+        register_comparator("at_the_end", lambda pa, pb, ctx, chain: score, replace=True)
+        try:
+            chain = ComparatorChain(tiers=(("at_the_end", 0.5),))
+            assert chain_evaluate("a b", "a c", chain, ChainContext()).score == score
+        finally:
+            COMPARATORS.pop("at_the_end", None)
+
+
 class TestPrepare:
     STOP = StopList.from_words(["the", "a"])
 
@@ -439,9 +516,9 @@ class TestLcsGate:
 
 
 class TestPackedTargets:
-    """The row pass: target content strings laid end to end in a
+    """The row slot's chunks: target content strings laid end to end in a
     PackedStrings, with a zero guard bit after each, run through the LCS
-    kernel once."""
+    kernel once per row, when the gate first reads one of them."""
 
     # empty content strings (stopwords only), non-ASCII words, and up to 40
     # tokens, so one sentence's bits can span several 64-bit words
@@ -468,40 +545,73 @@ class TestPackedTargets:
         assert pack.lcs_lengths("bab") == [2, 1]
         assert pack.full == 0b1011
 
+    class PlantedPack(similarity.PackedStrings):
+        """A chunk whose pass reports an LCS length of 0 for every string."""
+
+        def lcs_lengths(self, a):
+            return [0] * len(self.strings)
+
     def test_row_holds_only_its_own_sentence(self):
-        # ctx.row serves the pairs whose first sentence is the row's own
-        # prepared sentence and whose second's joined string is in the row:
-        # a planted LCS length of 0 shows where it is taken
+        # the row slot serves the pairs whose first sentence is the row's
+        # own prepared sentence and whose second's joined string is in one
+        # of its chunks: a planted LCS length of 0 shows where it is taken
         ctx = ChainContext()
         a, b, c = "quick brown fox", "lazy dog sleeps", "pale moon rises"
         want = {pair: chain_evaluate(*pair, DEFAULT_CHAIN, ctx)
                 for pair in [(a, b), (c, b), (a, c)]}
         assert want[a, b].score > 0.0
-        ctx.row = (ctx.prepare(a), {ctx.prepare(b).joined: 0})
+        ctx.set_row(ctx.prepare(a), [self.PlantedPack([ctx.prepare(b).joined])])
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx).score == 0.0
-        # the row is keyed by joined string: another text with the same
-        # content string takes the planted value too
+        # the chunks are searched by joined string: another text with the
+        # same content string takes the planted value too
         assert ctx.prepare(b.upper()).joined == ctx.prepare(b).joined
         assert chain_evaluate(a, b.upper(), DEFAULT_CHAIN, ctx).score == 0.0
         assert chain_evaluate(c, b, DEFAULT_CHAIN, ctx) == want[c, b]
         assert chain_evaluate(a, c, DEFAULT_CHAIN, ctx) == want[a, c]
+        # exact scores read no gate, so not the row either
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx, exact=True) == want[a, b]
         # the same text prepared by another context is not the row's sentence
-        ctx.row = (ChainContext().prepare(a), {ctx.prepare(b).joined: 0})
+        ctx.set_row(ChainContext().prepare(a), [self.PlantedPack([ctx.prepare(b).joined])])
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[a, b]
+        ctx.set_row(None)
+        assert ctx.row is None
 
     def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
-        # without a lexicon, a row value leaves the pair no LCS pass and no
-        # line pack to build
+        # without a lexicon, a pair the row holds needs no line pack; each
+        # chunk's pass runs when the gate first reads a string in it, once
+        # per set_row, and a chunk never read runs none
         ctx = ChainContext()
-        a, b = "quick brown fox jumps", "lazy dog sleeps all day"
-        want = chain_evaluate(a, b, DEFAULT_CHAIN, ChainContext())
-        pa, pb = ctx.prepare(a), ctx.prepare(b)
-        pack = similarity.PackedStrings([pb.joined])
-        ctx.row = (pa, dict(zip(pack.strings, pack.lcs_lengths(pa.joined))))
+        a = "quick brown fox jumps"
+        near, far = ["lazy dog sleeps all day", "brown owl hoots"], ["cold rain falls"]
+        want = {b: chain_evaluate(a, b, DEFAULT_CHAIN, ChainContext()) for b in near + far}
+        pa = ctx.prepare(a)
+        chunks = [similarity.PackedStrings([ctx.prepare(b).joined for b in side])
+                  for side in (near, far)]
+        ctx.set_row(pa, chunks)
+        passes, builds = [], []
+        run, build = similarity._lcs_run, similarity._build_masks
+        monkeypatch.setattr(similarity, "_lcs_run",
+                            lambda *args: passes.append(args[0]) or run(*args))
+        monkeypatch.setattr(similarity, "_build_masks",
+                            lambda *args: builds.append(args) or build(*args))
+        assert passes == []
+        for b in near:
+            assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[b]
+        assert passes == [chunks[0].masks]
+        ctx.set_row(pa, chunks)
+        assert chain_evaluate(a, near[1], DEFAULT_CHAIN, ctx) == want[near[1]]
+        assert chain_evaluate(a, far[0], DEFAULT_CHAIN, ctx) == want[far[0]]
+        assert passes == [chunks[0].masks, chunks[0].masks, chunks[1].masks]
+        assert builds == []
+
+    def test_accepted_at_overlap_runs_no_pass(self, monkeypatch):
+        # the overlap tier settles the pair before any gate reads the row
+        ctx = ChainContext()
+        a, b = "the quick brown fox", "The quick, brown fox!"
+        ctx.set_row(ctx.prepare(a), [similarity.PackedStrings([ctx.prepare(b).joined])])
         calls = []
         monkeypatch.setattr(similarity, "_lcs_run", lambda *args: calls.append(args))
-        monkeypatch.setattr(similarity, "_build_masks", lambda *args: calls.append(args))
-        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx).tier == 0
         assert calls == []
 
 
