@@ -736,23 +736,29 @@ def meteor(
 
     capped = []
 
-    def relations():
-        yield "exact", lambda a, b: a == b
-        yield "stem", lambda a, b: stem(a) == stem(b)
-        yield "synonym", lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)
-
-    for name, related in relations():
+    for name in ("exact", "stem", "synonym"):
         done_c = {ci for ci, _ in matched}
         done_r = {rj for _, rj in matched}
-        adj = {
-            ci: [
-                rj
-                for rj in range(len(rt))
-                if rj not in done_r and related(ct[ci], rt[rj])
-            ]
-            for ci in range(len(ct))
-            if ci not in done_c
-        }
+        open_c = [ci for ci in range(len(ct)) if ci not in done_c]
+        open_r = [rj for rj in range(len(rt)) if rj not in done_r]
+        if name == "synonym":
+            adj = {
+                ci: [
+                    rj
+                    for rj in open_r
+                    if rt[rj] in lex.synonyms(ct[ci]) or ct[ci] in lex.synonyms(rt[rj])
+                ]
+                for ci in open_c
+            }
+        else:
+            # Exact and stem matching are equalities of a key: group the
+            # open reference positions by key, in ascending order, and give
+            # each candidate the group of its own key.
+            key = stem if name == "stem" else (lambda t: t)
+            groups: dict[str, list[int]] = {}
+            for rj in open_r:
+                groups.setdefault(key(rt[rj]), []).append(rj)
+            adj = {ci: groups.get(key(ct[ci]), []) for ci in open_c}
         search: dict = {}
         matched.extend(_stage_assignment(adj, matched, search))
         if search["capped"]:

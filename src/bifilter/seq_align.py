@@ -35,7 +35,12 @@ __all__ = [
 ]
 
 PairScorer = Callable[[str, str], float]
-"""(a, b) -> likelihood in [0, 1]; must return the same value for the same pair."""
+"""(a, b) -> likelihood in [0, 1]; must return the same value for the same pair.
+
+A scorer may also have an ``against`` attribute: against(doc_b) returns a
+function mapping a line a to the list of scorer(a, b) for every b in doc_b,
+each value equal to the pair's. nw_align then scores a row per call.
+lexicon_scorer's scorers have it."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,20 @@ def _checked(value: float) -> float:
     return value
 
 
+def _checked_row(row: list[float], m: int) -> list[float]:
+    """row, a scorer's against() result for m target lines, checked as
+    _checked checks each value: min and max, plus the sum, since a NaN
+    anywhere makes the sum NaN while min and max may step over it."""
+    if len(row) != m:
+        raise ValueError(f"pair scorer returned a row of {len(row)} scores "
+                         f"for {m} lines")
+    if m and not (0.0 <= min(row) and max(row) <= 1.0
+                  and not math.isnan(sum(row))):
+        for value in row:
+            _checked(value)
+    return row
+
+
 def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
     """Load a translation-probability table.
 
@@ -141,7 +160,14 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     source line, the ranked rows of its tokens in token order (tokens
     without a row are left out, as they add 0.0) and its token count; for a
     target line, its token set. Each distinct line is tokenized once per
-    side for the scorer's lifetime."""
+    side for the scorer's lifetime.
+
+    The scorer's ``against(doc_b)`` gives a function mapping a source line
+    to the list of its scores against every line of doc_b, each equal to
+    the pair's score. It indexes doc_b once, each target word mapping to
+    the ascending indices of the lines whose token set holds it (an
+    inverted file; Zobel & Moffat 2006), so a row costs one pass over the
+    source's ranked rows and the lines they reach, not one call per line."""
     ranked: dict[str, _RankedRow] = {}
     source_rows: dict[str, tuple[tuple[_RankedRow, ...], int]] = {}
     target_sets: dict[str, frozenset[str]] = {}
@@ -153,20 +179,27 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
             row = ranked[word] = tuple(sorted(entries, key=lambda e: -e[1]))
         return row
 
-    def score(a: str, b: str) -> float:
+    def source_row(a: str) -> tuple[tuple[_RankedRow, ...], int]:
         entry = source_rows.get(a)
         if entry is None:
             tokens = [t for t in tokenize(a) if not is_punct_token(t)]
             rows = tuple(row for row in map(ranked_row, tokens) if row)
             entry = source_rows[a] = (rows, len(tokens))
-        rows, count = entry
-        if not count:
-            return 0.0
+        return entry
+
+    def target_set(b: str) -> frozenset[str]:
         b_toks = target_sets.get(b)
         if b_toks is None:
             b_toks = target_sets[b] = frozenset(
                 t for t in tokenize(b) if not is_punct_token(t)
             )
+        return b_toks
+
+    def score(a: str, b: str) -> float:
+        rows, count = source_rows.get(a) or source_row(a)
+        if not count:
+            return 0.0
+        b_toks = target_sets.get(b) or target_set(b)
         total = 0.0
         for row in rows:
             for w, p in row:
@@ -176,6 +209,39 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
         total /= count
         return total if total < 1.0 else 1.0
 
+    def against(doc_b: list[str]) -> Callable[[str], list[float]]:
+        index: dict[str, list[int]] = {}
+        for j, b in enumerate(doc_b):
+            for w in target_set(b):
+                index.setdefault(w, []).append(j)
+        m = len(doc_b)
+
+        def scores(a: str) -> list[float]:
+            rows, count = source_rows.get(a) or source_row(a)
+            totals = [0.0] * m
+            if not count:
+                return totals
+            # Each token adds, to each line, the prob of its first ranked
+            # target that line holds (a 0.0 prob included), in token order:
+            # the very additions score makes for the pair. The top target
+            # credits all its lines; a later one only lines not yet credited.
+            for row in rows:
+                (w, p), *rest = row
+                credited = index.get(w, ())
+                for j in credited:
+                    totals[j] += p
+                if rest:
+                    credited = set(credited)
+                    for w, p in rest:
+                        for j in index.get(w, ()):
+                            if j not in credited:
+                                credited.add(j)
+                                totals[j] += p
+            return [x if (x := t / count) < 1.0 else 1.0 for t in totals]
+
+        return scores
+
+    score.against = against
     return score
 
 
@@ -237,6 +303,9 @@ def nw_align(
     Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Scores
     every cell of the |A| x |B| matrix, row by row, then each aligned pair
     again at backtrace: the scorer must return the same value for a pair.
+    A scorer with ``against`` (see PairScorer) gives each row in one call,
+    through against(doc_b); any other is called once per cell. Only the
+    current row is held.
 
     Keeps one byte per node for the move that entered it, in a bytearray
     of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, and two rows of
@@ -251,9 +320,14 @@ def nw_align(
     moves = bytearray(width * (n + 1))  # all _MATCH until written
     moves[1:width] = bytes([_GAP_B]) * m
     prev = [0.0] + [-gap * j for j in range(1, width)]
+    against = getattr(scorer, "against", None)
+    scores = against(doc_b) if against is not None else None
     for i in range(1, n + 1):
         a = doc_a[i - 1]
-        row = [_checked(scorer(a, b)) for b in doc_b]
+        if scores is None:
+            row = [_checked(scorer(a, b)) for b in doc_b]
+        else:
+            row = _checked_row(scores(a), m)
         left = -gap * i
         cur = [left]
         base = i * width

@@ -195,33 +195,39 @@ class PackedStrings:
     """Strings laid end to end in one bit vector, each followed by one zero
     guard bit, so that one _lcs_run pass gives the LCS length of a string
     against every one of them. strings holds them, in order, and index
-    maps each distinct one to a position where it stands."""
+    maps each distinct one to a position where it stands. Their bitmasks
+    are built by the first lcs_lengths call (masks is None until then), so
+    a pack no pass reads costs no mask."""
 
     __slots__ = ("strings", "index", "masks", "full", "_spans")
 
     def __init__(self, strings):
         self.strings = tuple(strings)
         self.index = {s: k for k, s in enumerate(self.strings)}
-        masks: dict = {}
+        self.masks: dict | None = None
         full = off = 0
         spans = []
         for s in self.strings:
-            n = len(s)
-            if off:
-                for x, m in _build_masks(s).items():
-                    masks[x] = masks.get(x, 0) | (m << off)
-            else:
-                masks = _build_masks(s)  # unshifted, so used as built
-            full |= ((1 << n) - 1) << off
-            spans.append((off, (1 << n) - 1))
-            off += n + 1
-        self.masks = masks
+            ones = (1 << len(s)) - 1
+            full |= ones << off
+            spans.append((off, ones))
+            off += len(s) + 1
         self.full = full
         self._spans = spans
 
     def lcs_lengths(self, a: str) -> list[int]:
         """LCS length of a against each string, in order."""
-        matched = self.full ^ _lcs_run(self.masks, self.full, a)
+        masks = self.masks
+        if masks is None:
+            masks = {}
+            for s, (off, _) in zip(self.strings, self._spans):
+                if off:
+                    for x, m in _build_masks(s).items():
+                        masks[x] = masks.get(x, 0) | (m << off)
+                else:
+                    masks = _build_masks(s)  # unshifted, so used as built
+            self.masks = masks
+        matched = self.full ^ _lcs_run(masks, self.full, a)
         return [((matched >> off) & ones).bit_count() for off, ones in self._spans]
 
 

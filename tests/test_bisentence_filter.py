@@ -477,9 +477,11 @@ class TestPackedRows:
         chunk = bisentence_filter._PACK_CHUNK
         chunks = [tuple(tgt[c:c + chunk]) for c in range(0, 64, chunk)]
         # each chunk of 16 target lines is built once, and shared; the
-        # synonym tier packs each source line once
+        # synonym tier packs each source line once. Masks are built for
+        # the strings of the packs a pass reads, once: every chunk, and the
+        # line packs of rows 0 and 63 (below)
         assert sorted(b.strings for b in built) == sorted(chunks + [(t,) for t in trans])
-        assert sorted(masks) == sorted([(t,) for t in tgt + trans])
+        assert sorted(masks) == sorted([(t,) for t in tgt + [trans[0], trans[63]]])
         # rows 0 and 63 have three candidates and gate each pair alone,
         # through their own line's pack
         assert sorted(p.strings for p in passes if len(p.strings) == 1) == (
@@ -543,8 +545,8 @@ class TestPackedRows:
 
     def test_variants_share_one_pass_per_pair(self, monkeypatch):
         # the seed-0 acceptance corpus with 30 synonym pairs over its most
-        # frequent content words: every packed string's masks are built
-        # once, each line's variants are expanded once per packing, and a
+        # frequent content words: a packed string's masks are built at
+        # most once, each line's variants are expanded once per packing, and a
         # gated pair runs at most one line pass, shared by the base ratio
         # and the synonym tier, however many variants its source line has;
         # a row's chunk passes run at most once per chunk per row
@@ -586,7 +588,11 @@ class TestPackedRows:
         monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted_evaluate)
         res = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, context=ctx))
         assert len(res.accepted) > 700
-        assert len(masks) == sum(len(b.strings) for b in built)
+        # a pack's masks are built once, by its first pass; a pack no pass
+        # reads builds none
+        passed = {id(p): p for p in passes}
+        assert len(masks) == sum(len(p.strings) for p in passed.values())
+        assert [b.masks is None for b in built] == [id(b) not in passed for b in built]
         line_packs = [b for b in built if id(b) not in chunk_ids]
         # each chunk of 16 target lines is built at most once
         assert len(built) - len(line_packs) <= -(-len(sb.target) // bisentence_filter._PACK_CHUNK)
@@ -694,8 +700,9 @@ class TestHostileMemory:
 
 
 class TestHostileLongLines:
-    """Long lines that the overlap tier settles cost no LCS pass: the row's
-    chunk passes run only when a ratio-family gate reads them."""
+    """Long lines that the overlap tier settles cost no LCS pass and no
+    bitmask: the row's chunk passes, and the masks they read, are made only
+    when a ratio-family gate reads them."""
 
     @staticmethod
     def near_duplicates(n, words=900, seed=0):
@@ -715,15 +722,19 @@ class TestHostileLongLines:
         return [changed("t", k) for k in range(n)], [changed("g", k) for k in range(n)]
 
     def test_near_duplicates_run_no_pass(self, monkeypatch):
-        # 11.1 s in process when every row ran its passes up front
+        # 11.1 s in process when every row ran its passes up front, and
+        # 1.05 s when every chunk still built its masks
         trans, tgt = self.near_duplicates(200)
         assert 5000 < min(map(len, trans + tgt)) and max(map(len, trans + tgt)) < 6000
         bitext = make_bitext(trans, tgt)
-        passes = []
-        run = similarity._lcs_run
+        passes, builds = [], []
+        run, build = similarity._lcs_run, similarity._build_masks
         monkeypatch.setattr(similarity, "_lcs_run", lambda *args: passes.append(args) or run(*args))
+        monkeypatch.setattr(similarity, "_build_masks",
+                            lambda *args: builds.append(args) or build(*args))
         got = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, window=5))
         assert passes == []
+        assert builds == []
         assert len(got.accepted) == 200
         assert {tier for _, _, _, tier in got.accepted} == {0}
         monkeypatch.setattr(bisentence_filter, "_PACKED_ROW_MIN", 10 ** 9)

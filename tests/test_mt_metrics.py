@@ -437,6 +437,49 @@ class TestMeteor:
         got = meteor(["cat", "dogs"], ["cat", "dog"])
         assert got.matches == 2
 
+    # words whose stems collide across forms, and two synonym pairs
+    STEMMY = ["walk", "walks", "walked", "walking", "cat", "cats", "dog",
+              "dogs", "game", "sport", "sports", "the"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(STEMMY), max_size=8),
+           st.lists(st.sampled_from(STEMMY), max_size=8))
+    def test_passes_take_the_pairwise_adjacency(self, cand, ref):
+        # each pass's adjacency, however it is built, is the one that
+        # relating every open (candidate, reference) pair gives: the same
+        # keys in candidate order, each list ascending
+        lex = SynonymLexicon({"game": ("sport",), "cat": ("dog",)})
+        relations = [lambda a, b: a == b,
+                     lambda a, b: mt_metrics.stem(a) == mt_metrics.stem(b),
+                     lambda a, b: b in lex.synonyms(a) or a in lex.synonyms(b)]
+        seen = []
+        stage = mt_metrics._stage_assignment
+
+        def spy(adj, prior, stats=None):
+            seen.append((adj, list(prior)))
+            return stage(adj, prior, stats)
+
+        with mock.patch.object(mt_metrics, "_stage_assignment", spy):
+            meteor(cand, ref, lexicon=lex)
+        assert len(seen) == len(relations)
+        for (adj, prior), related in zip(seen, relations):
+            done_c = {ci for ci, _ in prior}
+            done_r = {rj for _, rj in prior}
+            assert list(adj.items()) == [
+                (ci, [rj for rj in range(len(ref))
+                      if rj not in done_r and related(cand[ci], ref[rj])])
+                for ci in range(len(cand)) if ci not in done_c]
+
+    def test_stems_each_open_token_once(self):
+        # no exact match, so every token is open in the stem pass: the
+        # pairwise relation would stem 2 * 40 * 40 = 3,200 times
+        cand = ["boys", "walks", "cats", "the"] * 10
+        ref = ["boy", "walked", "cat", "a"] * 10
+        with mock.patch.object(mt_metrics, "stem", wraps=mt_metrics.stem) as spy:
+            got = meteor(cand, ref)
+        assert got.matches == 30
+        assert 0 < spy.call_count <= len(cand) + len(ref)
+
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=5))
     def test_p_equals_r_reduction(self, toks):
         got = meteor(toks, list(toks))

@@ -1,14 +1,15 @@
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from peakrss import cli_peak_mb
-from bifilter import seq_align
+from bifilter import cli, seq_align
 from bifilter.errors import ConfigError, DataError
 from bifilter.seq_align import (
     AlignConfig,
@@ -37,6 +38,12 @@ def counting(scorer):
         return scorer(a, b)
 
     return wrapped, calls
+
+
+def per_pair(scorer):
+    """scorer as a plain function, without its against: nw_align then
+    scores it cell by cell."""
+    return lambda a, b: scorer(a, b)
 
 
 def random_instance(rng, max_n, max_m=None):
@@ -182,6 +189,26 @@ class TestLexiconScorerCache:
             lambda a, b: oracles.reference_lexicon_score(dictionary, a, b), cfg,
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(_DICTIONARY, st.lists(_LINE, min_size=1, max_size=6))
+    # "kot" has a multi-entry row with a tie and a zero, and two of its
+    # targets on one line; "ma" has a row of zeros
+    @example({"kot": {"cat": 0.5, "dog": 0.5, "the": 0.0}, "ma": {"dog": 0.0, "cat": 0.0}},
+             ["kot ma kot", "cat dog the", "dog", "The ma!", "?!", "cat dog the"])
+    def test_rows_equal_reference_scores(self, dictionary, doc):
+        """against(doc_b) gives, for any line, the very floats the
+        from-scratch score gives for each line of doc_b, and nw_align
+        through those rows equals nw_align cell by cell."""
+        doc_b = doc[::-1] + doc[:1]
+        scorer = lexicon_scorer(dictionary)
+        scores = scorer.against(doc_b)
+        for a in doc:
+            assert scores(a) == [
+                oracles.reference_lexicon_score(dictionary, a, b) for b in doc_b]
+        cfg = AlignConfig(gap_penalty=0.2)
+        assert nw_align(doc, doc_b, lexicon_scorer(dictionary), cfg) == nw_align(
+            doc, doc_b, per_pair(lexicon_scorer(dictionary)), cfg)
+
     def test_tokenizes_each_distinct_line_once(self, monkeypatch):
         dictionary = {"kot": {"cat": 0.9}, "pies": {"dog": 0.6, "cat": 0.1}}
         doc_a = ["kot pies", "kot", "", "kot pies", "! ?", "kot"]
@@ -228,6 +255,30 @@ class TestNwAlign:
         assert al.pairs == () and al.gaps_b == (0,)
         al = nw_align([], [], equality_scorer, self.CFG)
         assert al.pairs == () and al.gaps_a == () and al.gaps_b == ()
+
+    def test_scores_rows_through_against(self):
+        # one against call for doc_b, one row per source line, and pair
+        # calls only for the aligned pairs, at backtrace
+        doc_a, doc_b = [f"a{i}" for i in range(5)], [f"b{j}" for j in range(6)]
+        rng = random.Random(5)
+        table = table_scorer({(x, y): round(rng.random(), 3) for x in doc_a for y in doc_b})
+        scorer, calls = counting(table)
+        asked = []
+
+        def against(side):
+            asked.append(list(side))
+
+            def scores(a):
+                asked.append(a)
+                return [table(a, b) for b in side]
+
+            return scores
+
+        scorer.against = against
+        al = nw_align(doc_a, doc_b, scorer, self.CFG)
+        assert al == nw_align(doc_a, doc_b, table, self.CFG)
+        assert asked == [doc_b, *doc_a]
+        assert sorted(calls) == sorted((doc_a[i], doc_b[j]) for i, j, _ in al.pairs)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30))
@@ -392,7 +443,8 @@ def _align_peak_mb(tmp_path, n, engine):
 
 class TestHostileMemory:
     """Every cell of two unrelated documents scores 0: DP keeps one byte
-    for each cell of the grid, and A* scores most of them."""
+    for each cell of the grid, and A* scores most of them. A dictionary
+    word on every line makes each DP row reach every target line."""
 
     def test_dp_2000_lines(self, tmp_path):
         peak_mb, stats = _align_peak_mb(tmp_path, 2000, "dp")
@@ -401,10 +453,68 @@ class TestHostileMemory:
         assert stats["scorer_calls"] == 2000 * 2000 + 2000
         assert peak_mb <= 40
 
+    def test_dp_dictionary_word_on_every_line(self, tmp_path, monkeypatch):
+        # one dictionary word on every line of both sides: each source
+        # line's row credits all 2,000 target lines through the index
+        n = 2000
+        doc_a, doc_b, table = (tmp_path / name for name in ("a.txt", "b.txt", "dict.tsv"))
+        doc_a.write_text("".join(f"shared left{i}\n" for i in range(n)), encoding="utf-8")
+        doc_b.write_text("".join(f"shared right{j}\n" for j in range(n)), encoding="utf-8")
+        # every seventh left line translates to the next right line, and
+        # "shared" has a second, lower target on some lines
+        table.write_text(
+            "shared\tshared\t0.4\nshared\tright5\t0.3\n"
+            + "".join(f"left{i}\tright{i + 1}\t0.9\n" for i in range(0, n, 7)),
+            encoding="utf-8")
+        args = ["align", "--doc-a", str(doc_a), "--doc-b", str(doc_b), "--dict", str(table),
+                "--engine", "dp", "--threshold", "0"]
+        rows, pairs = tmp_path / "rows.tsv", tmp_path / "pairs.tsv"
+        assert cli_peak_mb(*args, "--out", str(rows)) <= 40
+        make = cli.lexicon_scorer
+        monkeypatch.setattr(cli, "lexicon_scorer", lambda entries: per_pair(make(entries)))
+        assert cli.main([*args, "--out", str(pairs)]) == 0
+        assert rows.read_bytes() == pairs.read_bytes()
+
     def test_astar_1000_lines(self, tmp_path):
         peak_mb, stats = _align_peak_mb(tmp_path, 1000, "astar")
         assert stats["scorer_calls"] > 1000 * 1000 // 2
         assert peak_mb <= 290
+
+
+class TestScorerRange:
+    """Both engines reject a pair score outside [0, 1], NaN included,
+    whether it comes from a call per pair or from a row of against."""
+
+    @staticmethod
+    def row_scorer(bad):
+        """A scorer whose against row for "a1" holds bad at index 2, after
+        two in-range values, where min and max alone can miss a NaN. Its
+        pair calls return 0.5, so only the row's check can see bad."""
+        def score(a, b):
+            return 0.5
+
+        score.against = lambda doc_b: lambda a: [
+            bad if (a, b) == ("a1", "b2") else 0.5 for b in doc_b]
+        return score
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("engine, kind", [
+        ("dp", "per_pair"), ("dp", "rows"), ("astar", "per_pair")])
+    def test_out_of_range_score_raises(self, engine, kind, bad):
+        doc_a, doc_b = ["a0", "a1"], ["b0", "b1", "b2"]
+        if kind == "rows":
+            scorer = self.row_scorer(bad)
+        else:
+            scorer = lambda a, b: bad  # noqa: E731
+        message = re.escape(f"pair scorer returned {bad}, outside [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            align_documents(doc_a, doc_b, scorer, AlignConfig(engine=engine))
+
+    def test_row_of_the_wrong_length_raises(self):
+        scorer = self.row_scorer(0.5)
+        scorer.against = lambda doc_b: lambda a: [0.5] * (len(doc_b) - 1)
+        with pytest.raises(ValueError, match="a row of 2 scores for 3 lines"):
+            nw_align(["a0"], ["b0", "b1", "b2"], scorer, AlignConfig())
 
 
 class TestAlignDocuments:

@@ -579,30 +579,33 @@ class TestPackedTargets:
     def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
         # without a lexicon, a pair the row holds needs no line pack; each
         # chunk's pass runs when the gate first reads a string in it, once
-        # per set_row, and a chunk never read runs none
+        # per set_row, and a chunk never read runs none; a chunk's masks
+        # are built by its first pass and kept across set_row calls
         ctx = ChainContext()
         a = "quick brown fox jumps"
         near, far = ["lazy dog sleeps all day", "brown owl hoots"], ["cold rain falls"]
         want = {b: chain_evaluate(a, b, DEFAULT_CHAIN, ChainContext()) for b in near + far}
         pa = ctx.prepare(a)
-        chunks = [similarity.PackedStrings([ctx.prepare(b).joined for b in side])
-                  for side in (near, far)]
-        ctx.set_row(pa, chunks)
         passes, builds = [], []
         run, build = similarity._lcs_run, similarity._build_masks
         monkeypatch.setattr(similarity, "_lcs_run",
                             lambda *args: passes.append(args[0]) or run(*args))
         monkeypatch.setattr(similarity, "_build_masks",
                             lambda *args: builds.append(args) or build(*args))
-        assert passes == []
+        chunks = [similarity.PackedStrings([ctx.prepare(b).joined for b in side])
+                  for side in (near, far)]
+        ctx.set_row(pa, chunks)
+        assert passes == [] and builds == []
+        assert [chunk.masks for chunk in chunks] == [None, None]
         for b in near:
             assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[b]
         assert passes == [chunks[0].masks]
+        assert builds == [(ctx.prepare(b).joined,) for b in near]
         ctx.set_row(pa, chunks)
         assert chain_evaluate(a, near[1], DEFAULT_CHAIN, ctx) == want[near[1]]
         assert chain_evaluate(a, far[0], DEFAULT_CHAIN, ctx) == want[far[0]]
         assert passes == [chunks[0].masks, chunks[0].masks, chunks[1].masks]
-        assert builds == []
+        assert builds == [(ctx.prepare(b).joined,) for b in near + far]
 
     def test_accepted_at_overlap_runs_no_pass(self, monkeypatch):
         # the overlap tier settles the pair before any gate reads the row
