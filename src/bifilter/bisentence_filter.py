@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ._records import read_records
+from ._records import read_rows
 from .corpus_io import Bitext
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _at_least, _index
 from .similarity import (
     ChainContext,
     ChainDecision,
@@ -76,14 +76,10 @@ class FilterConfig:
     context: Optional[ChainContext] = None
 
     def __post_init__(self):
-        if self.window is not None and self.window < 0:
-            raise ConfigError(f"window must be >= 0 or None, got {self.window}")
-        if self.lookahead < 0:
-            raise ConfigError(f"lookahead must be >= 0, got {self.lookahead}")
-        if self.displacement_rounds < 0:
-            raise ConfigError(
-                f"displacement_rounds must be >= 0, got {self.displacement_rounds}"
-            )
+        if self.window is not None:
+            _at_least("window", self.window, 0)
+        _at_least("lookahead", self.lookahead, 0)
+        _at_least("displacement_rounds", self.displacement_rounds, 0)
 
 
 @dataclass(frozen=True)
@@ -304,27 +300,17 @@ def evaluate_filtering(accepted, gold_poor, gold_good) -> FilterQuality:
 def load_gold_labels(
     path: str | Path,
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """Read gold pair labels: TSV rows `src_idx<TAB>tgt_idx<TAB>poor|good`
-    ('#' starts a comment). Returns the (poor, good) pair sets."""
-    poor: set[tuple[int, int]] = set()
-    good: set[tuple[int, int]] = set()
-    for lineno, line in read_records(path, "gold labels"):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 'src_idx<TAB>tgt_idx<TAB>poor|good'"
-            )
-        try:
-            pair = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad pair indices") from None
-        label = parts[2].strip().lower()
-        if label == "poor":
-            poor.add(pair)
-        elif label == "good":
-            good.add(pair)
-        else:
-            raise DataError(
-                f"{path}:{lineno}: label must be 'poor' or 'good', got {parts[2]!r}"
-            )
-    return poor, good
+    """Read gold pair labels: TSV rows `src_idx<TAB>tgt_idx<TAB>poor|good`,
+    indices non-negative ('#' starts a comment). Returns the (poor, good) pair sets."""
+    rows = read_rows(path, "gold labels", "src_idx<TAB>tgt_idx<TAB>poor|good",
+                     _gold_row)
+    return ({pair for pair, label in rows if label == "poor"},
+            {pair for pair, label in rows if label == "good"})
+
+
+def _gold_row(fields: list[str]) -> tuple[tuple[int, int], str]:
+    pair = (_index(fields[0], "src_idx"), _index(fields[1], "tgt_idx"))
+    label = fields[2].lower()
+    if label not in ("poor", "good"):
+        raise DataError(f"label must be 'poor' or 'good', got {fields[2]!r}")
+    return pair, label

@@ -41,7 +41,7 @@ from .corpus_io import (
     vocab_stats,
     write_bitext,
 )
-from .errors import BifilterError, ConfigError, DataError
+from .errors import BifilterError, ConfigError, DataError, _fraction
 from .mt_metrics import METRIC_NAMES, metric_report
 from .seq_align import (
     AlignConfig,
@@ -51,7 +51,7 @@ from .seq_align import (
     load_dictionary,
     threshold_filter,
 )
-from .similarity import DEFAULT_CHAIN, ChainContext, _fraction, load_chain_file
+from .similarity import DEFAULT_CHAIN, ChainContext, load_chain_file
 from .textnorm import (
     StopList,
     SynonymLexicon,

@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
-from ._records import _decode_utf8, _split_lines, read_lines, read_records, write_text
-from .errors import ConfigError, DataError
+from ._records import (
+    _decode_utf8,
+    _split_lines,
+    read_lines,
+    read_rows,
+    write_files,
+    write_text,
+)
+from .errors import DataError, _at_least, _fraction, _index
 from .textnorm import is_punct_token, tokenize
 
 __all__ = [
@@ -85,12 +92,16 @@ def load_corpus(path: str | Path) -> Corpus:
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write one sentence per line, LF endings, trailing newline (an empty
     corpus gives an empty file), so that reloading reproduces the lines."""
-    for idx, line in enumerate(corpus.lines):
+    write_text(path, _corpus_text(corpus.lines, path), "corpus")
+
+
+def _corpus_text(lines, path) -> str:
+    for idx, line in enumerate(lines):
         if "\n" in line or "\r" in line:
             raise DataError(
                 f"{path}: line {idx + 1} contains an embedded line terminator"
             )
-    write_text(path, "".join(line + "\n" for line in corpus.lines), "corpus")
+    return "".join(line + "\n" for line in lines)
 
 
 def load_bitext(
@@ -159,8 +170,7 @@ class CommandProvider:
     """
 
     def __init__(self, command: str, batch_size: int = 100):
-        if batch_size < 1:
-            raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+        _at_least("batch size", batch_size, 1)
         self.command = command
         self.batch_size = batch_size
 
@@ -280,33 +290,34 @@ REPORT_HEADER = "src_idx\ttgt_idx\tscore\ttier"
 def write_filter_report(rows, path: str | Path) -> None:
     """Write accepted pairs as TSV: src_idx, tgt_idx, score (4 decimals),
     deciding tier index. Header always present."""
+    write_text(path, _report_text(rows), "report")
+
+
+def _report_text(rows) -> str:
     lines = [REPORT_HEADER]
     for src_idx, tgt_idx, score, tier in rows:
         lines.append(f"{src_idx}\t{tgt_idx}\t{score:.4f}\t{tier}")
-    write_text(path, "".join(line + "\n" for line in lines), "report")
+    return "".join(line + "\n" for line in lines)
 
 
 def load_filter_report(path: str | Path) -> list[tuple[int, int, float, int]]:
     """Read back a report TSV written by write_filter_report. The header
-    must be the file's first line."""
-    records = read_records(path, "report")
-    if not records or records[0] != (1, REPORT_HEADER):
-        raise DataError(f"{path}: missing report header {REPORT_HEADER!r}")
-    rows: list[tuple[int, int, float, int]] = []
-    for lineno, line in records[1:]:
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated columns")
-        try:
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return rows
+    must be the file's first line; indices and tiers are non-negative
+    integers and scores lie in [0, 1]."""
+    return read_rows(path, "report", REPORT_HEADER.replace("\t", "<TAB>"),
+                     _report_row, header=REPORT_HEADER)
+
+
+def _report_row(fields: list[str]) -> tuple[int, int, float, int]:
+    return (_index(fields[0], "src_idx"), _index(fields[1], "tgt_idx"),
+            _fraction(fields[2], "score"), _index(fields[3], "tier"))
 
 
 def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
     """Write the accepted pairs of a filter result in source order: two
-    parallel line files plus the TSV report."""
+    parallel line files plus the TSV report, all three through one
+    write_files call, so a failed write leaves all three with their old
+    content."""
     n_src, n_tgt = len(bitext.source.lines), len(bitext.target.lines)
     rows = sorted(result.accepted, key=lambda r: r[0])
     for src_idx, tgt_idx, _score, _tier in rows:
@@ -315,6 +326,11 @@ def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
                 f"accepted pair ({src_idx}, {tgt_idx}) is outside the "
                 f"{n_src}x{n_tgt} corpus bounds"
             )
-    save_corpus(Corpus(tuple(bitext.source.lines[r[0]] for r in rows)), out_src)
-    save_corpus(Corpus(tuple(bitext.target.lines[r[1]] for r in rows)), out_tgt)
-    write_filter_report(rows, report)
+    src, tgt = bitext.source.lines, bitext.target.lines
+
+    def outputs():  # each text is built when write_files reaches it
+        yield out_src, _corpus_text([src[r[0]] for r in rows], out_src), "corpus"
+        yield out_tgt, _corpus_text([tgt[r[1]] for r in rows], out_tgt), "corpus"
+        yield report, _report_text(rows), "report"
+
+    write_files(outputs())

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _at_least
 from .similarity import _build_masks
 from .textnorm import SynonymLexicon, stem
 
@@ -119,12 +119,6 @@ def _clipped_ngrams(cand: tuple, group, n: int) -> tuple[Counter, Counter]:
     for rt in group:
         best |= ngram_counts(rt, n)
     return counts, counts & best
-
-
-def _at_least(what: str, value: int, lowest: int) -> None:
-    """ConfigError naming what unless value >= lowest."""
-    if value < lowest:
-        raise ConfigError(f"{what} must be >= {lowest}, got {value}")
 
 
 def bleu(cands, refs, order: int = 4) -> BleuBreakdown:

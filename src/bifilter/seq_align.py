@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from ._records import read_records
-from .errors import ConfigError, DataError
+from ._records import read_rows
+from .errors import ConfigError, DataError, _fraction
 from .similarity import ChainContext, ComparatorChain, chain_evaluate
 from .textnorm import is_punct_token, tokenize
 
@@ -125,23 +125,18 @@ def load_dictionary(path: str | Path) -> dict[str, dict[str, float]]:
     case-folded.
     """
     table: dict[str, dict[str, float]] = {}
-    for lineno, line in read_records(path, "dictionary"):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(
-                f"{path}:{lineno}: expected 'src_word<TAB>tgt_word<TAB>prob'"
-            )
-        src, tgt = parts[0].strip().lower(), parts[1].strip().lower()
-        try:
-            prob = float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: not a number: {parts[2]!r}") from None
-        if not 0.0 <= prob <= 1.0:
-            raise DataError(f"{path}:{lineno}: probability {prob} outside [0, 1]")
-        if not src or not tgt:
-            raise DataError(f"{path}:{lineno}: empty word field")
+    for src, tgt, prob in read_rows(path, "dictionary",
+                                    "src_word<TAB>tgt_word<TAB>prob", _dictionary_row):
         table.setdefault(src, {})[tgt] = prob
     return table
+
+
+def _dictionary_row(fields: list[str]) -> tuple[str, str, float]:
+    src, tgt = fields[0].lower(), fields[1].lower()
+    prob = _fraction(fields[2], "probability")
+    if not src or not tgt:
+        raise DataError("empty word field")
+    return src, tgt, prob
 
 
 _RankedRow = tuple[tuple[str, float], ...]
@@ -454,6 +449,5 @@ def align_documents(
 
 def threshold_filter(alignment: Alignment, tau: float) -> list[tuple[int, int, float]]:
     """Keep pairs whose likelihood reaches tau, in order."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"threshold {tau} outside [0, 1]")
+    tau = _fraction(tau, "threshold")
     return [p for p in alignment.pairs if p[2] >= tau]

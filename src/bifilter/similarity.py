@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ._records import read_records
-from .errors import ConfigError
+from ._records import read_rows
+from .errors import ConfigError, _at_least, _fraction
 from .textnorm import (
     StopList,
     SynonymLexicon,
@@ -273,8 +273,7 @@ class ChainContext:
         lexicon: SynonymLexicon | None = None,
         variant_cap: int = 64,
     ):
-        if variant_cap < 1:
-            raise ConfigError(f"variant cap must be >= 1, got {variant_cap}")
+        _at_least("variant cap", variant_cap, 1)
         self.stoplist = stoplist if stoplist is not None else StopList(frozenset())
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon()
         self.variant_cap = variant_cap
@@ -333,18 +332,6 @@ class ChainContext:
                     passes[k] = chunk.lcs_lengths(p.joined)
                 return passes[k][pos]
         return None
-
-
-def _fraction(value, what: str) -> float:
-    """value converted by float(); ConfigError naming what when it is not a
-    number or lies outside [0, 1]."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} is not a number: {value!r}") from None
-    if not 0.0 <= x <= 1.0:
-        raise ConfigError(f"{what} {x} outside [0, 1]")
-    return x
 
 
 def _tier(comp, threshold) -> tuple[str, float]:
@@ -572,22 +559,23 @@ def load_chain_file(path: str | Path) -> ComparatorChain:
     """
     tiers: list[tuple[str, float]] = []
     final_threshold = 0.55
-    for lineno, line in read_records(path, "chain config", ConfigError):
+
+    def directive(line: str) -> None:
+        nonlocal final_threshold
         parts = line.split("#", 1)[0].split()
         key = parts[0]
-        try:
-            if key == "tier":
-                if len(parts) != 3:
-                    raise ConfigError("expected 'tier <comparator> <threshold>'")
-                tiers.append(_tier(parts[1], parts[2]))
-            elif key == "final_threshold":
-                if len(parts) != 2:
-                    raise ConfigError("expected 'final_threshold <x>'")
-                final_threshold = _fraction(parts[1], "final_threshold")
-            else:
-                raise ConfigError(f"unknown directive {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if key == "tier":
+            if len(parts) != 3:
+                raise ConfigError("expected 'tier <comparator> <threshold>'")
+            tiers.append(_tier(parts[1], parts[2]))
+        elif key == "final_threshold":
+            if len(parts) != 2:
+                raise ConfigError("expected 'final_threshold <x>'")
+            final_threshold = _fraction(parts[1], "final_threshold")
+        else:
+            raise ConfigError(f"unknown directive {key!r}")
+
+    read_rows(path, "chain config", convert=directive, error=ConfigError)
     if not tiers:
         raise ConfigError(f"{path}: no 'tier' lines; the chain needs at least one")
     return ComparatorChain(tiers=tuple(tiers), final_threshold=final_threshold)

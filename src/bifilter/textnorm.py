@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ._records import read_records
-from .errors import ConfigError, DataError
+from ._records import read_rows
+from .errors import ConfigError
 
 __all__ = [
     "StopList",
@@ -85,7 +85,7 @@ class StopList:
     @classmethod
     def load(cls, path: str | Path) -> "StopList":
         """Load a stoplist file: one word per line, '#' starts a comment."""
-        return cls.from_words(line for _, line in read_records(path, "stoplist"))
+        return cls.from_words(read_rows(path, "stoplist"))
 
 
 def _packaged_stoplists():
@@ -162,14 +162,8 @@ class SynonymLexicon:
         Duplicate head-words merge their synonym lists; '#' starts a comment.
         """
         lex = cls()
-        for lineno, line in read_records(path, "synonym lexicon"):
-            if "\t" not in line:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'word<TAB>syn1,syn2,...'"
-                )
-            word, _, rest = line.partition("\t")
-            syns = [s.strip() for s in rest.split(",") if s.strip()]
-            lex.add(word.strip(), syns)
+        for word, rest in read_rows(path, "synonym lexicon", "word<TAB>syn1,syn2,..."):
+            lex.add(word, [s.strip() for s in rest.split(",") if s.strip()])
         return lex
 
 

@@ -797,3 +797,15 @@ class TestGoldLabels:
         p.write_text("zero\t0\tpoor\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_gold_labels(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("-1\t5\tpoor", "src_idx must be >= 0, got -1"),
+        ("5\t-1\tgood", "tgt_idx must be >= 0, got -1"),
+    ], ids=["src", "tgt"])
+    def test_negative_index_names_path_and_line(self, tmp_path, row, message):
+        # no filter run reports a pair with a negative index
+        p = tmp_path / "gold.tsv"
+        p.write_text(f"0\t0\tgood\n# note\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_gold_labels(p)
+        assert str(exc.value) == f"{p}:3: {message}"

@@ -632,6 +632,16 @@ class TestEvalFilterCommand:
                           "--gold", str(gold)], capsys)
         assert code == 2
 
+    def test_negative_gold_index_exits_1(self, tmp_path, capsys):
+        # a label for a line that cannot exist is no removed noise
+        rep = self.write_report(tmp_path, [(0, 0, 0.9, 0)])
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("-1\t5\tpoor\n0\t0\tgood\n", encoding="utf-8")
+        code, out, err = run(["eval-filter", "--report", str(rep),
+                              "--gold", str(gold)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {gold}:1: src_idx must be >= 0, got -1\n"
+
     def test_json_out(self, tmp_path, capsys):
         rep = self.write_report(tmp_path, [(1, 1, 0.9, 0)])
         gold = tmp_path / "gold.tsv"
@@ -704,10 +714,11 @@ class TestOutputErrors:
     @pytest.mark.parametrize("fail_at", ["write", "replace"])
     def test_failed_second_write_leaves_old_or_new_files(
             self, fail_at, write_lines, tmp_path, capsys, monkeypatch):
-        """filter writes out-src, out-tgt, the report and its manifest, in
-        that order. When the second write fails, mid-file (a full disk) or
-        at the rename, every output keeps its old bytes or has its new
-        bytes, and no temporary file is left."""
+        """filter writes out-src, out-tgt and the report to temporary files,
+        renames them in that order, then writes the manifest. When the
+        second temporary file fails mid-write (a full disk), every output
+        keeps its old bytes; when the second rename fails, out-src has its
+        new bytes and the rest their old. No temporary file is left."""
         lines = write_lines("lines.txt", GOOD_LINES)
 
         def argv(out):
@@ -763,9 +774,11 @@ class TestOutputErrors:
         assert code == 1
         assert f"error: cannot write corpus {out / 'o.tgt'}" in err
         assert sorted(os.listdir(out)) == sorted(names)
-        assert (out / "o.src").read_bytes() == (fresh / "o.src").read_bytes()
-        assert (out / "o.src").read_bytes() != old["o.src"]
-        for name in names[1:]:
+        renamed = names[:1] if fail_at == "replace" else []
+        for name in renamed:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            assert (out / name).read_bytes() != old[name]
+        for name in names[len(renamed):]:
             assert (out / name).read_bytes() == old[name]
 
 class TestHelp:

@@ -1,6 +1,10 @@
+import errno
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bifilter import _records
 from bifilter.corpus_io import (
     Bitext,
     CommandProvider,
@@ -215,6 +219,50 @@ class TestWriteBitext:
         assert rows[0] == REPORT_HEADER
         assert rows[1] == "0\t1\t0.9000\t1"
 
+    @pytest.mark.parametrize("existing", [True, False])
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["src", "tgt", "report"])
+    def test_failed_write_changes_no_output(self, failing, existing, tmp_path,
+                                            monkeypatch):
+        """All three temporary files are written before the first rename:
+        whichever write fails, every output keeps its old content (or stays
+        missing) and no temporary file is left."""
+        names = ["s.txt", "t.txt", "rep.tsv"]
+        if existing:
+            for name in names:
+                (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+        opened = []
+
+        class DiskFull:  # writes half the text, then fails
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(fd, *args, **kwargs):
+            fh = open(fd, *args, **kwargs)
+            opened.append(fd)
+            return DiskFull(fh) if len(opened) == failing + 1 else fh
+
+        monkeypatch.setattr(_records, "open", failing_open, raising=False)
+        res = _FakeResult([(0, 1, 0.9, 1), (2, 0, 0.8, 2)])
+        paths = [tmp_path / name for name in names]
+        with pytest.raises(DataError) as exc:
+            write_bitext(res, self.BT, *paths)
+        what = "report" if failing == 2 else "corpus"
+        assert str(exc.value).startswith(f"cannot write {what} {paths[failing]}: ")
+        assert sorted(os.listdir(tmp_path)) == (sorted(names) if existing else [])
+        for name in names if existing else []:
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+
     def test_zero_pairs_header_only(self, tmp_path):
         res = _FakeResult([])
         out_s, out_t = tmp_path / "s.txt", tmp_path / "t.txt"
@@ -269,3 +317,21 @@ class TestFilterReportIO:
         p.write_text(REPORT_HEADER + "\n0\t1\t0.5\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_filter_report(p)
+
+    # write_filter_report writes non-negative indices and tiers and scores
+    # in [0, 1]; the first bad field of a row names it
+    @pytest.mark.parametrize("row, message", [
+        ("-2\t1\tinf\t0", "src_idx must be >= 0, got -2"),
+        ("0\t-1\t0.5\t0", "tgt_idx must be >= 0, got -1"),
+        ("0\t1\tinf\t0", "score inf outside [0, 1]"),
+        ("0\t0\tnan\t-3", "score nan outside [0, 1]"),
+        ("0\t0\t0.5\t-3", "tier must be >= 0, got -3"),
+        ("0\t0\t0.5\t1.0", "tier is not an integer: '1.0'"),
+    ], ids=["src", "tgt", "inf", "nan", "tier", "tier-float"])
+    def test_rejects_values_the_writer_never_writes(self, tmp_path, row, message):
+        p = tmp_path / "rep.tsv"
+        p.write_text(f"{REPORT_HEADER}\n0\t1\t0.5000\t0\n{row}\n",
+                     encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_filter_report(p)
+        assert str(exc.value) == f"{p}:3: {message}"

@@ -1,7 +1,8 @@
 """The seven line-record loaders share one reader: the same errors for a
-file that cannot be read or is not UTF-8, and the same handling of blank
-lines, '#' comment lines and CRLF line ends. Every output goes through
-one writer, write_text."""
+file that cannot be read or is not UTF-8, the same handling of blank
+lines, '#' comment lines and CRLF line ends, and the same 'path:lineno: '
+in front of the error for a malformed record. Every output goes through
+one writer, write_files."""
 
 import contextlib
 import os
@@ -34,24 +35,26 @@ class Loader(NamedTuple):
     load: Callable  # (path, monkeypatch) -> a value that compares by content
     error: type
     records: list[str]  # valid lines; the first stays the file's first line
+    bad: str | None  # a malformed record, if the format has one
 
 
 LOADERS = [
     Loader("chain.cfg", lambda p, _mp: load_chain_file(p), ConfigError,
            ["tier overlap 0.99", "tier ratio 0.9  # inline comment",
-            "final_threshold 0.5"]),
+            "final_threshold 0.5"], "granularity tokens"),
     Loader("gold.tsv", lambda p, _mp: load_gold_labels(p), DataError,
-           ["0\t0\tpoor", "1\t1\tgood", "2\t3\tgood"]),
+           ["0\t0\tpoor", "1\t1\tgood", "2\t3\tgood"], "4\t4"),
     Loader("dict.tsv", lambda p, _mp: load_dictionary(p), DataError,
-           ["kot\tcat\t1.0", "dom\thouse\t0.9", "dom\thome\t0.4"]),
+           ["kot\tcat\t1.0", "dom\thouse\t0.9", "dom\thome\t0.4"],
+           "kot\tcat\t0.5\t0.5"),
     Loader("stop.txt", lambda p, _mp: StopList.load(p), DataError,
-           ["the", "Of", "and"]),
+           ["the", "Of", "and"], None),
     Loader("data/stopwords_xx.txt", _default_stoplist, DataError,
-           ["the", "Of", "and"]),
+           ["the", "Of", "and"], None),
     Loader("lex.txt", lambda p, _mp: vars(SynonymLexicon.load(p)), DataError,
-           ["big\tlarge, huge", "small\ttiny", "big\tgreat"]),
+           ["big\tlarge, huge", "small\ttiny", "big\tgreat"], "tiny"),
     Loader("report.tsv", lambda p, _mp: load_filter_report(p), DataError,
-           [REPORT_HEADER, "0\t1\t0.9250\t2", "3\t3\t1.0000\t0"]),
+           [REPORT_HEADER, "0\t1\t0.9250\t2", "3\t3\t1.0000\t0"], "4\t4\t0.5"),
 ]
 IDS = [loader.name for loader in LOADERS]
 
@@ -105,6 +108,18 @@ def test_blank_comment_and_crlf_lines_parse_as_lf(loader, tmp_path, monkeypatch)
         got = loader.load(_place(tmp_path / "noisy", loader, text.encode()),
                           monkeypatch)
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "loader", [ld for ld in LOADERS if ld.bad is not None],
+    ids=[ld.name for ld in LOADERS if ld.bad is not None],
+)
+def test_malformed_record_names_path_and_line(loader, tmp_path, monkeypatch):
+    lines = [*loader.records, "", "# a comment", loader.bad, loader.records[-1]]
+    path = _place(tmp_path, loader, "".join(f"{l}\n" for l in lines).encode())
+    with pytest.raises(loader.error) as exc:
+        loader.load(path, monkeypatch)
+    assert str(exc.value).startswith(f"{path}:{len(loader.records) + 3}: ")
 
 
 def test_write_text_replaces_whole_file_in_place(tmp_path):
