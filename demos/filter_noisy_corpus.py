@@ -7,7 +7,7 @@ keeps diagonal pairs whose translation actually resembles the target.
 """
 
 from bifilter.bisentence_filter import FilterConfig, align_filter
-from bifilter.corpus_io import Bitext, Corpus, vocab_stats
+from bifilter.corpus_io import Bitext, vocab_stats
 from bifilter.similarity import ChainContext, DEFAULT_CHAIN
 from bifilter.textnorm import default_stoplist
 
@@ -42,9 +42,9 @@ TARGET = [
 
 def main() -> None:
     bitext = Bitext(
-        source=Corpus(tuple(SOURCE)),
-        target=Corpus(tuple(TARGET)),
-        trans=Corpus(tuple(TRANS)),
+        source=SOURCE,
+        target=TARGET,
+        trans=TRANS,
     )
 
     before = vocab_stats(bitext)
@@ -66,8 +66,8 @@ def main() -> None:
     print("dropped target lines:", list(result.dropped_tgt))
 
     kept = Bitext(
-        source=Corpus(tuple(SOURCE[i] for i, *_ in result.accepted)),
-        target=Corpus(tuple(TARGET[j] for _, j, *_ in result.accepted)),
+        source=[SOURCE[i] for i, *_ in result.accepted],
+        target=[TARGET[j] for _, j, *_ in result.accepted],
     )
     after = vocab_stats(kept)
     print(f"\nafter: {after.sentence_pairs} pairs, "

@@ -1,130 +1,22 @@
-"""Bitext filtering, sequence alignment, and MT evaluation metrics."""
+"""Bitext filtering, sequence alignment, and MT evaluation metrics.
+
+Each submodule's ``__all__`` is its public API; the package re-exports
+those names and nothing else besides the version and the error classes.
+"""
 
 __version__ = "0.1.0"
 
-from .bisentence_filter import (
-    FilterConfig,
-    FilterQuality,
-    FilterResult,
-    align_filter,
-    evaluate_filtering,
-    load_gold_labels,
-)
-from .corpus_io import (
-    Bitext,
-    CommandProvider,
-    Corpus,
-    FileProvider,
-    VocabStats,
-    ensure_translations,
-    load_bitext,
-    load_corpus,
-    save_corpus,
-    vocab_stats,
-    write_bitext,
-)
+from . import bisentence_filter, corpus_io, mt_metrics, seq_align, similarity, textnorm
+from .bisentence_filter import *  # noqa: F401,F403
+from .corpus_io import *  # noqa: F401,F403
 from .errors import BifilterError, ConfigError, DataError
-from .mt_metrics import (
-    BleuBreakdown,
-    MeteorBreakdown,
-    TerBreakdown,
-    bleu,
-    brevity_penalty,
-    meteor,
-    metric_report,
-    ngram_counts,
-    nist,
-    ter,
-)
-from .seq_align import (
-    AlignConfig,
-    Alignment,
-    astar_align,
-    align_documents,
-    chain_scorer,
-    equality_scorer,
-    lexicon_scorer,
-    load_dictionary,
-    nw_align,
-    threshold_filter,
-)
-from .similarity import (
-    DEFAULT_CHAIN,
-    ChainContext,
-    ChainDecision,
-    ComparatorChain,
-    RatioBreakdown,
-    chain_evaluate,
-    load_chain_file,
-    ratio,
-    register_comparator,
-)
-from .textnorm import (
-    StopList,
-    SynonymLexicon,
-    default_stoplist,
-    expand_variants,
-    remove_stopwords,
-    stem,
-    tokenize,
-)
+from .mt_metrics import *  # noqa: F401,F403
+from .seq_align import *  # noqa: F401,F403
+from .similarity import *  # noqa: F401,F403
+from .textnorm import *  # noqa: F401,F403
 
 __all__ = [
-    "__version__",
-    "BifilterError",
-    "ConfigError",
-    "DataError",
-    "Corpus",
-    "Bitext",
-    "VocabStats",
-    "FileProvider",
-    "CommandProvider",
-    "load_corpus",
-    "save_corpus",
-    "load_bitext",
-    "ensure_translations",
-    "vocab_stats",
-    "write_bitext",
-    "StopList",
-    "SynonymLexicon",
-    "tokenize",
-    "remove_stopwords",
-    "expand_variants",
-    "stem",
-    "default_stoplist",
-    "RatioBreakdown",
-    "ComparatorChain",
-    "ChainDecision",
-    "ChainContext",
-    "DEFAULT_CHAIN",
-    "ratio",
-    "chain_evaluate",
-    "load_chain_file",
-    "register_comparator",
-    "FilterConfig",
-    "FilterResult",
-    "FilterQuality",
-    "align_filter",
-    "evaluate_filtering",
-    "load_gold_labels",
-    "Alignment",
-    "AlignConfig",
-    "lexicon_scorer",
-    "chain_scorer",
-    "equality_scorer",
-    "load_dictionary",
-    "nw_align",
-    "astar_align",
-    "align_documents",
-    "threshold_filter",
-    "BleuBreakdown",
-    "TerBreakdown",
-    "MeteorBreakdown",
-    "ngram_counts",
-    "brevity_penalty",
-    "bleu",
-    "nist",
-    "ter",
-    "meteor",
-    "metric_report",
+    "__version__", "BifilterError", "ConfigError", "DataError",
+    *bisentence_filter.__all__, *corpus_io.__all__, *mt_metrics.__all__,
+    *seq_align.__all__, *similarity.__all__, *textnorm.__all__,
 ]

@@ -130,9 +130,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         raise DataError(
             "bitext has no translation layer; run ensure_translations first"
         )
-    src = bitext.source.lines
-    tgt = bitext.target.lines
-    trans = bitext.trans.lines
+    src, tgt, trans = bitext.source, bitext.target, bitext.trans
     for i, line in enumerate(src):
         if line != "" and trans[i] == "":
             raise DataError(
@@ -301,16 +299,18 @@ def load_gold_labels(
     path: str | Path,
 ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Read gold pair labels: TSV rows `src_idx<TAB>tgt_idx<TAB>poor|good`,
-    indices non-negative ('#' starts a comment). Returns the (poor, good) pair sets."""
-    rows = read_rows(path, "gold labels", "src_idx<TAB>tgt_idx<TAB>poor|good",
-                     _gold_row)
-    return ({pair for pair, label in rows if label == "poor"},
-            {pair for pair, label in rows if label == "good"})
+    indices non-negative ('#' starts a comment). A pair may be labeled
+    again only with the same label. Returns the (poor, good) pair sets."""
+    labels: dict[tuple[int, int], str] = {}
 
+    def gold_row(fields: list[str]) -> None:
+        pair = (_index(fields[0], "src_idx"), _index(fields[1], "tgt_idx"))
+        label = fields[2].lower()
+        if label not in ("poor", "good"):
+            raise DataError(f"label must be 'poor' or 'good', got {fields[2]!r}")
+        if labels.setdefault(pair, label) != label:
+            raise DataError(f"pair {pair} is labeled both poor and good")
 
-def _gold_row(fields: list[str]) -> tuple[tuple[int, int], str]:
-    pair = (_index(fields[0], "src_idx"), _index(fields[1], "tgt_idx"))
-    label = fields[2].lower()
-    if label not in ("poor", "good"):
-        raise DataError(f"label must be 'poor' or 'good', got {fields[2]!r}")
-    return pair, label
+    read_rows(path, "gold labels", "src_idx<TAB>tgt_idx<TAB>poor|good", gold_row)
+    return ({pair for pair, label in labels.items() if label == "poor"},
+            {pair for pair, label in labels.items() if label == "good"})

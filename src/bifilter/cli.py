@@ -166,8 +166,8 @@ def cmd_filter(args) -> int:
 def cmd_align(args) -> int:
     started = time.monotonic()
     cfg = AlignConfig(gap_penalty=args.gap, engine=args.engine)
-    doc_a = list(load_corpus(args.doc_a).lines)
-    doc_b = list(load_corpus(args.doc_b).lines)
+    doc_a = list(load_corpus(args.doc_a))
+    doc_b = list(load_corpus(args.doc_b))
     if args.dict:
         scorer = lexicon_scorer(load_dictionary(args.dict))
     else:
@@ -190,17 +190,16 @@ def cmd_evaluate(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if not metrics:
         raise ConfigError("--metrics selected nothing")
-    cand_corpus = load_corpus(args.cand)
+    cand_lines = load_corpus(args.cand)
     ref_corpora = [load_corpus(p) for p in args.ref]
-    for p, corpus in zip(args.ref, ref_corpora):
-        if len(corpus.lines) != len(cand_corpus.lines):
+    for p, lines in zip(args.ref, ref_corpora):
+        if len(lines) != len(cand_lines):
             raise DataError(
-                f"{p}: {len(corpus.lines)} lines but candidate has "
-                f"{len(cand_corpus.lines)}"
+                f"{p}: {len(lines)} lines but candidate has {len(cand_lines)}"
             )
-    cands = [tokenize(line) for line in cand_corpus.lines]
+    cands = [tokenize(line) for line in cand_lines]
     refs = [
-        [tokenize(corpus.lines[i]) for corpus in ref_corpora]
+        [tokenize(lines[i]) for lines in ref_corpora]
         for i in range(len(cands))
     ]
     lexicon = SynonymLexicon.load(args.synonyms) if args.synonyms else None
@@ -317,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nist-order", type=int, default=5,
                    help="max NIST n-gram order")
     p.add_argument("--meteor-penalty-exponent", type=int, default=1,
-                   help="exponent on the chunk ratio in the penalty")
+                   help="exponent on the chunk ratio in the penalty "
+                        "(the original METEOR uses 3)")
     p.add_argument("--synonyms", default=None,
                    help="synonym lexicon file for the synonym matching pass")
     p.add_argument("--report", required=True, help="metric report JSON output")

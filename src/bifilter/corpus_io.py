@@ -20,13 +20,11 @@ from ._records import (
     read_lines,
     read_rows,
     write_files,
-    write_text,
 )
 from .errors import DataError, _at_least, _fraction, _index
 from .textnorm import is_punct_token, tokenize
 
 __all__ = [
-    "Corpus",
     "Bitext",
     "VocabStats",
     "TranslationProvider",
@@ -34,46 +32,36 @@ __all__ = [
     "CommandProvider",
     "REPORT_HEADER",
     "load_corpus",
-    "save_corpus",
     "load_bitext",
     "ensure_translations",
     "vocab_stats",
     "write_bitext",
-    "write_filter_report",
     "load_filter_report",
 ]
 
 
 @dataclass(frozen=True)
-class Corpus:
-    """Ordered sentence lines; lines[i] corresponds to file line i+1."""
-
-    lines: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-
-@dataclass(frozen=True)
 class Bitext:
-    """Source and target corpora plus the optional translation layer.
+    """Source and target corpora plus the optional translation layer, each
+    a tuple of lines (any other sequence given is made one).
 
     Source and target lengths may differ; the translation layer, when
     present, must have exactly one line per source line.
     """
 
-    source: Corpus
-    target: Corpus
-    trans: Optional[Corpus] = None
+    source: tuple[str, ...]
+    target: tuple[str, ...]
+    trans: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.trans is not None and len(self.trans.lines) != len(self.source.lines):
+        for side in ("source", "target", "trans"):
+            lines = getattr(self, side)
+            if lines is not None:
+                object.__setattr__(self, side, tuple(lines))
+        if self.trans is not None and len(self.trans) != len(self.source):
             raise DataError(
-                f"translation layer has {len(self.trans.lines)} lines but the "
-                f"source has {len(self.source.lines)}; they must align 1:1"
+                f"translation layer has {len(self.trans)} lines but the "
+                f"source has {len(self.source)}; they must align 1:1"
             )
 
 
@@ -84,18 +72,15 @@ class VocabStats:
     target_vocab: int
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file; interior empty lines survive as empty strings."""
-    return Corpus(lines=tuple(read_lines(path, "corpus")))
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write one sentence per line, LF endings, trailing newline (an empty
-    corpus gives an empty file), so that reloading reproduces the lines."""
-    write_text(path, _corpus_text(corpus.lines, path), "corpus")
+def load_corpus(path: str | Path) -> tuple[str, ...]:
+    """Read a corpus file: element i is file line i+1, and interior empty
+    lines survive as empty strings."""
+    return tuple(read_lines(path, "corpus"))
 
 
 def _corpus_text(lines, path) -> str:
+    """One line per sentence, LF endings, trailing newline (no lines give
+    an empty text), so that load_corpus reads the lines back."""
     for idx, line in enumerate(lines):
         if "\n" in line or "\r" in line:
             raise DataError(
@@ -113,15 +98,15 @@ def load_bitext(
     target is assumed; a translation file must match the source line count."""
     source = load_corpus(src)
     target = load_corpus(tgt)
-    trans_corpus = None
+    trans_lines = None
     if trans is not None:
-        trans_corpus = load_corpus(trans)
-        if len(trans_corpus.lines) != len(source.lines):
+        trans_lines = load_corpus(trans)
+        if len(trans_lines) != len(source):
             raise DataError(
-                f"{trans}: {len(trans_corpus.lines)} lines, but source {src} "
-                f"has {len(source.lines)}; the translation layer must align 1:1"
+                f"{trans}: {len(trans_lines)} lines, but source {src} "
+                f"has {len(source)}; the translation layer must align 1:1"
             )
-    return Bitext(source=source, target=target, trans=trans_corpus)
+    return Bitext(source=source, target=target, trans=trans_lines)
 
 
 class TranslationProvider(Protocol):
@@ -142,7 +127,7 @@ class FileProvider:
 
     def translate(self, lines: Sequence[str], indices: Sequence[int]) -> list[str]:
         if self._lines is None:
-            self._lines = load_corpus(self.path).lines
+            self._lines = load_corpus(self.path)
         out = []
         for i in indices:
             if i >= len(self._lines):
@@ -229,9 +214,9 @@ def ensure_translations(
     downstream code must treat empty source lines as unmatched. Idempotent:
     a complete layer comes back unchanged.
     """
-    src_lines = bitext.source.lines
+    src_lines = bitext.source
     if bitext.trans is not None:
-        trans_lines = list(bitext.trans.lines)
+        trans_lines = list(bitext.trans)
     else:
         trans_lines = [""] * len(src_lines)
     missing = [i for i, t in enumerate(trans_lines) if t == "" and src_lines[i] != ""]
@@ -257,7 +242,7 @@ def ensure_translations(
     return Bitext(
         source=bitext.source,
         target=bitext.target,
-        trans=Corpus(lines=tuple(trans_lines)),
+        trans=tuple(trans_lines),
     )
 
 
@@ -269,16 +254,16 @@ def vocab_stats(bitext: Bitext) -> VocabStats:
     bound for an unaligned one.
     """
 
-    def vocab(corpus: Corpus) -> int:
+    def vocab(lines: tuple[str, ...]) -> int:
         words: set[str] = set()
-        for line in corpus.lines:
+        for line in lines:
             for tok in tokenize(line):
                 if not is_punct_token(tok):
                     words.add(tok)
         return len(words)
 
     return VocabStats(
-        sentence_pairs=min(len(bitext.source.lines), len(bitext.target.lines)),
+        sentence_pairs=min(len(bitext.source), len(bitext.target)),
         source_vocab=vocab(bitext.source),
         target_vocab=vocab(bitext.target),
     )
@@ -287,13 +272,9 @@ def vocab_stats(bitext: Bitext) -> VocabStats:
 REPORT_HEADER = "src_idx\ttgt_idx\tscore\ttier"
 
 
-def write_filter_report(rows, path: str | Path) -> None:
-    """Write accepted pairs as TSV: src_idx, tgt_idx, score (4 decimals),
-    deciding tier index. Header always present."""
-    write_text(path, _report_text(rows), "report")
-
-
 def _report_text(rows) -> str:
+    """Accepted pairs as TSV: src_idx, tgt_idx, score (4 decimals),
+    deciding tier index. Header always present."""
     lines = [REPORT_HEADER]
     for src_idx, tgt_idx, score, tier in rows:
         lines.append(f"{src_idx}\t{tgt_idx}\t{score:.4f}\t{tier}")
@@ -301,7 +282,7 @@ def _report_text(rows) -> str:
 
 
 def load_filter_report(path: str | Path) -> list[tuple[int, int, float, int]]:
-    """Read back a report TSV written by write_filter_report. The header
+    """Read back a report TSV written by write_bitext. The header
     must be the file's first line; indices and tiers are non-negative
     integers and scores lie in [0, 1]."""
     return read_rows(path, "report", REPORT_HEADER.replace("\t", "<TAB>"),
@@ -318,7 +299,8 @@ def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
     parallel line files plus the TSV report, all three through one
     write_files call, so a failed write leaves all three with their old
     content."""
-    n_src, n_tgt = len(bitext.source.lines), len(bitext.target.lines)
+    src, tgt = bitext.source, bitext.target
+    n_src, n_tgt = len(src), len(tgt)
     rows = sorted(result.accepted, key=lambda r: r[0])
     for src_idx, tgt_idx, _score, _tier in rows:
         if not (0 <= src_idx < n_src) or not (0 <= tgt_idx < n_tgt):
@@ -326,7 +308,6 @@ def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
                 f"accepted pair ({src_idx}, {tgt_idx}) is outside the "
                 f"{n_src}x{n_tgt} corpus bounds"
             )
-    src, tgt = bitext.source.lines, bitext.target.lines
 
     def outputs():  # each text is built when write_files reaches it
         yield out_src, _corpus_text([src[r[0]] for r in rows], out_src), "corpus"

@@ -814,13 +814,18 @@ def metric_report(
 
     Every requested metric contributes its breakdown; BLEU, TER, and METEOR
     also carry the x100 percentage form. stats, when given, gets
-    meteor_corpus's "meteor_capped" if METEOR runs. The settings of the
-    requested metrics are checked before any of them is scored.
+    meteor_corpus's "meteor_capped" if METEOR runs. The metric names, each
+    known and named once, and the settings of the requested metrics are
+    checked before any of them is scored.
     """
+    seen = set()
     for name in metrics:
         if name not in METRIC_NAMES:
             known = ", ".join(METRIC_NAMES)
             raise ConfigError(f"unknown metric {name!r} (known: {known})")
+        if name in seen:
+            raise ConfigError(f"metric {name!r} requested twice")
+        seen.add(name)
     if "bleu" in metrics:
         _at_least("BLEU order", bleu_order, 1)
     if "nist" in metrics:

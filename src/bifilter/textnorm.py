@@ -75,9 +75,6 @@ class StopList:
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.words
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     @classmethod
     def from_words(cls, words) -> "StopList":
         return cls(words=frozenset(w.lower() for w in words))

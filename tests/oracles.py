@@ -145,7 +145,7 @@ def reference_align_filter(bitext, cfg):
     line that is unmatched, has a source side and has the target in its own
     window bids. Returns (accepted, dropped_src, dropped_tgt) as FilterResult
     holds them."""
-    src, tgt, trans = bitext.source.lines, bitext.target.lines, bitext.trans.lines
+    src, tgt, trans = bitext.source, bitext.target, bitext.trans
     n_src, n_tgt = len(src), len(tgt)
     ctx = cfg.context if cfg.context is not None else ChainContext()
     matched = {}

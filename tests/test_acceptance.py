@@ -21,7 +21,7 @@ import oracles
 import synthcorpus
 from bifilter.bisentence_filter import FilterConfig, align_filter, evaluate_filtering
 from bifilter.cli import main
-from bifilter.corpus_io import Bitext, Corpus
+from bifilter.corpus_io import Bitext
 from bifilter.mt_metrics import (
     bleu,
     brevity_penalty,
@@ -60,9 +60,9 @@ def synth():
 @pytest.fixture(scope="module")
 def synth_bitext(synth):
     return Bitext(
-        source=Corpus(synth.source),
-        target=Corpus(synth.target),
-        trans=Corpus(synth.trans),
+        source=synth.source,
+        target=synth.target,
+        trans=synth.trans,
     )
 
 
@@ -111,9 +111,9 @@ def test_criterion_2_conflict_rule():
         chain = ComparatorChain(tiers=(("acceptance_canned", 0.99),),
                                 final_threshold=0.5)
         bt = Bitext(
-            source=Corpus(tuple(f"src {i}" for i in range(len(TRANS)))),
-            target=Corpus(tuple(TGT)),
-            trans=Corpus(tuple(TRANS)),
+            source=[f"src {i}" for i in range(len(TRANS))],
+            target=TGT,
+            trans=TRANS,
         )
         cfg = FilterConfig(
             chain=chain, window=None, lookahead=1,

@@ -15,7 +15,7 @@ from bifilter.bisentence_filter import (
     evaluate_filtering,
     load_gold_labels,
 )
-from bifilter.corpus_io import Bitext, Corpus
+from bifilter.corpus_io import Bitext
 from bifilter.errors import ConfigError, DataError
 from bifilter.similarity import (
     COMPARATORS,
@@ -38,9 +38,9 @@ def make_bitext(trans, tgt, src=None):
     if src is None:
         src = [f"src {i}" for i in range(len(trans))]
     return Bitext(
-        source=Corpus(tuple(src)),
-        target=Corpus(tuple(tgt)),
-        trans=Corpus(tuple(trans)),
+        source=src,
+        target=tgt,
+        trans=trans,
     )
 
 
@@ -141,7 +141,7 @@ class TestLookaheadRule:
         assert 1 in res.dropped_tgt
 
     def test_missing_trans_layer_rejected(self):
-        bt = Bitext(source=Corpus(("a",)), target=Corpus(("a",)))
+        bt = Bitext(source=("a",), target=("a",))
         cfg = FilterConfig(chain=DEFAULT_CHAIN, context=empty_ctx())
         with pytest.raises(DataError):
             align_filter(bt, cfg)
@@ -557,7 +557,7 @@ class TestPackedRows:
         top = [w for w, _ in freq.most_common(60)]
         lex = SynonymLexicon({top[k]: [top[k + 1]] for k in range(0, 60, 2)})
         ctx = ChainContext(stoplist=stop, lexicon=lex)
-        bitext = Bitext(Corpus(sb.source), Corpus(sb.target), Corpus(sb.trans))
+        bitext = Bitext(sb.source, sb.target, sb.trans)
         masks = self.counted(monkeypatch, similarity, "_build_masks")
         kernel = self.counted(monkeypatch, similarity, "_lcs_run")
         expanded = self.counted(monkeypatch, similarity, "expand_variants")
@@ -797,6 +797,18 @@ class TestGoldLabels:
         p.write_text("zero\t0\tpoor\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_gold_labels(p)
+
+    def test_conflicting_label_names_path_and_line(self, tmp_path):
+        p = tmp_path / "gold.tsv"
+        p.write_text("0\t0\tpoor\n1\t1\tgood\n# note\n0\t0\tgood\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_gold_labels(p)
+        assert str(exc.value) == f"{p}:4: pair (0, 0) is labeled both poor and good"
+
+    def test_repeated_label_accepted(self, tmp_path):
+        p = tmp_path / "gold.tsv"
+        p.write_text("0\t0\tpoor\n0\t0\tPOOR\n", encoding="utf-8")
+        assert load_gold_labels(p) == ({(0, 0)}, set())
 
     @pytest.mark.parametrize("row, message", [
         ("-1\t5\tpoor", "src_idx must be >= 0, got -1"),

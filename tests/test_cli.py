@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 
 import oracles
+import synthcorpus
 from bifilter import _records, corpus_io, mt_metrics
 from bifilter.cli import build_parser, main
 from bifilter.corpus_io import REPORT_HEADER
@@ -236,6 +237,27 @@ class TestFilterCommand:
         assert code == 0
         assert (tmp_path / "o.tgt").read_text().splitlines() == GOOD_LINES
 
+    def test_provider_file_alone_writes_what_trans_writes(self, write_lines,
+                                                         tmp_path, capsys):
+        # the filter-narrow-10k benchmark's path: no --trans, every
+        # translation from --provider-file
+        sb = synthcorpus.build(total=200, noisy=36)
+        src, tgt = write_lines("src.txt", sb.source), write_lines("tgt.txt", sb.target)
+        mt = write_lines("mt.txt", sb.trans)
+        outputs = {}
+        for flag in ("--trans", "--provider-file"):
+            out = tmp_path / flag.strip("-")
+            out.mkdir()
+            code, _, _ = run([
+                "filter", "--src", str(src), "--tgt", str(tgt), flag, str(mt),
+                "--window", "1", "--out-src", str(out / "o.src"),
+                "--out-tgt", str(out / "o.tgt"), "--report", str(out / "rep.tsv"),
+            ], capsys)
+            assert code == 0
+            outputs[flag] = [(out / n).read_bytes() for n in ("o.src", "o.tgt", "rep.tsv")]
+        assert outputs["--provider-file"] == outputs["--trans"]
+        assert outputs["--trans"][2].count(b"\n") > 100
+
     def test_provider_cmd_pipe_is_utf8_in_an_ascii_locale(self, write_lines, tmp_path):
         # under the C locale with locale coercion and UTF-8 mode off, the
         # locale's codec is ASCII; the pipe must still carry UTF-8
@@ -433,6 +455,21 @@ class TestEvaluateCommand:
         ], capsys)
         assert code == 2
         assert "rouge" in err
+
+    @pytest.mark.parametrize("metrics, message", [
+        ("bleu,bleu,ter", "error: metric 'bleu' requested twice\n"),
+        (" , ", "error: --metrics selected nothing\n"),
+    ], ids=["repeated", "nothing"])
+    def test_bad_metric_list_exits_2(self, metrics, message, write_lines, tmp_path,
+                                     capsys):
+        cand = write_lines("cand.txt", ["the cat sat"])
+        rep = tmp_path / "r.json"
+        code, out, err = run([
+            "evaluate", "--cand", str(cand), "--ref", str(cand),
+            "--metrics", metrics, "--report", str(rep),
+        ], capsys)
+        assert (code, out, err) == (2, "", message)
+        assert not rep.exists()
 
     def test_negative_meteor_penalty_exponent_exits_2(self, write_lines, tmp_path,
                                                        capsys):
@@ -641,6 +678,15 @@ class TestEvalFilterCommand:
                               "--gold", str(gold)], capsys)
         assert code == 1 and out == ""
         assert err == f"error: {gold}:1: src_idx must be >= 0, got -1\n"
+
+    def test_conflicting_gold_labels_exit_1(self, tmp_path, capsys):
+        rep = self.write_report(tmp_path, [(0, 0, 0.9, 0)])
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("0\t0\tpoor\n0\t0\tgood\n", encoding="utf-8")
+        code, out, err = run(["eval-filter", "--report", str(rep),
+                              "--gold", str(gold)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {gold}:2: pair (0, 0) is labeled both poor and good\n"
 
     def test_json_out(self, tmp_path, capsys):
         rep = self.write_report(tmp_path, [(1, 1, 0.9, 0)])

@@ -8,17 +8,14 @@ from bifilter import _records
 from bifilter.corpus_io import (
     Bitext,
     CommandProvider,
-    Corpus,
     FileProvider,
     REPORT_HEADER,
     ensure_translations,
     load_bitext,
     load_corpus,
     load_filter_report,
-    save_corpus,
     vocab_stats,
     write_bitext,
-    write_filter_report,
 )
 from bifilter.errors import DataError
 
@@ -31,27 +28,27 @@ line_text = st.text(
 class TestLoadSave:
     def test_plain_file(self, write_lines):
         p = write_lines("a.txt", ["a", "b"])
-        assert load_corpus(p).lines == ("a", "b")
+        assert load_corpus(p) == ("a", "b")
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_bytes(b"")
-        assert load_corpus(p).lines == ()
+        assert load_corpus(p) == ()
 
     def test_no_trailing_newline(self, tmp_path):
         p = tmp_path / "x.txt"
         p.write_bytes(b"x")
-        assert load_corpus(p).lines == ("x",)
+        assert load_corpus(p) == ("x",)
 
     def test_crlf_stripped(self, tmp_path):
         p = tmp_path / "crlf.txt"
         p.write_bytes(b"a\r\nb\r\n")
-        assert load_corpus(p).lines == ("a", "b")
+        assert load_corpus(p) == ("a", "b")
 
     def test_blank_interior_lines_kept(self, tmp_path):
         p = tmp_path / "gap.txt"
         p.write_bytes(b"a\n\nb\n")
-        assert load_corpus(p).lines == ("a", "", "b")
+        assert load_corpus(p) == ("a", "", "b")
 
     def test_invalid_utf8_reports_line(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -65,14 +62,19 @@ class TestLoadSave:
             load_corpus(tmp_path / "absent.txt")
 
     def test_save_rejects_embedded_newline(self, tmp_path):
+        bt = Bitext(source=("a\nb",), target=("x",))
+        out = [tmp_path / name for name in ("s.txt", "t.txt", "r.tsv")]
         with pytest.raises(DataError):
-            save_corpus(Corpus(("a\nb",)), tmp_path / "out.txt")
+            write_bitext(_FakeResult([(0, 0, 1.0, 0)]), bt, *out)
+        assert list(tmp_path.iterdir()) == []
 
     @given(st.lists(line_text, max_size=20))
     def test_round_trip(self, tmp_path_factory, lines):
-        p = tmp_path_factory.mktemp("rt") / "c.txt"
-        save_corpus(Corpus(tuple(lines)), p)
-        assert load_corpus(p).lines == tuple(lines)
+        d = tmp_path_factory.mktemp("rt")
+        bt = Bitext(source=lines, target=lines[::-1])
+        rows = [(i, len(lines) - 1 - i, 1.0, 0) for i in range(len(lines))]
+        write_bitext(_FakeResult(rows), bt, d / "s.txt", d / "t.txt", d / "r.tsv")
+        assert load_corpus(d / "s.txt") == load_corpus(d / "t.txt") == tuple(lines)
 
 
 class TestBitext:
@@ -80,15 +82,19 @@ class TestBitext:
         src = write_lines("s.txt", ["a", "b", "c"])
         tgt = write_lines("t.txt", ["x", "y", "z", "w", "v"])
         bt = load_bitext(src, tgt)
-        assert len(bt.source.lines) == 3 and len(bt.target.lines) == 5
+        assert len(bt.source) == 3 and len(bt.target) == 5
         assert bt.trans is None
+
+    def test_sides_become_tuples(self):
+        bt = Bitext(source=["a", "b"], target=iter(["x"]), trans=["A", "B"])
+        assert (bt.source, bt.target, bt.trans) == (("a", "b"), ("x",), ("A", "B"))
 
     def test_trans_layer_loaded(self, write_lines):
         src = write_lines("s.txt", ["a", "b", "c"])
         tgt = write_lines("t.txt", ["x", "y"])
         trn = write_lines("tr.txt", ["A", "B", "C"])
         bt = load_bitext(src, tgt, trn)
-        assert bt.trans.lines == ("A", "B", "C")
+        assert bt.trans == ("A", "B", "C")
 
     def test_trans_length_mismatch(self, write_lines):
         src = write_lines("s.txt", ["a", "b", "c"])
@@ -103,9 +109,9 @@ class TestBitext:
 class TestEnsureTranslations:
     def bt(self, src, trans=None):
         return Bitext(
-            source=Corpus(tuple(src)),
-            target=Corpus(("x",) * len(src)),
-            trans=Corpus(tuple(trans)) if trans is not None else None,
+            source=src,
+            target=("x",) * len(src),
+            trans=trans,
         )
 
     def test_identity_when_present(self):
@@ -115,7 +121,7 @@ class TestEnsureTranslations:
     def test_file_provider(self, write_lines):
         p = write_lines("trans.txt", ["ONE", "TWO"])
         bt = ensure_translations(self.bt(["one", "two"]), FileProvider(p))
-        assert bt.trans.lines == ("ONE", "TWO")
+        assert bt.trans == ("ONE", "TWO")
 
     def test_file_provider_too_short(self, write_lines):
         p = write_lines("trans.txt", ["ONE"])
@@ -125,7 +131,7 @@ class TestEnsureTranslations:
     def test_command_provider_uppercases(self):
         prov = CommandProvider("tr 'a-z' 'A-Z'")
         bt = ensure_translations(self.bt(["one", "two"]), prov)
-        assert bt.trans.lines == ("ONE", "TWO")
+        assert bt.trans == ("ONE", "TWO")
 
     def test_command_provider_failure(self):
         prov = CommandProvider("false")
@@ -161,6 +167,19 @@ class TestEnsureTranslations:
         with pytest.raises(DataError, match="exited with 3: bad \ufffd"):
             ensure_translations(self.bt(["one"]), prov)
 
+    @pytest.mark.parametrize("got, message", [
+        (["ONE", "TWO", "THREE"], "provider returned 3 lines for 2 requests"),
+        (["ONE", ""], "provider returned an empty translation for source line 2"),
+    ], ids=["one-line-too-many", "empty-line"])
+    def test_provider_output_checked(self, got, message):
+        class Provider:
+            def translate(self, lines, indices):
+                return got
+
+        with pytest.raises(DataError) as exc:
+            ensure_translations(self.bt(["one", "two"]), Provider())
+        assert str(exc.value) == message
+
     def test_missing_without_provider(self):
         with pytest.raises(DataError):
             ensure_translations(self.bt(["a"]))
@@ -169,30 +188,30 @@ class TestEnsureTranslations:
         p = write_lines("trans.txt", ["ONE", "TWO"])
         once = ensure_translations(self.bt(["one", "two"]), FileProvider(p))
         twice = ensure_translations(once, FileProvider(p))
-        assert twice.trans.lines == once.trans.lines
+        assert twice.trans == once.trans
 
 
 class TestVocabStats:
     def test_hand_counted(self):
-        bt = Bitext(source=Corpus(("a b", "a")), target=Corpus(("x",)))
+        bt = Bitext(source=("a b", "a"), target=("x",))
         got = vocab_stats(bt)
         assert got.source_vocab == 2
         assert got.target_vocab == 1
         assert got.sentence_pairs == 1
 
     def test_empty(self):
-        bt = Bitext(source=Corpus(()), target=Corpus(()))
+        bt = Bitext(source=(), target=())
         got = vocab_stats(bt)
         assert got.source_vocab == got.target_vocab == got.sentence_pairs == 0
 
     def test_case_folds(self):
-        bt = Bitext(source=Corpus(("Dog dog",)), target=Corpus(("x",)))
+        bt = Bitext(source=("Dog dog",), target=("x",))
         assert vocab_stats(bt).source_vocab == 1
 
     @given(st.lists(st.sampled_from(["a b", "c d", "e"]), max_size=6))
     def test_invariant_under_permutation(self, lines):
-        fwd = Bitext(source=Corpus(tuple(lines)), target=Corpus(("x",) * len(lines)))
-        rev = Bitext(source=Corpus(tuple(reversed(lines))), target=Corpus(("x",) * len(lines)))
+        fwd = Bitext(source=lines, target=("x",) * len(lines))
+        rev = Bitext(source=lines[::-1], target=("x",) * len(lines))
         assert vocab_stats(fwd).source_vocab == vocab_stats(rev).source_vocab
 
 
@@ -203,9 +222,9 @@ class _FakeResult:
 
 class TestWriteBitext:
     BT = Bitext(
-        source=Corpus(("s0", "s1", "s2")),
-        target=Corpus(("t0", "t1", "t2")),
-        trans=Corpus(("T0", "T1", "T2")),
+        source=("s0", "s1", "s2"),
+        target=("t0", "t1", "t2"),
+        trans=("T0", "T1", "T2"),
     )
 
     def test_two_pairs(self, tmp_path):
@@ -213,8 +232,8 @@ class TestWriteBitext:
         out_s, out_t = tmp_path / "s.txt", tmp_path / "t.txt"
         rep = tmp_path / "rep.tsv"
         write_bitext(res, self.BT, out_s, out_t, rep)
-        assert load_corpus(out_s).lines == ("s0", "s2")
-        assert load_corpus(out_t).lines == ("t1", "t0")
+        assert load_corpus(out_s) == ("s0", "s2")
+        assert load_corpus(out_t) == ("t1", "t0")
         rows = rep.read_text().splitlines()
         assert rows[0] == REPORT_HEADER
         assert rows[1] == "0\t1\t0.9000\t1"
@@ -291,7 +310,8 @@ class TestFilterReportIO:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "rep.tsv"
         rows = [(0, 1, 0.925, 2), (3, 3, 1.0, 0)]
-        write_filter_report(rows, p)
+        bt = Bitext(source=("s",) * 4, target=("t",) * 4)
+        write_bitext(_FakeResult(rows), bt, tmp_path / "s", tmp_path / "t", p)
         got = load_filter_report(p)
         assert got == [(0, 1, 0.925, 2), (3, 3, 1.0, 0)]
 
@@ -318,7 +338,7 @@ class TestFilterReportIO:
         with pytest.raises(DataError):
             load_filter_report(p)
 
-    # write_filter_report writes non-negative indices and tiers and scores
+    # write_bitext writes non-negative indices and tiers and scores
     # in [0, 1]; the first bad field of a row names it
     @pytest.mark.parametrize("row, message", [
         ("-2\t1\tinf\t0", "src_idx must be >= 0, got -2"),

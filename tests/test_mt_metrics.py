@@ -808,6 +808,13 @@ class TestMetricReport:
         with pytest.raises(ConfigError):
             metric_report([["a"]], [[["a"]]], metrics=("bleu", "rouge"))
 
+    def test_repeated_metric_rejected_before_scoring(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mt_metrics, "bleu", lambda *a, **k: calls.append("bleu"))
+        with pytest.raises(ConfigError, match="metric 'bleu' requested twice"):
+            metric_report([["a"]], [[["a"]]], metrics=("bleu", "ter", "bleu"))
+        assert calls == []
+
     def test_subset_of_metrics(self):
         got = metric_report([["a", "b"]], [[["a", "b"]]], metrics=("bleu",))
         assert "bleu" in got and "ter" not in got

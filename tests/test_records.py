@@ -122,6 +122,19 @@ def test_malformed_record_names_path_and_line(loader, tmp_path, monkeypatch):
     assert str(exc.value).startswith(f"{path}:{len(loader.records) + 3}: ")
 
 
+@pytest.mark.parametrize("name, line, message", [
+    ("chain.cfg", "tier ratio", "expected 'tier <comparator> <threshold>'"),
+    ("chain.cfg", "final_threshold", "expected 'final_threshold <x>'"),
+    ("dict.tsv", "a\t\t0.5", "empty word field"),
+], ids=["bare-tier", "bare-final-threshold", "empty-word"])
+def test_malformed_record_message(name, line, message, tmp_path, monkeypatch):
+    (loader,) = [ld for ld in LOADERS if ld.name == name]
+    path = _place(tmp_path, loader, f"{line}\n".encode())
+    with pytest.raises(loader.error) as exc:
+        loader.load(path, monkeypatch)
+    assert str(exc.value) == f"{path}:1: {message}"
+
+
 def test_write_text_replaces_whole_file_in_place(tmp_path):
     """An existing output keeps its permission bits, a symlink is written
     through, and no temporary file stays behind."""

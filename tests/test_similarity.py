@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from bifilter import similarity
 from bifilter.bisentence_filter import FilterConfig, align_filter
-from bifilter.corpus_io import Bitext, Corpus
+from bifilter.corpus_io import Bitext
 from bifilter.errors import ConfigError
 from bifilter.similarity import (
     COMPARATORS,
@@ -171,9 +171,9 @@ class TestHostileRatio:
 
     def test_filter_with_a_long_middle_pair(self):
         a, b = near_identical(2000)
-        bitext = Bitext(source=Corpus(("x", "y", "z")),
-                        target=Corpus(("red kite", " ".join(b), "blue moon")),
-                        trans=Corpus(("green field", " ".join(a), "grey rain")))
+        bitext = Bitext(source=("x", "y", "z"),
+                        target=("red kite", " ".join(b), "blue moon"),
+                        trans=("green field", " ".join(a), "grey rain"))
         start = time.perf_counter()
         got = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN))
         elapsed = time.perf_counter() - start
@@ -429,6 +429,12 @@ class TestComparatorRange:
                 chain_evaluate("a b", "a c", chain, ChainContext())
         finally:
             COMPARATORS.pop("out_of_range", None)
+
+    def test_taken_name_needs_replace(self):
+        fn = COMPARATORS["ratio"]
+        with pytest.raises(ConfigError, match="comparator 'ratio' already registered"):
+            register_comparator("ratio", lambda pa, pb, ctx, chain: 0.0)
+        assert COMPARATORS["ratio"] is fn
 
     @pytest.mark.parametrize("score", [0.0, 1.0])
     def test_interval_ends_accepted(self, score):
