@@ -188,8 +188,6 @@ def cmd_align(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    if not metrics:
-        raise ConfigError("--metrics selected nothing")
     cand_lines = load_corpus(args.cand)
     ref_corpora = [load_corpus(p) for p in args.ref]
     for p, lines in zip(args.ref, ref_corpora):

@@ -816,12 +816,14 @@ def metric_report(
     also carry the x100 percentage form. stats, when given, gets
     meteor_corpus's "meteor_capped" if METEOR runs. The metric names, each
     known and named once, and the settings of the requested metrics are
-    checked before any of them is scored.
+    checked before any of them is scored; an empty selection is an error.
     """
+    known = ", ".join(METRIC_NAMES)
+    if not metrics:
+        raise ConfigError(f"no metric requested (known: {known})")
     seen = set()
     for name in metrics:
         if name not in METRIC_NAMES:
-            known = ", ".join(METRIC_NAMES)
             raise ConfigError(f"unknown metric {name!r} (known: {known})")
         if name in seen:
             raise ConfigError(f"metric {name!r} requested twice")

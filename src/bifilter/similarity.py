@@ -235,10 +235,14 @@ class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
     (0.0 for exact=True), the base ratio once a comparator has computed
-    it, and the LCS lengths of b's joined string against a's line slot
-    once the base ratio's gate has run that pass."""
+    it, the LCS lengths of b's joined string against a's line slot once
+    a gate has run that pass, and plausible: set once a tier that did not
+    accept still scored at or above the floor. The base ratio of a
+    plausible pair is computed exactly, with no gate: such pairs nearly
+    always reach the floor, so their pass would only delay the exact
+    ratio."""
 
-    __slots__ = ("pa", "pb", "floor", "base", "lcs")
+    __slots__ = ("pa", "pb", "floor", "base", "lcs", "plausible")
 
     def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
         self.pa = pa
@@ -246,18 +250,22 @@ class _PairScratch:
         self.floor = floor
         self.base: float | None = None
         self.lcs: list[int] | None = None
+        self.plausible = False
 
 
 class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
     cache of prepared sentences keyed by raw text (forget drops entries), a
-    word table through which equal content tokens of every prepared
-    sentence share one string, the scratch record of
-    the pair chain_evaluate is scoring, and one line slot: the joined
-    strings of the last first side a pair gate saw and of its synonym
-    variants, packed. The record and the slot make a context unsafe for
-    concurrent chain_evaluate calls; the lexicon and variant cap must not
-    change while it is scoring.
+    chunk table holding the content tokens of each whitespace-separated
+    chunk prepare has seen (never forgotten), a word table through which
+    equal content tokens of every prepared sentence share one string, the
+    scratch record of the pair chain_evaluate is scoring, and one line
+    slot: the joined strings of the last first side a pair gate saw and of
+    its synonym variants, packed. The record and the slot make a context
+    unsafe for concurrent chain_evaluate calls; the stoplist must not
+    change while the context is in use, since the chunk table keeps what
+    it removed, and the lexicon and variant cap must not change while it
+    is scoring.
 
     The row slot (set_row) serves a caller that scores one sentence
     against a window of targets: it holds that prepared sentence and
@@ -278,6 +286,7 @@ class ChainContext:
         self.lexicon = lexicon if lexicon is not None else SynonymLexicon()
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
+        self._chunks: dict[str, tuple[str, ...]] = {}
         self._words: dict[str, str] = {}
         self._pair: _PairScratch | None = None
         self._line: tuple[PreparedSentence, PackedStrings] | None = None
@@ -287,9 +296,21 @@ class ChainContext:
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
         if hit is None:
-            word = self._words.setdefault
-            tokens = remove_stopwords(tokenize(sentence), self.stoplist)
-            hit = PreparedSentence(sentence, tuple([word(t, t) for t in tokens]))
+            # tokenize peels and folds each chunk on its own, and
+            # remove_stopwords judges each token on its own, so a
+            # sentence's tokens are its chunks' tokens in order
+            chunks = self._chunks
+            tokens: list[str] = []
+            for chunk in sentence.split():
+                words = chunks.get(chunk)
+                if words is None:
+                    word = self._words.setdefault
+                    words = tuple([word(t, t)
+                                   for t in remove_stopwords(tokenize(chunk), self.stoplist)])
+                    # a chunk that is its own word is keyed by the shared word
+                    chunks[words[0] if words == (chunk,) else chunk] = words
+                tokens += words
+            hit = PreparedSentence(sentence, tuple(tokens))
             self._prepared[sentence] = hit
         return hit
 
@@ -450,20 +471,21 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     """The ratio of the pair's joined content strings. Inside chain_evaluate it
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
-    exact value. The gate takes the LCS length from ctx's row slot when the
-    row is a's and holds b, otherwise from a pass of b through a's line
-    slot."""
+    exact value, and so does a pair an earlier tier scored at or above the
+    floor. The gate takes the LCS length from ctx's row slot when the row
+    is a's and holds b, otherwise from a pass of b through a's line slot."""
     rec = _scratch(ctx, pa, pb)
     if rec is None:
         return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
+        floor = 0.0 if rec.plausible else rec.floor
         lcs = None
-        if rec.floor > 0.0:
+        if floor > 0.0:
             lcs = ctx._row_lcs(pa, pb.joined)
             if lcs is None:
                 rec.lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)
                 lcs = rec.lcs[0]
-        rec.base = _gated_ratio(pa.joined, pb.joined, rec.floor, lcs)
+        rec.base = _gated_ratio(pa.joined, pb.joined, floor, lcs)
     return rec.base
 
 
@@ -520,7 +542,9 @@ def chain_evaluate(
     The ratio-family tiers share one base ratio per pair. Each of their
     scores, the base and every synonym variant, first goes through an LCS
     gate: when 2.0 * LCS / total is below chain.floor, that bound is the
-    score and the block decomposition does not run. Decisions are the same
+    score and the block decomposition does not run. The base ratio of a
+    pair that an earlier tier scored at or above chain.floor skips the
+    gate and is computed exactly. Decisions are the same
     either way; a score below the floor may then be an upper bound (still
     below the floor). The base ratio's LCS length comes from context's row
     slot when the row's sentence is a's and the row holds b. exact=True
@@ -530,7 +554,7 @@ def chain_evaluate(
     """
     pa = context.prepare(a)
     pb = context.prepare(b)
-    context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor)
+    rec = context._pair = _PairScratch(pa, pb, 0.0 if exact else chain.floor)
     try:
         score = 0.0
         comp_id = chain.tiers[-1][0]
@@ -541,6 +565,8 @@ def chain_evaluate(
                     f"comparator {comp_id!r} returned {score!r}, outside [0, 1]")
             if score >= threshold:
                 return ChainDecision(True, score, idx, comp_id)
+            if score >= chain.floor:
+                rec.plausible = True
         last = len(chain.tiers) - 1
         return ChainDecision(score >= chain.final_threshold, score, last, comp_id)
     finally:

@@ -458,7 +458,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("metrics, message", [
         ("bleu,bleu,ter", "error: metric 'bleu' requested twice\n"),
-        (" , ", "error: --metrics selected nothing\n"),
+        (" , ", "error: no metric requested (known: bleu, nist, ter, meteor)\n"),
     ], ids=["repeated", "nothing"])
     def test_bad_metric_list_exits_2(self, metrics, message, write_lines, tmp_path,
                                      capsys):

@@ -815,6 +815,81 @@ class TestMetricReport:
             metric_report([["a"]], [[["a"]]], metrics=("bleu", "ter", "bleu"))
         assert calls == []
 
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ConfigError, match=r"no metric requested \(known: bleu, "):
+            metric_report([["a"]], [[["a"]]], metrics=())
+
     def test_subset_of_metrics(self):
         got = metric_report([["a", "b"]], [[["a", "b"]]], metrics=("bleu",))
         assert "bleu" in got and "ter" not in got
+
+
+class TestWorkedExamples:
+    """One corpus per metric, scored by hand from the formula README's
+    evaluate section states. Each comment names mutants of the formula and
+    the value each would give instead."""
+
+    def test_bleu(self):
+        # segment 1: "a a b" against "a b c d" and "a b"; segment 2: "c d"
+        # against "c d e f". Clipped to the most one reference holds, "a"
+        # matches once: unigrams 2/3 + 2/2 pooled = 4/5, bigrams (a b)
+        # and (c d) of 2 + 1 = 2/3. Lengths 4 and 2 tie around 3, so
+        # segment 1 takes the shorter: r = 2 + 4 = 6, c = 5.
+        # Mutants: ties to the longer reference (r = 8) give
+        # e^(1 - 8/5) * sqrt(8/15); unclipped counts sqrt(5/5 * 2/3) * e^-0.2;
+        # per-segment precisions averaged (5/6 and 3/4) another value.
+        cands = [["a", "a", "b"], ["c", "d"]]
+        refs = [[["a", "b", "c", "d"], ["a", "b"]], [["c", "d", "e", "f"]]]
+        got = bleu(cands, refs, order=2)
+        assert got.precisions == (4 / 5, 2 / 3)
+        assert (got.cand_len, got.ref_len) == (5, 6)
+        assert got.brevity == pytest.approx(math.exp(1 - 6 / 5), abs=1e-15)
+        assert got.score == pytest.approx(math.exp(-0.2) * math.sqrt(8 / 15), abs=1e-15)
+
+    def test_nist(self):
+        # "a b" against "a b c" and "a c". Pooled over both references (5
+        # tokens): a twice, b once, (a b) once, so the weights are
+        # log2(5/2), log2(5/1) and, for (a b), log2(count(a) / 1) = 1.
+        # Unigrams (log2 2.5 + log2 5) / 2, bigrams 1 / 1; the mean
+        # reference length is 2.5, so c/r = 0.8.
+        # Mutants: weights from the first reference only give
+        # (log2 3 + log2 3) / 2 + 0 before the factor; the closest reference
+        # length (2) in place of the mean gives a factor of 1; a bigram
+        # weight over the total length, log2(5/1), adds log2 5 - 1.
+        beta = math.log(0.5) / math.log(2 / 3) ** 2
+        want = (math.log2(12.5) / 2 + 1) * math.exp(beta * math.log(0.8) ** 2)
+        got = nist([["a", "b"]], [[["a", "b", "c"], ["a", "c"]]], order=2)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(2.2875566, abs=1e-7)
+
+    def test_ter(self):
+        # segment 1: "a b c d e" against "c d e a b" (one shift of "a b",
+        # then nothing) and "a b x" (three edits, no shift helps): 1 edit,
+        # over a mean reference length of 4. Segment 2: "x y" against
+        # "x z", one substitution over 2. Pooled: 2 / 6.
+        # Mutants: no shifts give (3 + 1) / 6; the chosen reference's length
+        # in place of the mean (1 + 1) / 7; averaged segment scores
+        # (1/4 + 1/2) / 2.
+        cands = [["a", "b", "c", "d", "e"], ["x", "y"]]
+        refs = [[["c", "d", "e", "a", "b"], ["a", "b", "x"]], [["x", "z"]]]
+        seg = ter(cands[0], refs[0])
+        assert (seg.edits, seg.shifts, seg.ref_len, seg.score) == (1, 1, 4.0, 0.25)
+        got = ter_corpus(cands, refs)
+        assert (got.edits, got.shifts, got.ref_len) == (2, 1, 6.0)
+        assert got.score == 2 / 6
+
+    def test_meteor(self):
+        # "the cats sat on mat" against "the cat sat on a rug", rug a
+        # synonym of mat. Exact: the, sat, on; stem: cats -> cat; synonym:
+        # mat -> rug. m = 5 in two chunks (the cats sat on | mat), P = 5/5,
+        # R = 5/6, Fmean = 10PR / (R + 9P) = 50/59, penalty 0.5 * 2/5.
+        # The second reference equals the candidate but is never read.
+        # Mutants: no stem pass gives 4 matches; the best reference gives
+        # 1 - 0.5/5; F1 in place of the recall-weighted mean gives
+        # 10/11 * 0.8; the exponent 3 gives penalty 0.5 * 0.4^3.
+        cand = ["the", "cats", "sat", "on", "mat"]
+        ref = ["the", "cat", "sat", "on", "a", "rug"]
+        got = meteor_corpus([cand], [[ref, cand]], lexicon=SynonymLexicon({"mat": ["rug"]}))
+        assert (got.matches, got.chunks, got.precision, got.recall) == (5, 2, 1.0, 5 / 6)
+        assert got.penalty == pytest.approx(0.2, abs=1e-15)
+        assert got.score == pytest.approx(50 / 59 * 0.8, abs=1e-15)

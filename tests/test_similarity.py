@@ -448,10 +448,19 @@ class TestComparatorRange:
 
 class TestPrepare:
     STOP = StopList.from_words(["the", "a"])
+    # chunks from a small pool, so the context's chunk table is hit, mixed
+    # with punctuation-only chunks, case variants and random Unicode text,
+    # joined by Unicode separators str.split knows
+    CHUNK = (st.sampled_from(WORDS + ["Cat", "THE", "żółw", "İstanbul", "ß", ",", "...",
+                                      "«»", "the.", "(a", "cat's", "¿Cat?", "—"])
+             | st.text(min_size=1, max_size=4))
+    SEPARATOR = st.sampled_from([" ", "  ", "\u2003", "\x1c", "\t", "\n", "\u3000"])
+    SENTENCE = st.lists(st.tuples(SEPARATOR, CHUNK), max_size=8).map(
+        lambda parts: "".join(sep + chunk for sep, chunk in parts))
 
-    @given(st.lists(st.lists(st.sampled_from(WORDS + ["Cat", "żółw", ",", "the."]),
-                             max_size=8).map(" ".join), min_size=2, max_size=4))
+    @given(st.lists(SENTENCE, min_size=2, max_size=20))
     @example(["The market opened", "a market closed"])
+    @example(["Cat, the cat.", "\x1c(cat\u2003CAT)", "..."])
     def test_one_string_per_word(self, sentences):
         ctx = ChainContext(stoplist=self.STOP)
         prepared = [ctx.prepare(s) for s in sentences]
@@ -700,6 +709,41 @@ class TestChainFloor:
         got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx())
         assert not got.accepted and got.score < DEFAULT_CHAIN.floor
         assert len(calls) == decompositions
+
+    # overlap 12/14 and 8/10, in [floor, 0.99): the ratio tier scores the
+    # pair exactly, with no LCS pass, and reads no row slot
+    @pytest.mark.parametrize("a, b", [
+        ("quick brown fox jumps over lazy dog", "quick brown fox leaps over lazy dog"),
+        ("dog over lazy mat red", "over mat kite dog lazy"),
+    ], ids=["accepted", "rejected"])
+    def test_plausible_pair_runs_no_pass(self, monkeypatch, a, b):
+        ctx = self.make_ctx()
+        pa, pb = ctx.prepare(a), ctx.prepare(b)
+        assert DEFAULT_CHAIN.floor <= COMPARATORS["overlap"](pa, pb, ctx, DEFAULT_CHAIN) < 0.99
+        ctx.set_row(pa, [similarity.PackedStrings([pb.joined])])
+        passes = self.counting(monkeypatch, "_lcs_run")
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, ctx)
+        assert passes == []
+        assert got == chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx(), exact=True)
+
+    def test_plausible_pair_is_rejected_with_its_exact_score(self):
+        # the gate's bound, 22/43, is below the floor, so it would have
+        # been the score; the exact ratio is 18/43
+        a, b = "dog over lazy mat red", "over mat kite dog lazy"
+        ctx = self.make_ctx()
+        pa, pb = ctx.prepare(a), ctx.prepare(b)
+        assert oracles.lcs_length(pa.joined, pb.joined) == 11
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, ctx)
+        assert (got.accepted, got.tier, got.score) == (False, 2, 18 / 43)
+
+    def test_plausible_pair_variants_share_one_pass(self, monkeypatch):
+        # the base ratio runs no pass; the synonym variants still share one
+        lex = SynonymLexicon({"dog": ["cat", "hound"], "red": ["blue"]})
+        a, b = "dog over lazy mat red", "over mat kite dog lazy"
+        passes = self.counting(monkeypatch, "_lcs_run")
+        got = chain_evaluate(a, b, DEFAULT_CHAIN, self.make_ctx(lex))
+        assert len(passes) == 1
+        assert not got.accepted and got.score < DEFAULT_CHAIN.floor
 
     def test_comparator_outside_the_chain_is_exact(self):
         ctx = self.make_ctx()
