@@ -10,6 +10,7 @@ first-come without vetoes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -22,6 +23,7 @@ from .similarity import (
     ChainDecision,
     ComparatorChain,
     PackedStrings,
+    chain_bound,
     chain_evaluate,
 )
 
@@ -117,14 +119,24 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     tiers as plain numbers: an incumbent accepted at the overlap tier can
     lose to a contender whose ratio-tier score is strictly higher. The
     incumbent's score is an accepted one, so at least the chain's floor,
-    and a contender scoring below the floor never wins. Candidates are
-    scored in target order, and the first one accepted at 1.0, the top
-    score a comparator may return, wins at once: a later candidate can
-    only tie it, and no contender can score strictly higher, so the
-    rest of the row is not scored and no contest is held. Source lines
+    and a contender scoring below the floor never wins. Source lines
     left without a surviving candidate are dropped with the best score
     they saw (see FilterResult); never-accepted target lines are dropped
     too.
+
+    Only candidates that can still win are scored. A line scores its
+    candidates nearest the diagonal first, ties to the lower index. Once
+    one is accepted, the best accepted so far (score s at j*) bounds the
+    rest: a candidate whose chain bound (similarity.chain_bound) is below
+    s, or equal to s at an index above j*, is not scored, and neither is
+    a contender whose bound is at most the score it would have to beat.
+    A candidate accepted at 1.0 thus ends its row's higher indices and
+    holds no contest. When the line's best candidate is vetoed, the
+    candidates its score bounded are scored before the next one is
+    tried. The result is the same as scoring every candidate, and the
+    best score of a dropped line is unchanged: a skipped candidate scores
+    at most s. A chain without a bound (similarity.chain_bound gives
+    None) skips only what a 1.0 settles.
     """
     if bitext.trans is None:
         raise DataError(
@@ -143,26 +155,39 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     # scores again (contests skip it too), so its row is dropped then; a
     # later line with the same text recomputes the same decisions.
     memo: dict[str, dict[str, ChainDecision]] = {}
+    bound = chain_bound(cfg.chain, ctx)
+
+    def known(i: int, j: int) -> Optional[ChainDecision]:
+        row = memo.get(trans[i])
+        return None if row is None else row.get(tgt[j])
 
     def decide(i: int, j: int) -> ChainDecision:
-        row = memo.get(trans[i])
-        if row is None:
-            row = memo[trans[i]] = {}
-        d = row.get(tgt[j])
+        d = known(i, j)
         if d is None:
-            d = row[tgt[j]] = chain_evaluate(trans[i], tgt[j], cfg.chain, ctx)
+            d = memo.setdefault(trans[i], {})[tgt[j]] = chain_evaluate(
+                trans[i], tgt[j], cfg.chain, ctx)
         return d
+
+    def bounded_by(i: int, j: int, lead: float) -> bool:
+        # decide(i, j) has not run, and it would score at most lead: no
+        # score exceeds 1.0, and the chain's bound shows the rest; nothing
+        # is memoized
+        return known(i, j) is None and (
+            lead >= 1.0 or bound is not None and bound(trans[i], tgt[j], lead) <= lead)
 
     def diagonal(i: int) -> int:
         return round(i * n_tgt / n_src)
 
-    def candidates_of(i: int) -> range:
-        if cfg.window is None:
-            return range(n_tgt)
-        center = diagonal(i)
-        lo = max(0, center - cfg.window)
-        hi = min(n_tgt - 1, center + cfg.window)
-        return range(lo, hi + 1)
+    # A row's offsets from the diagonal, nearest first, ties to the lower
+    # index: 0, -1, 1, -2, 2, ...
+    reach = cfg.window if cfg.window is not None else n_tgt
+    offsets = [0] + [o for d in range(1, reach + 1) for o in (-d, d)]
+
+    def candidates_of(i: int) -> list[int]:
+        # the open targets in i's window, in offset order
+        c = diagonal(i)
+        return [j for o in offsets if 0 <= (j := c + o) < n_tgt
+                and (cfg.allow_reuse or j not in consumed)]
 
     def in_window(k: int, j: int) -> bool:
         return cfg.window is None or abs(j - diagonal(k)) <= cfg.window
@@ -179,7 +204,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
                 [ctx.prepare(tgt[j]).joined
                  for j in range(c * _PACK_CHUNK, min((c + 1) * _PACK_CHUNK, n_tgt))
                  if cfg.allow_reuse or j not in consumed])
-            for c in range(row[0] // _PACK_CHUNK, row[-1] // _PACK_CHUNK + 1)
+            for c in range(min(row) // _PACK_CHUNK, max(row) // _PACK_CHUNK + 1)
         }
         ctx.set_row(ctx.prepare(trans[i]), packs.values())
 
@@ -200,36 +225,65 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
             ctx.forget(tgt[j])
         return True
 
+    def rank(c: tuple[int, ChainDecision]) -> tuple[float, int]:
+        return -c[1].score, c[0]
+
     def try_match(i: int, veto_active: bool) -> bool:
-        row = [j for j in candidates_of(i) if cfg.allow_reuse or j not in consumed]
+        row = candidates_of(i)
         pack = len(row) >= _PACKED_ROW_MIN
-        cands: list[tuple[int, ChainDecision]] = []
-        best = best_seen.get(i, 0.0)
-        seen = memo.get(trans[i], {})
-        for j in row:
-            if pack and tgt[j] not in seen:
+
+        def score(j: int) -> ChainDecision:
+            nonlocal pack
+            if pack and known(i, j) is None:
                 set_row(i, row)
                 pack = False
-            d = decide(i, j)
+            return decide(i, j)
+
+        cands: list[tuple[int, ChainDecision]] = []
+        bounded: list[int] = []
+        best = best_seen.get(i, 0.0)
+        top: Optional[tuple[int, ChainDecision]] = None  # the incumbent
+        for j in row:
+            # A candidate that cannot beat the incumbent, the best accepted
+            # so far, is not scored: its bound is below the incumbent's
+            # score, or equal to it at a higher index (ties go to the
+            # lower). Its score is then at most best, so best stays exact.
+            if top is not None:
+                lead = top[1].score
+                if j < top[0]:
+                    lead = math.nextafter(lead, -1.0)
+                if bounded_by(i, j, lead):
+                    bounded.append(j)
+                    continue
+            d = score(j)
             if d.score > best:
                 best = d.score
             if d.accepted:
-                if d.score >= 1.0:
-                    # No score exceeds 1.0, so no later candidate outranks
-                    # j (a tie goes to the lower index) and no contender
-                    # outbids it: j wins without a contest.
-                    return take(i, j, d)
                 cands.append((j, d))
+                if top is None or rank((j, d)) < rank(top):
+                    top = (j, d)
         best_seen[i] = best
-        cands.sort(key=lambda c: (-c[1].score, c[0]))
-        for j, d in cands:
+        cands.sort(key=rank)
+        k = 0
+        while k < len(cands):
+            j, d = cands[k]
+            k += 1
             # The lookahead rule: a later unmatched line that could itself
-            # reach j takes it by scoring strictly higher.
+            # reach j takes it by scoring strictly higher. A contender
+            # whose bound is at most d.score is not scored.
             if veto_active and any(
-                decide(k, j).score > d.score
-                for k in range(i + 1, min(i + cfg.lookahead + 1, n_src))
-                if k not in matched and k not in skip and in_window(k, j)
+                not bounded_by(c, j, d.score) and decide(c, j).score > d.score
+                for c in range(i + 1, min(i + cfg.lookahead + 1, n_src))
+                if c not in matched and c not in skip and in_window(c, j)
             ):
+                if bounded:
+                    # the first veto: a bounded candidate may lead now
+                    for b in bounded:
+                        db = score(b)
+                        if db.accepted:
+                            cands.append((b, db))
+                    bounded = []
+                    cands[k:] = sorted(cands[k:], key=rank)
                 continue
             return take(i, j, d)
         return False

@@ -92,9 +92,20 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
+def _tokens(seq, idx: int, side: str) -> tuple:
+    """seq as a token tuple. A string raises DataError naming its segment
+    and side: its characters would otherwise be scored as tokens."""
+    if isinstance(seq, str):
+        raise DataError(f"segment {idx}: {side} is a string; metrics take "
+                        "token lists")
+    return tuple(seq)
+
+
 def _normalize_corpus(cands, refs):
-    cand_toks = [tuple(c) for c in cands]
-    ref_toks = [[tuple(r) for r in group] for group in refs]
+    cand_toks = [_tokens(c, idx, "the candidate") for idx, c in enumerate(cands)]
+    ref_toks = [[_tokens(r, idx, f"reference {k}")
+                 for k, r in enumerate(_tokens(group, idx, "the reference group"))]
+                for idx, group in enumerate(refs)]
     if not cand_toks:
         raise DataError("empty candidate corpus")
     if len(cand_toks) != len(ref_toks):
@@ -353,7 +364,8 @@ def ter(cand, refs) -> TerBreakdown:
     each costing 1. The shift search greedily applies the most-reducing
     shift until none reduces the remaining edit distance (at most 50
     shifts); the cheapest reference wins. score = edits / mean reference
-    length.
+    length. The candidate and each reference are token lists: a string
+    raises DataError.
 
     Every distance comes from the word-parallel kernel (_advance) over the
     bitmasks of the reference and of the reversed reference, built once per
@@ -384,8 +396,9 @@ def ter(cand, refs) -> TerBreakdown:
     the floor, and ends at the first shift that reaches it (_best_shift).
     None of these changes the edits or the shifts.
     """
-    cand_t = tuple(cand)
-    ref_ts = [tuple(r) for r in refs]
+    cand_t = _tokens(cand, 0, "the candidate")
+    ref_ts = [_tokens(r, 0, f"reference {k}")
+              for k, r in enumerate(_tokens(refs, 0, "the reference group"))]
     if not ref_ts:
         raise DataError("ter needs at least one reference")
     best_edits = math.inf
@@ -716,15 +729,16 @@ def meteor(
     one-to-one matching with the fewest chunks (within the search budget of
     _stage_assignment). score = (10PR / (R + 9P)) * (1 - penalty) with
     penalty = 0.5 * (chunks/matches)^penalty_exponent, and 0 when nothing
-    matches.
+    matches. The candidate and the reference are token lists: a string
+    raises DataError.
 
     stats, when given, gets "meteor_capped": the names ("exact", "stem",
     "synonym") of the passes whose search ran out of budget.
     """
     # A negative exponent can lift the penalty above 1 and the score below 0.
     _at_least("METEOR penalty exponent", penalty_exponent, 0)
-    ct = tuple(cand)
-    rt = tuple(ref)
+    ct = _tokens(cand, 0, "the candidate")
+    rt = _tokens(ref, 0, "the reference")
     lex = lexicon if lexicon is not None else SynonymLexicon()
     matched: list[tuple[int, int]] = []
 
@@ -815,8 +829,10 @@ def metric_report(
     Every requested metric contributes its breakdown; BLEU, TER, and METEOR
     also carry the x100 percentage form. stats, when given, gets
     meteor_corpus's "meteor_capped" if METEOR runs. The metric names, each
-    known and named once, and the settings of the requested metrics are
-    checked before any of them is scored; an empty selection is an error.
+    known and named once, the settings of the requested metrics and the
+    corpus shape are checked before any of them is scored; an empty
+    selection is an error. Candidates and references are token lists: a
+    string raises DataError naming its segment and side.
     """
     known = ", ".join(METRIC_NAMES)
     if not metrics:
@@ -834,6 +850,7 @@ def metric_report(
         _at_least("NIST order", nist_order, 1)
     if "meteor" in metrics:
         _at_least("METEOR penalty exponent", meteor_penalty_exponent, 0)
+    cands, refs = _normalize_corpus(cands, refs)
     report: dict = {}
     if "bleu" in metrics:
         b = asdict(bleu(cands, refs, order=bleu_order))

@@ -261,7 +261,9 @@ class ChainContext:
     equal content tokens of every prepared sentence share one string, the
     scratch record of the pair chain_evaluate is scoring, and one line
     slot: the joined strings of the last first side a pair gate saw and of
-    its synonym variants, packed. The record and the slot make a context
+    its synonym variants, packed, and beside it a count slot holding the
+    character counts of the joined string of the last first side a bound
+    saw. The record and the slots make a context
     unsafe for concurrent chain_evaluate calls; the stoplist must not
     change while the context is in use, since the chunk table keeps what
     it removed, and the lexicon and variant cap must not change while it
@@ -290,6 +292,7 @@ class ChainContext:
         self._words: dict[str, str] = {}
         self._pair: _PairScratch | None = None
         self._line: tuple[PreparedSentence, PackedStrings] | None = None
+        self._counts: tuple[PreparedSentence, Counter] | None = None
         # (sentence, chunks, each chunk's LCS lengths once its pass ran)
         self.row: tuple[PreparedSentence, tuple[PackedStrings, ...], list] | None = None
 
@@ -330,6 +333,14 @@ class ChainContext:
             if len(self.lexicon):
                 variants = expand_variants(p.tokens, self.lexicon, self.variant_cap)
             slot = self._line = (p, PackedStrings([" ".join(v) for v in variants]))
+        return slot[1]
+
+    def _line_counts(self, p: PreparedSentence) -> Counter:
+        """The character counts of p's joined string, counted when p is
+        not the count slot's sentence, so about once per filtered line."""
+        slot = self._counts
+        if slot is None or slot[0] is not p:
+            slot = self._counts = (p, Counter(p.joined))
         return slot[1]
 
     def set_row(self, p: PreparedSentence | None, chunks=()) -> None:
@@ -415,9 +426,17 @@ def register_comparator(name: str, fn: Comparator, replace: bool = False) -> Non
 
     Registered names become valid in chain configs. A comparator's score
     must lie in [0, 1]: chain_evaluate raises ValueError naming the
-    comparator for any other score, NaN included, since a filter takes a
-    candidate scoring 1.0 as unbeatable. Re-registering an existing name
-    requires replace=True.
+    comparator for any other score, NaN included, since no score may
+    exceed the 1.0 that a filter's bounds assume. Re-registering an
+    existing name requires replace=True.
+
+    A comparator may carry a bound attribute, as the built-in ones do:
+    bound(pa, pb, ctx, lead) returns an upper bound on the score the
+    comparator gives the pair, inside chain_evaluate or with exact=True.
+    It may stop at its first check that settles whether the score can
+    exceed lead, so a value above lead may be loose, up to 1.0. A chain
+    with a tier whose comparator has no bound has no chain_bound, so
+    align_filter scores its pairs as it would without bounds.
     """
     if name in COMPARATORS and not replace:
         raise ConfigError(f"comparator {name!r} already registered")
@@ -518,6 +537,49 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     return best
 
 
+def _length_bound(na: int, nb: int) -> float:
+    """2 * min(na, nb) / (na + nb), 1.0 when both are 0: two sequences of
+    these lengths share no more elements than the shorter holds."""
+    t = na + nb
+    return 2.0 * min(na, nb) / t if t else 1.0
+
+
+def _bound_overlap(pa, pb, ctx, lead) -> float:
+    """The token-count bound, then, when that exceeds lead, the overlap
+    itself, which needs no more than the token Counters."""
+    bound = _length_bound(len(pa.tokens), len(pb.tokens))
+    return bound if bound <= lead else _cmp_overlap(pa, pb, ctx, None)
+
+
+def _bound_ratios(pa, pb, ctx, lead) -> float:
+    """The bound of the ratio and synonym_ratio tiers: the
+    character-length bound of the joined strings and, when that exceeds
+    lead, their character-bag bound 2 * sum_c min(count_a(c), count_b(c))
+    / total.
+
+    The blocks of a decomposition form a common subsequence, and a common
+    subsequence holds each character at most as often as either side, so
+    matches <= LCS <= bag: the bound is never below the ratio nor below
+    its LCS gate value. Without a lexicon the synonym score is the
+    ratio's, so one bound serves both tiers and chain_bound runs it once.
+    With a lexicon the bound is 1.0, so every pair is scored."""
+    if len(ctx.lexicon):
+        return 1.0
+    a, b = pa.joined, pb.joined
+    bound = _length_bound(len(a), len(b))
+    if bound <= lead or not b:
+        return bound
+    in_b = Counter(b).get
+    common = 0
+    for c, n in ctx._line_counts(pa).items():
+        k = in_b(c, 0)
+        common += n if n < k else k
+    return 2.0 * common / (len(a) + len(b))
+
+
+_cmp_overlap.bound = _bound_overlap
+_cmp_ratio.bound = _bound_ratios
+_cmp_synonym_ratio.bound = _bound_ratios
 register_comparator("overlap", _cmp_overlap)
 register_comparator("ratio", _cmp_ratio)
 register_comparator("synonym_ratio", _cmp_synonym_ratio)
@@ -571,6 +633,40 @@ def chain_evaluate(
         return ChainDecision(score >= chain.final_threshold, score, last, comp_id)
     finally:
         context._pair = None
+
+
+def chain_bound(chain: ComparatorChain,
+                context: ChainContext) -> Callable[[str, str, float], float] | None:
+    """A function bound(a, b, lead) giving an upper bound on
+    chain_evaluate(a, b, chain, context).score, with or without
+    exact=True, that runs no comparator: the largest of the tiers'
+    comparator bounds, each run once however many tiers share it, and
+    1.0 once one of them exceeds lead, since the pair must then be scored
+    anyway.
+
+    The bounds are those of the comparators registered when chain_bound
+    is called. None, when some tier's bound is 1.0 for every pair: its
+    comparator has no bound attribute (see register_comparator), or it is
+    a ratio tier and the context has a lexicon.
+    """
+    bounds = tuple(dict.fromkeys(getattr(COMPARATORS[comp_id], "bound", None)
+                                 for comp_id, _ in chain.tiers))
+    if None in bounds or (_bound_ratios in bounds and len(context.lexicon)):
+        return None
+
+    def bound(a: str, b: str, lead: float) -> float:
+        pa = context.prepare(a)
+        pb = context.prepare(b)
+        best = 0.0
+        for tier_bound in bounds:
+            value = tier_bound(pa, pb, context, lead)
+            if value > lead:
+                return 1.0
+            if value > best:
+                best = value
+        return best
+
+    return bound
 
 
 def load_chain_file(path: str | Path) -> ComparatorChain:

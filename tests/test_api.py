@@ -81,7 +81,8 @@ def test_removed_submodule_names_are_gone(module, name):
     assert name not in bifilter.__all__
 
 
-@pytest.mark.parametrize("module, name", [("similarity", "PackedStrings")])
+@pytest.mark.parametrize("module, name", [("similarity", "PackedStrings"),
+                                          ("similarity", "chain_bound")])
 def test_internal_names_are_not_exported(module, name):
     # reachable as a module attribute, but in no __all__
     submodule = importlib.import_module(f"bifilter.{module}")

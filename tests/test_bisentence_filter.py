@@ -256,32 +256,123 @@ class TestResolveConflict:
         assert self.run(mock_chain, {2: 0.0, 3: 0.95}, lookahead) == winner
 
 
+def chain_calls(monkeypatch) -> list:
+    """The (translation, target) pairs align_filter scores through
+    chain_evaluate, in order, from here on."""
+    calls = []
+    evaluate = bisentence_filter.chain_evaluate
+
+    def counted(a, b, chain, context):
+        calls.append((a, b))
+        return evaluate(a, b, chain, context)
+
+    monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted)
+    return calls
+
+
 class TestPerfectScore:
-    """A candidate accepted at 1.0 wins its row at once: a later candidate
-    can only tie it, ties go to the lower target index, and no contender
-    scores strictly higher. The rest of the row is not scored and no
-    contest is held."""
+    """A candidate accepted at 1.0 ends its row's higher indices: such a
+    candidate can only tie it, and ties go to the lower target index. No
+    contender scores strictly higher, so no contest is held. This holds
+    for comparators without a bound too: 1.0 bounds every score."""
 
     def test_no_chain_call_after_a_perfect_candidate(self, mock_chain, monkeypatch):
         # line 0 scores 0.8 on g0, then 1.0 on g1 and g2; line 1 would tie
         # it on g1 and could contest g0 and g1 from inside its window
         scores = {("t0", "g0"): 0.8, ("t0", "g1"): 1.0, ("t0", "g2"): 1.0,
                   ("t1", "g0"): 0.9, ("t1", "g1"): 1.0}
-        calls = []
-        evaluate = bisentence_filter.chain_evaluate
-
-        def counted(a, b, chain, context):
-            calls.append((a, b))
-            return evaluate(a, b, chain, context)
-
-        monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted)
+        calls = chain_calls(monkeypatch)
         cfg = FilterConfig(chain=mock_chain(scores), window=None, context=empty_ctx())
         bitext = make_bitext(["t0", "t1"], ["g0", "g1", "g2"])
         res = align_filter(bitext, cfg)
         assert [(i, j, score) for i, j, score, _ in res.accepted] == [(0, 1, 1.0), (1, 0, 0.9)]
         # line 0 stops at g1: no call on g2 and no contest call on g1; line
-        # 1 then scores its open candidates g0 and g2
-        assert calls == [("t0", "g0"), ("t0", "g1"), ("t1", "g0"), ("t1", "g2")]
+        # 1 then scores its open candidates nearest its diagonal, g2, first
+        assert calls == [("t0", "g0"), ("t0", "g1"), ("t1", "g2"), ("t1", "g0")]
+        assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+            oracles.reference_align_filter(bitext, cfg)
+
+
+class TestRowBound:
+    """Once a line has an accepted candidate, a candidate whose chain bound
+    cannot beat it is not scored, and neither is a contender whose bound
+    is at most the score it would have to beat."""
+
+    def test_bounded_candidate_reaches_no_chain_call(self, monkeypatch):
+        words = "alpha beta gamma delta epsilon zeta eta theta".split()
+        line = " ".join(words)
+        targets = [line + "s",  # 0.989 at the ratio tier
+                   " ".join(words[:7]),  # accepted at 0.929, bound 0.933
+                   " ".join(words[:6]),  # accepted at 0.875, bound 0.875
+                   line]  # 1.0: its bound exceeds 0.989, so it is scored
+        ctx = empty_ctx()
+        first = chain_evaluate(line, targets[0], DEFAULT_CHAIN, ctx)
+        bound = similarity.chain_bound(DEFAULT_CHAIN, ctx)
+        for b in targets[1:3]:
+            assert chain_evaluate(line, b, DEFAULT_CHAIN, ctx).accepted
+            assert bound(line, b, first.score) <= first.score
+        calls = chain_calls(monkeypatch)
+        cfg = FilterConfig(chain=DEFAULT_CHAIN, window=None, context=empty_ctx())
+        bitext = make_bitext([line], targets)
+        res = align_filter(bitext, cfg)
+        assert calls == [(line, targets[0]), (line, targets[3])]
+        assert res.accepted == ((0, 3, 1.0, 0),)
+        assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+            oracles.reference_align_filter(bitext, cfg)
+
+    @pytest.fixture
+    def bounded_chain(self):
+        """A one-tier chain of canned scores whose comparator carries a
+        canned bound (its score where none is given)."""
+        tables = {}
+
+        def cmp(pa, pb, ctx, chain):
+            return tables["scores"].get((pa.text, pb.text), 0.0)
+
+        cmp.bound = lambda pa, pb, ctx, lead: tables["bounds"].get(
+            (pa.text, pb.text), cmp(pa, pb, ctx, None))
+        register_comparator("canned_bound", cmp, replace=True)
+
+        def build(scores, bounds):
+            tables.update(scores=scores, bounds=bounds)
+            return ComparatorChain(tiers=(("canned_bound", 0.99),), final_threshold=0.5)
+
+        yield build
+        COMPARATORS.pop("canned_bound", None)
+
+    def test_vetoed_incumbent_falls_back_to_a_bounded_candidate(self, bounded_chain,
+                                                                monkeypatch):
+        # line 0 holds g0 at 0.9, which bounds g1 (0.8, bound 0.85) and g2
+        # (0.6); line 1 outbids it on g0, so line 0 then scores g1 and g2
+        # and takes g1. Line 1's bid on g1 is bounded by 0.8 and not scored.
+        scores = {("t0", "g0"): 0.9, ("t0", "g1"): 0.8, ("t0", "g2"): 0.6,
+                  ("t1", "g0"): 0.95, ("t1", "g1"): 0.7}
+        chain = bounded_chain(scores, {("t0", "g1"): 0.85, ("t1", "g1"): 0.8})
+        calls = chain_calls(monkeypatch)
+        cfg = FilterConfig(chain=chain, window=None, context=empty_ctx())
+        bitext = make_bitext(["t0", "t1"], ["g0", "g1", "g2"])
+        res = align_filter(bitext, cfg)
+        assert [(i, j, score) for i, j, score, _ in res.accepted] == [(0, 1, 0.8), (1, 0, 0.95)]
+        # line 1 then reads its bid on g0 from the memo and scores g2
+        assert calls == [("t0", "g0"), ("t1", "g0"), ("t0", "g1"), ("t0", "g2"),
+                         ("t1", "g2")]
+        assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+            oracles.reference_align_filter(bitext, cfg)
+
+    def test_tie_at_the_bound_goes_to_the_lower_index(self, bounded_chain, monkeypatch):
+        # line 1 scores g2, its diagonal, at 0.8 first. g1 is bounded at
+        # 0.8 and could tie at a lower index, so it is scored and leads;
+        # then g3 (bounded at 0.8, above g1) and g0 (bounded at 0.7) are
+        # not scored. Line 0 accepts nothing, so it contests nothing.
+        chain = bounded_chain({("t1", "g0"): 0.7, ("t1", "g1"): 0.8, ("t1", "g2"): 0.8,
+                               ("t1", "g3"): 0.8}, {})
+        calls = chain_calls(monkeypatch)
+        cfg = FilterConfig(chain=chain, window=None, context=empty_ctx())
+        bitext = make_bitext(["t0", "t1"], ["g0", "g1", "g2", "g3"])
+        res = align_filter(bitext, cfg)
+        assert res.accepted == ((1, 1, 0.8, 0),)
+        assert calls == [("t0", "g0"), ("t0", "g1"), ("t0", "g2"), ("t0", "g3"),
+                         ("t1", "g2"), ("t1", "g1")]
         assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
             oracles.reference_align_filter(bitext, cfg)
 
@@ -612,10 +703,13 @@ class TestPackedRows:
 
 class TestReferenceFilter:
     """align_filter against oracles.reference_align_filter, which scores
-    every pair exactly, packs nothing and settles contests by argmax. The
-    default chain exercises the LCS gates and packed rows; a chain of
-    canned scores in steps of 0.1, drawn per text pair from a seed,
-    exercises contests and ties."""
+    every pair exactly, packs nothing, skips nothing and settles contests
+    by argmax. The default chain exercises the LCS gates, packed rows and
+    the built-in bounds; a chain of canned scores in steps of 0.1, drawn
+    per text pair from a seed, exercises contests and ties. With bounded,
+    the canned comparator carries a bound: its score plus a drawn slack
+    of 0 to 0.3, capped at 1, so skips, ties at the bound, contests a
+    bound settles and the fallback after a veto are frequent."""
 
     @staticmethod
     def config(canned, *args):
@@ -628,25 +722,35 @@ class TestReferenceFilter:
     @settings(max_examples=150, deadline=None)
     @given(PACKED_BITEXT, st.none() | st.integers(0, 2 ** 16),
            st.sampled_from([0, 1, 2, 30, None]), st.integers(0, 3), st.integers(0, 3),
-           st.booleans())
+           st.booleans(), st.booleans())
     # line 3 outscores line 1 on target 0 but may not contest it: target 0
     # is outside line 3's window
     @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4,
                              set())),
-             None, 2, 2, 1, True)
+             None, 2, 2, 1, True, False)
     # two candidates at 1.0 in line 0's row (targets 0 and 1): the lower
     # index wins without a contest
     @example(_packed_bitext((["cat sat", "dog ran"], ["mat", "cat sat", "dog"], set())),
-             None, 2, 1, 1, False)
+             None, 2, 1, 1, False, False)
     # two lines at 1.0 on target 0, the only copy of their text: the
     # earlier keeps it, the later drops
     @example(_packed_bitext((["cat sat", "cat sat", "dog"], ["park", "game", "sport"],
                              set())),
-             None, None, 1, 2, False)
-    def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse):
-        def cmp(pa, pb, ctx, chain):
-            return random.Random(f"{canned}|{pa.text}|{pb.text}").randrange(11) / 10
+             None, None, 1, 2, False, False)
+    def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse,
+                           bounded):
+        def drawn(pa, pb):
+            return random.Random(f"{canned}|{pa.text}|{pb.text}")
 
+        def cmp(pa, pb, ctx, chain):
+            return drawn(pa, pb).randrange(11) / 10
+
+        def bound(pa, pb, ctx, lead):
+            rng = drawn(pa, pb)
+            return min(1.0, (rng.randrange(11) + rng.randrange(4)) / 10)
+
+        if bounded:
+            cmp.bound = bound
         register_comparator("oracle_canned", cmp, replace=True)
         try:
             args = (canned, window, lookahead, rounds, allow_reuse)

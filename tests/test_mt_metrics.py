@@ -824,6 +824,49 @@ class TestMetricReport:
         assert "bleu" in got and "ter" not in got
 
 
+class TestStringSegments:
+    """A plain string where a token list belongs is refused, naming the
+    segment and side: scored as it stands, its characters would be the
+    tokens (BLEU 0.2582 for two unrelated sentences whose tokenized form
+    scores 0)."""
+
+    SCORERS = [bleu, nist, ter_corpus, meteor_corpus, metric_report]
+    GOOD = ["the", "cat", "sat"]
+
+    @pytest.mark.parametrize("scorer", SCORERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("cands, refs, message", [
+        (["the cat sat on the mat"], [["a dog ran in the park"]],
+         "segment 0: the candidate is a string"),
+        ([GOOD, GOOD], [[GOOD], [GOOD, "the cat sat"]], "segment 1: reference 1 is a string"),
+        ([GOOD], ["the cat sat"], "segment 0: the reference group is a string"),
+    ], ids=["candidate", "reference", "group"])
+    def test_string_is_refused(self, scorer, cands, refs, message):
+        with pytest.raises(DataError, match=message):
+            scorer(cands, refs)
+
+    @pytest.mark.parametrize("cand, refs, message", [
+        ("the cat sat", [GOOD], "segment 0: the candidate is a string"),
+        (GOOD, [GOOD, "the dog sat"], "segment 0: reference 1 is a string"),
+        (GOOD, "the dog sat", "segment 0: the reference group is a string"),
+    ], ids=["candidate", "reference", "group"])
+    def test_ter_refuses_a_string(self, cand, refs, message):
+        # scored as characters, ter('the cat sat', ['the dog sat']) was 3/11
+        with pytest.raises(DataError, match=message):
+            ter(cand, refs)
+
+    @pytest.mark.parametrize("cand, ref, message", [
+        ("the cat sat", GOOD, "segment 0: the candidate is a string"),
+        (GOOD, "the dog sat", "segment 0: the reference is a string"),
+    ], ids=["candidate", "reference"])
+    def test_meteor_refuses_a_string(self, cand, ref, message):
+        with pytest.raises(DataError, match=message):
+            meteor(cand, ref)
+
+    def test_tokenized_call_is_unchanged(self):
+        cand, ref = "the cat sat on the mat".split(), "a dog ran in the park".split()
+        assert metric_report([cand], [[ref]])["bleu"]["score"] == 0.0
+
+
 class TestWorkedExamples:
     """One corpus per metric, scored by hand from the formula README's
     evaluate section states. Each comment names mutants of the formula and

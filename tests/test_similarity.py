@@ -799,6 +799,96 @@ class TestChainFloor:
                 assert full.score <= fast.score < chain.floor
 
 
+class TestBounds:
+    """Each built-in comparator's bound is at least the score it gives,
+    inside chain_evaluate and with exact=True, and the chain's bound is at
+    least the decision's score, whatever lead the bounds stop at."""
+
+    # Unicode words, some of repeated characters so that character bags
+    # collide; a side may be empty or all stopwords
+    WORD = (st.sampled_from(WORDS + ["żółw", "naïve", "ß", "aaa", "aa", "İstanbul", "\U0001f600"])
+            | st.text(alphabet="ab żß", min_size=1, max_size=4)
+            | st.text(min_size=1, max_size=5))
+    SENTENCE = st.lists(WORD, max_size=10).map(" ".join)
+    LEAD = st.sampled_from([0.0, 0.5, 0.55, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    BUILT_IN = ("overlap", "ratio", "synonym_ratio")
+
+    @given(
+        st.lists(SENTENCE, min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(0, 2), SENTENCE), min_size=1, max_size=6),
+        st.lists(st.tuples(st.sampled_from(BUILT_IN), THRESHOLDS),
+                 min_size=1, max_size=4).map(tuple),
+        THRESHOLDS,
+        st.booleans(),
+        st.none() | TestChainFloor.LEXICON,
+        st.sampled_from([1, 3, 64]),
+        LEAD,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_hold(self, sources, pairs, tiers, final, stop, entries, cap, lead):
+        ctx = ChainContext(stoplist=StopList.from_words(["the", "a"] if stop else []),
+                           lexicon=SynonymLexicon(entries or {}), variant_cap=cap)
+        # every built-in tier runs: no score below 1.0 accepts early
+        every = ComparatorChain(tiers=tuple((name, 1.0) for name in self.BUILT_IN),
+                                final_threshold=final)
+        chain = ComparatorChain(tiers=tiers, final_threshold=final)
+        bound = similarity.chain_bound(chain, ctx) or (lambda a, b, lead: 1.0)
+        originals = {name: COMPARATORS[name] for name in self.BUILT_IN}
+        scored = []
+
+        def recorded(name):
+            def comparator(pa, pb, ctx, chain):
+                score = originals[name](pa, pb, ctx, chain)
+                scored.append((name, pa, pb, score))
+                return score
+            return comparator
+
+        for k, b in pairs:
+            a = sources[k % len(sources)]
+            for exact in (False, True):
+                try:
+                    for name in self.BUILT_IN:
+                        COMPARATORS[name] = recorded(name)
+                    chain_evaluate(a, b, every, ctx, exact=exact)
+                finally:
+                    COMPARATORS.update(originals)
+                for name, pa, pb, score in scored:
+                    for at in (lead, score):
+                        assert originals[name].bound(pa, pb, ctx, at) >= score
+                scored.clear()
+                d = chain_evaluate(a, b, chain, ctx, exact=exact)
+                for at in (lead, d.score):
+                    assert bound(a, b, at) >= d.score
+
+    def test_chain_bound_covers_every_tier(self):
+        # the overlap tier's 0.5 exceeds the lead, and the ratio tier then
+        # scores 14/15: a chain bound stopping at the overlap's value
+        # would be below the decision's score
+        ctx = ChainContext(stoplist=StopList.from_words([]), lexicon=SynonymLexicon())
+        chain = ComparatorChain(tiers=(("overlap", 0.9), ("ratio", 0.9)),
+                                final_threshold=0.5)
+        d = chain_evaluate("cats sat", "cat sat", chain, ctx)
+        assert d.score == pytest.approx(14 / 15)
+        assert similarity.chain_bound(chain, ctx)("cats sat", "cat sat", 0.4) >= d.score
+
+    def test_unbounded_tier_leaves_the_chain_without_a_bound(self):
+        register_comparator("no_bound", lambda pa, pb, ctx, chain: 0.0, replace=True)
+        try:
+            chain = ComparatorChain(tiers=(("overlap", 0.99), ("no_bound", 0.5)))
+            assert similarity.chain_bound(chain, ChainContext()) is None
+        finally:
+            COMPARATORS.pop("no_bound")
+        # the bag bound: the shared space only
+        assert similarity.chain_bound(DEFAULT_CHAIN, ChainContext())("a b", "c d", 0.5) == \
+            2 / 6
+        # with a lexicon the ratio tiers are not bounded, nor is the chain
+        ctx = ChainContext(lexicon=SynonymLexicon({"x": ("y",)}))
+        assert COMPARATORS["synonym_ratio"].bound(
+            ctx.prepare("a b"), ctx.prepare("c d"), ctx, 0.5) == 1.0
+        assert similarity.chain_bound(DEFAULT_CHAIN, ctx) is None
+        assert similarity.chain_bound(ComparatorChain(tiers=(("overlap", 0.9),)), ctx)
+
+
 class TestChainConfig:
     def test_unknown_comparator_rejected_at_construction(self):
         with pytest.raises(ConfigError):
