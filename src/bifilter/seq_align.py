@@ -103,6 +103,18 @@ def _checked(value: float) -> float:
     return value
 
 
+def _check_gap(n: int, m: int, gap: float) -> None:
+    """ConfigError unless every sum an engine forms on n x m lines with
+    this gap penalty stays finite. A path's gain is at least -gap(n + m),
+    and A*'s bound of what is still reachable is too, so 2·gap(n + m)
+    bounds every |value|; past the float range the gains turn into -inf
+    and A* cannot tell a reached node from an unseen one."""
+    if math.isinf(2 * (n + m) * gap):
+        raise ConfigError(
+            f"gap_penalty {gap} is too large for {n} x {m} lines: "
+            f"2 * gap * {n + m} overflows a float")
+
+
 def _checked_row(row: list[float], m: int) -> list[float]:
     """row, a scorer's against() result for m target lines, checked as
     _checked checks each value: min and max, plus the sum, since a NaN
@@ -261,7 +273,6 @@ def equality_scorer(a: str, b: str) -> float:
 # B[j-1]; _GAP_A from (i-1, j), leaving A[i-1] unaligned; _GAP_B from
 # (i, j-1), leaving B[j-1] unaligned. Node (i, j) has the key i * (m + 1) + j.
 _MATCH, _GAP_A, _GAP_B = 0, 1, 2
-_UNSEEN = (float("-inf"), _MATCH)
 
 
 def _backtrace(n: int, m: int, move_at, like_at) -> Alignment:
@@ -311,6 +322,7 @@ def nw_align(
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
+    _check_gap(n, m, gap)
     width = m + 1
     moves = bytearray(width * (n + 1))  # all _MATCH until written
     moves[1:width] = bytes([_GAP_B]) * m
@@ -381,51 +393,83 @@ def astar_align(
     Reaches the same objective as nw_align but calls the scorer lazily,
     only for cells the search actually expands; at most once per cell.
     _heuristic never underestimates the best gain still reachable, so the
-    first goal expansion is optimal. Pass a dict as
-    ``stats`` to receive scorer_calls and expanded counts.
+    first goal expansion is optimal. The loop computes _heuristic's value
+    for each successor inline, grouped as _heuristic groups it (the bound
+    first, then added to the gain), so ties fall as they would through the
+    call. Each reached node keeps one float, its best gain, and one move.
+    Pass a dict as ``stats`` to receive scorer_calls and expanded counts.
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
+    _check_gap(n, m, gap)
     width = m + 1
     goal = n * width + m
-    # cell key -> likelihood; node key -> (best gain found, move into it)
+    # cell key -> likelihood; node key -> best gain found; node key -> the
+    # move into it
     cache: dict[int, float] = {}
-    best: dict[int, tuple[float, int]] = {0: (0.0, _MATCH)}
+    gains: dict[int, float] = {0: 0.0}
+    moves: dict[int, int] = {0: _MATCH}
+    unseen = float("-inf")
+    push, pop = heapq.heappush, heapq.heappop
     counter = 0
     heap = [(-_heuristic(n, m, gap), 0, 0.0, 0)]
     expanded = 0
     while heap:
-        _neg_f, _seq, g, key = heapq.heappop(heap)
-        if g < best[key][0]:
+        _neg_f, _seq, g, key = pop(heap)
+        if g < gains[key]:
             continue
         if key == goal:
             break
         expanded += 1
         i, j = divmod(key, width)
-        # (successor key, its gain, the move into it, lines left on each side)
-        succs = []
-        if i < n and j < m:
+        rest_a, rest_b = n - i, m - j
+        # successors in the order _MATCH, _GAP_A, _GAP_B; each bound is
+        # _heuristic(lines left after the move, gap)
+        if rest_a and rest_b:
             s = cache.get(key)
             if s is None:
-                s = cache[key] = _checked(scorer(doc_a[i], doc_b[j]))
-            succs.append((key + width + 1, g + s, _MATCH, n - i - 1, m - j - 1))
-        if i < n:
-            succs.append((key + width, g - gap, _GAP_A, n - i - 1, m - j))
-        if j < m:
-            succs.append((key + 1, g - gap, _GAP_B, n - i, m - j - 1))
-        for succ, sg, move, rest_a, rest_b in succs:
-            if sg > best.get(succ, _UNSEEN)[0]:
-                best[succ] = (sg, move)
+                s = scorer(doc_a[i], doc_b[j])
+                # a float in [0, 1] is what _checked would return as is
+                if type(s) is not float or not 0.0 <= s <= 1.0:
+                    s = _checked(s)
+                cache[key] = s
+            succ = key + width + 1
+            sg = g + s
+            if sg > gains.get(succ, unseen):
+                gains[succ] = sg
+                moves[succ] = _MATCH
                 counter += 1
-                f = sg + _heuristic(rest_a, rest_b, gap)
-                heapq.heappush(heap, (-f, counter, sg, succ))
+                x, y = rest_a - 1, rest_b - 1
+                h = (x if x < y else y) - gap * (x - y if x > y else y - x)
+                push(heap, (-(sg + h), counter, sg, succ))
+        sg = g - gap
+        if rest_a:
+            succ = key + width
+            if sg > gains.get(succ, unseen):
+                gains[succ] = sg
+                moves[succ] = _GAP_A
+                counter += 1
+                x = rest_a - 1
+                h = (x if x < rest_b else rest_b) - gap * (
+                    x - rest_b if x > rest_b else rest_b - x)
+                push(heap, (-(sg + h), counter, sg, succ))
+        if rest_b:
+            succ = key + 1
+            if sg > gains.get(succ, unseen):
+                gains[succ] = sg
+                moves[succ] = _GAP_B
+                counter += 1
+                y = rest_b - 1
+                h = (rest_a if rest_a < y else y) - gap * (
+                    rest_a - y if rest_a > y else y - rest_a)
+                push(heap, (-(sg + h), counter, sg, succ))
     else:
         raise DataError("alignment search exhausted without reaching the goal")
     if stats is not None:
         stats["scorer_calls"] = len(cache)
         stats["expanded"] = expanded
     return _backtrace(
-        n, m, lambda key: best[key][1], lambda i, j: cache[i * width + j]
+        n, m, moves.__getitem__, lambda i, j: cache[i * width + j]
     )
 
 

@@ -35,7 +35,11 @@ def _is_punct_char(ch: str) -> bool:
 
 def is_punct_token(token: str) -> bool:
     """True if the token consists only of punctuation characters."""
-    return bool(token) and all(_is_punct_char(c) for c in token)
+    # No alphanumeric character is punctuation, so a word token is settled
+    # by its first character.
+    if not token or token[0].isalnum():
+        return False
+    return all(_is_punct_char(c) for c in token)
 
 
 def tokenize(sentence: str) -> tuple[str, ...]:
@@ -119,7 +123,7 @@ def remove_stopwords(tokens: tuple[str, ...], stoplist: StopList) -> tuple[str, 
     """
     return tuple([
         t for t in tokens
-        if t not in stoplist and (t[:1].isalnum() or not is_punct_token(t))
+        if t not in stoplist and not is_punct_token(t)
     ])
 
 

@@ -354,6 +354,24 @@ class TestAlignCommand:
         assert err == f"error: gap_penalty must be finite and >= 0, got {float(gap)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    @pytest.mark.parametrize("gap", ["1e308", "9e307"])
+    def test_gap_too_large_for_the_documents_exits_2(self, engine, gap, write_lines,
+                                                      tmp_path, capsys):
+        # 2 * gap * (3 + 1) overflows; astar used to exhaust its search and
+        # exit 1 while dp exited 0
+        a = write_lines("a.txt", ["a", "b", "c"])
+        b = write_lines("b.txt", ["x"])
+        out = tmp_path / "pairs.tsv"
+        code, _, err = run([
+            "align", "--doc-a", str(a), "--doc-b", str(b),
+            "--engine", engine, "--gap", gap, "--out", str(out),
+        ], capsys)
+        assert code == 2
+        assert err == (f"error: gap_penalty {float(gap)} is too large for 3 x 1 "
+                       "lines: 2 * gap * 4 overflows a float\n")
+        assert not out.exists()
+
     def test_dp_and_astar_byte_identical(self, write_lines, tmp_path, capsys):
         a = write_lines("a.txt", ["one", "two", "three"])
         b = write_lines("b.txt", ["one", "inserted", "two", "three"])

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -360,7 +361,7 @@ class TestAstarAlign:
                 if j < m:
                     assert h(i, j) >= -gap + h(i, j + 1) - 1e-12
 
-    def test_heuristic_counts_unavoidable_gaps(self, monkeypatch):
+    def test_heuristic_counts_unavoidable_gaps(self):
         """On a 12 x 6 grid the gap term saves scorer calls over the
         matches-only bound min(rest_a, rest_b), at the same objective."""
         rng = random.Random(0)
@@ -370,10 +371,9 @@ class TestAstarAlign:
         cfg = AlignConfig(gap_penalty=0.2)
         stats = {}
         al = astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
-        monkeypatch.setattr(seq_align, "_heuristic",
-                            lambda rest_a, rest_b, gap: float(min(rest_a, rest_b)))
-        old_stats = {}
-        old = astar_align(doc_a, doc_b, scorer, cfg, stats=old_stats)
+        old, old_stats = oracles.reference_astar_align(
+            doc_a, doc_b, scorer, 0.2,
+            heuristic=lambda rest_a, rest_b, gap: float(min(rest_a, rest_b)))
         assert stats["scorer_calls"] < old_stats["scorer_calls"]
         want = nw_align(doc_a, doc_b, scorer, cfg).objective(0.2)
         assert al.objective(0.2) == pytest.approx(want, abs=1e-9)
@@ -389,7 +389,7 @@ class TestTieBreakOracles:
     @given(
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=0, max_value=6),
-        st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7]),
         st.data(),
     )
     def test_engines_equal_references(self, n, m, gap, data):
@@ -551,6 +551,26 @@ class TestAlignDocuments:
         # gaps made astar exhaust its search
         with pytest.raises(ConfigError, match="gap_penalty must be finite and >= 0"):
             AlignConfig(gap_penalty=gap, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    @pytest.mark.parametrize("gap", [1e308, 9e307])
+    def test_gap_too_large_for_the_documents(self, engine, gap):
+        # gains of -gap·k overflowed to -inf, so astar exhausted its search
+        # where dp returned an alignment
+        cfg = AlignConfig(gap_penalty=gap, engine=engine)
+        message = re.escape(f"gap_penalty {gap} is too large for 3 x 1 lines")
+        with pytest.raises(ConfigError, match=message):
+            align_documents(["a", "x", "c"], ["x"], equality_scorer, cfg)
+
+    @pytest.mark.parametrize("engine", ["dp", "astar"])
+    def test_largest_gap_that_keeps_the_sums_finite(self, engine):
+        # 2 * gap * (3 + 1) is exactly the largest float. A pair's score is
+        # lost in the rounding of its gains, so any one pair is optimal.
+        gap = sys.float_info.max / 8
+        al = align_documents(["a", "x", "c"], ["x"], equality_scorer,
+                             AlignConfig(gap_penalty=gap, engine=engine))
+        assert (len(al.pairs), len(al.gaps_a), len(al.gaps_b)) == (1, 2, 0)
+        assert al.objective(gap) == -2 * gap
 
 
 class TestThresholdFilter:

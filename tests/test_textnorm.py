@@ -12,6 +12,7 @@ from bifilter.textnorm import (
     SynonymLexicon,
     default_stoplist,
     expand_variants,
+    is_punct_token,
     remove_stopwords,
     stem,
     tokenize,
@@ -50,11 +51,30 @@ class TestTokenize:
 
 
 def test_no_code_point_is_alphanumeric_and_punctuation():
-    # tokenize and remove_stopwords skip the punctuation checks for chunks
+    # tokenize and is_punct_token skip the punctuation checks for chunks
     # and tokens that start (and end) with an alphanumeric character
     both = [hex(cp) for cp in range(sys.maxunicode + 1)
             if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
     assert both == [], f"Unicode {unicodedata.unidata_version}"
+
+
+# A letter or digit of any script but ASCII, punctuation, and combining marks.
+_NON_ASCII_ALNUM = st.characters(categories=["L", "N"], min_codepoint=0x80)
+_PUNCT = st.characters(categories=["P"])
+_MARK = st.characters(categories=["M"])
+
+
+class TestIsPunctToken:
+    @given(st.one_of(
+        st.just(""),
+        st.text(),
+        st.tuples(_NON_ASCII_ALNUM, st.text(st.one_of(_PUNCT, _MARK))).map("".join),
+        st.text(st.one_of(_PUNCT, _MARK), min_size=1),
+        st.text(_PUNCT, min_size=1),
+    ))
+    def test_is_its_definition(self, token):
+        assert is_punct_token(token) == (
+            bool(token) and all(unicodedata.category(c).startswith("P") for c in token))
 
 
 class TestStopList:
