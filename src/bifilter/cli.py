@@ -125,9 +125,15 @@ def _load_context(args) -> ChainContext:
 
 def cmd_filter(args) -> int:
     started = time.monotonic()
-    chain = load_chain_file(args.chain) if args.chain else DEFAULT_CHAIN
     if args.provider_file and args.provider_cmd:
         raise ConfigError("give either --provider-file or --provider-cmd, not both")
+    # built before any file is read, so a bad option exits 2 whatever the files
+    provider = None
+    if args.provider_file:
+        provider = FileProvider(args.provider_file)
+    elif args.provider_cmd:
+        provider = CommandProvider(args.provider_cmd, batch_size=args.batch_size)
+    chain = load_chain_file(args.chain) if args.chain else DEFAULT_CHAIN
     cfg = FilterConfig(
         chain=chain,
         window=args.window,
@@ -137,12 +143,9 @@ def cmd_filter(args) -> int:
         context=_load_context(args),
     )
     bitext = load_bitext(args.src, args.tgt, args.trans)
-    if args.provider_file:
-        bitext = ensure_translations(bitext, FileProvider(args.provider_file))
-    elif args.provider_cmd:
-        bitext = ensure_translations(
-            bitext, CommandProvider(args.provider_cmd, batch_size=args.batch_size)
-        )
+    if provider is not None:
+        bitext = ensure_translations(bitext, provider)
+        del provider  # a file provider holds its lines
     if bitext.trans is None:
         raise ConfigError(
             "no translation layer: give --trans, --provider-file, or --provider-cmd"

@@ -80,9 +80,11 @@ def load_corpus(path: str | Path) -> tuple[str, ...]:
 
 def _corpus_text(lines, path) -> str:
     """One line per sentence, LF endings, trailing newline (no lines give
-    an empty text), so that load_corpus reads the lines back."""
+    an empty text), so that load_corpus reads the lines back. A line may
+    hold a CR anywhere but at its end, where the reader takes it for part
+    of a CRLF ending."""
     for idx, line in enumerate(lines):
-        if "\n" in line or "\r" in line:
+        if "\n" in line or line.endswith("\r"):
             raise DataError(
                 f"{path}: line {idx + 1} contains an embedded line terminator"
             )

@@ -515,8 +515,8 @@ def _biclique_matching_size(adj: dict[int, list[int]]) -> Optional[int]:
 
 _ASSIGN_NODE_CAP = 200_000
 
-# Memo keys of the two kinds of leaf below a search node; real states have
-# keys >= 0.
+# Memo keys of the two kinds of leaf below a search node; real states are
+# keyed by tuples.
 _PRUNED = -1  # too many candidates left unmatched to reach the target
 _COMPLETE = -2  # every candidate decided, target pairs made
 
@@ -530,29 +530,34 @@ def _assignment_children(space: tuple, state: tuple):
     bitmask of used reference positions, and the reference position whose
     pick at this depth would extend the path's last pair (-1 if none). gain
     is the change in chunk count the child's pick makes; key is the child's
-    memo key, or _PRUNED / _COMPLETE for a leaf.
+    memo key, (used & reach of its depth, depth, made, follow), or _PRUNED /
+    _COMPLETE for a leaf. follow is the next candidate's free reference
+    position that would extend the pick, else -1.
     """
-    choices, reach, slack, n, width = space
+    cands, adj, nexts, prior, reach, slack, n = space
     idx, made, used, ext = state
     nxt = idx + 1
-    for rj, bit, gain, follow in choices[idx]:
+    ci = cands[idx]
+    extendable = nexts[idx]
+    for rj in adj[ci]:
+        bit = 1 << rj
         if used & bit:
             continue
         c_used = used | bit
-        if follow >= 0 and c_used >> follow & 1:
+        follow = rj + 1
+        if follow not in extendable or c_used >> follow & 1:
             follow = -1
-        if nxt == n:
-            key = _COMPLETE
-        else:
-            key = (((c_used & reach[nxt]) * (n + 1) + nxt) * (n + 1)
-                   + made + 1) * width + follow + 1
-        yield key, gain - (rj == ext), rj, (nxt, made + 1, c_used, follow)
+        gain = 1 - (rj == ext)
+        if prior:
+            gain -= ((ci - 1, rj - 1) in prior) + ((ci + 1, rj + 1) in prior)
+        key = _COMPLETE if nxt == n else (c_used & reach[nxt], nxt, made + 1, follow)
+        yield key, gain, rj, (nxt, made + 1, c_used, follow)
     if nxt - made > slack:
         key = _PRUNED
     elif nxt == n:
         key = _COMPLETE
     else:
-        key = (((used & reach[nxt]) * (n + 1) + nxt) * (n + 1) + made) * width
+        key = (used & reach[nxt], nxt, made, -1)
     yield key, 0, None, (nxt, made, used, -1)
 
 
@@ -579,7 +584,7 @@ def _stage_assignment(
     can still take, and the reference position that a pick at idx would
     extend. The search runs that budgeted depth-first order on an explicit
     stack, so a long segment cannot overflow the interpreter's stack, and
-    memoizes each subtree it finishes under the state's integer key as
+    memoizes each subtree it finishes under the state's tuple key as
     (its node count, the fewest chunks a complete assignment in it adds).
     A child whose state is memoized with a count that fits the remaining
     budget is counted, not entered: that spends the same nodes and sees the
@@ -609,38 +614,28 @@ def _stage_assignment(
         return []
     cands = sorted(ci for ci in adj if adj[ci])
     n = len(cands)
-    prior_set = set(prior)
     # reach[idx]: the reference positions candidates idx.. can take
     reach = [0] * (n + 1)
     for idx in range(n - 1, -1, -1):
         reach[idx] = reach[idx + 1]
         for rj in adj[cands[idx]]:
             reach[idx] |= 1 << rj
-    # choices[idx]: (rj, bit, gain, follow) for each pick at depth idx; gain
-    # is the change in chunk count from adding (ci, rj) to prior, follow the
-    # next candidate's reference position that would extend the pick
-    choices = []
-    for idx, ci in enumerate(cands):
-        if idx + 1 < n and cands[idx + 1] == ci + 1:
-            extendable = set(adj[ci + 1])
-        else:
-            extendable = set()
-        choices.append([
-            (rj, 1 << rj,
-             1 - ((ci - 1, rj - 1) in prior_set) - ((ci + 1, rj + 1) in prior_set),
-             rj + 1 if rj + 1 in extendable else -1)
-            for rj in adj[ci]
-        ])
-    space = (choices, reach, n - target, n, reach[0].bit_length() + 1)
+    # nexts[idx]: the reference positions of the token after candidate
+    # idx's, when that token is a candidate; one set per adjacency list, as
+    # the exact and stem passes share a list among equal tokens
+    lists = {id(rjs): rjs for rjs in adj.values()}
+    sets = {key: set(rjs) for key, rjs in lists.items()}
+    nexts = [sets[id(adj[ci + 1])] if adj.get(ci + 1) else () for ci in cands]
+    space = (cands, adj, nexts, set(prior), reach, n - target, n)
     no_leaf = n + 1  # more chunks than any assignment adds: no complete leaf
-    root = (0, 0, 0, -1)  # its key is 0
+    root = (0, 0, 0, -1)  # its state, and its key too
     left = _ASSIGN_NODE_CAP  # nodes the search may still visit after the root
     capped = False
     found = None  # (chunks, pairs, state, its minimum)
     memo = {_PRUNED: (1, no_leaf), _COMPLETE: (1, 0)}  # key -> (nodes, minimum)
     # [key, children, left on entry, fewest chunks so far, chunks on the
     #  path, gain, pick]: gain and pick are those of the move into the frame
-    stack: list = [[0, _assignment_children(space, root), left, no_leaf, 0, 0, None]]
+    stack: list = [[root, _assignment_children(space, root), left, no_leaf, 0, 0, None]]
     while stack:
         frame = stack[-1]
         key, kids, entry, best, chunks, _, _ = frame

@@ -35,7 +35,9 @@ __all__ = [
 ]
 
 PairScorer = Callable[[str, str], float]
-"""(a, b) -> likelihood in [0, 1]; must return the same value for the same pair.
+"""(a, b) -> likelihood in [0, 1]; must return the same value for the same
+pair: the engines keep no likelihoods and score each aligned pair again at
+backtrace.
 
 A scorer may also have an ``against`` attribute: against(doc_b) returns a
 function mapping a line a to the list of scorer(a, b) for every b in doc_b,
@@ -275,19 +277,20 @@ def equality_scorer(a: str, b: str) -> float:
 _MATCH, _GAP_A, _GAP_B = 0, 1, 2
 
 
-def _backtrace(n: int, m: int, move_at, like_at) -> Alignment:
-    """Walk back from node (n, m) to (0, 0). move_at(key) is the move that
-    entered the node with that key; like_at(i, j) is the likelihood of pair
-    (i, j)."""
+def _backtrace(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
+               move_at) -> Alignment:
+    """Walk back from node (|A|, |B|) to (0, 0), scoring each aligned pair
+    again. move_at(key) is the move that entered the node with that key."""
+    m = len(doc_b)
     pairs: list[tuple[int, int, float]] = []
     gaps_a: list[int] = []
     gaps_b: list[int] = []
-    i, j = n, m
+    i, j = len(doc_a), m
     while i > 0 or j > 0:
         kind = move_at(i * (m + 1) + j)
         if kind == _MATCH:
             i, j = i - 1, j - 1
-            pairs.append((i, j, like_at(i, j)))
+            pairs.append((i, j, _checked(scorer(doc_a[i], doc_b[j]))))
         elif kind == _GAP_A:
             i -= 1
             gaps_a.append(i)
@@ -360,8 +363,7 @@ def nw_align(
             if move:
                 moves[key] = move
         prev = cur
-    return _backtrace(n, m, moves.__getitem__,
-                      lambda i, j: _checked(scorer(doc_a[i], doc_b[j])))
+    return _backtrace(doc_a, doc_b, scorer, moves.__getitem__)
 
 
 def _heuristic(rest_a: int, rest_b: int, gap: float) -> float:
@@ -390,30 +392,31 @@ def astar_align(
 ) -> Alignment:
     """Optimal monotone alignment by best-first search.
 
-    Reaches the same objective as nw_align but calls the scorer lazily,
-    only for cells the search actually expands; at most once per cell.
-    _heuristic never underestimates the best gain still reachable, so the
-    first goal expansion is optimal. The loop computes _heuristic's value
-    for each successor inline, grouped as _heuristic groups it (the bound
-    first, then added to the gain), so ties fall as they would through the
-    call. Each reached node keeps one float, its best gain, and one move.
-    Pass a dict as ``stats`` to receive scorer_calls and expanded counts.
+    Reaches the same objective as nw_align but calls the scorer lazily: a
+    cell is scored each time the search expands its node (once, unless
+    float rounding reopens the node with a better gain), then each aligned
+    pair again at backtrace, as nw_align does. _heuristic never
+    underestimates the best gain still reachable, so the first goal
+    expansion is optimal. The loop computes _heuristic's value for each
+    successor inline, grouped as _heuristic groups it (the bound first,
+    then added to the gain), so ties fall as they would through the call.
+    Each reached node keeps one float, its best gain, and one move. Pass a
+    dict as ``stats`` to receive scorer_calls (cells scored plus aligned
+    pairs) and expanded counts.
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
     _check_gap(n, m, gap)
     width = m + 1
     goal = n * width + m
-    # cell key -> likelihood; node key -> best gain found; node key -> the
-    # move into it
-    cache: dict[int, float] = {}
+    # node key -> best gain found; node key -> the move into it
     gains: dict[int, float] = {0: 0.0}
     moves: dict[int, int] = {0: _MATCH}
     unseen = float("-inf")
     push, pop = heapq.heappush, heapq.heappop
     counter = 0
     heap = [(-_heuristic(n, m, gap), 0, 0.0, 0)]
-    expanded = 0
+    expanded = scored = 0
     while heap:
         _neg_f, _seq, g, key = pop(heap)
         if g < gains[key]:
@@ -426,13 +429,11 @@ def astar_align(
         # successors in the order _MATCH, _GAP_A, _GAP_B; each bound is
         # _heuristic(lines left after the move, gap)
         if rest_a and rest_b:
-            s = cache.get(key)
-            if s is None:
-                s = scorer(doc_a[i], doc_b[j])
-                # a float in [0, 1] is what _checked would return as is
-                if type(s) is not float or not 0.0 <= s <= 1.0:
-                    s = _checked(s)
-                cache[key] = s
+            s = scorer(doc_a[i], doc_b[j])
+            scored += 1
+            # a float in [0, 1] is what _checked would return as is
+            if type(s) is not float or not 0.0 <= s <= 1.0:
+                s = _checked(s)
             succ = key + width + 1
             sg = g + s
             if sg > gains.get(succ, unseen):
@@ -465,12 +466,11 @@ def astar_align(
                 push(heap, (-(sg + h), counter, sg, succ))
     else:
         raise DataError("alignment search exhausted without reaching the goal")
+    alignment = _backtrace(doc_a, doc_b, scorer, moves.__getitem__)
     if stats is not None:
-        stats["scorer_calls"] = len(cache)
+        stats["scorer_calls"] = scored + len(alignment.pairs)
         stats["expanded"] = expanded
-    return _backtrace(
-        n, m, moves.__getitem__, lambda i, j: cache[i * width + j]
-    )
+    return alignment
 
 
 def align_documents(
@@ -481,8 +481,8 @@ def align_documents(
     stats: Optional[dict] = None,
 ) -> Alignment:
     """Run the engine selected by cfg.engine. Pass a dict as ``stats`` to
-    receive the engine's scorer_calls (the DP engine scores every cell,
-    then each aligned pair once more) and, for astar, its expanded count."""
+    receive the engine's scorer_calls (the cells it scored, then each
+    aligned pair once more) and, for astar, its expanded count."""
     if cfg.engine == "astar":
         return astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
     alignment = nw_align(doc_a, doc_b, scorer, cfg)

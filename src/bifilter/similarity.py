@@ -257,17 +257,16 @@ class ChainContext:
     """Shared comparator state: stoplist, synonym lexicon, variant cap, a
     cache of prepared sentences keyed by raw text (forget drops entries), a
     chunk table holding the content tokens of each whitespace-separated
-    chunk prepare has seen (never forgotten), a word table through which
-    equal content tokens of every prepared sentence share one string, the
-    scratch record of the pair chain_evaluate is scoring, and one line
-    slot: the joined strings of the last first side a pair gate saw and of
-    its synonym variants, packed, and beside it a count slot holding the
-    character counts of the joined string of the last first side a bound
-    saw. The record and the slots make a context
-    unsafe for concurrent chain_evaluate calls; the stoplist must not
-    change while the context is in use, since the chunk table keeps what
-    it removed, and the lexicon and variant cap must not change while it
-    is scoring.
+    chunk prepare has seen as one tuple, whose strings every sentence
+    holding the chunk shares (never forgotten), the scratch record of the
+    pair chain_evaluate is scoring, and one line slot: the joined strings
+    of the last first side a pair gate saw and of its synonym variants,
+    packed, and beside it a count slot holding the character counts of the
+    joined string of the last first side a bound saw. The record and the
+    slots make a context unsafe for concurrent chain_evaluate calls; the
+    stoplist must not change while the context is in use, since the chunk
+    table keeps what it removed, and the lexicon and variant cap must not
+    change while it is scoring.
 
     The row slot (set_row) serves a caller that scores one sentence
     against a window of targets: it holds that prepared sentence and
@@ -289,7 +288,6 @@ class ChainContext:
         self.variant_cap = variant_cap
         self._prepared: dict[str, PreparedSentence] = {}
         self._chunks: dict[str, tuple[str, ...]] = {}
-        self._words: dict[str, str] = {}
         self._pair: _PairScratch | None = None
         self._line: tuple[PreparedSentence, PackedStrings] | None = None
         self._counts: tuple[PreparedSentence, Counter] | None = None
@@ -307,10 +305,9 @@ class ChainContext:
             for chunk in sentence.split():
                 words = chunks.get(chunk)
                 if words is None:
-                    word = self._words.setdefault
-                    words = tuple([word(t, t)
-                                   for t in remove_stopwords(tokenize(chunk), self.stoplist)])
-                    # a chunk that is its own word is keyed by the shared word
+                    words = tuple(remove_stopwords(tokenize(chunk), self.stoplist))
+                    # a chunk that is its own word is keyed by that word, so the
+                    # key and the token are one string
                     chunks[words[0] if words == (chunk,) else chunk] = words
                 tokens += words
             hit = PreparedSentence(sentence, tuple(tokens))

@@ -268,14 +268,16 @@ def reference_nw_align(doc_a, doc_b, scorer, gap):
 
 def reference_astar_align(doc_a, doc_b, scorer, gap, heuristic):
     """seq_align.astar_align keyed by (i, j) tuples: (alignment, stats).
-    heuristic(rest_a, rest_b, gap) bounds the gain still reachable."""
+    heuristic(rest_a, rest_b, gap) bounds the gain still reachable. No
+    likelihood is kept: a cell is scored each time its node is expanded,
+    and each aligned pair again at backtrace; scorer_calls counts both."""
     n, m = len(doc_a), len(doc_b)
-    cache = {}
+    calls = 0
 
     def pair_score(i, j):
-        if (i, j) not in cache:
-            cache[(i, j)] = float(scorer(doc_a[i], doc_b[j]))
-        return cache[(i, j)]
+        nonlocal calls
+        calls += 1
+        return float(scorer(doc_a[i], doc_b[j]))
 
     best_g = {(0, 0): 0.0}
     parent = {}
@@ -305,9 +307,8 @@ def reference_astar_align(doc_a, doc_b, scorer, gap, heuristic):
                 heapq.heappush(heap, (-f, counter, sg, si, sj))
     else:
         raise AssertionError("search exhausted without reaching the goal")
-    alignment = _reference_backtrace(n, m, lambda i, j: parent[(i, j)],
-                                     lambda i, j: cache[(i, j)])
-    return alignment, {"scorer_calls": len(cache), "expanded": expanded}
+    alignment = _reference_backtrace(n, m, lambda i, j: parent[(i, j)], pair_score)
+    return alignment, {"scorer_calls": calls, "expanded": expanded}
 
 
 def reference_lexicon_score(dictionary, a, b) -> float:

@@ -773,7 +773,7 @@ class TestReferenceFilter:
            st.booleans())
     def test_context_reused_across_calls(self, bitext, window, lookahead, allow_reuse):
         # the first call leaves the context with forgotten sentences, a
-        # grown word table and a used line slot; none of it shows in the
+        # grown chunk table and a used line slot; none of it shows in the
         # second call's result
         cfg = self.config(None, window, lookahead, 3, allow_reuse)
         first = align_filter(bitext, cfg)
@@ -824,7 +824,8 @@ class TestHostileMemory:
             "--trans", str(paths["trans"]), "--window", "1", "--out-src", str(out_src),
             "--out-tgt", str(tmp_path / "o.tgt"), "--report", str(tmp_path / "rep.tsv"))
         assert len(out_src.read_text(encoding="utf-8").splitlines()) > 13000
-        # 84 MB measured (CPython 3.11); 67 MB without a chunk table, and
+        # 78 MB measured (CPython 3.11); 84 MB when a word table also kept
+        # one string per distinct word, 67 MB without a chunk table, and
         # 95 MB when each entry kept its chunk as a key string of its own
         assert peak_mb <= 100
 

@@ -222,6 +222,35 @@ class TestFilterCommand:
         ], capsys)
         assert code == 2
 
+    def test_batch_size_checked_before_any_file_is_read(self, tmp_path, capsys):
+        code, _, err = run([
+            "filter",
+            "--src", str(tmp_path / "missing.src"), "--tgt", str(tmp_path / "missing.tgt"),
+            "--provider-cmd", "cat", "--batch-size", "0",
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 2
+        assert "batch size must be >= 1, got 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interior_cr_written_back_byte_for_byte(self, tmp_path, capsys):
+        # the reader keeps a CR inside a line, so the writer must too
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_bytes("zrodlo 0\nPies\rbiega szybko.\nzrodlo 2\n".encode())
+        tgt.write_bytes(
+            "the cat sat on the mat\nThe dog\rruns fast.\ntwo birds sang\n".encode())
+        code, _, _ = run([
+            "filter", "--src", str(src), "--tgt", str(tgt), "--trans", str(tgt),
+            "--out-src", str(tmp_path / "o.src"),
+            "--out-tgt", str(tmp_path / "o.tgt"),
+            "--report", str(tmp_path / "rep.tsv"),
+        ], capsys)
+        assert code == 0
+        assert (tmp_path / "o.src").read_bytes() == src.read_bytes()
+        assert (tmp_path / "o.tgt").read_bytes() == tgt.read_bytes()
+
     def test_provider_cmd_fills_trans(self, write_lines, tmp_path, capsys):
         # source is its own translation through cat
         src = write_lines("src.txt", GOOD_LINES)

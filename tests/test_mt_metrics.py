@@ -1,11 +1,14 @@
+import json
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from peakrss import cli_peak_mb
 from bifilter import mt_metrics
 from bifilter.errors import ConfigError, DataError
 from bifilter.mt_metrics import (
@@ -777,6 +780,22 @@ class TestMeteorSearch:
         assert spy.call_count == 0
         assert (got.matches, got.chunks) == (400, 1)
         assert got.score == 1.0 - 0.5 * (1 / 400)
+
+    def test_one_repeated_word_over_1000_tokens_stays_small(self, tmp_path):
+        # the search derives each child's pick from the candidate's shared
+        # adjacency list, so memory follows the segment and the node cap,
+        # not candidates x positions (224 MB when a table held every pick)
+        line = tmp_path / "a.txt"
+        line.write_text(" ".join(["a"] * 1000) + "\n", encoding="utf-8")
+        report = tmp_path / "rep.json"
+        peak_mb = cli_peak_mb("evaluate", "--cand", str(line), "--ref", str(line),
+                              "--metrics", "meteor", "--report", str(report))
+        got = json.loads(report.read_text())["meteor"]
+        assert (got["matches"], got["chunks"]) == (1000, 1)
+        stats = json.loads(Path(f"{report}.manifest.json").read_text())["stats"]
+        assert stats == {"meteor_capped": [[0, "exact"]]}
+        # 22 MB measured (CPython 3.11)
+        assert peak_mb <= 60
 
     def test_stats_name_capped_segments_and_passes(self):
         cands = [["a", "b"], CAPPED_CAND, CAPPED_CAND]

@@ -461,14 +461,21 @@ class TestPrepare:
     @given(st.lists(SENTENCE, min_size=2, max_size=20))
     @example(["The market opened", "a market closed"])
     @example(["Cat, the cat.", "\x1c(cat\u2003CAT)", "..."])
-    def test_one_string_per_word(self, sentences):
+    def test_one_token_tuple_per_chunk(self, sentences):
+        # the tokens are the definition's, and a chunk seen before gives
+        # the very strings it gave then, from the chunk table
         ctx = ChainContext(stoplist=self.STOP)
         prepared = [ctx.prepare(s) for s in sentences]
         first: dict = {}
         for s, p in zip(sentences, prepared):
             assert p.tokens == remove_stopwords(tokenize(s), self.STOP)
-            for t in p.tokens:
-                assert first.setdefault(t, t) is t
+            at = 0
+            for chunk in s.split():
+                size = len(remove_stopwords(tokenize(chunk), self.STOP))
+                words = p.tokens[at:at + size]
+                assert all(x is y for x, y in zip(first.setdefault(chunk, words), words))
+                at += size
+            assert at == len(p.tokens)
 
     def test_forget(self):
         ctx = ChainContext()
