@@ -61,7 +61,8 @@ class FilterConfig:
     """Filter parameters.
 
     window is the candidate search half-width around the diagonal position
-    (None searches every target line). lookahead is how many subsequent
+    (None searches every target line, and so does any window at or above
+    the number of target lines). lookahead is how many subsequent
     source lines may contest a candidate before it is committed.
     displacement_rounds bounds the veto-and-retry iterations; contested
     leftovers then resolve first-come. context supplies the stoplist,
@@ -131,12 +132,13 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     s, or equal to s at an index above j*, is not scored, and neither is
     a contender whose bound is at most the score it would have to beat.
     A candidate accepted at 1.0 thus ends its row's higher indices and
-    holds no contest. When the line's best candidate is vetoed, the
-    candidates its score bounded are scored before the next one is
-    tried. The result is the same as scoring every candidate, and the
-    best score of a dropped line is unchanged: a skipped candidate scores
-    at most s. A chain without a bound (similarity.chain_bound gives
-    None) skips only what a 1.0 settles.
+    holds no contest. When the line's best candidate is vetoed, the row
+    is scanned again without it under the same rule: decisions are
+    memoized, so the rescan scores only what can beat its own incumbent.
+    The result is the same as scoring every candidate, and the best score
+    of a dropped line is unchanged: a skipped candidate scores at most s.
+    A chain without a bound (similarity.chain_bound gives None) skips
+    only what a 1.0 settles.
     """
     if bitext.trans is None:
         raise DataError(
@@ -180,7 +182,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
 
     # A row's offsets from the diagonal, nearest first, ties to the lower
     # index: 0, -1, 1, -2, 2, ...
-    reach = cfg.window if cfg.window is not None else n_tgt
+    reach = n_tgt if cfg.window is None else min(cfg.window, n_tgt)
     offsets = [0] + [o for d in range(1, reach + 1) for o in (-d, d)]
 
     def candidates_of(i: int) -> list[int]:
@@ -225,83 +227,63 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
             ctx.forget(tgt[j])
         return True
 
-    def rank(c: tuple[int, ChainDecision]) -> tuple[float, int]:
-        return -c[1].score, c[0]
+    def rank(j: int, d: ChainDecision) -> tuple[float, int]:
+        return -d.score, j
 
-    def try_match(i: int, veto_active: bool) -> bool:
+    def try_match(i: int, veto: bool) -> bool:
         row = candidates_of(i)
         pack = len(row) >= _PACKED_ROW_MIN
-
-        def score(j: int) -> ChainDecision:
-            nonlocal pack
-            if pack and known(i, j) is None:
-                set_row(i, row)
-                pack = False
-            return decide(i, j)
-
-        cands: list[tuple[int, ChainDecision]] = []
-        bounded: list[int] = []
-        best = best_seen.get(i, 0.0)
-        top: Optional[tuple[int, ChainDecision]] = None  # the incumbent
-        for j in row:
-            # A candidate that cannot beat the incumbent, the best accepted
-            # so far, is not scored: its bound is below the incumbent's
-            # score, or equal to it at a higher index (ties go to the
-            # lower). Its score is then at most best, so best stays exact.
-            if top is not None:
-                lead = top[1].score
-                if j < top[0]:
-                    lead = math.nextafter(lead, -1.0)
-                if bounded_by(i, j, lead):
-                    bounded.append(j)
+        vetoed: set[int] = set()
+        while True:
+            best = best_seen.get(i, 0.0)
+            top: Optional[tuple[int, ChainDecision]] = None  # the incumbent
+            for j in row:
+                if j in vetoed:
                     continue
-            d = score(j)
-            if d.score > best:
-                best = d.score
-            if d.accepted:
-                cands.append((j, d))
-                if top is None or rank((j, d)) < rank(top):
+                # A candidate that cannot beat the incumbent, the best
+                # accepted so far, is not scored: its bound is below the
+                # incumbent's score, or equal to it at a higher index (ties
+                # go to the lower). Its score is then at most best, so best
+                # stays exact.
+                if top is not None:
+                    lead = top[1].score
+                    if j < top[0]:
+                        lead = math.nextafter(lead, -1.0)
+                    if bounded_by(i, j, lead):
+                        continue
+                if pack and known(i, j) is None:
+                    set_row(i, row)
+                    pack = False
+                d = decide(i, j)
+                if d.score > best:
+                    best = d.score
+                if d.accepted and (top is None or rank(j, d) < rank(*top)):
                     top = (j, d)
-        best_seen[i] = best
-        cands.sort(key=rank)
-        k = 0
-        while k < len(cands):
-            j, d = cands[k]
-            k += 1
+            best_seen[i] = best
+            if top is None:
+                return False
+            j, d = top
             # The lookahead rule: a later unmatched line that could itself
-            # reach j takes it by scoring strictly higher. A contender
-            # whose bound is at most d.score is not scored.
-            if veto_active and any(
+            # reach j takes it by scoring strictly higher. A contender whose
+            # bound is at most d.score is not scored. After a veto the row
+            # is scanned again without j.
+            if not veto or not any(
                 not bounded_by(c, j, d.score) and decide(c, j).score > d.score
                 for c in range(i + 1, min(i + cfg.lookahead + 1, n_src))
                 if c not in matched and c not in skip and in_window(c, j)
             ):
-                if bounded:
-                    # the first veto: a bounded candidate may lead now
-                    for b in bounded:
-                        db = score(b)
-                        if db.accepted:
-                            cands.append((b, db))
-                    bounded = []
-                    cands[k:] = sorted(cands[k:], key=rank)
-                continue
-            return take(i, j, d)
-        return False
+                return take(i, j, d)
+            vetoed.add(j)
 
+    # Displacement rounds (veto on) while they match a line, then one
+    # first-come round (veto off). Every pending line gets its attempt in
+    # each round, and only a line's own attempt can match it.
     order = [i for i in range(n_src) if i not in skip]
-    for _ in range(cfg.displacement_rounds):
-        pending = [i for i in order if i not in matched]
-        if not pending:
-            break
-        progress = False
-        for i in pending:
-            if try_match(i, veto_active=True):
-                progress = True
-        if not progress:
-            break
-    for i in order:
-        if i not in matched:
-            try_match(i, veto_active=False)
+    rounds = cfg.displacement_rounds
+    while rounds >= 0:
+        if not any([try_match(i, rounds > 0) for i in order if i not in matched]):
+            rounds = min(rounds, 1)
+        rounds -= 1
     ctx.set_row(None)  # true LCS lengths of its line: harmless until here
 
     accepted = tuple(

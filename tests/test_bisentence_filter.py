@@ -126,6 +126,30 @@ class TestLookaheadRule:
         kept = bid if winner else held
         assert res.accepted == ((winner, 0, kept.score, kept.tier),)
 
+    def test_round_without_a_match_ends_first_come(self, mock_chain):
+        # line 0 holds g0 at the first tier (0.4, threshold 0.3). Line 1's
+        # second tier scores 0.8 on g0, short of that tier's 0.9 and the
+        # final 0.9, so line 1 accepts nothing, yet its 0.8 outbids line 0.
+        # The first veto round matches no line; the first-come round that
+        # follows gives g0 to line 0.
+        high = {("t1", "g0"): 0.8}
+        register_comparator("canned_high",
+                            lambda pa, pb, ctx, chain: high.get((pa.text, pb.text), 0.0),
+                            replace=True)
+        try:
+            mock_chain({("t0", "g0"): 0.4})
+            chain = ComparatorChain(tiers=(("canned", 0.3), ("canned_high", 0.9)),
+                                    final_threshold=0.9)
+            cfg = FilterConfig(chain=chain, window=None, context=empty_ctx())
+            bitext = make_bitext(["t0", "t1"], ["g0"])
+            res = align_filter(bitext, cfg)
+            assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+                oracles.reference_align_filter(bitext, cfg)
+        finally:
+            COMPARATORS.pop("canned_high", None)
+        assert res.accepted == ((0, 0, 0.4, 0),)
+        assert res.dropped_src == ((1, 0.8),)
+
     def test_identical_corpora_all_diagonal(self):
         lines = ["alpha beta", "gamma delta", "epsilon zeta"]
         cfg = FilterConfig(chain=DEFAULT_CHAIN, context=empty_ctx())
@@ -184,6 +208,20 @@ class TestLookaheadRule:
         cfg = FilterConfig(chain=chain, window=2, context=empty_ctx())
         res = align_filter(make_bitext(trans, tgt), cfg)
         assert all(i != 0 for i, _, _, _ in res.accepted)
+
+    def test_window_beyond_the_targets_searches_them_all(self, mock_chain):
+        # from any diagonal, a window of at least the target count reaches
+        # every target line, as None does; in the first instance, line 2's
+        # diagonal is 1, one past the only target
+        rng = random.Random(7)
+        instances = [(["t0", "t1", "t2"], ["g0"], {("t2", "g0"): 0.9})]
+        instances += [random_instance(rng, n_max=8) for _ in range(20)]
+        for trans, tgt, scores in instances:
+            bitext = make_bitext(trans, tgt)
+            cfg = FilterConfig(chain=mock_chain(scores), window=None, context=empty_ctx())
+            whole = align_filter(bitext, cfg)
+            for window in range(len(tgt), len(tgt) + 4):
+                assert align_filter(bitext, dataclasses.replace(cfg, window=window)) == whole
 
 
 class TestConfigValidation:
@@ -343,8 +381,9 @@ class TestRowBound:
     def test_vetoed_incumbent_falls_back_to_a_bounded_candidate(self, bounded_chain,
                                                                 monkeypatch):
         # line 0 holds g0 at 0.9, which bounds g1 (0.8, bound 0.85) and g2
-        # (0.6); line 1 outbids it on g0, so line 0 then scores g1 and g2
-        # and takes g1. Line 1's bid on g1 is bounded by 0.8 and not scored.
+        # (0.6); line 1 outbids it on g0, so line 0 scans its row again
+        # without g0: it scores g1, which now bounds g2, and takes g1. Line
+        # 1's bid on g1 is bounded by 0.8 and not scored.
         scores = {("t0", "g0"): 0.9, ("t0", "g1"): 0.8, ("t0", "g2"): 0.6,
                   ("t1", "g0"): 0.95, ("t1", "g1"): 0.7}
         chain = bounded_chain(scores, {("t0", "g1"): 0.85, ("t1", "g1"): 0.8})
@@ -354,10 +393,50 @@ class TestRowBound:
         res = align_filter(bitext, cfg)
         assert [(i, j, score) for i, j, score, _ in res.accepted] == [(0, 1, 0.8), (1, 0, 0.95)]
         # line 1 then reads its bid on g0 from the memo and scores g2
-        assert calls == [("t0", "g0"), ("t1", "g0"), ("t0", "g1"), ("t0", "g2"),
-                         ("t1", "g2")]
+        assert calls == [("t0", "g0"), ("t1", "g0"), ("t0", "g1"), ("t1", "g2")]
         assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
             oracles.reference_align_filter(bitext, cfg)
+
+    @staticmethod
+    def double_veto(bounded_chain, monkeypatch, n_lines, scores):
+        # line 0 holds g0 at 0.9, g1 at 0.85 and g2 at 0.8 (bounds equal to
+        # the scores); line 1 outbids it on g0 and, two lines ahead, line 2
+        # outbids it on g1
+        scores = {("t0", "g0"): 0.9, ("t0", "g1"): 0.85, ("t0", "g2"): 0.8,
+                  ("t1", "g0"): 0.95, ("t2", "g1"): 0.9, **scores}
+        calls = chain_calls(monkeypatch)
+        cfg = FilterConfig(chain=bounded_chain(scores, {}), window=None, lookahead=2,
+                           context=empty_ctx())
+        bitext = make_bitext([f"t{k}" for k in range(n_lines)], ["g0", "g1", "g2"])
+        res = align_filter(bitext, cfg)
+        assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+            oracles.reference_align_filter(bitext, cfg)
+        return res, calls, cfg
+
+    def test_double_veto_takes_the_third_candidate(self, bounded_chain, monkeypatch):
+        # each veto rescans line 0's row without the vetoed target: the
+        # first scores g1, which bounds g2; the second scores g2 and takes
+        # it. Line 1's bids on g1 and g2 and line 2's on g2 are bounded.
+        res, calls, _ = self.double_veto(bounded_chain, monkeypatch, 3, {})
+        assert [(i, j, score) for i, j, score, _ in res.accepted] == \
+            [(0, 2, 0.8), (1, 0, 0.95), (2, 1, 0.9)]
+        # line 1 then scores g1, its diagonal, and reads g0 from the memo;
+        # line 2 reads g1 from the memo
+        assert calls == [("t0", "g0"), ("t1", "g0"), ("t0", "g1"), ("t2", "g1"),
+                         ("t0", "g2"), ("t1", "g1")]
+
+    def test_every_candidate_vetoed_drops_the_line(self, bounded_chain, monkeypatch):
+        # line 2 outbids line 0 on g2 too, so line 0's attempt ends without
+        # a match; line 3 then takes g2 before line 0's next round, and
+        # line 0 drops with its best score, exact and above the floor
+        res, calls, cfg = self.double_veto(bounded_chain, monkeypatch, 4,
+                                           {("t2", "g2"): 0.85, ("t3", "g2"): 0.7})
+        assert [(i, j, score) for i, j, score, _ in res.accepted] == \
+            [(1, 0, 0.95), (2, 1, 0.9), (3, 2, 0.7)]
+        assert res.dropped_src == ((0, 0.9),)
+        assert 0.9 >= cfg.chain.floor
+        assert calls == [("t0", "g0"), ("t1", "g0"), ("t0", "g1"), ("t2", "g1"),
+                         ("t0", "g2"), ("t2", "g2"), ("t1", "g1"), ("t3", "g2")]
 
     def test_tie_at_the_bound_goes_to_the_lower_index(self, bounded_chain, monkeypatch):
         # line 1 scores g2, its diagonal, at 0.8 first. g1 is bounded at
@@ -828,6 +907,22 @@ class TestHostileMemory:
         # one string per distinct word, 67 MB without a chunk table, and
         # 95 MB when each entry kept its chunk as a key string of its own
         assert peak_mb <= 100
+
+    def test_window_far_beyond_the_corpus(self, write_lines, tmp_path):
+        # the candidate search reaches no further than the target count,
+        # whatever --window says
+        lines = ["the cat sat on the mat", "a dog ran in the park"]
+        paths = {side: write_lines(f"{side}.txt", lines)
+                 for side in ("source", "target", "trans")}
+        out_src = tmp_path / "o.src"
+        peak_mb = cli_peak_mb(
+            "filter", "--src", str(paths["source"]), "--tgt", str(paths["target"]),
+            "--trans", str(paths["trans"]), "--window", "4000000", "--out-src", str(out_src),
+            "--out-tgt", str(tmp_path / "o.tgt"), "--report", str(tmp_path / "rep.tsv"))
+        assert out_src.read_text(encoding="utf-8").splitlines() == lines
+        # 21 MB measured (CPython 3.11); 388 MB when each row's offsets
+        # spanned the whole window
+        assert peak_mb <= 40
 
 
 class TestHostileLongLines:
