@@ -42,7 +42,7 @@ from .corpus_io import (
     write_bitext,
 )
 from .errors import BifilterError, ConfigError, DataError, _fraction
-from .mt_metrics import METRIC_NAMES, metric_report
+from .mt_metrics import METRIC_NAMES, _check_metric_settings, metric_report
 from .seq_align import (
     AlignConfig,
     align_documents,
@@ -191,6 +191,9 @@ def cmd_align(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+    # checked before any file is read, so a bad setting exits 2 whatever the files
+    _check_metric_settings(metrics, args.bleu_order, args.nist_order,
+                           args.meteor_penalty_exponent)
     cand_lines = load_corpus(args.cand)
     ref_corpora = [load_corpus(p) for p in args.ref]
     for p, lines in zip(args.ref, ref_corpora):

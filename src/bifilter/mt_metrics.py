@@ -5,6 +5,10 @@ n-gram matches, TER with a greedy block-shift search, and METEOR with
 exact/stem/synonym matching passes. All functions are pure; token input is
 any sequence of token strings, such as the tuples tokenize returns.
 
+BLEU and NIST share one n-gram pass (_ngram_pass): each segment's candidate
+and references are counted once per order and clipped once, for both
+metrics, and NIST's pooled reference counts are built by Counter.update in C.
+
 TER's shift search scores every candidate shift with a word-parallel
 Levenshtein kernel (Myers 1999; Hyyrö 2001) over per-token bitmasks of the
 reference: O(L * ceil(m / w)) word operations for an L-token sequence
@@ -48,8 +52,7 @@ def ngram_counts(tokens, n: int) -> Counter:
     """Multiset of the contiguous n-token windows."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    toks = tuple(tokens)
-    return Counter(toks[i : i + n] for i in range(len(toks) - n + 1))
+    return Counter(_windows(tuple(tokens), n))
 
 
 @dataclass(frozen=True)
@@ -119,17 +122,80 @@ def _normalize_corpus(cands, refs):
     return cand_toks, ref_toks
 
 
-def _clipped_ngrams(cand: tuple, group, n: int) -> tuple[Counter, Counter]:
-    """The candidate's order-n counts, and those counts clipped by the
-    references: each n-gram at most as often as in any one reference. The
-    clipped counts keep the candidate's n-gram order."""
-    counts = ngram_counts(cand, n)
-    if not counts:
-        return counts, counts
-    best: Counter = Counter()
-    for rt in group:
-        best |= ngram_counts(rt, n)
-    return counts, counts & best
+def _windows(toks: tuple, n: int):
+    """The contiguous n-token windows of toks as tuples, in order."""
+    return zip(*[toks[k:] for k in range(n)])
+
+
+# The NIST brevity factor is exp(beta * ln^2(min(c/r, 1))) with beta chosen
+# so the factor is 0.5 when the candidate is 2/3 the reference length.
+_NIST_BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+
+
+def _ngram_pass(cand_toks, ref_toks, bleu_order: int, nist_order: int):
+    """(BleuBreakdown, NIST score) of normalized segments from one n-gram
+    pass; an order of 0 gives None for its metric. When NIST runs, its
+    pooled reference counts come first. Then, per segment and order, the
+    candidate and each reference are counted once, and each candidate
+    n-gram is clipped to the most any one reference holds: BLEU adds up the
+    clipped counts, NIST their information in the candidate's n-gram order."""
+    top = max(bleu_order, nist_order)
+    pooled = [Counter() for _ in range(top + 1)]
+    ref_tokens = 0
+    if nist_order:
+        for group in ref_toks:
+            for rt in group:
+                ref_tokens += len(rt)
+                for n in range(1, nist_order + 1):
+                    pooled[n].update(_windows(rt, n))
+    matched = [0] * (top + 1)
+    total = [0] * (top + 1)
+    gained = [0.0] * (top + 1)
+    c = r = 0
+    r_mean = 0.0
+    for cand, group in zip(cand_toks, ref_toks):
+        c += len(cand)
+        r += min((abs(len(rt) - len(cand)), len(rt)) for rt in group)[1]
+        r_mean += sum(len(rt) for rt in group) / len(group)
+        for n in range(1, min(top, len(cand)) + 1):
+            total[n] += len(cand) - n + 1
+            best = [ngram_counts(rt, n) for rt in group]
+            weigh, pool, prefixes = n <= nist_order, pooled[n], pooled[n - 1]
+            hits_n, info_n = 0, gained[n]
+            for gram, k in ngram_counts(cand, n).items():
+                cap = 0
+                for counts in best:
+                    held = counts.get(gram, 0)
+                    if held > cap:
+                        cap = held
+                hits = k if k < cap else cap
+                if hits:
+                    hits_n += hits
+                    if weigh:
+                        prefix = ref_tokens if n == 1 else prefixes[gram[:-1]]
+                        info_n += hits * math.log2(prefix / pool[gram])
+            matched[n] += hits_n
+            gained[n] = info_n
+    bleu_result = nist_score = None
+    if bleu_order:
+        precisions = tuple(matched[n] / total[n] if total[n] else 0.0
+                           for n in range(1, bleu_order + 1))
+        brevity = brevity_penalty(c, r)
+        if all(p > 0 for p in precisions):
+            w = 1.0 / bleu_order
+            score = brevity * math.exp(sum(w * math.log(p) for p in precisions))
+        else:
+            score = 0.0
+        bleu_result = BleuBreakdown(precisions=precisions, cand_len=c, ref_len=r,
+                                    brevity=brevity, score=score)
+    if nist_order:
+        nist_score = 0.0
+        if c and r_mean:
+            score = sum(gained[n] / total[n]
+                        for n in range(1, nist_order + 1) if total[n])
+            ratio = min(c / r_mean, 1.0)
+            nist_score = score * math.exp(_NIST_BETA * math.log(ratio) ** 2)
+    return bleu_result, nist_score
 
 
 def bleu(cands, refs, order: int = 4) -> BleuBreakdown:
@@ -138,37 +204,11 @@ def bleu(cands, refs, order: int = 4) -> BleuBreakdown:
     Clipped n-gram matches and candidate totals are pooled over segments
     before dividing. The reference length r takes, per segment, the
     reference closest in length to the candidate (ties to the shorter one).
-    Any pooled precision of zero zeroes the score.
+    Any pooled precision of zero zeroes the score. The counting is the
+    pass NIST shares (_ngram_pass), run for BLEU alone.
     """
     _at_least("BLEU order", order, 1)
-    cand_toks, ref_toks = _normalize_corpus(cands, refs)
-    matched = [0] * (order + 1)
-    total = [0] * (order + 1)
-    c = r = 0
-    for cand, group in zip(cand_toks, ref_toks):
-        c += len(cand)
-        r += min((abs(len(rt) - len(cand)), len(rt)) for rt in group)[1]
-        for n in range(1, order + 1):
-            counts, clipped = _clipped_ngrams(cand, group, n)
-            matched[n] += sum(clipped.values())
-            total[n] += sum(counts.values())
-    precisions = tuple(
-        matched[n] / total[n] if total[n] else 0.0 for n in range(1, order + 1)
-    )
-    brevity = brevity_penalty(c, r)
-    if all(p > 0 for p in precisions):
-        w = 1.0 / order
-        score = brevity * math.exp(sum(w * math.log(p) for p in precisions))
-    else:
-        score = 0.0
-    return BleuBreakdown(
-        precisions=precisions, cand_len=c, ref_len=r, brevity=brevity, score=score
-    )
-
-
-# The NIST brevity factor is exp(beta * ln^2(min(c/r, 1))) with beta chosen
-# so the factor is 0.5 when the candidate is 2/3 the reference length.
-_NIST_BETA = math.log(0.5) / math.log(2.0 / 3.0) ** 2
+    return _ngram_pass(*_normalize_corpus(cands, refs), order, 0)[0]
 
 
 def nist(cands, refs, order: int = 5) -> float:
@@ -178,42 +218,11 @@ def nist(cands, refs, order: int = 5) -> float:
     over the pooled reference corpus (the unigram prefix count is the total
     reference token count). Per order, the summed information of clipped
     co-occurring candidate n-grams is divided by the candidate n-gram
-    total; the orders add up and the brevity factor scales the sum.
+    total; the orders add up and the brevity factor scales the sum. The
+    counting is the pass BLEU shares (_ngram_pass), run for NIST alone.
     """
     _at_least("NIST order", order, 1)
-    cand_toks, ref_toks = _normalize_corpus(cands, refs)
-    ref_counts: list[Counter] = [Counter() for _ in range(order + 1)]
-    total_ref_tokens = 0
-    for group in ref_toks:
-        for rt in group:
-            total_ref_tokens += len(rt)
-            for n in range(1, order + 1):
-                ref_counts[n].update(ngram_counts(rt, n))
-
-    def info(gram: tuple) -> float:
-        n = len(gram)
-        cnt = ref_counts[n][gram]
-        prefix = total_ref_tokens if n == 1 else ref_counts[n - 1][gram[:-1]]
-        return math.log2(prefix / cnt)
-
-    gained = [0.0] * (order + 1)
-    total = [0] * (order + 1)
-    c = 0
-    r_mean = 0.0
-    for cand, group in zip(cand_toks, ref_toks):
-        c += len(cand)
-        r_mean += sum(len(rt) for rt in group) / len(group)
-        for n in range(1, order + 1):
-            counts, clipped = _clipped_ngrams(cand, group, n)
-            total[n] += sum(counts.values())
-            for gram, hits in clipped.items():
-                gained[n] += hits * info(gram)
-    if c == 0 or r_mean == 0:
-        return 0.0
-    score = sum(gained[n] / total[n] for n in range(1, order + 1) if total[n])
-    ratio = min(c / r_mean, 1.0)
-    factor = math.exp(_NIST_BETA * math.log(ratio) ** 2)
-    return score * factor
+    return _ngram_pass(*_normalize_corpus(cands, refs), 0, order)[1]
 
 
 def _advance(masks: dict, full: int, text, pv: int, mv: int) -> tuple[int, int]:
@@ -603,14 +612,15 @@ def _stage_assignment(
 
     stats, when given, gets "capped": whether the search tree has more
     nodes than the budget, so that the result may have more chunks than the
-    minimum.
+    minimum; and "nodes": the nodes it spent, counted ones included (0 when
+    nothing can match).
     """
     target = _biclique_matching_size(adj)
     if target is None:
         target = _max_matching_size(adj)[0]
     if target == 0:
         if stats is not None:
-            stats["capped"] = False
+            stats.update(capped=False, nodes=0)
         return []
     cands = sorted(ci for ci in adj if adj[ci])
     n = len(cands)
@@ -670,7 +680,7 @@ def _stage_assignment(
         stack.append([c_key, _assignment_children(space, c_state), left, no_leaf,
                       chunks + gain, gain, pick])
     if stats is not None:
-        stats["capped"] = capped
+        stats.update(capped=capped, nodes=_ASSIGN_NODE_CAP + 1 - left)
     if found is None:
         return _max_matching_size(adj)[1]
 
@@ -728,7 +738,8 @@ def meteor(
     raises DataError.
 
     stats, when given, gets "meteor_capped": the names ("exact", "stem",
-    "synonym") of the passes whose search ran out of budget.
+    "synonym") of the passes whose search ran out of budget, and
+    "meteor_nodes": the search nodes the three passes spent.
     """
     # A negative exponent can lift the penalty above 1 and the score below 0.
     _at_least("METEOR penalty exponent", penalty_exponent, 0)
@@ -738,7 +749,7 @@ def meteor(
     matched: list[tuple[int, int]] = []
 
     capped = []
-
+    nodes = 0
     for name in ("exact", "stem", "synonym"):
         done_c = {ci for ci, _ in matched}
         done_r = {rj for _, rj in matched}
@@ -766,8 +777,10 @@ def meteor(
         matched.extend(_stage_assignment(adj, matched, search))
         if search["capped"]:
             capped.append(name)
+        nodes += search["nodes"]
     if stats is not None:
         stats["meteor_capped"] = capped
+        stats["meteor_nodes"] = nodes
     return _meteor_breakdown(
         len(matched), _chunk_count(matched), len(ct), len(rt), penalty_exponent
     )
@@ -786,12 +799,14 @@ def meteor_corpus(
 
     stats, when given, gets "meteor_capped": a [segment, pass] pair
     (0-based segment index, pass name) for each pass whose search ran out
-    of budget, as meteor reports them.
+    of budget, as meteor reports them, and "meteor_nodes": the search nodes
+    of every segment's passes, summed.
     """
     _at_least("METEOR penalty exponent", penalty_exponent, 0)
     cand_toks, ref_toks = _normalize_corpus(cands, refs)
     m_u = chunks = cand_total = ref_total = 0
     capped = []
+    nodes = 0
     for idx, (cand, group) in enumerate(zip(cand_toks, ref_toks)):
         seg_stats: Optional[dict] = {} if stats is not None else None
         seg = meteor(
@@ -800,35 +815,21 @@ def meteor_corpus(
         )
         if seg_stats is not None:
             capped += [[idx, name] for name in seg_stats["meteor_capped"]]
+            nodes += seg_stats["meteor_nodes"]
         m_u += seg.matches
         chunks += seg.chunks
         cand_total += len(cand)
         ref_total += len(group[0])
     if stats is not None:
         stats["meteor_capped"] = capped
+        stats["meteor_nodes"] = nodes
     return _meteor_breakdown(m_u, chunks, cand_total, ref_total, penalty_exponent)
 
 
-def metric_report(
-    cands,
-    refs,
-    metrics=METRIC_NAMES,
-    bleu_order: int = 4,
-    nist_order: int = 5,
-    lexicon: Optional[SynonymLexicon] = None,
-    meteor_penalty_exponent: int = 1,
-    stats: Optional[dict] = None,
-) -> dict:
-    """Score a candidate corpus and build a JSON-ready report.
-
-    Every requested metric contributes its breakdown; BLEU, TER, and METEOR
-    also carry the x100 percentage form. stats, when given, gets
-    meteor_corpus's "meteor_capped" if METEOR runs. The metric names, each
-    known and named once, the settings of the requested metrics and the
-    corpus shape are checked before any of them is scored; an empty
-    selection is an error. Candidates and references are token lists: a
-    string raises DataError naming its segment and side.
-    """
+def _check_metric_settings(metrics, bleu_order: int, nist_order: int,
+                           meteor_penalty_exponent: int) -> None:
+    """ConfigError unless metrics names known metrics, each once, and the
+    named metrics' orders are >= 1 and METEOR's exponent >= 0."""
     known = ", ".join(METRIC_NAMES)
     if not metrics:
         raise ConfigError(f"no metric requested (known: {known})")
@@ -845,14 +846,42 @@ def metric_report(
         _at_least("NIST order", nist_order, 1)
     if "meteor" in metrics:
         _at_least("METEOR penalty exponent", meteor_penalty_exponent, 0)
+
+
+def metric_report(
+    cands,
+    refs,
+    metrics=METRIC_NAMES,
+    bleu_order: int = 4,
+    nist_order: int = 5,
+    lexicon: Optional[SynonymLexicon] = None,
+    meteor_penalty_exponent: int = 1,
+    stats: Optional[dict] = None,
+) -> dict:
+    """Score a candidate corpus and build a JSON-ready report.
+
+    Every requested metric contributes its breakdown; BLEU, TER, and METEOR
+    also carry the x100 percentage form. BLEU and NIST share one n-gram
+    pass. stats, when given, gets meteor_corpus's "meteor_capped" and
+    "meteor_nodes" if METEOR runs. The metric names, each known and named
+    once, the settings of the requested metrics and the corpus shape are
+    checked before any of them is scored; an empty selection is an error.
+    Candidates and references are token lists: a string raises DataError
+    naming its segment and side.
+    """
+    _check_metric_settings(metrics, bleu_order, nist_order,
+                           meteor_penalty_exponent)
     cands, refs = _normalize_corpus(cands, refs)
     report: dict = {}
-    if "bleu" in metrics:
-        b = asdict(bleu(cands, refs, order=bleu_order))
+    orders = (bleu_order if "bleu" in metrics else 0,
+              nist_order if "nist" in metrics else 0)
+    b, nist_score = _ngram_pass(cands, refs, *orders) if any(orders) else (None, None)
+    if b is not None:
+        b = asdict(b)
         b["brevity_penalty"] = b.pop("brevity")
         report["bleu"] = {**b, "percent": 100.0 * b["score"]}
-    if "nist" in metrics:
-        report["nist"] = {"score": nist(cands, refs, order=nist_order)}
+    if nist_score is not None:
+        report["nist"] = {"score": nist_score}
     if "ter" in metrics:
         t = ter_corpus(cands, refs)
         report["ter"] = {**asdict(t), "percent": 100.0 * t.score}

@@ -540,7 +540,7 @@ class TestEvaluateCommand:
                                                 write_lines, tmp_path, capsys,
                                                 monkeypatch):
         calls = []
-        for name in ("bleu", "nist", "ter_corpus", "meteor_corpus"):
+        for name in ("_ngram_pass", "bleu", "nist", "ter_corpus", "meteor_corpus"):
             monkeypatch.setattr(mt_metrics, name,
                                 lambda *args, _name=name, **kw: calls.append(_name))
         cand = write_lines("cand.txt", ["the cat sat down"])
@@ -551,8 +551,31 @@ class TestEvaluateCommand:
         assert code == 2 and message in err
         assert calls == []
 
+    @pytest.mark.parametrize("args, message", [
+        (["--metrics", "bogus"], "error: unknown metric 'bogus' (known: bleu, nist, "
+                                 "ter, meteor)\n"),
+        (["--metrics", "ter,ter"], "error: metric 'ter' requested twice\n"),
+        (["--metrics", " , "], "error: no metric requested (known: bleu, nist, ter, "
+                               "meteor)\n"),
+        (["--bleu-order", "0"], "error: BLEU order must be >= 1, got 0\n"),
+        (["--nist-order", "0"], "error: NIST order must be >= 1, got 0\n"),
+        (["--meteor-penalty-exponent", "-1"],
+         "error: METEOR penalty exponent must be >= 0, got -1\n"),
+    ], ids=["unknown", "repeated", "nothing", "bleu-order", "nist-order",
+            "meteor-penalty-exponent"])
+    def test_bad_setting_exits_2_before_any_file_is_read(self, args, message,
+                                                         tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run([
+            "evaluate", "--cand", missing, "--ref", missing,
+            *args, "--report", str(rep),
+        ], capsys)
+        assert (code, out, err) == (2, "", message)
+        assert not rep.exists()
+
     @pytest.mark.parametrize("metrics, want", [
-        ("bleu,meteor", {"meteor_capped": [[0, "exact"]]}),
+        ("bleu,meteor", {"meteor_capped": [[0, "exact"]], "meteor_nodes": 1}),
         ("bleu", {}),
     ])
     def test_manifest_names_capped_meteor_passes(self, metrics, want, write_lines,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -169,6 +170,53 @@ class TestNist:
         refs = [[["the", "cat", "sat"]]]
         assert nist(cand, refs, order=1) == pytest.approx(
             oracles.naive_nist(cand, refs, order=1), abs=1e-9)
+
+
+tiny_vocab = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def clipped_corpus(draw):
+    """1-5 segments over a 3-word vocabulary, so that n-grams repeat and
+    get clipped, with 1-3 references each; empty lines are allowed."""
+    line = st.lists(tiny_vocab, max_size=7)
+    n_seg = draw(st.integers(1, 5))
+    cands = [draw(line) for _ in range(n_seg)]
+    refs = [draw(st.lists(line, min_size=1, max_size=3)) for _ in range(n_seg)]
+    return cands, refs
+
+
+class TestSharedNgramPass:
+    """BLEU and NIST from the shared n-gram pass against Counter-based
+    transcriptions that sum in the same order: equal with ==, not approx."""
+
+    @given(clipped_corpus(), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_counter_transcription(self, corpus, bleu_order, nist_order):
+        cands, refs = corpus
+        want_bleu = oracles.counter_bleu(cands, refs, order=bleu_order)
+        want_nist = oracles.counter_nist(cands, refs, order=nist_order)
+        assert bleu(cands, refs, order=bleu_order) == want_bleu
+        assert nist(cands, refs, order=nist_order) == want_nist
+        report = metric_report(cands, refs, metrics=("bleu", "nist"),
+                               bleu_order=bleu_order, nist_order=nist_order)
+        want = {**asdict(want_bleu), "percent": 100.0 * want_bleu.score}
+        want["brevity_penalty"] = want.pop("brevity")
+        assert report == {"bleu": want, "nist": {"score": want_nist}}
+
+    def test_one_pass_serves_both_metrics(self):
+        cands = [["a", "b", "a"], ["c"]]
+        refs = [[["a", "b"], ["b", "a", "a"]], [["c", "c"]]]
+        with mock.patch.object(mt_metrics, "_ngram_pass",
+                               wraps=mt_metrics._ngram_pass) as spy:
+            report = metric_report(cands, refs, metrics=("bleu", "nist"),
+                                   bleu_order=2, nist_order=3)
+        assert [c.args[2:] for c in spy.call_args_list] == [(2, 3)]
+        assert report["nist"]["score"] == nist(cands, refs, order=3)
+        with mock.patch.object(mt_metrics, "_ngram_pass",
+                               wraps=mt_metrics._ngram_pass) as spy:
+            metric_report(cands, refs, metrics=("ter",))
+        assert spy.call_count == 0
 
 
 class TestTer:
@@ -698,6 +746,22 @@ class TestMeteorSearch:
             assert stats["capped"] == (size > cap + 1)
             assert got == oracles.recursive_stage_assignment(adj, prior, cap)
 
+    @given(st.one_of(bipartite(), biclique_union()))
+    @example(STRADDLED)
+    @settings(max_examples=300, deadline=None)
+    def test_nodes_count_the_search_within_the_budget(self, case):
+        # a pass that searches spends the whole tree or the budget of
+        # cap + 1 nodes, counted subtrees included; one with nothing to
+        # match spends none
+        adj, prior = case
+        size = oracles.search_tree_size(adj)
+        searches = oracles.recursive_max_matching(adj)[0] > 0
+        for cap in sorted({*ASSIGN_CAPS[:-1], max(size - 2, 0), size - 1, size}):
+            stats: dict = {}
+            with mock.patch.object(mt_metrics, "_ASSIGN_NODE_CAP", cap):
+                mt_metrics._stage_assignment(adj, prior, stats)
+            assert stats["nodes"] == (min(size, cap + 1) if searches else 0)
+
     def test_low_cap_falls_back_to_plain_matching(self):
         adj = {0: [0, 1], 1: [0, 1], 2: [1, 2]}
         fallback = mt_metrics._max_matching_size(adj)[1]
@@ -715,7 +779,7 @@ class TestMeteorSearch:
 
         def recursive(adj, prior, stats=None):
             if stats is not None:
-                stats["capped"] = False
+                stats.update(capped=False, nodes=0)
             return oracles.recursive_stage_assignment(adj, prior, cap)
 
         with mock.patch.object(mt_metrics, "_stage_assignment", recursive):
@@ -728,14 +792,15 @@ class TestMeteorSearch:
         want = oracles.recursive_stage_assignment(adj, [], mt_metrics._ASSIGN_NODE_CAP)
         stats: dict = {}
         assert mt_metrics._stage_assignment(adj, [], stats) == want
-        assert stats == {"capped": True}
+        assert stats == {"capped": True, "nodes": mt_metrics._ASSIGN_NODE_CAP + 1}
         assert want != mt_metrics._max_matching_size(adj)[1]
         # 8 chunks where 6 is the minimum
         assert mt_metrics._chunk_count(want) == 8
         stats = {}
         got = meteor(CAPPED_CAND, CAPPED_REF, stats=stats)
         assert (got.matches, got.chunks) == (31, 8)
-        assert stats == {"meteor_capped": ["exact"]}
+        assert stats == {"meteor_capped": ["exact"],
+                         "meteor_nodes": mt_metrics._ASSIGN_NODE_CAP + 1}
 
     def test_real_cap_cuts_a_pass_before_any_complete_assignment(self):
         # Under x -> p, the nine m's take every order of the nine n's and y
@@ -754,11 +819,12 @@ class TestMeteorSearch:
         assert want == mt_metrics._max_matching_size(adj)[1]
         stats: dict = {}
         assert mt_metrics._stage_assignment(adj, [], stats) == want
-        assert stats == {"capped": True}
+        assert stats == {"capped": True, "nodes": mt_metrics._ASSIGN_NODE_CAP + 1}
         stats = {}
         got = meteor(cand, ref, lexicon=lex, stats=stats)
         assert (got.matches, got.chunks) == (11, 11)
-        assert stats == {"meteor_capped": ["synonym"]}
+        assert stats == {"meteor_capped": ["synonym"],
+                         "meteor_nodes": mt_metrics._ASSIGN_NODE_CAP + 1}
 
     def test_moved_blocks_over_five_words_stay_bounded(self):
         # the cap cuts the exact pass off after its first leaf, the
@@ -793,7 +859,7 @@ class TestMeteorSearch:
         got = json.loads(report.read_text())["meteor"]
         assert (got["matches"], got["chunks"]) == (1000, 1)
         stats = json.loads(Path(f"{report}.manifest.json").read_text())["stats"]
-        assert stats == {"meteor_capped": [[0, "exact"]]}
+        assert stats == {"meteor_capped": [[0, "exact"]], "meteor_nodes": 200_001}
         # 22 MB measured (CPython 3.11)
         assert peak_mb <= 60
 
@@ -802,11 +868,12 @@ class TestMeteorSearch:
         refs = [[["a", "b"]], [CAPPED_REF], [CAPPED_CAND]]
         stats: dict = {}
         got = meteor_corpus(cands, refs, stats=stats)
-        assert stats == {"meteor_capped": [[1, "exact"]]}
+        # 5 nodes for segment 0, the capped 200,001 and 95,222 for segment 2
+        assert stats == {"meteor_capped": [[1, "exact"]], "meteor_nodes": 295_228}
         assert got == meteor_corpus(cands, refs)
         stats = {}
         report = metric_report(cands, refs, stats=stats)
-        assert stats == {"meteor_capped": [[1, "exact"]]}
+        assert stats == {"meteor_capped": [[1, "exact"]], "meteor_nodes": 295_228}
         assert report == metric_report(cands, refs)
         stats = {}
         metric_report(cands, refs, metrics=("bleu", "ter"), stats=stats)
