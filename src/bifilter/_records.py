@@ -91,13 +91,15 @@ def written_in_place(path) -> bool:
 
 def write_text(path, text: str, what: str) -> None:
     """Write text to path as UTF-8: write_files with one file."""
-    write_files([(path, text, what)])
+    write_files([(path, (text,), what)])
 
 
 def write_files(files) -> None:
-    """Write each (path, text, what) of files, a list or an iterator, as
-    UTF-8; what says which kind of file it is. A missing path or a regular
-    file is replaced atomically: its text goes to a new temporary file in
+    """Write each (path, pieces, what) of files, a list or an iterator, as
+    UTF-8: the file's text is the strings of the iterable pieces in order,
+    each written as it comes, so no whole text need be built; what says
+    which kind of file it is. A missing path or a regular file is
+    replaced atomically: its text goes to a new temporary file in
     the target's directory, which then replaces the target. Every
     temporary file is written before the first replaces its target, so a
     failed write leaves every such target with its old content; the
@@ -113,10 +115,11 @@ def write_files(files) -> None:
     not yet renamed and raises DataError naming the path."""
     staged = []  # (temporary file, target, path, what), in order
     try:
-        for path, text, what in files:
+        for path, pieces, what in files:
             if written_in_place(path):
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    for piece in pieces:
+                        fh.write(piece)
             else:
                 try:
                     old = os.stat(path)
@@ -133,10 +136,8 @@ def write_files(files) -> None:
                         with contextlib.suppress(PermissionError):
                             os.fchown(fd, old.st_uid, old.st_gid)
                         os.fchmod(fd, stat.S_IMODE(old.st_mode))
-                    fh.write(text)
-            # files may be an iterator that builds each text on demand:
-            # drop this one before the next is built
-            del text
+                    for piece in pieces:
+                        fh.write(piece)
         while staged:
             tmp, target, path, what = staged[0]
             os.replace(tmp, target)

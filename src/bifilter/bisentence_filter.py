@@ -93,6 +93,11 @@ class FilterResult:
     Accepted scores are exact. A dropped line's best score is exact when it
     is at least the chain's floor (ComparatorChain.floor); below the floor
     it may be an upper bound on the exact best score, still below the floor.
+
+    A source line is settled when it is matched, or when one of its
+    attempts finds no accepted candidate among its open targets before
+    any veto: those targets only shrink, so the line is dropped and its
+    best score is final then.
     """
 
     accepted: tuple[tuple[int, int, float, int], ...]
@@ -139,6 +144,13 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     of a dropped line is unchanged: a skipped candidate scores at most s.
     A chain without a bound (similarity.chain_bound gives None) skips
     only what a 1.0 settles.
+
+    A line whose scan, before any veto, finds no accepted open candidate
+    is settled as dropped (see FilterResult): it keeps its best score,
+    its memoized decisions and prepared translation are freed, and later
+    rounds skip it. It still bids on the targets of the earlier lines
+    whose lookahead reaches it; such a decision is scored again when
+    asked for, with the same result.
     """
     if bitext.trans is None:
         raise DataError(
@@ -155,7 +167,9 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     ctx = cfg.context if cfg.context is not None else ChainContext()
     # Decisions by translation text, then target text. A matched line never
     # scores again (contests skip it too), so its row is dropped then; a
-    # later line with the same text recomputes the same decisions.
+    # later line with the same text recomputes the same decisions. A dead
+    # line (see try_match) keeps no row: its bids as a contender are scored
+    # again when asked for.
     memo: dict[str, dict[str, ChainDecision]] = {}
     bound = chain_bound(cfg.chain, ctx)
 
@@ -166,8 +180,9 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     def decide(i: int, j: int) -> ChainDecision:
         d = known(i, j)
         if d is None:
-            d = memo.setdefault(trans[i], {})[tgt[j]] = chain_evaluate(
-                trans[i], tgt[j], cfg.chain, ctx)
+            d = chain_evaluate(trans[i], tgt[j], cfg.chain, ctx)
+            if i not in dead:
+                memo.setdefault(trans[i], {})[tgt[j]] = d
         return d
 
     def bounded_by(i: int, j: int, lead: float) -> bool:
@@ -216,10 +231,12 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     matched: dict[int, tuple[int, float, int]] = {}
     consumed: set[int] = set()
     best_seen: dict[int, float] = {}
+    dead: set[int] = set()
 
     def take(i: int, j: int, d: ChainDecision) -> bool:
         matched[i] = (j, d.score, d.tier)
-        del memo[trans[i]]
+        # pop: a dead line with the same text may have freed the row
+        memo.pop(trans[i], None)
         best_seen.pop(i, None)
         ctx.forget(trans[i])
         if not cfg.allow_reuse:
@@ -261,6 +278,13 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
                     top = (j, d)
             best_seen[i] = best
             if top is None:
+                if not vetoed:
+                    # Dead: no open candidate is accepted, and the open
+                    # ones only shrink, so every later attempt fails with
+                    # the same best. The line keeps best_seen only.
+                    dead.add(i)
+                    memo.pop(trans[i], None)
+                    ctx.forget(trans[i])
                 return False
             j, d = top
             # The lookahead rule: a later unmatched line that could itself
@@ -276,12 +300,14 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
             vetoed.add(j)
 
     # Displacement rounds (veto on) while they match a line, then one
-    # first-come round (veto off). Every pending line gets its attempt in
-    # each round, and only a line's own attempt can match it.
-    order = [i for i in range(n_src) if i not in skip]
+    # first-come round (veto off). Every pending line, neither matched nor
+    # dead, gets its attempt in each round, and only a line's own attempt
+    # can match it or make it dead.
+    pending = [i for i in range(n_src) if i not in skip]
     rounds = cfg.displacement_rounds
     while rounds >= 0:
-        if not any([try_match(i, rounds > 0) for i in order if i not in matched]):
+        pending = [i for i in pending if i not in matched and i not in dead]
+        if not any([try_match(i, rounds > 0) for i in pending]):
             rounds = min(rounds, 1)
         rounds -= 1
     ctx.set_row(None)  # true LCS lengths of its line: harmless until here

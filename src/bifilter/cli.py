@@ -18,6 +18,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+# argparse translates its messages through gettext, which imports locale
+# on the first parse; every command parses, so it loads with this module
+import locale  # noqa: F401
 import os
 import sys
 import time

@@ -8,11 +8,9 @@ source side; translation providers fill in missing layer entries.
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 from ._records import (
     _decode_utf8,
@@ -78,17 +76,18 @@ def load_corpus(path: str | Path) -> tuple[str, ...]:
     return tuple(read_lines(path, "corpus"))
 
 
-def _corpus_text(lines, path) -> str:
+def _corpus_text(lines, path) -> Iterator[str]:
     """One line per sentence, LF endings, trailing newline (no lines give
     an empty text), so that load_corpus reads the lines back. A line may
     hold a CR anywhere but at its end, where the reader takes it for part
-    of a CRLF ending."""
+    of a CRLF ending. Every line is checked when this is called; the text
+    comes one line at a time."""
     for idx, line in enumerate(lines):
         if "\n" in line or line.endswith("\r"):
             raise DataError(
                 f"{path}: line {idx + 1} contains an embedded line terminator"
             )
-    return "".join(line + "\n" for line in lines)
+    return (line + "\n" for line in lines)
 
 
 def load_bitext(
@@ -162,6 +161,11 @@ class CommandProvider:
         self.batch_size = batch_size
 
     def translate(self, lines: Sequence[str], indices: Sequence[int]) -> list[str]:
+        # imported here, their only use, so that importing the package
+        # does not pay for them
+        import signal
+        import subprocess
+
         out: list[str] = []
         for number, start in enumerate(range(0, len(lines), self.batch_size), 1):
             batch = list(lines[start : start + self.batch_size])
@@ -274,13 +278,12 @@ def vocab_stats(bitext: Bitext) -> VocabStats:
 REPORT_HEADER = "src_idx\ttgt_idx\tscore\ttier"
 
 
-def _report_text(rows) -> str:
+def _report_text(rows) -> Iterator[str]:
     """Accepted pairs as TSV: src_idx, tgt_idx, score (4 decimals),
-    deciding tier index. Header always present."""
-    lines = [REPORT_HEADER]
+    deciding tier index, one line at a time. Header always present."""
+    yield REPORT_HEADER + "\n"
     for src_idx, tgt_idx, score, tier in rows:
-        lines.append(f"{src_idx}\t{tgt_idx}\t{score:.4f}\t{tier}")
-    return "".join(line + "\n" for line in lines)
+        yield f"{src_idx}\t{tgt_idx}\t{score:.4f}\t{tier}\n"
 
 
 def load_filter_report(path: str | Path) -> list[tuple[int, int, float, int]]:
@@ -311,7 +314,7 @@ def write_bitext(result, bitext: Bitext, out_src, out_tgt, report) -> None:
                 f"{n_src}x{n_tgt} corpus bounds"
             )
 
-    def outputs():  # each text is built when write_files reaches it
+    def outputs():  # each file is checked when write_files reaches it
         yield out_src, _corpus_text([src[r[0]] for r in rows], out_src), "corpus"
         yield out_tgt, _corpus_text([tgt[r[1]] for r in rows], out_tgt), "corpus"
         yield report, _report_text(rows), "report"

@@ -566,10 +566,9 @@ def _bound_ratios(pa, pb, ctx, lead) -> float:
     bound = _length_bound(len(a), len(b))
     if bound <= lead or not b:
         return bound
-    in_b = Counter(b).get
     common = 0
     for c, n in ctx._line_counts(pa).items():
-        k = in_b(c, 0)
+        k = b.count(c)
         common += n if n < k else k
     return 2.0 * common / (len(a) + len(b))
 

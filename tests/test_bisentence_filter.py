@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -148,6 +149,40 @@ class TestLookaheadRule:
         finally:
             COMPARATORS.pop("canned_high", None)
         assert res.accepted == ((0, 0, 0.4, 0),)
+        assert res.dropped_src == ((1, 0.8),)
+
+    def test_dead_contender_still_vetoes(self, mock_chain):
+        # Line 1 accepts nothing: its second tier scores 0.8 on g0, short
+        # of 0.9, so its first scan leaves it dead. In round 1 line 0 is
+        # vetoed on g0 by line 1 and on g2 and g3 by line 2, which takes
+        # g2. In round 2 line 1, dead, still outbids line 0's 0.4 on g0,
+        # so line 0 takes g3 at 0.32, as the oracle does; had the dead
+        # line stopped bidding, line 0 would have taken g0.
+        high = {("t1", "g0"): 0.8}
+        bids = []
+
+        def cmp_high(pa, pb, ctx, chain):
+            bids.append((pa.text, pb.text))
+            return high.get((pa.text, pb.text), 0.0)
+
+        register_comparator("canned_high", cmp_high, replace=True)
+        try:
+            mock_chain({("t0", "g0"): 0.4, ("t0", "g2"): 0.35, ("t0", "g3"): 0.32,
+                        ("t2", "g2"): 0.9, ("t2", "g3"): 0.5})
+            chain = ComparatorChain(tiers=(("canned", 0.3), ("canned_high", 0.9)),
+                                    final_threshold=0.9)
+            cfg = FilterConfig(chain=chain, window=None, lookahead=2,
+                               context=empty_ctx())
+            bitext = make_bitext(["t0", "t1", "t2"], ["g0", "g1", "g2", "g3"])
+            res = align_filter(bitext, cfg)
+            # line 1's row was freed when it died, so its round 2 bid on
+            # g0 is scored again
+            assert bids.count(("t1", "g0")) == 2
+            assert (res.accepted, res.dropped_src, res.dropped_tgt) == \
+                oracles.reference_align_filter(bitext, cfg)
+        finally:
+            COMPARATORS.pop("canned_high", None)
+        assert res.accepted == ((0, 3, 0.32, 0), (2, 2, 0.9, 0))
         assert res.dropped_src == ((1, 0.8),)
 
     def test_identical_corpora_all_diagonal(self):
@@ -788,56 +823,80 @@ class TestReferenceFilter:
     per text pair from a seed, exercises contests and ties. With bounded,
     the canned comparator carries a bound: its score plus a drawn slack
     of 0 to 0.3, capped at 1, so skips, ties at the bound, contests a
-    bound settles and the fallback after a veto are frequent."""
+    bound settles and the fallback after a veto are frequent. With
+    hopeless, about a third of the translation texts score at most 0.4 at
+    the first tier, so their rows hold no acceptable candidate and their
+    lines are dropped on their first scan; a second tier that never
+    accepts gives every pair the first tier rejects a drawn score of up
+    to 0.9, with which such a line still outbids accepted incumbents."""
 
     @staticmethod
-    def config(canned, *args):
+    def config(canned, *args, hopeless=False):
         cfg = TestPackedRows.config(*args)
         if canned is None:
             return cfg
-        chain = ComparatorChain(tiers=(("oracle_canned", 0.9),), final_threshold=0.5)
+        if hopeless:
+            chain = ComparatorChain(tiers=(("oracle_canned", 0.5), ("oracle_rejected", 1.0)),
+                                    final_threshold=1.0)
+        else:
+            chain = ComparatorChain(tiers=(("oracle_canned", 0.9),), final_threshold=0.5)
         return dataclasses.replace(cfg, chain=chain)
 
     @settings(max_examples=150, deadline=None)
     @given(PACKED_BITEXT, st.none() | st.integers(0, 2 ** 16),
            st.sampled_from([0, 1, 2, 30, None]), st.integers(0, 3), st.integers(0, 3),
-           st.booleans(), st.booleans())
+           st.booleans(), st.booleans(), st.booleans())
     # line 3 outscores line 1 on target 0 but may not contest it: target 0
     # is outside line 3's window
     @example(_packed_bitext((["cat cat cat", "cat cat żółw", "", "cat cat"], [""] * 4,
                              set())),
-             None, 2, 2, 1, True, False)
+             None, 2, 2, 1, True, False, False)
     # two candidates at 1.0 in line 0's row (targets 0 and 1): the lower
     # index wins without a contest
     @example(_packed_bitext((["cat sat", "dog ran"], ["mat", "cat sat", "dog"], set())),
-             None, 2, 1, 1, False, False)
+             None, 2, 1, 1, False, False, False)
     # two lines at 1.0 on target 0, the only copy of their text: the
     # earlier keeps it, the later drops
     @example(_packed_bitext((["cat sat", "cat sat", "dog"], ["park", "game", "sport"],
                              set())),
-             None, None, 1, 2, False, False)
+             None, None, 1, 2, False, False, False)
+    # line 1 is dropped on its first scan; in round 2 it still outbids
+    # line 0 on target 1, which line 2 then takes
+    @example(_packed_bitext((["mat naïve", "cat cat mat cat sat", "mat naïve", "cat cat"],
+                             ["", "mat naïve"], set())),
+             396, 2, 1, 2, False, False, True)
     def test_equals_oracle(self, bitext, canned, window, lookahead, rounds, allow_reuse,
-                           bounded):
-        def drawn(pa, pb):
-            return random.Random(f"{canned}|{pa.text}|{pb.text}")
+                           bounded, hopeless):
+        def drawn(pa, pb, tier):
+            # a random source for the pair's score at tier, and that score
+            rng = random.Random(f"{canned}|{tier}|{pa.text}|{pb.text}")
+            if tier:
+                return rng, rng.randrange(10)
+            dead = hopeless and random.Random(f"{canned}|{pa.text}").randrange(3) == 0
+            return rng, rng.randrange(5 if dead else 11)
 
-        def cmp(pa, pb, ctx, chain):
-            return drawn(pa, pb).randrange(11) / 10
+        def scorer(tier):
+            def cmp(pa, pb, ctx, chain):
+                return drawn(pa, pb, tier)[1] / 10
 
-        def bound(pa, pb, ctx, lead):
-            rng = drawn(pa, pb)
-            return min(1.0, (rng.randrange(11) + rng.randrange(4)) / 10)
+            def bound(pa, pb, ctx, lead):
+                rng, score = drawn(pa, pb, tier)
+                return min(1.0, (score + rng.randrange(4)) / 10)
 
-        if bounded:
-            cmp.bound = bound
-        register_comparator("oracle_canned", cmp, replace=True)
+            if bounded:
+                cmp.bound = bound
+            return cmp
+
+        register_comparator("oracle_canned", scorer(0), replace=True)
+        register_comparator("oracle_rejected", scorer(1), replace=True)
         try:
             args = (canned, window, lookahead, rounds, allow_reuse)
-            got = align_filter(bitext, self.config(*args))
-            cfg = self.config(*args)
+            got = align_filter(bitext, self.config(*args, hopeless=hopeless))
+            cfg = self.config(*args, hopeless=hopeless)
             accepted, dropped_src, dropped_tgt = oracles.reference_align_filter(bitext, cfg)
         finally:
             COMPARATORS.pop("oracle_canned", None)
+            COMPARATORS.pop("oracle_rejected", None)
         assert got.accepted == accepted
         assert got.dropped_tgt == dropped_tgt
         assert [i for i, _ in got.dropped_src] == [i for i, _ in dropped_src]
@@ -877,8 +936,9 @@ class TestHostileMemory:
             "--trans", str(paths["trans"]), "--out-src", str(out_src),
             "--out-tgt", str(tmp_path / "o.tgt"), "--report", str(tmp_path / "rep.tsv"))
         assert len(out_src.read_text(encoding="utf-8").splitlines()) > 3000
-        # 29 MB measured (CPython 3.11); keeping every decision and prepared
-        # sentence for the whole run took 66 MB
+        # 25 MB measured (CPython 3.11); 29 MB when dropped lines kept their
+        # decisions, and keeping every decision and prepared sentence for
+        # the whole run took 66 MB
         assert peak_mb <= 40
 
     def test_fresh_chunks_on_every_line(self, write_lines, tmp_path):
@@ -923,6 +983,35 @@ class TestHostileMemory:
         # 21 MB measured (CPython 3.11); 388 MB when each row's offsets
         # spanned the whole window
         assert peak_mb <= 40
+
+
+    def test_dropped_lines_free_their_decisions(self):
+        # No pair is accepted: the two sides draw words from disjoint
+        # letters. Every line is dropped on its first scan, which scores
+        # all 61 candidates of its window; keeping those decisions cost
+        # 10.6 KB per line (CPython 3.11), and freeing them leaves 0.7 KB,
+        # mostly the cached preparation of each target line.
+        def traced_peak(n):
+            rng = random.Random(n)
+            vocab = {side: ["".join(rng.choices(letters, k=rng.randint(3, 8)))
+                            for _ in range(300)]
+                     for side, letters in (("trans", "abcdefghijklm"),
+                                           ("target", "nopqrstuvwxyz"))}
+            trans, target = ([" ".join(rng.choices(vocab[side], k=rng.randint(4, 9)))
+                              for _ in range(n)] for side in ("trans", "target"))
+            bitext = make_bitext(trans, target, src=trans)
+            cfg = FilterConfig(chain=DEFAULT_CHAIN, window=30, context=ChainContext())
+            tracemalloc.start()
+            try:
+                res = align_filter(bitext, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.accepted == () and len(res.dropped_src) == n
+            return peak
+
+        small, large = traced_peak(300), traced_peak(1200)
+        assert (large - small) / 900 < 1024
 
 
 class TestHostileLongLines:

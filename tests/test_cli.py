@@ -930,3 +930,18 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "default: 0.2" in out      # gap penalty
         assert "default: dp" in out       # engine
+
+
+class TestStartup:
+    def test_import_leaves_out_the_provider_command_modules(self):
+        # subprocess and signal serve only CommandProvider.translate, which
+        # imports them itself; -S keeps site's imports out of the check
+        probe = ("import sys, bifilter.cli; "
+                 "print(sorted({'subprocess', 'signal'} & set(sys.modules)))")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

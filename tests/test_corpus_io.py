@@ -311,6 +311,46 @@ class TestWriteBitext:
         got = [int(r.split("\t")[0]) for r in rep.read_text().splitlines()[1:]]
         assert got == want
 
+    def test_trailing_cr_in_the_last_target_line_keeps_old_outputs(self, tmp_path):
+        # the target file's lines are all checked before its first is
+        # written, so a bad last line leaves no partial temporary file
+        names = ["s.txt", "t.txt", "rep.tsv"]
+        for name in names:
+            (tmp_path / name).write_text(f"old {name}\n", encoding="utf-8")
+        bt = Bitext(source=("s0", "s1", "s2"), target=("t0", "t1", "t2\r"))
+        res = _FakeResult([(0, 0, 0.9, 0), (1, 1, 0.9, 0), (2, 2, 0.9, 0)])
+        with pytest.raises(DataError, match="t.txt: line 3 contains an embedded line"):
+            write_bitext(res, bt, *(tmp_path / name for name in names))
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        for name in names:
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+    @pytest.mark.parametrize("kind", ["fifo", "devnull"])
+    def test_in_place_output_gets_nothing_before_a_bad_line(self, kind, tmp_path,
+                                                            monkeypatch):
+        out_tgt = tmp_path / "fifo" if kind == "fifo" else "/dev/null"
+        if kind == "fifo":
+            os.mkfifo(out_tgt)
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(_records, "open", recording_open, raising=False)
+        bt = Bitext(source=("s0", "s1"), target=("t0", "t1\r"))
+        res = _FakeResult([(0, 0, 0.9, 0), (1, 1, 0.9, 0)])
+        # a reader opened without blocking would let a writer open at once
+        reader = os.open(out_tgt, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(DataError, match="line 2 contains an embedded line"):
+                write_bitext(res, bt, tmp_path / "s.txt", out_tgt, tmp_path / "r.tsv")
+            assert os.read(reader, 1024) == b""
+        finally:
+            os.close(reader)
+        assert str(out_tgt) not in opened
+        assert sorted(os.listdir(tmp_path)) == (["fifo"] if kind == "fifo" else [])
+
     def test_pair_out_of_bounds(self, tmp_path):
         res = _FakeResult([(7, 0, 0.9, 0)])
         with pytest.raises(DataError):
