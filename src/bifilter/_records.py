@@ -81,11 +81,11 @@ def read_rows(path, what: str, usage: str | None = None, convert=None,
 
 def written_in_place(path) -> bool:
     """True when write_files writes path in place: path exists and, after
-    following symlinks, is not a regular file (a device, a FIFO). Raises
-    OSError when path cannot be examined."""
+    following symlinks, is not a regular file (a device, a FIFO). False
+    when path cannot be examined; writing it then fails."""
     try:
         return not stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
+    except OSError:
         return False
 
 

@@ -39,20 +39,18 @@ __all__ = [
 
 # A row of at least this many open candidates gets its LCS gate values from
 # the packed passes of its chunks; smaller rows gate each pair through the
-# source line's own pack. With per-line masks and every row's passes run up
-# front, three rounds of 20 s benchmark
-# runs (2 vCPUs) gave median lines_per_ref for a minimum of 3 / 4 / 8:
-# filter-narrow-10k (window 1, rows of at most three) 2905 / 3151 / 3144,
-# filter-wide-1k (window 30) 922 / 936 / 926. Packing rows of three is
-# slower on the narrow workload; 4 and 8 differ only in rows of 4-7
-# candidates, which neither workload has many of.
+# source line's own pack. With a minimum of 3 / 4 / 8, align_filter on the
+# benchmark's seed-0 inputs took a median 564 / 500 / 507 ms of CPU on
+# filter-narrow-10k (window 1, rows of at most three) and 182 / 183 / 184 ms
+# on filter-wide-1k (window 30); 9 rounds, values alternating, 2 vCPUs,
+# Python 3.11. Packing rows of three is slower; 4 and 8 differ only in rows
+# of 4-7 candidates, which neither workload has many of.
 _PACKED_ROW_MIN = 4
 # Target lines per PackedStrings chunk. Chunks start at multiples of this
-# and are shared by the consecutive rows whose windows cover them; a row
-# runs the pass of a chunk only when a gate reads a target in it. With
-# passes run on first read, align_filter on the filter-wide-1k input took
-# a median 0.32 s of CPU with chunks of 16, 0.31 s with 32 and 0.33 s with
-# 64 (seven runs each, 2 vCPUs, Python 3.11).
+# and are shared by the consecutive rows whose windows cover them; a chunk
+# runs its pass when a gate reads a target in it. On filter-wide-1k,
+# align_filter took a median 181 / 177 / 181 ms of CPU with chunks of 16 /
+# 32 / 64 (21 rounds as above), all inside the quartiles of 16, 171-192 ms.
 _PACK_CHUNK = 16
 
 
@@ -212,7 +210,7 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
     packs: dict[int, PackedStrings] = {}
 
     def set_row(i: int, row: list[int]) -> None:
-        # ctx's row slot for line i: the chunks covering row, those it no
+        # line i's row chunks in ctx: the chunks covering row, those it no
         # longer covers dropped. A new chunk holds the target lines of its
         # span that are still open; the consumed ones were forgotten.
         nonlocal packs
@@ -249,9 +247,12 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
 
     def try_match(i: int, veto: bool) -> bool:
         row = candidates_of(i)
-        pack = len(row) >= _PACKED_ROW_MIN
         vetoed: set[int] = set()
         while True:
+            # on every scan: a contest makes its contender ctx's first
+            # side, which drops the chunks but not the passes they keep
+            if len(row) >= _PACKED_ROW_MIN:
+                set_row(i, row)
             best = best_seen.get(i, 0.0)
             top: Optional[tuple[int, ChainDecision]] = None  # the incumbent
             for j in row:
@@ -268,9 +269,6 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
                         lead = math.nextafter(lead, -1.0)
                     if bounded_by(i, j, lead):
                         continue
-                if pack and known(i, j) is None:
-                    set_row(i, row)
-                    pack = False
                 d = decide(i, j)
                 if d.score > best:
                     best = d.score
@@ -310,7 +308,6 @@ def align_filter(bitext: Bitext, cfg: FilterConfig) -> FilterResult:
         if not any([try_match(i, rounds > 0) for i in pending]):
             rounds = min(rounds, 1)
         rounds -= 1
-    ctx.set_row(None)  # true LCS lengths of its line: harmless until here
 
     accepted = tuple(
         (i, matched[i][0], matched[i][1], matched[i][2]) for i in sorted(matched)

@@ -3,9 +3,11 @@
 Subcommands: filter (clean a noisy bitext), align (sequence-align two
 documents), evaluate (score a candidate corpus), stats (corpus statistics),
 eval-filter (judge a filter run against gold labels). Every run that writes
-a report also writes a JSON manifest (resolved config, input digests,
-version, wall time; for align also the engine's work counters) next to it,
-unless the report is a device or a FIFO.
+a report also writes a JSON manifest (resolved config, input and output
+digests, version, wall time; for align also the engine's work counters)
+next to it, unless the report is a device or a FIFO. A command whose output
+names the same file as another of its outputs or one of its inputs exits 2
+before it reads any file.
 
 Every setting is a flag with a plain default. The BIFILTER_CONFIG
 defaults file that older versions read is refused: a run with the
@@ -64,6 +66,46 @@ from .textnorm import (
 
 PAIRS_HEADER = "i\tj\tlikelihood"
 
+# Each command's input and output flags, as argparse dests; the manifest
+# goes beside the last output.
+_FILES = {
+    "filter": (("src", "tgt", "trans", "chain", "provider_file", "stoplist", "synonyms"),
+               ("out_src", "out_tgt", "report")),
+    "align": (("doc_a", "doc_b", "dict"), ("out",)),
+    "evaluate": (("cand", "ref", "synonyms"), ("report",)),
+    "stats": (("src", "tgt"), ("report",)),
+    "eval-filter": (("report", "gold"), ("out",)),
+}
+
+
+def _paths(args, dests):
+    """(flag, path) for each path given to the flags named by dests."""
+    for dest in dests:
+        value = getattr(args, dest)
+        for path in value if isinstance(value, list) else [value]:
+            if path is not None:
+                yield "--" + dest.replace("_", "-"), path
+
+
+def _check_outputs(args) -> None:
+    """ConfigError when an output, or the manifest beside the last one, is
+    the file of another output or of an input: os.path.samefile, or the
+    same os.path.realpath for a path not yet made. Outputs written in
+    place (devices, FIFOs) may share a path."""
+    inputs, outputs = _FILES[args.command]
+    written = [(f, p) for f, p in _paths(args, outputs) if not written_in_place(p)]
+    if written and written[-1][1] == getattr(args, outputs[-1]):
+        flag, path = written[-1]
+        written.append((f"the manifest of {flag}", f"{path}.manifest.json"))
+    for k, (flag, path) in enumerate(written):
+        for other_flag, other in [*written[:k], *_paths(args, inputs)]:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # one is not made yet
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise ConfigError(f"{flag} names the same file as {other_flag}: {path}")
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -77,11 +119,14 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(report_path, subcommand: str, args, inputs, started: float,
-                    stats=None):
-    """Write <report_path>.manifest.json; stats, when given, is the run's
+def _write_manifest(args, started: float, stats=None):
+    """Write <report>.manifest.json, the report being the command's last
+    output, once every output is written; stats, when given, is the run's
     work counters. A report written in place (a device such as /dev/null,
-    a FIFO) gets no manifest: there is no file beside it to describe."""
+    a FIFO) gets no manifest: there is no file beside it to describe, and
+    no output written in place gets a digest."""
+    inputs, outputs = _FILES[args.command]
+    report_path = getattr(args, outputs[-1])
     if written_in_place(report_path):
         return
     config = {}
@@ -90,11 +135,11 @@ def _write_manifest(report_path, subcommand: str, args, inputs, started: float,
             continue
         config[key] = str(value) if isinstance(value, Path) else value
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config": config,
-        "inputs": {
-            str(p): _sha256(Path(p)) for p in inputs if p is not None
-        },
+        "inputs": {str(p): _sha256(Path(p)) for _, p in _paths(args, inputs)},
+        "outputs": {str(p): _sha256(Path(p)) for _, p in _paths(args, outputs)
+                    if not written_in_place(p)},
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
@@ -155,12 +200,7 @@ def cmd_filter(args) -> int:
         )
     result = align_filter(bitext, cfg)
     write_bitext(result, bitext, args.out_src, args.out_tgt, args.report)
-    _write_manifest(
-        args.report, "filter", args,
-        [args.src, args.tgt, args.trans, args.chain,
-         args.provider_file, args.stoplist, args.synonyms],
-        started,
-    )
+    _write_manifest(args, started)
     print(
         f"accepted {len(result.accepted)} pairs, "
         f"dropped {len(result.dropped_src)} source and "
@@ -184,8 +224,7 @@ def cmd_align(args) -> int:
     lines = [PAIRS_HEADER]
     lines += [f"{i}\t{j}\t{s:.4f}" for i, j, s in kept]
     write_text(args.out, "".join(line + "\n" for line in lines), "pairs")
-    _write_manifest(args.out, "align", args,
-                    [args.doc_a, args.doc_b, args.dict], started, stats=stats)
+    _write_manifest(args, started, stats=stats)
     print(f"aligned {len(alignment.pairs)} pairs, kept {len(kept)} "
           f"at threshold {args.threshold}")
     return 0
@@ -222,8 +261,7 @@ def cmd_evaluate(args) -> int:
         stats=stats,
     )
     write_text(args.report, _json(report), "report")
-    _write_manifest(args.report, "evaluate", args,
-                    [args.cand, *args.ref, args.synonyms], started, stats=stats)
+    _write_manifest(args, started, stats=stats)
     for name in metrics:
         print(f"{name}\t{report[name]['score']:.4f}")
     return 0
@@ -234,7 +272,7 @@ def cmd_stats(args) -> int:
     payload = _print_fields(vocab_stats(load_bitext(args.src, args.tgt)))
     if args.report:
         write_text(args.report, _json(payload), "report")
-        _write_manifest(args.report, "stats", args, [args.src, args.tgt], started)
+        _write_manifest(args, started)
     return 0
 
 
@@ -245,8 +283,7 @@ def cmd_eval_filter(args) -> int:
     payload = _print_fields(evaluate_filtering(rows, poor, good))
     if args.out:
         write_text(args.out, _json(payload), "report")
-        _write_manifest(args.out, "eval-filter", args,
-                        [args.report, args.gold], started)
+        _write_manifest(args, started)
     return 0
 
 
@@ -356,6 +393,7 @@ def main(argv=None) -> int:
                 "read; pass the settings as flags and unset the variable"
             )
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

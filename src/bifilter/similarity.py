@@ -177,9 +177,9 @@ class PreparedSentence:
     Holds the raw sentence text, its stopword-filtered content tokens,
     their space-joined string, which the ratio-family comparators compare
     character by character, and a token Counter. Nothing else is kept:
-    LCS bitmasks live in PackedStrings (the ChainContext's line slot and
-    a caller's row chunks), and the block decomposition searches the
-    strings themselves.
+    LCS bitmasks live in PackedStrings (a ChainContext's line pack and
+    row chunks), and the block decomposition searches the strings
+    themselves.
     """
 
     __slots__ = ("text", "tokens", "joined", "counts")
@@ -197,9 +197,10 @@ class PackedStrings:
     against every one of them. strings holds them, in order, and index
     maps each distinct one to a position where it stands. Their bitmasks
     are built by the first lcs_lengths call (masks is None until then), so
-    a pack no pass reads costs no mask."""
+    a pack no pass reads costs no mask. The last pass's answer is kept, so
+    asking again for the same string runs no pass."""
 
-    __slots__ = ("strings", "index", "masks", "full", "_spans")
+    __slots__ = ("strings", "index", "masks", "full", "_spans", "_last")
 
     def __init__(self, strings):
         self.strings = tuple(strings)
@@ -214,9 +215,13 @@ class PackedStrings:
             off += len(s) + 1
         self.full = full
         self._spans = spans
+        self._last: tuple[str, list[int]] | None = None
 
     def lcs_lengths(self, a: str) -> list[int]:
         """LCS length of a against each string, in order."""
+        last = self._last
+        if last is not None and last[0] == a:
+            return last[1]
         masks = self.masks
         if masks is None:
             masks = {}
@@ -228,28 +233,27 @@ class PackedStrings:
                     masks = _build_masks(s)  # unshifted, so used as built
             self.masks = masks
         matched = self.full ^ _lcs_run(masks, self.full, a)
-        return [((matched >> off) & ones).bit_count() for off, ones in self._spans]
+        lengths = [((matched >> off) & ones).bit_count() for off, ones in self._spans]
+        self._last = (a, lengths)
+        return lengths
 
 
 class _PairScratch:
     """The pair chain_evaluate is scoring: its two prepared sentences, the
     floor below which the ratio-family scores may be LCS upper bounds
     (0.0 for exact=True), the base ratio once a comparator has computed
-    it, the LCS lengths of b's joined string against a's line slot once
-    a gate has run that pass, and plausible: set once a tier that did not
-    accept still scored at or above the floor. The base ratio of a
-    plausible pair is computed exactly, with no gate: such pairs nearly
-    always reach the floor, so their pass would only delay the exact
-    ratio."""
+    it, and plausible: set once a tier that did not accept still scored
+    at or above the floor. The base ratio of a plausible pair is computed
+    exactly, with no gate: such pairs nearly always reach the floor, so
+    their pass would only delay the exact ratio."""
 
-    __slots__ = ("pa", "pb", "floor", "base", "lcs", "plausible")
+    __slots__ = ("pa", "pb", "floor", "base", "plausible")
 
     def __init__(self, pa: PreparedSentence, pb: PreparedSentence, floor: float):
         self.pa = pa
         self.pb = pb
         self.floor = floor
         self.base: float | None = None
-        self.lcs: list[int] | None = None
         self.plausible = False
 
 
@@ -259,21 +263,20 @@ class ChainContext:
     chunk table holding the content tokens of each whitespace-separated
     chunk prepare has seen as one tuple, whose strings every sentence
     holding the chunk shares (never forgotten), the scratch record of the
-    pair chain_evaluate is scoring, and one line slot: the joined strings
-    of the last first side a pair gate saw and of its synonym variants,
-    packed, and beside it a count slot holding the character counts of the
-    joined string of the last first side a bound saw. The record and the
-    slots make a context unsafe for concurrent chain_evaluate calls; the
-    stoplist must not change while the context is in use, since the chunk
-    table keeps what it removed, and the lexicon and variant cap must not
-    change while it is scoring.
+    pair chain_evaluate is scoring, and one first side: the last first
+    sentence a gate or a bound saw, its line pack (its joined string and
+    those of its synonym variants, packed), its character counts and its
+    row chunks. The record and the first side make a context unsafe for
+    concurrent chain_evaluate calls; the stoplist must not change while
+    the context is in use, since the chunk table keeps what it removed,
+    and the lexicon and variant cap must not change while it is scoring.
 
-    The row slot (set_row) serves a caller that scores one sentence
-    against a window of targets: it holds that prepared sentence and
-    PackedStrings chunks of joined target strings, and the base ratio's
-    gate reads its LCS lengths from there for pairs whose first sentence
-    is the row's. A chunk's pass runs the first time the gate reads a
-    string in it, at most once per set_row.
+    Row chunks (set_row) serve a caller that scores one sentence against
+    a window of targets: PackedStrings of joined target strings, from
+    which the base ratio's gate reads its LCS lengths. A pair with another
+    first side drops them. Each pass is kept by its pack, so a chunk runs
+    it when the gate first reads a string in it, and again only after a
+    pass for another sentence.
     """
 
     def __init__(
@@ -289,10 +292,8 @@ class ChainContext:
         self._prepared: dict[str, PreparedSentence] = {}
         self._chunks: dict[str, tuple[str, ...]] = {}
         self._pair: _PairScratch | None = None
-        self._line: tuple[PreparedSentence, PackedStrings] | None = None
-        self._counts: tuple[PreparedSentence, Counter] | None = None
-        # (sentence, chunks, each chunk's LCS lengths once its pass ran)
-        self.row: tuple[PreparedSentence, tuple[PackedStrings, ...], list] | None = None
+        # [sentence, line pack, counts, row chunks]; None until asked for
+        self._first: list = [None, None, None, ()]
 
     def prepare(self, sentence: str) -> PreparedSentence:
         hit = self._prepared.get(sentence)
@@ -319,48 +320,43 @@ class ChainContext:
         of the same text builds an equal one again."""
         self._prepared.pop(sentence, None)
 
+    def _side(self, p: PreparedSentence) -> list:
+        """The first side, emptied for p when it is not p's (by identity). A
+        filter scores a line's pairs, then its contests, before the next."""
+        first = self._first
+        if first[0] is not p:
+            first = self._first = [p, None, None, ()]
+        return first
+
     def _line_pack(self, p: PreparedSentence) -> PackedStrings:
-        """The joined strings of p and of its synonym variants, p's first,
-        packed when p is not the slot's sentence. A filter scores a source
-        line's pairs, then its contests, before the next line, so each line
-        is packed about once."""
-        slot = self._line
-        if slot is None or slot[0] is not p:
+        """The joined strings of p and of its synonym variants, p's first."""
+        first = self._side(p)
+        if first[1] is None:
             variants = [p.tokens]
             if len(self.lexicon):
                 variants = expand_variants(p.tokens, self.lexicon, self.variant_cap)
-            slot = self._line = (p, PackedStrings([" ".join(v) for v in variants]))
-        return slot[1]
+            first[1] = PackedStrings([" ".join(v) for v in variants])
+        return first[1]
 
     def _line_counts(self, p: PreparedSentence) -> Counter:
-        """The character counts of p's joined string, counted when p is
-        not the count slot's sentence, so about once per filtered line."""
-        slot = self._counts
-        if slot is None or slot[0] is not p:
-            slot = self._counts = (p, Counter(p.joined))
-        return slot[1]
+        """The character counts of p's joined string."""
+        first = self._side(p)
+        if first[2] is None:
+            first[2] = Counter(p.joined)
+        return first[2]
 
-    def set_row(self, p: PreparedSentence | None, chunks=()) -> None:
-        """Fill the row slot with p and its target chunks (PackedStrings),
-        no pass run yet; set_row(None) empties it."""
-        chunks = tuple(chunks)
-        self.row = None if p is None else (p, chunks, [None] * len(chunks))
+    def set_row(self, p: PreparedSentence, chunks) -> None:
+        """Make p the first side, with chunks (PackedStrings) as its row."""
+        self._side(p)[3] = tuple(chunks)
 
-    def _row_lcs(self, p: PreparedSentence, s: str) -> int | None:
-        """LCS length of s against p.joined from the row slot, running the
-        pass of the chunk holding s if it has not run; None when the slot
-        is not p's (by identity) or no chunk holds s."""
-        row = self.row
-        if row is None or row[0] is not p:
-            return None
-        _, chunks, passes = row
-        for k, chunk in enumerate(chunks):
+    def _lcs(self, p: PreparedSentence, s: str) -> int:
+        """LCS length of s against p.joined: from the row chunk holding s,
+        if one does, otherwise from p's line pack."""
+        for chunk in self._side(p)[3]:
             pos = chunk.index.get(s)
             if pos is not None:
-                if passes[k] is None:
-                    passes[k] = chunk.lcs_lengths(p.joined)
-                return passes[k][pos]
-        return None
+                return chunk.lcs_lengths(p.joined)[pos]
+        return self._line_pack(p).lcs_lengths(s)[0]
 
 
 def _tier(comp, threshold) -> tuple[str, float]:
@@ -458,10 +454,13 @@ def _gated_ratio(a: str, b: str, floor: float = 0.0, lcs: int | None = None) -> 
     return ratio(a, b).score
 
 
-def _scratch(ctx: ChainContext, pa, pb) -> _PairScratch | None:
-    """ctx's record of the pair chain_evaluate is scoring, if it is (pa, pb)."""
+def _scratch(ctx: ChainContext, pa, pb) -> _PairScratch:
+    """ctx's record of the pair chain_evaluate is scoring, if it is (pa, pb);
+    otherwise a new record with floor 0, so the scores are exact."""
     rec = ctx._pair
-    return rec if rec is not None and rec.pa is pa and rec.pb is pb else None
+    if rec is None or rec.pa is not pa or rec.pb is not pb:
+        rec = _PairScratch(pa, pb, 0.0)
+    return rec
 
 
 def _cmp_overlap(pa, pb, ctx, chain) -> float:
@@ -488,19 +487,12 @@ def _cmp_ratio(pa, pb, ctx, chain) -> float:
     is computed once per pair, replaced by its LCS bound when that is below
     the floor, and the synonym tier reuses it; any other caller gets the
     exact value, and so does a pair an earlier tier scored at or above the
-    floor. The gate takes the LCS length from ctx's row slot when the row
-    is a's and holds b, otherwise from a pass of b through a's line slot."""
+    floor. The gate takes the LCS length from a's row chunks when one holds
+    b, otherwise from a pass of b through a's line pack."""
     rec = _scratch(ctx, pa, pb)
-    if rec is None:
-        return _gated_ratio(pa.joined, pb.joined)
     if rec.base is None:
         floor = 0.0 if rec.plausible else rec.floor
-        lcs = None
-        if floor > 0.0:
-            lcs = ctx._row_lcs(pa, pb.joined)
-            if lcs is None:
-                rec.lcs = ctx._line_pack(pa).lcs_lengths(pb.joined)
-                lcs = rec.lcs[0]
+        lcs = ctx._lcs(pa, pb.joined) if floor > 0.0 else None
         rec.base = _gated_ratio(pa.joined, pb.joined, floor, lcs)
     return rec.base
 
@@ -511,20 +503,16 @@ def _cmp_synonym_ratio(pa, pb, ctx, chain) -> float:
     is never below the ratio tier's; each other variant's joined string is
     scored against b's with ratio. Inside chain_evaluate a variant whose LCS
     bound against b's joined string is below the floor scores that bound;
-    one pass of b through a's line slot, shared with the base ratio's gate
+    one pass of b through a's line pack, shared with the base ratio's gate
     when that ran it, gives every variant's LCS length."""
     best = _cmp_ratio(pa, pb, ctx, chain)
     if best >= 1.0 or len(ctx.lexicon) == 0:
         return best
-    rec = _scratch(ctx, pa, pb)
-    floor = rec.floor if rec is not None else 0.0
     pack = ctx._line_pack(pa)
     if len(pack.strings) == 1:
         return best
-    if floor == 0.0:
-        lcs = [None] * len(pack.strings)
-    else:
-        lcs = rec.lcs or pack.lcs_lengths(pb.joined)
+    floor = _scratch(ctx, pa, pb).floor
+    lcs = pack.lcs_lengths(pb.joined) if floor > 0.0 else [None] * len(pack.strings)
     for variant, n in zip(pack.strings[1:], lcs[1:]):
         score = _gated_ratio(variant, pb.joined, floor, n)
         if score > best:
@@ -604,11 +592,9 @@ def chain_evaluate(
     pair that an earlier tier scored at or above chain.floor skips the
     gate and is computed exactly. Decisions are the same
     either way; a score below the floor may then be an upper bound (still
-    below the floor). The base ratio's LCS length comes from context's row
-    slot when the row's sentence is a's and the row holds b. exact=True
-    computes every score in full, for callers that use rejected scores,
-    such as an alignment objective. A comparator score outside [0, 1], or
-    NaN, raises ValueError.
+    below the floor). exact=True computes every score in full, for callers
+    that use rejected scores, such as an alignment objective. A comparator
+    score outside [0, 1], or NaN, raises ValueError.
     """
     pa = context.prepare(a)
     pb = context.prepare(b)

@@ -629,7 +629,6 @@ class TestPackedRows:
         args = (window, lookahead, rounds, allow_reuse)
         cfg = self.config(*args)
         packed = align_filter(bitext, cfg)
-        assert cfg.context.row is None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bisentence_filter, "_PACKED_ROW_MIN", 10 ** 9)
             alone = align_filter(bitext, self.config(*args))
@@ -647,20 +646,29 @@ class TestPackedRows:
         return calls
 
     def counted_packs(self, monkeypatch):
-        # each PackedStrings built, and the pack behind each LCS pass
-        built, passes = [], []
+        # each PackedStrings built, and the pack behind each kernel run
+        built, passes, asking = [], [], []
         init, lcs_lengths = similarity.PackedStrings.__init__, similarity.PackedStrings.lcs_lengths
+        run = similarity._lcs_run
 
         def counted_init(pack, strings):
             init(pack, strings)
             built.append(pack)
 
         def counted_lcs_lengths(pack, a):
-            passes.append(pack)
-            return lcs_lengths(pack, a)
+            asking.append(pack)
+            try:
+                return lcs_lengths(pack, a)
+            finally:
+                asking.pop()
+
+        def counted_run(*args):
+            passes.append(asking[-1])
+            return run(*args)
 
         monkeypatch.setattr(similarity.PackedStrings, "__init__", counted_init)
         monkeypatch.setattr(similarity.PackedStrings, "lcs_lengths", counted_lcs_lengths)
+        monkeypatch.setattr(similarity, "_lcs_run", counted_run)
         return built, passes
 
     def test_one_pass_per_row_and_chunks_shared(self, monkeypatch):
@@ -691,11 +699,11 @@ class TestPackedRows:
         # through their own line's pack
         assert sorted(p.strings for p in passes if len(p.strings) == 1) == (
             [(trans[0],)] * 3 + [(trans[63],)] * 3)
-        # every other row fills the slot once and, since every pair's gate
-        # reads it, runs one pass per chunk its window touches: at most
-        # one per chunk per row
-        assert len(rows) == 62 + 1  # and the slot emptied at the end
-        for i, (start, end) in enumerate(zip(rows, rows[1:]), start=1):
+        # every other row is scanned once, sets its chunks once and, since
+        # every pair's gate reads them, runs one pass per chunk its window
+        # touches: at most one per chunk per row
+        assert len(rows) == 62
+        for i, (start, end) in enumerate(zip(rows, rows[1:] + [len(passes)]), start=1):
             row_passes = [p.strings for p in passes[start:end] if len(p.strings) > 1]
             assert sorted(row_passes) == sorted(
                 {chunks[j // chunk] for j in range(max(0, i - 2), min(63, i + 2) + 1)})
@@ -754,7 +762,7 @@ class TestPackedRows:
         # most once, each line's variants are expanded once per packing, and a
         # gated pair runs at most one line pass, shared by the base ratio
         # and the synonym tier, however many variants its source line has;
-        # a row's chunk passes run at most once per chunk per row
+        # a chunk's pass runs at most once while one line's scans set it
         sb = synthcorpus.build()
         stop = default_stoplist("en")
         freq = Counter(t for line in sb.trans
@@ -767,16 +775,19 @@ class TestPackedRows:
         kernel = self.counted(monkeypatch, similarity, "_lcs_run")
         expanded = self.counted(monkeypatch, similarity, "expand_variants")
         built, passes = self.counted_packs(monkeypatch)
-        chunks = []  # every chunk a row slot held, kept alive for its id
+        chunks = []  # every chunk set_row was given, kept alive for its id
         chunk_ids = set()
-        rows = []  # where in passes each row slot was filled
+        rows = []  # where in passes a set_row for another sentence came
+        sides = []  # and that sentence
         set_row = ctx.set_row
 
-        def counted_set_row(p, row_chunks=()):
+        def counted_set_row(p, row_chunks):
             row_chunks = tuple(row_chunks)
             chunks.extend(row_chunks)
             chunk_ids.update(map(id, row_chunks))
-            rows.append(len(passes))
+            if not sides or sides[-1] is not p:
+                rows.append(len(passes))
+                sides.append(p)
             set_row(p, row_chunks)
 
         monkeypatch.setattr(ctx, "set_row", counted_set_row)
@@ -793,6 +804,8 @@ class TestPackedRows:
         monkeypatch.setattr(bisentence_filter, "chain_evaluate", counted_evaluate)
         res = align_filter(bitext, FilterConfig(chain=DEFAULT_CHAIN, context=ctx))
         assert len(res.accepted) > 700
+        # the work done, pinned
+        assert (len(pair_passes), len(masks), len(kernel)) == (25756, 6665, 28641)
         # a pack's masks are built once, by its first pass; a pack no pass
         # reads builds none
         passed = {id(p): p for p in passes}
@@ -813,6 +826,47 @@ class TestPackedRows:
         # the passes carry several variants each
         assert max(len(b.strings) for b in line_packs) > 3
         assert sum(len(p.strings) - 1 for p in line_passes) > 2 * len(kernel)
+
+
+class TestWorkDone:
+    """A tripwire on the filter's work on the seed-0 acceptance corpus,
+    which is the benchmark's filter-wide-1k input, at the default window
+    and at window 1: chain_evaluate calls, chain bound calls, LCS kernel
+    runs and mask builds. A change that moves one of them changes what
+    the filter computes, and should say why."""
+
+    @pytest.mark.parametrize("window, want", [
+        (30, {"chain": 7647, "bound": 18581, "kernel": 876, "masks": 1012}),
+        (1, {"chain": 1214, "bound": 1094, "kernel": 396, "masks": 182}),
+    ])
+    def test_counts(self, window, want, monkeypatch):
+        sb = synthcorpus.build()
+        counts = Counter()
+
+        def counted(module, name, key):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(bisentence_filter, "chain_evaluate", "chain")
+        counted(similarity, "_lcs_run", "kernel")
+        counted(similarity, "_build_masks", "masks")
+        chain_bound = bisentence_filter.chain_bound
+
+        def counted_chain_bound(chain, ctx):
+            bound = chain_bound(chain, ctx)
+            return lambda *args: counts.update(["bound"]) or bound(*args)
+
+        monkeypatch.setattr(bisentence_filter, "chain_bound", counted_chain_bound)
+        cfg = FilterConfig(chain=DEFAULT_CHAIN, window=window,
+                           context=ChainContext(stoplist=default_stoplist("en")))
+        res = align_filter(Bitext(sb.source, sb.target, sb.trans), cfg)
+        assert len(res.accepted) > 700
+        assert dict(counts) == want
 
 
 class TestReferenceFilter:

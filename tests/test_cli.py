@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import random
@@ -79,9 +80,12 @@ class TestFilterCommand:
         manifest = json.loads((tmp_path / "rep.tsv.manifest.json").read_text())
         assert manifest["subcommand"] == "filter"
         assert manifest["config"]["window"] == 30
-        digests = manifest["inputs"]
-        assert str(paths["src"]) in digests
-        assert all(len(v) == 64 for v in digests.values())
+        sha256 = {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                  for p in [*paths.values(), tmp_path / "o.src", tmp_path / "o.tgt", rep]}
+        assert manifest["inputs"] == {str(p): sha256[str(p)] for p in paths.values()}
+        # each output's digest, taken once every output was renamed in place
+        assert manifest["outputs"] == {
+            str(p): sha256[str(p)] for p in [tmp_path / "o.src", tmp_path / "o.tgt", rep]}
 
     def test_missing_trans_without_provider_exits_2(self, write_lines, tmp_path, capsys):
         paths = self.files(write_lines)
@@ -815,7 +819,7 @@ class TestOutputErrors:
         out = str(tmp_path / "nodir" / "out")
         argv = {
             "filter": ["--src", lines, "--tgt", lines, "--trans", lines,
-                       "--out-src", out, "--out-tgt", out, "--report", out],
+                       "--out-src", out, "--out-tgt", f"{out}.tgt", "--report", f"{out}.tsv"],
             "align": ["--doc-a", lines, "--doc-b", lines, "--out", out],
             "evaluate": ["--cand", lines, "--ref", lines, "--report", out],
             "stats": ["--src", lines, "--tgt", lines, "--report", out],
@@ -825,6 +829,96 @@ class TestOutputErrors:
         assert code == 1
         assert "error: cannot write" in err and out in err
         assert "Traceback" not in err
+
+    def argv(self, sub, tmp_path, write_lines, **paths):
+        """A run of sub on small valid inputs, one file each, and outputs
+        in tmp_path/out; paths replaces a flag's path (by argparse dest)."""
+        inputs, outputs = {
+            "filter": (("src", "tgt", "trans"), ("out_src", "out_tgt", "report")),
+            "align": (("doc_a", "doc_b"), ("out",)),
+            "evaluate": (("cand", "ref"), ("report",)),
+            "stats": (("src", "tgt"), ("report",)),
+            "eval-filter": ((), ("out",)),
+        }[sub]
+        flags = {dest: write_lines(f"{dest}.txt", GOOD_LINES) for dest in inputs}
+        if sub == "eval-filter":
+            flags["report"] = write_lines("rep.tsv", [REPORT_HEADER, "0\t0\t1.0000\t0"])
+            flags["gold"] = write_lines("gold.tsv", ["0\t0\tgood"])
+        flags.update({dest: tmp_path / "out" / dest for dest in outputs}, **paths)
+        argv = [sub]
+        for dest, path in flags.items():
+            argv += ["--" + dest.replace("_", "-"), str(path)]
+        return argv
+
+    @staticmethod
+    def tree(root):
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("sub, first, second", [
+        ("filter", "out_src", "out_tgt"),
+        ("filter", "out_src", "report"),
+        ("filter", "out_tgt", "report"),
+        ("filter", "src", "out_src"),
+        ("filter", "trans", "report"),
+        ("align", "doc_a", "out"),
+        ("align", "doc_b", "out"),
+        ("evaluate", "cand", "report"),
+        ("evaluate", "ref", "report"),
+        ("stats", "src", "report"),
+        ("stats", "tgt", "report"),
+        ("eval-filter", "report", "out"),
+        ("eval-filter", "gold", "out"),
+    ])
+    def test_output_naming_another_file_exits_2(self, sub, first, second, write_lines,
+                                                tmp_path, capsys):
+        # before any file is read or written: every file keeps its bytes
+        (tmp_path / "out").mkdir()
+        argv = self.argv(sub, tmp_path, write_lines)
+        path = argv[argv.index("--" + first.replace("_", "-")) + 1]
+        argv[argv.index("--" + second.replace("_", "-")) + 1] = path
+        before = self.tree(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: --{second.replace('_', '-')} names the same file as "
+                       f"--{first.replace('_', '-')}: {path}\n")
+        assert self.tree(tmp_path) == before
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink", "dotted"])
+    def test_another_name_for_an_input_exits_2(self, link, write_lines, tmp_path, capsys):
+        # stats --report over its own input would replace the corpus with
+        # JSON and record that JSON's digest as the input's
+        (tmp_path / "out").mkdir()
+        src = tmp_path / "src.txt"
+        report = {"symlink": tmp_path / "out" / "link.json",
+                  "hardlink": tmp_path / "out" / "hard.json",
+                  "dotted": tmp_path / "out" / ".." / "src.txt"}[link]
+        argv = self.argv("stats", tmp_path, write_lines, report=report)
+        if link == "symlink":
+            report.symlink_to(src)
+        elif link == "hardlink":
+            os.link(src, report)
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: --report names the same file as --src: {report}\n"
+        assert src.read_text().splitlines() == GOOD_LINES
+
+    def test_manifest_naming_an_output_exits_2(self, write_lines, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        manifest = tmp_path / "out" / "report.manifest.json"
+        argv = self.argv("filter", tmp_path, write_lines, out_tgt=manifest)
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == (f"error: the manifest of --report names the same file as "
+                       f"--out-tgt: {manifest}\n")
+        assert not manifest.exists()
+
+    def test_outputs_written_in_place_may_share_a_path(self, write_lines, tmp_path,
+                                                       capsys):
+        argv = self.argv("filter", tmp_path, write_lines, out_src=os.devnull,
+                         out_tgt=os.devnull, report=os.devnull)
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.startswith("accepted 4 pairs")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["src.txt", "tgt.txt", "trans.txt"]
 
 
     @pytest.mark.parametrize("fail_at", ["write", "replace"])

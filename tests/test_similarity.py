@@ -574,9 +574,9 @@ class TestPackedTargets:
             return [0] * len(self.strings)
 
     def test_row_holds_only_its_own_sentence(self):
-        # the row slot serves the pairs whose first sentence is the row's
+        # row chunks serve the pairs whose first sentence is the chunks'
         # own prepared sentence and whose second's joined string is in one
-        # of its chunks: a planted LCS length of 0 shows where it is taken
+        # of them: a planted LCS length of 0 shows where it is taken
         ctx = ChainContext()
         a, b, c = "quick brown fox", "lazy dog sleeps", "pale moon rises"
         want = {pair: chain_evaluate(*pair, DEFAULT_CHAIN, ctx)
@@ -588,25 +588,27 @@ class TestPackedTargets:
         # same content string takes the planted value too
         assert ctx.prepare(b.upper()).joined == ctx.prepare(b).joined
         assert chain_evaluate(a, b.upper(), DEFAULT_CHAIN, ctx).score == 0.0
-        assert chain_evaluate(c, b, DEFAULT_CHAIN, ctx) == want[c, b]
         assert chain_evaluate(a, c, DEFAULT_CHAIN, ctx) == want[a, c]
-        # exact scores read no gate, so not the row either
+        # exact scores read no gate, so not the chunks either
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx, exact=True) == want[a, b]
-        # the same text prepared by another context is not the row's sentence
+        # another first side replaces the chunks
+        assert chain_evaluate(c, b, DEFAULT_CHAIN, ctx) == want[c, b]
+        assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[a, b]
+        # the same text prepared by another context is not the chunks' sentence
         ctx.set_row(ChainContext().prepare(a), [self.PlantedPack([ctx.prepare(b).joined])])
         assert chain_evaluate(a, b, DEFAULT_CHAIN, ctx) == want[a, b]
-        ctx.set_row(None)
-        assert ctx.row is None
 
     def test_chain_takes_the_gate_from_the_row(self, monkeypatch):
-        # without a lexicon, a pair the row holds needs no line pack; each
-        # chunk's pass runs when the gate first reads a string in it, once
-        # per set_row, and a chunk never read runs none; a chunk's masks
-        # are built by its first pass and kept across set_row calls
+        # without a lexicon, a pair the chunks hold needs no line pack;
+        # each chunk's pass runs when the gate first reads a string in it,
+        # and again only after a pass for another sentence; a chunk never
+        # read runs none; a chunk's masks are built by its first pass and
+        # kept across set_row calls
         ctx = ChainContext()
-        a = "quick brown fox jumps"
+        a, c = "quick brown fox jumps", "pale moon rises"
         near, far = ["lazy dog sleeps all day", "brown owl hoots"], ["cold rain falls"]
         want = {b: chain_evaluate(a, b, DEFAULT_CHAIN, ChainContext()) for b in near + far}
+        want_c = chain_evaluate(c, near[0], DEFAULT_CHAIN, ChainContext())
         pa = ctx.prepare(a)
         passes, builds = [], []
         run, build = similarity._lcs_run, similarity._build_masks
@@ -626,7 +628,12 @@ class TestPackedTargets:
         ctx.set_row(pa, chunks)
         assert chain_evaluate(a, near[1], DEFAULT_CHAIN, ctx) == want[near[1]]
         assert chain_evaluate(a, far[0], DEFAULT_CHAIN, ctx) == want[far[0]]
-        assert passes == [chunks[0].masks, chunks[0].masks, chunks[1].masks]
+        assert passes == [chunks[0].masks, chunks[1].masks]
+        ctx.set_row(ctx.prepare(c), chunks)
+        assert chain_evaluate(c, near[0], DEFAULT_CHAIN, ctx) == want_c
+        ctx.set_row(pa, chunks)
+        assert chain_evaluate(a, near[0], DEFAULT_CHAIN, ctx) == want[near[0]]
+        assert passes == [chunks[0].masks, chunks[1].masks] + [chunks[0].masks] * 2
         assert builds == [(ctx.prepare(b).joined,) for b in near + far]
 
     def test_accepted_at_overlap_runs_no_pass(self, monkeypatch):
@@ -804,6 +811,58 @@ class TestChainFloor:
                 assert fast.score == full.score
             else:
                 assert full.score <= fast.score < chain.floor
+
+
+class TestFirstSide:
+    """A context holds one first side at a time, with its line pack, its
+    character counts and its row chunks, and each pass is kept by the pack
+    that ran it; none of that shows in a score or a bound."""
+
+    # (what to do, source index, target index, lead of a bound)
+    OP = st.tuples(st.sampled_from(["evaluate", "exact", "bound", "set_row"]),
+                   st.integers(0, 2), st.integers(0, 5),
+                   st.sampled_from([0.0, 0.5, 0.55, 0.9, 1.0]) | st.floats(0.0, 1.0))
+
+    @given(
+        st.lists(TestChainFloor.PAIR_SENTENCE, min_size=1, max_size=3),
+        st.lists(TestChainFloor.PAIR_SENTENCE, min_size=1, max_size=6),
+        st.lists(OP, min_size=1, max_size=12),
+        # the default chain's floor of 0.55 gates most unrelated pairs
+        st.just(DEFAULT_CHAIN) | st.builds(
+            ComparatorChain,
+            st.lists(st.tuples(st.sampled_from(["overlap", "ratio", "synonym_ratio"]),
+                               THRESHOLDS), min_size=1, max_size=3).map(tuple),
+            THRESHOLDS),
+        st.none() | TestChainFloor.LEXICON,
+    )
+    # "cats" against "cat" has a character bag bound of 6/7, above the
+    # lead; with the counts of "dog" it would be 0
+    @example(["dog", "cats"], ["cat"], [("bound", 0, 0, 0.5), ("bound", 1, 0, 0.5)],
+             DEFAULT_CHAIN, None)
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_first_sides_match_a_fresh_context(self, sources, targets, ops,
+                                                           chain, entries):
+        def context():
+            return ChainContext(stoplist=StopList.from_words(["the", "a"]),
+                                lexicon=SynonymLexicon(entries or {}))
+
+        ctx = context()
+        bound = similarity.chain_bound(chain, ctx)
+        # chunks of two targets, shared by every first side set_row gives them
+        chunks = [similarity.PackedStrings([ctx.prepare(t).joined for t in targets[c:c + 2]])
+                  for c in range(0, len(targets), 2)]
+        for op, i, j, lead in ops:
+            a, b = sources[i % len(sources)], targets[j % len(targets)]
+            if op == "set_row":
+                ctx.set_row(ctx.prepare(a), chunks)
+            elif op == "bound":
+                if bound is not None:
+                    assert bound(a, b, lead) == similarity.chain_bound(chain, context())(
+                        a, b, lead)
+            else:
+                exact = op == "exact"
+                assert chain_evaluate(a, b, chain, ctx, exact=exact) == chain_evaluate(
+                    a, b, chain, context(), exact=exact)
 
 
 class TestBounds:
