@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,9 +41,10 @@ pair: the engines keep no likelihoods and score each aligned pair again at
 backtrace.
 
 A scorer may also have an ``against`` attribute: against(doc_b) returns a
-function mapping a line a to the list of scorer(a, b) for every b in doc_b,
-each value equal to the pair's. nw_align then scores a row per call.
-lexicon_scorer's scorers have it."""
+function scores(a, lo, hi) giving the list of scorer(a, b) for every b in
+doc_b[lo:hi], 0 <= lo <= hi <= len(doc_b), each value equal to the pair's.
+nw_align then scores a row's band per call. lexicon_scorer's scorers have
+it."""
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,9 @@ def _check_gap(n: int, m: int, gap: float) -> None:
 
 
 def _checked_row(row: list[float], m: int) -> list[float]:
-    """row, a scorer's against() result for m target lines, checked as
-    _checked checks each value: min and max, plus the sum, since a NaN
-    anywhere makes the sum NaN while min and max may step over it."""
+    """row, a scorer's against() result for a band of m target lines,
+    checked as _checked checks each value: min and max, plus the sum, since
+    a NaN anywhere makes the sum NaN while min and max may step over it."""
     if len(row) != m:
         raise ValueError(f"pair scorer returned a row of {len(row)} scores "
                          f"for {m} lines")
@@ -171,12 +173,13 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     target line, its token set. Each distinct line is tokenized once per
     side for the scorer's lifetime.
 
-    The scorer's ``against(doc_b)`` gives a function mapping a source line
-    to the list of its scores against every line of doc_b, each equal to
-    the pair's score. It indexes doc_b once, each target word mapping to
-    the ascending indices of the lines whose token set holds it (an
-    inverted file; Zobel & Moffat 2006), so a row costs one pass over the
-    source's ranked rows and the lines they reach, not one call per line."""
+    The scorer's ``against(doc_b)`` gives a function scores(a, lo, hi)
+    giving a source line's scores against the lines doc_b[lo:hi], each
+    equal to the pair's score. It indexes doc_b once, each target word
+    mapping to the ascending indices of the lines whose token set holds it
+    (an inverted file; Zobel & Moffat 2006), so a band costs one pass over
+    the source's ranked rows and the lines they reach inside the band,
+    found by bisecting each list, not one call per line."""
     ranked: dict[str, _RankedRow] = {}
     source_rows: dict[str, tuple[tuple[_RankedRow, ...], int]] = {}
     target_sets: dict[str, frozenset[str]] = {}
@@ -218,34 +221,36 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
         total /= count
         return total if total < 1.0 else 1.0
 
-    def against(doc_b: list[str]) -> Callable[[str], list[float]]:
+    def against(doc_b: list[str]) -> Callable[[str, int, int], list[float]]:
         index: dict[str, list[int]] = {}
         for j, b in enumerate(doc_b):
             for w in target_set(b):
                 index.setdefault(w, []).append(j)
-        m = len(doc_b)
 
-        def scores(a: str) -> list[float]:
+        def scores(a: str, lo: int, hi: int) -> list[float]:
             rows, count = source_rows.get(a) or source_row(a)
-            totals = [0.0] * m
+            totals = [0.0] * (hi - lo)
             if not count:
                 return totals
             # Each token adds, to each line, the prob of its first ranked
             # target that line holds (a 0.0 prob included), in token order:
             # the very additions score makes for the pair. The top target
             # credits all its lines; a later one only lines not yet credited.
+            # A posting list is ascending, so the band is one slice of it.
             for row in rows:
                 (w, p), *rest = row
-                credited = index.get(w, ())
+                lines = index.get(w, ())
+                credited = lines[bisect_left(lines, lo):bisect_left(lines, hi)]
                 for j in credited:
-                    totals[j] += p
+                    totals[j - lo] += p
                 if rest:
                     credited = set(credited)
                     for w, p in rest:
-                        for j in index.get(w, ()):
+                        lines = index.get(w, ())
+                        for j in lines[bisect_left(lines, lo):bisect_left(lines, hi)]:
                             if j not in credited:
                                 credited.add(j)
-                                totals[j] += p
+                                totals[j - lo] += p
             return [x if (x := t / count) < 1.0 else 1.0 for t in totals]
 
         return scores
@@ -304,45 +309,112 @@ def _backtrace(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
     )
 
 
+def _greedy_walk(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
+                 gap: float) -> tuple[float, int]:
+    """(objective, scorer calls) of one monotone alignment found greedily:
+    from node (0, 0), pair the two next lines when their score is at least
+    what skipping one line on either side and pairing the next would gain,
+    else take the better skip (the skip of an A line on a tie). Lines left
+    over when one side runs out are gaps. Each pair is scored once."""
+    n, m = len(doc_a), len(doc_b)
+    i = j = 0
+    total = 0.0
+    calls = 1 if n and m else 0
+    s = _checked(scorer(doc_a[0], doc_b[0])) if calls else 0.0
+    while i < n and j < m:
+        down = right = -math.inf
+        if i + 1 < n:
+            down = _checked(scorer(doc_a[i + 1], doc_b[j]))
+            calls += 1
+        if j + 1 < m:
+            right = _checked(scorer(doc_a[i], doc_b[j + 1]))
+            calls += 1
+        if s >= down - gap and s >= right - gap:
+            total += s
+            i, j = i + 1, j + 1
+            if i < n and j < m:
+                s = _checked(scorer(doc_a[i], doc_b[j]))
+                calls += 1
+        elif down >= right:
+            total -= gap
+            i, s = i + 1, down
+        else:
+            total -= gap
+            j, s = j + 1, right
+    return total - gap * ((n - i) + (m - j)), calls
+
+
 def nw_align(
-    doc_a: list[str], doc_b: list[str], scorer: PairScorer, cfg: AlignConfig
+    doc_a: list[str],
+    doc_b: list[str],
+    scorer: PairScorer,
+    cfg: AlignConfig,
+    stats: Optional[dict] = None,
 ) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
-    Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Scores
-    every cell of the |A| x |B| matrix, row by row, then each aligned pair
-    again at backtrace: the scorer must return the same value for a pair.
-    A scorer with ``against`` (see PairScorer) gives each row in one call,
-    through against(doc_b); any other is called once per cell. Only the
-    current row is held.
+    Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Fills
+    only the nodes that can lie on an optimal path (Ukkonen 1985): a greedy
+    walk (_greedy_walk) gives the objective L of a real alignment, and a
+    node whose best gain g so far has g + _heuristic(lines left) below L,
+    less a rounding margin, is left out, as is every node reached only
+    through such nodes. _heuristic is consistent, so a row's nodes that
+    can be reached lie from the first node the row above kept to one past
+    its last, then further right by gap moves, which need no score, while
+    nodes are kept. A node on an optimal path gets the value and move the
+    full table gives it, so the alignment is the same.
+
+    Row i scores the pairs of doc_a[i - 1] with doc_b[lo:hi], the lines
+    whose node above-left was kept, then each aligned pair again at
+    backtrace: the scorer must return the same value for a pair. A scorer
+    with ``against`` (see PairScorer) gives each row's band in one call,
+    scores(doc_a[i - 1], lo, hi); any other is called once per cell.
 
     Keeps one byte per node for the move that entered it, in a bytearray
-    of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, and two rows of
-    node values: about 1 byte per cell. On value ties a positive-scoring
-    match beats skipping an A element, which beats skipping a B element,
-    which beats a zero-scoring match; the last rule keeps worthless pairs
-    out of the alignment.
+    of (|A| + 1)(|B| + 1) keyed like _backtrace's nodes, and the values of
+    the previous row's kept span. On value ties a positive-scoring match
+    beats skipping an A element, which beats skipping a B element, which
+    beats a zero-scoring match; the last rule keeps worthless pairs out of
+    the alignment. Pass a dict as ``stats`` to receive scorer_calls (the
+    walk's, then each cell scored, then each aligned pair) and filled (the
+    nodes given a value, row 0 and column 0 left out).
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
     _check_gap(n, m, gap)
+    floor, calls = _greedy_walk(doc_a, doc_b, scorer, gap)
+    floor -= 1e-9 * (n + m + 1) * (1 + gap)
+
+    def kept(i: int, j: int, value: float) -> bool:
+        return value + _heuristic(n - i, m - j, gap) >= floor
+
     width = m + 1
     moves = bytearray(width * (n + 1))  # all _MATCH until written
     moves[1:width] = bytes([_GAP_B]) * m
-    prev = [0.0] + [-gap * j for j in range(1, width)]
+    # The kept span of the previous row: its first and last kept columns
+    # lo and hi, and prev, the values of columns lo..hi then -inf for the
+    # column past hi, which has no node above it.
+    hi = 0
+    while hi < m and kept(0, hi + 1, -gap * (hi + 1)):
+        hi += 1
+    lo = filled = first = 0
+    prev = [0.0] + [-gap * j for j in range(1, hi + 1)] + [-math.inf]
     against = getattr(scorer, "against", None)
     scores = against(doc_b) if against is not None else None
     for i in range(1, n + 1):
         a = doc_a[i - 1]
+        top = hi + 1 if hi < m else m
         if scores is None:
-            row = [_checked(scorer(a, b)) for b in doc_b]
+            row = [_checked(scorer(a, b)) for b in doc_b[lo:top]]
         else:
-            row = _checked_row(scores(a), m)
-        left = -gap * i
+            row = _checked_row(scores(a, lo, top), top - lo)
+        calls += top - lo
+        # column lo: only the node above it was kept
+        left = -gap * i if lo == 0 else prev[0] - gap
         cur = [left]
         base = i * width
-        moves[base] = _GAP_A
-        keys = range(base + 1, base + width)
+        moves[base + lo] = _GAP_A
+        keys = range(base + lo + 1, base + top + 1)
         for key, s, diag, above in zip(keys, row, prev, prev[1:]):
             best = diag + s
             move = _MATCH
@@ -362,8 +434,31 @@ def nw_align(
             left = best
             if move:
                 moves[key] = move
-        prev = cur
-    return _backtrace(doc_a, doc_b, scorer, moves.__getitem__)
+        # past the band only gap moves reach a node
+        j = top
+        while j < m and kept(i, j, left):
+            j += 1
+            left -= gap
+            cur.append(left)
+            moves[base + j] = _GAP_B
+        filled += len(cur) - (lo == 0)
+        first = next((k for k, v in enumerate(cur) if kept(i, lo + k, v)), None)
+        if first is None:
+            break
+        last = len(cur) - 1
+        while not kept(i, lo + last, cur[last]):
+            last -= 1
+        prev = cur[first:last + 1]
+        prev.append(-math.inf)
+        lo, hi = lo + first, lo + last
+    if first is None or hi < m:
+        raise ValueError("no alignment reaches the greedy walk's objective: "
+                         "the pair scorer gave a pair two different scores")
+    alignment = _backtrace(doc_a, doc_b, scorer, moves.__getitem__)
+    if stats is not None:
+        stats["scorer_calls"] = calls + len(alignment.pairs)
+        stats["filled"] = filled
+    return alignment
 
 
 def _heuristic(rest_a: int, rest_b: int, gap: float) -> float:
@@ -481,14 +576,12 @@ def align_documents(
     stats: Optional[dict] = None,
 ) -> Alignment:
     """Run the engine selected by cfg.engine. Pass a dict as ``stats`` to
-    receive the engine's scorer_calls (the cells it scored, then each
-    aligned pair once more) and, for astar, its expanded count."""
+    receive the engine's scorer_calls (for dp its greedy walk's first, then
+    the cells it scored, then each aligned pair once more) and its count of
+    nodes: filled for dp, expanded for astar."""
     if cfg.engine == "astar":
         return astar_align(doc_a, doc_b, scorer, cfg, stats=stats)
-    alignment = nw_align(doc_a, doc_b, scorer, cfg)
-    if stats is not None:
-        stats["scorer_calls"] = len(doc_a) * len(doc_b) + len(alignment.pairs)
-    return alignment
+    return nw_align(doc_a, doc_b, scorer, cfg, stats=stats)
 
 
 def threshold_filter(alignment: Alignment, tau: float) -> list[tuple[int, int, float]]:

@@ -267,6 +267,39 @@ def reference_nw_align(doc_a, doc_b, scorer, gap):
                                 lambda i, j: likes[i][j])
 
 
+def reference_cell_bounds(doc_a, doc_b, scorer, gap):
+    """(forward, backward): full (n + 1) x (m + 1) tables of best gains,
+    forward[i][j] from node (0, 0) to node (i, j) and backward[i][j] from
+    node (i, j) to node (n, m), each by plain dynamic programming over all
+    three moves. The best alignment that pairs doc_a[i] with doc_b[j]
+    gains forward[i][j] + score + backward[i + 1][j + 1]."""
+    n, m = len(doc_a), len(doc_b)
+    like = [[float(scorer(x, y)) for y in doc_b] for x in doc_a]
+    forward = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(m + 1):
+            moves = []
+            if i and j:
+                moves.append(forward[i - 1][j - 1] + like[i - 1][j - 1])
+            if i:
+                moves.append(forward[i - 1][j] - gap)
+            if j:
+                moves.append(forward[i][j - 1] - gap)
+            forward[i][j] = max(moves, default=0.0)
+    backward = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n, -1, -1):
+        for j in range(m, -1, -1):
+            moves = []
+            if i < n and j < m:
+                moves.append(like[i][j] + backward[i + 1][j + 1])
+            if i < n:
+                moves.append(backward[i + 1][j] - gap)
+            if j < m:
+                moves.append(backward[i][j + 1] - gap)
+            backward[i][j] = max(moves, default=0.0)
+    return forward, backward
+
+
 def reference_astar_align(doc_a, doc_b, scorer, gap, heuristic):
     """seq_align.astar_align keyed by (i, j) tuples: (alignment, stats).
     heuristic(rest_a, rest_b, gap) bounds the gain still reachable. No

@@ -453,8 +453,10 @@ class TestAlignCommand:
                              AlignConfig(engine=engine), stats=want)
         assert manifest["stats"] == want
         if engine == "dp":
-            # every cell, then each aligned pair once more
-            assert al.pairs and want == {"scorer_calls": 25 + len(al.pairs)}
+            # 13 calls for the greedy walk, 15 cells under the 19 nodes
+            # filled, then the 4 aligned pairs once more
+            assert len(al.pairs) == 4
+            assert want == {"scorer_calls": 13 + 15 + 4, "filled": 19}
         else:
             assert set(want) == {"scorer_calls", "expanded"}
             assert want["scorer_calls"] < 25

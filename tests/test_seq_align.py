@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import synthcorpus
 from peakrss import cli_peak_mb
 from bifilter import cli, seq_align
 from bifilter.errors import ConfigError, DataError
@@ -197,15 +198,18 @@ class TestLexiconScorerCache:
     @example({"kot": {"cat": 0.5, "dog": 0.5, "the": 0.0}, "ma": {"dog": 0.0, "cat": 0.0}},
              ["kot ma kot", "cat dog the", "dog", "The ma!", "?!", "cat dog the"])
     def test_rows_equal_reference_scores(self, dictionary, doc):
-        """against(doc_b) gives, for any line, the very floats the
-        from-scratch score gives for each line of doc_b, and nw_align
-        through those rows equals nw_align cell by cell."""
+        """against(doc_b) gives, for any line and any band doc_b[lo:hi],
+        the very floats the from-scratch score gives for each line of the
+        band, and nw_align through those bands equals nw_align cell by
+        cell."""
         doc_b = doc[::-1] + doc[:1]
         scorer = lexicon_scorer(dictionary)
         scores = scorer.against(doc_b)
         for a in doc:
-            assert scores(a) == [
-                oracles.reference_lexicon_score(dictionary, a, b) for b in doc_b]
+            want = [oracles.reference_lexicon_score(dictionary, a, b) for b in doc_b]
+            for lo in range(len(doc_b) + 1):
+                for hi in range(lo, len(doc_b) + 1):
+                    assert scores(a, lo, hi) == want[lo:hi]
         cfg = AlignConfig(gap_penalty=0.2)
         assert nw_align(doc, doc_b, lexicon_scorer(dictionary), cfg) == nw_align(
             doc, doc_b, per_pair(lexicon_scorer(dictionary)), cfg)
@@ -258,28 +262,47 @@ class TestNwAlign:
         assert al.pairs == () and al.gaps_a == () and al.gaps_b == ()
 
     def test_scores_rows_through_against(self):
-        # one against call for doc_b, one row per source line, and pair
-        # calls only for the aligned pairs, at backtrace
+        # one against call for doc_b, at most one band doc_b[lo:hi] per
+        # source line, in order, and pair calls only for the greedy walk
+        # and then, at backtrace, the aligned pairs
         doc_a, doc_b = [f"a{i}" for i in range(5)], [f"b{j}" for j in range(6)]
         rng = random.Random(5)
         table = table_scorer({(x, y): round(rng.random(), 3) for x in doc_a for y in doc_b})
         scorer, calls = counting(table)
-        asked = []
+        asked, bands = [], []
 
         def against(side):
             asked.append(list(side))
 
-            def scores(a):
-                asked.append(a)
-                return [table(a, b) for b in side]
+            def scores(a, lo, hi):
+                bands.append((a, lo, hi))
+                return [table(a, b) for b in side[lo:hi]]
 
             return scores
 
         scorer.against = against
-        al = nw_align(doc_a, doc_b, scorer, self.CFG)
+        stats = {}
+        al = nw_align(doc_a, doc_b, scorer, self.CFG, stats=stats)
         assert al == nw_align(doc_a, doc_b, table, self.CFG)
-        assert asked == [doc_b, *doc_a]
-        assert sorted(calls) == sorted((doc_a[i], doc_b[j]) for i, j, _ in al.pairs)
+        assert asked == [doc_b]
+        sources = [a for a, _lo, _hi in bands]
+        assert sources == [a for a in doc_a if a in sources]
+        assert all(0 <= lo <= hi <= len(doc_b) for _a, lo, hi in bands)
+        pairs = [(doc_a[i], doc_b[j]) for i, j, _ in reversed(al.pairs)]
+        walk = calls[:len(calls) - len(pairs)]
+        assert calls[len(walk):] == pairs
+        assert seq_align._greedy_walk(doc_a, doc_b, table, 0.1)[1] == len(walk)
+        assert stats["scorer_calls"] == len(calls) + sum(hi - lo for _a, lo, hi in bands)
+
+    def test_pair_scored_two_ways_raises(self):
+        # the walk sees 1.0 for every pair and the bands 0.0, so no path
+        # reaches the walk's objective
+        def score(a, b):
+            return 1.0
+
+        score.against = lambda doc_b: lambda a, lo, hi: [0.0] * (hi - lo)
+        with pytest.raises(ValueError, match="gave a pair two different scores"):
+            nw_align(["a0", "a1"], ["b0", "b1"], score, self.CFG)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30))
@@ -446,20 +469,69 @@ class TestTieBreakOracles:
         st.sampled_from([0.0, 0.1, 0.2, 0.5]),
         st.data(),
     )
-    def test_dp_scores_each_cell_then_each_pair_again(self, n, m, gap, data):
-        """The DP keeps no likelihoods: it scores every cell once, and its
-        backtrace scores each aligned pair once more."""
+    def test_dp_scores_only_cells_that_can_be_optimal(self, n, m, gap, data):
+        """The DP keeps no likelihoods: after its greedy walk it scores each
+        cell at most once, leaving out only cells that no optimal alignment
+        pairs, and its backtrace scores each aligned pair once more."""
         doc_a, doc_b = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(m)]
         value = st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.5, 1.0])
-        scorer, calls = counting(table_scorer(
-            {(x, y): data.draw(value) for x in doc_a for y in doc_b}))
+        table = table_scorer({(x, y): data.draw(value) for x in doc_a for y in doc_b})
+        scorer, calls = counting(table)
         stats = {}
         al = align_documents(doc_a, doc_b, scorer, AlignConfig(gap_penalty=gap),
                              stats=stats)
-        want = Counter((x, y) for x in doc_a for y in doc_b)
-        want.update((doc_a[i], doc_b[j]) for i, j, _ in al.pairs)
-        assert Counter(calls) == want
         assert stats["scorer_calls"] == len(calls)
+        pairs = [(doc_a[i], doc_b[j]) for i, j, _ in reversed(al.pairs)]
+        assert calls[len(calls) - len(pairs):] == pairs
+        walked = seq_align._greedy_walk(doc_a, doc_b, table, gap)[1]
+        cells = calls[walked:len(calls) - len(pairs)]
+        assert len(set(cells)) == len(cells)
+        assert stats["filled"] >= len(cells)
+        forward, backward = oracles.reference_cell_bounds(doc_a, doc_b, table, gap)
+        optimum, scored = forward[n][m], set(cells)
+        for i, x in enumerate(doc_a):
+            for j, y in enumerate(doc_b):
+                if (x, y) not in scored:
+                    through = forward[i][j] + table(x, y) + backward[i + 1][j + 1]
+                    assert through < optimum
+
+
+class TestComparableDocuments:
+    """Two documents shaped like the align benchmark's: the first 200
+    translation-layer lines of the synthetic corpus, noise included,
+    against their target lines with every 20th deleted and, every 30
+    lines, a target line from far down the corpus inserted."""
+
+    @staticmethod
+    def documents(n=200):
+        total = 3 * n
+        sb = synthcorpus.build(
+            total=total,
+            noisy=round(total * synthcorpus.NOISY_PAIRS / synthcorpus.TOTAL_PAIRS))
+        doc_b = []
+        for i in range(n):
+            if i % 20 != 7:
+                doc_b.append(sb.target[i])
+            if i % 30 == 15:
+                doc_b.append(sb.target[2 * n + i // 30])
+        return list(sb.trans[:n]), doc_b
+
+    def test_dp_fills_under_a_third_of_the_grid(self):
+        doc_a, doc_b = self.documents()
+        vocab = {w for line in doc_a + doc_b for w in re.findall(r"\w+", line.lower())}
+        dictionary = {w: {w: 1.0} for w in vocab}
+        # a plain function, so each cell scored is one call
+        scorer, calls = counting(lexicon_scorer(dictionary))
+        stats = {}
+        al = nw_align(doc_a, doc_b, scorer, AlignConfig(), stats=stats)
+        assert al == oracles.reference_nw_align(
+            doc_a, doc_b, lexicon_scorer(dictionary), 0.2)
+        assert stats["scorer_calls"] == len(calls)
+        # 12,422 calls (611 for the walk, 11,621 cells, 190 aligned pairs)
+        # and 11,923 nodes filled when written, of 200 x 197 = 39,400
+        cells = len(doc_a) * len(doc_b)
+        assert len(calls) <= cells // 3
+        assert stats["filled"] <= cells // 3
 
 
 def _align_peak_mb(tmp_path, n, engine):
@@ -477,14 +549,20 @@ def _align_peak_mb(tmp_path, n, engine):
 
 class TestHostileMemory:
     """Every cell of two unrelated documents scores 0: DP keeps one byte
-    for each cell of the grid, and A* scores most of them. A dictionary
-    word on every line makes each DP row reach every target line."""
+    for each node of the grid, and both engines score most cells. A
+    dictionary word on every line makes each DP band reach every target
+    line."""
 
     def test_dp_2000_lines(self, tmp_path):
         peak_mb, stats = _align_peak_mb(tmp_path, 2000, "dp")
-        # every cell, then the 2,000 zero-scoring pairs of the diagonal
-        # (one such pair costs less than its two gaps)
-        assert stats["scorer_calls"] == 2000 * 2000 + 2000
+        # The walk pairs the diagonal, as does the optimum: objective 0.
+        # A node off the diagonal by d has gained -0.2·d and must pay 0.2·d
+        # more, so it is kept while 0.4·d is at most the matches still
+        # possible: 2,856,000 of the 4,000,000 nodes. 2,859,998 are filled,
+        # the rest on the edges of the rows' spans. The scorer runs for the
+        # walk, the cells under kept nodes and the 2,000 zero-scoring pairs
+        # of the diagonal (one such pair costs less than its two gaps).
+        assert stats == {"scorer_calls": 2866854, "filled": 2859998}
         assert peak_mb <= 40
 
     def test_dp_dictionary_word_on_every_line(self, tmp_path, monkeypatch):
@@ -523,14 +601,17 @@ class TestScorerRange:
 
     @staticmethod
     def row_scorer(bad):
-        """A scorer whose against row for "a1" holds bad at index 2, after
-        two in-range values, where min and max alone can miss a NaN. Its
-        pair calls return 0.5, so only the row's check can see bad."""
+        """A scorer whose against band for "a1" holds bad for "b2". Its pair
+        calls return 0.5, so only the band's check can see bad. On a0, a1
+        against b0, b1, b2 the DP must read that cell: pairing a0 with b0,
+        skipping b1 and pairing a1 with b2 is optimal. Its band starts at b1
+        (no optimal alignment leaves a0 out before b0), so bad comes after
+        an in-range value, where min and max alone miss a NaN."""
         def score(a, b):
             return 0.5
 
-        score.against = lambda doc_b: lambda a: [
-            bad if (a, b) == ("a1", "b2") else 0.5 for b in doc_b]
+        score.against = lambda doc_b: lambda a, lo, hi: [
+            bad if (a, b) == ("a1", "b2") else 0.5 for b in doc_b[lo:hi]]
         return score
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
@@ -547,10 +628,24 @@ class TestScorerRange:
             align_documents(doc_a, doc_b, scorer, AlignConfig(engine=engine))
 
     def test_row_of_the_wrong_length_raises(self):
+        # a0 alone against b0, b1, b2: its band is all three lines
         scorer = self.row_scorer(0.5)
-        scorer.against = lambda doc_b: lambda a: [0.5] * (len(doc_b) - 1)
+        scorer.against = lambda doc_b: lambda a, lo, hi: [0.5] * (hi - lo - 1)
         with pytest.raises(ValueError, match="a row of 2 scores for 3 lines"):
             nw_align(["a0"], ["b0", "b1", "b2"], scorer, AlignConfig())
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_out_of_range_score_met_by_the_walk_raises(self, bad):
+        # The greedy walk scores pairs one by one before any band is asked
+        # for, starting with (a0, b0). Summed into the walk's objective
+        # unchecked, a 1.5 would leave out every cell.
+        def score(a, b):
+            return bad if (a, b) == ("a0", "b0") else 0.5
+
+        score.against = lambda doc_b: lambda a, lo, hi: [0.5] * (hi - lo)
+        message = re.escape(f"pair scorer returned {bad}, outside [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            nw_align(["a0", "a1"], ["b0", "b1", "b2"], score, AlignConfig())
 
 
 class TestAlignDocuments:
@@ -562,7 +657,7 @@ class TestAlignDocuments:
 
     @pytest.mark.parametrize("engine", ["dp", "astar"])
     def test_stats_count_scorer_calls(self, engine):
-        rng = random.Random(2)  # 6 x 6; A* scores 19 of the 36 cells
+        rng = random.Random(2)  # 6 x 6; A* scores 16 of the 36 cells
         doc_a, doc_b, scorer = random_instance(rng, 6)
         scorer, calls = counting(scorer)
         stats = {}
@@ -570,7 +665,10 @@ class TestAlignDocuments:
                              stats=stats)
         assert stats["scorer_calls"] == len(calls)
         if engine == "dp":
-            assert len(calls) == len(doc_a) * len(doc_b) + len(al.pairs)
+            # 17 calls for the greedy walk, 23 cells under the 29 nodes
+            # filled, then the 6 aligned pairs
+            assert len(al.pairs) == 6
+            assert stats == {"scorer_calls": 17 + 23 + 6, "filled": 29}
 
     def test_bad_engine(self):
         with pytest.raises(ConfigError):
