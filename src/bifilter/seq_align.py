@@ -43,8 +43,9 @@ backtrace.
 A scorer may also have an ``against`` attribute: against(doc_b) returns a
 function scores(a, lo, hi) giving the list of scorer(a, b) for every b in
 doc_b[lo:hi], 0 <= lo <= hi <= len(doc_b), each value equal to the pair's.
-nw_align then scores a row's band per call. lexicon_scorer's scorers have
-it."""
+nw_align then scores each row's span of target lines in one call, after
+scoring its diagonal band's pairs one by one. lexicon_scorer's scorers
+have it."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _check_gap(n: int, m: int, gap: float) -> None:
 
 
 def _checked_row(row: list[float], m: int) -> list[float]:
-    """row, a scorer's against() result for a band of m target lines,
+    """row, a scorer's against() result for a span of m target lines,
     checked as _checked checks each value: min and max, plus the sum, since
     a NaN anywhere makes the sum NaN while min and max may step over it."""
     if len(row) != m:
@@ -170,17 +171,20 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     scorer keeps what it derives from each line, keyed by the line: for a
     source line, the ranked rows of its tokens in token order (tokens
     without a row are left out, as they add 0.0) and its token count; for a
-    target line, its token set. Each distinct line is tokenized once per
-    side for the scorer's lifetime.
+    target line, its token set. It builds both from a table of whitespace
+    chunks, each mapped to its non-punctuation tokens, which tokenize gives
+    chunk by chunk: each distinct chunk is tokenized once, on either side,
+    for the scorer's lifetime.
 
     The scorer's ``against(doc_b)`` gives a function scores(a, lo, hi)
     giving a source line's scores against the lines doc_b[lo:hi], each
     equal to the pair's score. It indexes doc_b once, each target word
     mapping to the ascending indices of the lines whose token set holds it
-    (an inverted file; Zobel & Moffat 2006), so a band costs one pass over
-    the source's ranked rows and the lines they reach inside the band,
+    (an inverted file; Zobel & Moffat 2006), so a span costs one pass over
+    the source's ranked rows and the lines they reach inside the span,
     found by bisecting each list, not one call per line."""
     ranked: dict[str, _RankedRow] = {}
+    chunks: dict[str, tuple[str, ...]] = {}
     source_rows: dict[str, tuple[tuple[_RankedRow, ...], int]] = {}
     target_sets: dict[str, frozenset[str]] = {}
 
@@ -191,10 +195,24 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
             row = ranked[word] = tuple(sorted(entries, key=lambda e: -e[1]))
         return row
 
+    def words(line: str) -> list[str]:
+        # tokenize peels and folds each whitespace chunk on its own, so a
+        # line's tokens are its chunks' tokens in order
+        out: list[str] = []
+        for chunk in line.split():
+            toks = chunks.get(chunk)
+            if toks is None:
+                toks = tuple(t for t in tokenize(chunk) if not is_punct_token(t))
+                # a chunk that is its own word is keyed by that word, so the
+                # key and the token are one string
+                chunks[toks[0] if toks == (chunk,) else chunk] = toks
+            out += toks
+        return out
+
     def source_row(a: str) -> tuple[tuple[_RankedRow, ...], int]:
         entry = source_rows.get(a)
         if entry is None:
-            tokens = [t for t in tokenize(a) if not is_punct_token(t)]
+            tokens = words(a)
             rows = tuple(row for row in map(ranked_row, tokens) if row)
             entry = source_rows[a] = (rows, len(tokens))
         return entry
@@ -202,9 +220,7 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
     def target_set(b: str) -> frozenset[str]:
         b_toks = target_sets.get(b)
         if b_toks is None:
-            b_toks = target_sets[b] = frozenset(
-                t for t in tokenize(b) if not is_punct_token(t)
-            )
+            b_toks = target_sets[b] = frozenset(words(b))
         return b_toks
 
     def score(a: str, b: str) -> float:
@@ -236,7 +252,7 @@ def lexicon_scorer(dictionary: dict[str, dict[str, float]]) -> PairScorer:
             # target that line holds (a 0.0 prob included), in token order:
             # the very additions score makes for the pair. The top target
             # credits all its lines; a later one only lines not yet credited.
-            # A posting list is ascending, so the band is one slice of it.
+            # A posting list is ascending, so the span is one slice of it.
             for row in rows:
                 (w, p), *rest = row
                 lines = index.get(w, ())
@@ -309,39 +325,54 @@ def _backtrace(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
     )
 
 
-def _greedy_walk(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
-                 gap: float) -> tuple[float, int]:
-    """(objective, scorer calls) of one monotone alignment found greedily:
-    from node (0, 0), pair the two next lines when their score is at least
-    what skipping one line on either side and pairing the next would gain,
-    else take the better skip (the skip of an A line on a tie). Lines left
-    over when one side runs out are gaps. Each pair is scored once."""
+# Half-width w of _band_floor's band. On the 200 x 197 seed-0 benchmark
+# input widths 1 to 4 all reach the optimum 151.12, so nw_align fills the
+# same 6,845 nodes, and the band pass took 0.87 ms at w = 1 against 1.33,
+# 1.78 and 2.22 ms at 2, 3 and 4, making 594 scorer calls against 989,
+# 1,382 and 1,773 (medians of 15, scorer warm; 2 vCPUs, Python 3.11.7).
+_BAND = 1
+
+
+def _band_floor(doc_a: list[str], doc_b: list[str], scorer: PairScorer,
+                gap: float) -> tuple[float, int]:
+    """(objective, scorer calls) of the best monotone alignment whose path
+    keeps to a band around the diagonal (Moore 2002): row i holds the nodes
+    (i, j) with |j - i·m // n| <= _BAND, its first node pulled back to one
+    past the last node of the row above when the rows would not touch, so
+    the band always holds a path from (0, 0) to (n, m). A node's value is
+    the best of the three moves from band nodes, in the full table's
+    arithmetic, and a pair is scored, once and checked as _checked checks
+    it, only where its match move starts inside the band."""
     n, m = len(doc_a), len(doc_b)
-    i = j = 0
-    total = 0.0
-    calls = 1 if n and m else 0
-    s = _checked(scorer(doc_a[0], doc_b[0])) if calls else 0.0
-    while i < n and j < m:
-        down = right = -math.inf
-        if i + 1 < n:
-            down = _checked(scorer(doc_a[i + 1], doc_b[j]))
-            calls += 1
-        if j + 1 < m:
-            right = _checked(scorer(doc_a[i], doc_b[j + 1]))
-            calls += 1
-        if s >= down - gap and s >= right - gap:
-            total += s
-            i, j = i + 1, j + 1
-            if i < n and j < m:
-                s = _checked(scorer(doc_a[i], doc_b[j]))
+    if not n or not m:
+        return -gap * (n + m), 0
+    lo, hi = 0, min(m, _BAND)
+    prev = [-gap * j for j in range(hi + 1)]
+    calls = 0
+    for i in range(1, n + 1):
+        a = doc_a[i - 1]
+        center = i * m // n
+        top = min(m, center + _BAND)
+        start = min(max(0, center - _BAND), hi + 1)
+        cur = []
+        best = -math.inf
+        for j in range(start, top + 1):
+            best -= gap
+            if j <= hi:
+                up = prev[j - lo] - gap
+                if up > best:
+                    best = up
+            if lo < j <= hi + 1:
+                s = scorer(a, doc_b[j - 1])
+                if type(s) is not float or not 0.0 <= s <= 1.0:
+                    s = _checked(s)
                 calls += 1
-        elif down >= right:
-            total -= gap
-            i, s = i + 1, down
-        else:
-            total -= gap
-            j, s = j + 1, right
-    return total - gap * ((n - i) + (m - j)), calls
+                s += prev[j - 1 - lo]
+                if s > best:
+                    best = s
+            cur.append(best)
+        prev, lo, hi = cur, start, top
+    return prev[-1], calls
 
 
 def nw_align(
@@ -354,20 +385,22 @@ def nw_align(
     """Optimal monotone alignment by dynamic programming.
 
     Maximizes sum(likelihood of pairs) - gap_penalty * (total gaps). Fills
-    only the nodes that can lie on an optimal path (Ukkonen 1985): a greedy
-    walk (_greedy_walk) gives the objective L of a real alignment, and a
-    node whose best gain g so far has g + _heuristic(lines left) below L,
-    less a rounding margin, is left out, as is every node reached only
-    through such nodes. _heuristic is consistent, so a row's nodes that
-    can be reached lie from the first node the row above kept to one past
-    its last, then further right by gap moves, which need no score, while
-    nodes are kept. A node on an optimal path gets the value and move the
-    full table gives it, so the alignment is the same.
+    only the nodes that can lie on an optimal path (Ukkonen 1985): the best
+    alignment inside a band around the diagonal (_band_floor) gives the
+    objective L of a real alignment, and a node whose best gain g so far
+    has g + _heuristic(lines left) below L, less a rounding margin, is
+    left out, as is every node reached only through such nodes. _heuristic
+    is consistent, so a row's nodes that can be reached lie from the first
+    node the row above kept to one past its last, then further right by
+    gap moves, which need no score, while nodes are kept. A node on an
+    optimal path gets the value and move the full table gives it, so the
+    alignment is the same.
 
-    Row i scores the pairs of doc_a[i - 1] with doc_b[lo:hi], the lines
-    whose node above-left was kept, then each aligned pair again at
-    backtrace: the scorer must return the same value for a pair. A scorer
-    with ``against`` (see PairScorer) gives each row's band in one call,
+    The band's pairs are scored one by one. Then row i scores the pairs of
+    doc_a[i - 1] with doc_b[lo:hi], the lines whose node above-left was
+    kept, and the backtrace scores each aligned pair again: the scorer
+    must return the same value for a pair, however it is asked. A scorer
+    with ``against`` (see PairScorer) gives each row's span in one call,
     scores(doc_a[i - 1], lo, hi); any other is called once per cell.
 
     Keeps one byte per node for the move that entered it, in a bytearray
@@ -376,13 +409,13 @@ def nw_align(
     beats skipping an A element, which beats skipping a B element, which
     beats a zero-scoring match; the last rule keeps worthless pairs out of
     the alignment. Pass a dict as ``stats`` to receive scorer_calls (the
-    walk's, then each cell scored, then each aligned pair) and filled (the
+    band's calls, then each cell, then each aligned pair) and filled (the
     nodes given a value, row 0 and column 0 left out).
     """
     n, m = len(doc_a), len(doc_b)
     gap = cfg.gap_penalty
     _check_gap(n, m, gap)
-    floor, calls = _greedy_walk(doc_a, doc_b, scorer, gap)
+    floor, calls = _band_floor(doc_a, doc_b, scorer, gap)
     floor -= 1e-9 * (n + m + 1) * (1 + gap)
 
     def kept(i: int, j: int, value: float) -> bool:
@@ -434,7 +467,7 @@ def nw_align(
             left = best
             if move:
                 moves[key] = move
-        # past the band only gap moves reach a node
+        # past the span only gap moves reach a node
         j = top
         while j < m and kept(i, j, left):
             j += 1
@@ -452,7 +485,7 @@ def nw_align(
         prev.append(-math.inf)
         lo, hi = lo + first, lo + last
     if first is None or hi < m:
-        raise ValueError("no alignment reaches the greedy walk's objective: "
+        raise ValueError("no alignment reaches the band's objective: "
                          "the pair scorer gave a pair two different scores")
     alignment = _backtrace(doc_a, doc_b, scorer, moves.__getitem__)
     if stats is not None:
@@ -576,8 +609,8 @@ def align_documents(
     stats: Optional[dict] = None,
 ) -> Alignment:
     """Run the engine selected by cfg.engine. Pass a dict as ``stats`` to
-    receive the engine's scorer_calls (for dp its greedy walk's first, then
-    the cells it scored, then each aligned pair once more) and its count of
+    receive the engine's scorer_calls (for dp the band's calls first, then
+    each cell it scored, then each aligned pair once more) and its count of
     nodes: filled for dp, expanded for astar."""
     if cfg.engine == "astar":
         return astar_align(doc_a, doc_b, scorer, cfg, stats=stats)

@@ -453,10 +453,11 @@ class TestAlignCommand:
                              AlignConfig(engine=engine), stats=want)
         assert manifest["stats"] == want
         if engine == "dp":
-            # 13 calls for the greedy walk, 15 cells under the 19 nodes
-            # filled, then the 4 aligned pairs once more
+            # 13 calls for the band, 14 cells under the 18 nodes filled,
+            # then the 4 aligned pairs once more: 31, where scoring every
+            # cell and then the pairs would make 5 * 5 + 4 = 29
             assert len(al.pairs) == 4
-            assert want == {"scorer_calls": 13 + 15 + 4, "filled": 19}
+            assert want == {"scorer_calls": 13 + 14 + 4, "filled": 18}
         else:
             assert set(want) == {"scorer_calls", "expanded"}
             assert want["scorer_calls"] < 25
